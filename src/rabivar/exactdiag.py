@@ -1,10 +1,13 @@
-"""Dense-eigensolver oracle with adaptive truncation and parity-sector solves.
+"""Exact diagonalization on the tridiagonal parity chains, with adaptive truncation.
 
-Eigenvectors are returned phase-fixed (largest-magnitude amplitude positive)
-so repeated solves are reproducible.  Near-degenerate branches should be
-tracked with :func:`solve_parity_sector` rather than by energy ordering.
-Their even-minus-odd splitting, which in the two-packet regime lies far
-below double precision, comes from :func:`sector_splitting`.
+Each parity sector of the Hamiltonian is a tridiagonal chain (see
+:func:`parity_chain`), solved by a tridiagonal eigensolver; the dense
+spin x Fock matrix of :mod:`rabivar.fock` is never formed here and serves
+only as an independent cross-check.  Every returned vector has a definite
+parity and is phase-fixed (largest-magnitude amplitude positive) so
+repeated solves are reproducible.  The even-minus-odd splitting, which in
+the two-packet regime lies far below double precision, comes from
+:func:`sector_splitting`.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import TruncationNotConverged
-from .fock import build_hamiltonian, parity_diag
 from .model import ModelParams, Truncation
 
 N_TR_CAP = 4096
 SPLITTING_DIGITS = 90  # first precision of sector_splitting
 SPLITTING_DIGITS_CAP = 240  # keeps a certified splitting inside double range
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -59,80 +62,9 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v if v[i] > 0 else -v
 
 
-def _tail_weight(v: np.ndarray, n_tr: int) -> float:
-    """Probability weight on the top five Fock levels, summed over spin."""
-    dim = n_tr + 1
-    top = min(5, dim)
-    up = v[:dim]
-    down = v[dim:]
-    return float(np.sum(up[dim - top :] ** 2) + np.sum(down[dim - top :] ** 2))
-
-
-def _solve_dense(h: np.ndarray, k: int):
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, k - 1))
-    return vals, vecs
-
-
-def solve_lowest(params: ModelParams, trunc: Truncation, k: int = 1) -> SpectrumResult:
-    """k lowest eigenpairs of the truncated Hamiltonian.
-
-    Doubles n_tr (up to 4096) until the ground vector carries less than
-    tail_tol weight on the top five Fock levels; raises
-    TruncationNotConverged if the cap is insufficient.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > 2 * trunc.dim:
-        raise ValueError(f"k={k} exceeds basis dimension {2 * trunc.dim}")
-    n_tr = trunc.n_tr
-    while True:
-        h = build_hamiltonian(params, Truncation(n_tr, trunc.tail_tol))
-        vals, vecs = _solve_dense(h, k)
-        tail = _tail_weight(vecs[:, 0], n_tr)
-        if tail <= trunc.tail_tol:
-            vectors = [SpinFockVector(_phase_fix(vecs[:, i]), n_tr) for i in range(k)]
-            return SpectrumResult(list(map(float, vals)), vectors, n_tr, tail)
-        if n_tr >= N_TR_CAP:
-            raise TruncationNotConverged(
-                f"tail weight {tail:.3e} > {trunc.tail_tol:.3e} at n_tr={n_tr}",
-                n_tr=n_tr,
-                tail_weight=tail,
-            )
-        n_tr = min(2 * n_tr if n_tr > 0 else 1, N_TR_CAP)
-
-
-def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int, k: int = 1) -> SpectrumResult:
-    """k lowest eigenpairs restricted to the parity = +-1 subspace.
-
-    Returned vectors live on the full spin x Fock basis with zeros outside
-    the sector, so downstream projections apply unchanged.
-    """
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n_tr = trunc.n_tr
-    while True:
-        t = Truncation(n_tr, trunc.tail_tol)
-        h = build_hamiltonian(params, t)
-        mask = parity_diag(t) == parity
-        idx = np.flatnonzero(mask)
-        if k > idx.size:
-            raise ValueError(f"k={k} exceeds sector dimension {idx.size}")
-        vals, vecs = _solve_dense(h[np.ix_(idx, idx)], k)
-        full = np.zeros((h.shape[0], k))
-        full[idx, :] = vecs
-        tail = _tail_weight(full[:, 0], n_tr)
-        if tail <= trunc.tail_tol:
-            vectors = [SpinFockVector(_phase_fix(full[:, i]), n_tr) for i in range(k)]
-            return SpectrumResult(list(map(float, vals)), vectors, n_tr, tail)
-        if n_tr >= N_TR_CAP:
-            raise TruncationNotConverged(
-                f"tail weight {tail:.3e} > {trunc.tail_tol:.3e} at n_tr={n_tr}",
-                n_tr=n_tr,
-                tail_weight=tail,
-            )
-        n_tr = min(2 * n_tr if n_tr > 0 else 1, N_TR_CAP)
+def _down_sites(n_tr: int, parity: int) -> np.ndarray:
+    """Mask of the chain sites 0..n_tr that carry spin down: (-1)^m equals the parity."""
+    return (np.arange(n_tr + 1) % 2 == 0) == (parity == +1)
 
 
 def parity_chain(params: ModelParams, n_tr: int, parity: int):
@@ -146,10 +78,90 @@ def parity_chain(params: ModelParams, n_tr: int, parity: int):
     Braak, PRL 107, 100401 (2011)).
     """
     m = np.arange(n_tr + 1)
-    down = (m % 2 == 0) == (parity == +1)
+    down = _down_sites(n_tr, parity)
     diag = np.where(down, -0.5, 0.5) * params.delta + params.omega * m
     link = np.where(down, params.g, params.g * params.tau) * np.sqrt(m)
     return diag, link[1:]
+
+
+def _chain_lowest(diag: np.ndarray, link: np.ndarray, k: int):
+    """k lowest eigenvalues and eigenvectors (columns, in chain order) of a chain."""
+    return scipy.linalg.eigh_tridiagonal(diag, link, select="i", select_range=(0, k - 1))
+
+
+def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:
+    """Bound on the norm of T - e, the scale of an eigensolver's rounding near e."""
+    return float(np.max(np.abs(diag)) + abs(e) + 2.0 * np.max(link, initial=0.0))
+
+
+def _solve_chains(params: ModelParams, trunc: Truncation, parities, k: int) -> SpectrumResult:
+    """k lowest eigenpairs over the given parity sectors, with adaptive truncation.
+
+    Each sector's chain contributes its own k lowest levels and the levels
+    merge by energy, except that an odd level goes below an even one only
+    if it lies lower by more than the eigensolver's rounding, ten units of
+    eps on the chain's norm scale.  So inside an even/odd pair degenerate
+    below double precision the even member comes first.  n_tr doubles (up
+    to N_TR_CAP) until the ground vector carries at most tail_tol weight on
+    its top five Fock levels, which are its last five chain sites.
+    """
+    n_tr = trunc.n_tr
+    while True:
+        levels = []  # (merge key, energy, parity, chain vector)
+        for parity in parities:
+            diag, link = parity_chain(params, n_tr, parity)
+            vals, vecs = _chain_lowest(diag, link, min(k, n_tr + 1))
+            tie = 0.0 if parity == +1 else 10.0 * _EPS * _norm_scale(diag, link, vals[0])
+            levels += [(e + tie, float(e), parity, vecs[:, i]) for i, e in enumerate(vals)]
+        levels.sort(key=lambda level: level[0])  # stable: even first on exact ties
+        levels = levels[:k]
+        tail = float(np.sum(levels[0][3][-5:] ** 2))
+        if tail <= trunc.tail_tol:
+            sites = np.arange(n_tr + 1)
+            vectors = []
+            for _, _, parity, v in levels:
+                full = np.zeros(2 * (n_tr + 1))
+                full[np.where(_down_sites(n_tr, parity), n_tr + 1, 0) + sites] = v
+                vectors.append(SpinFockVector(_phase_fix(full), n_tr))
+            return SpectrumResult([level[1] for level in levels], vectors, n_tr, tail)
+        if n_tr >= N_TR_CAP:
+            raise TruncationNotConverged(
+                f"tail weight {tail:.3e} > {trunc.tail_tol:.3e} at n_tr={n_tr}",
+                n_tr=n_tr,
+                tail_weight=tail,
+            )
+        n_tr = min(2 * n_tr if n_tr > 0 else 1, N_TR_CAP)
+
+
+def solve_lowest(params: ModelParams, trunc: Truncation, k: int = 1) -> SpectrumResult:
+    """k lowest eigenpairs of the truncated Hamiltonian, merged from both parity chains.
+
+    Doubles n_tr (up to 4096) until the ground vector carries less than
+    tail_tol weight on the top five Fock levels; raises
+    TruncationNotConverged if the cap is insufficient.  Each vector lies in
+    one parity sector; in an even/odd pair degenerate to below double
+    precision the even member is the ground state.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > 2 * trunc.dim:
+        raise ValueError(f"k={k} exceeds basis dimension {2 * trunc.dim}")
+    return _solve_chains(params, trunc, (+1, -1), k)
+
+
+def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int, k: int = 1) -> SpectrumResult:
+    """k lowest eigenpairs restricted to the parity = +-1 subspace.
+
+    Returned vectors live on the full spin x Fock basis with zeros outside
+    the sector, so downstream projections apply unchanged.
+    """
+    if parity not in (+1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > trunc.dim:
+        raise ValueError(f"k={k} exceeds sector dimension {trunc.dim}")
+    return _solve_chains(params, trunc, (parity,), k)
 
 
 @dataclass
@@ -257,12 +269,10 @@ def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int):
     is infinite when the counts fail.
     """
     diag_f, link_f = parity_chain(params, n_tr + 1, parity)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        diag_f[:-1], link_f[:-1], select="i", select_range=(0, 0)
-    )
+    vals, vecs = _chain_lowest(diag_f[:-1], link_f[:-1], 1)
     seed = float(vals[0])
     peak = int(np.argmax(np.abs(vecs[:, 0])))
-    scale = float(np.max(np.abs(diag_f)) + abs(seed) + 2.0 * np.max(link_f))
+    scale = _norm_scale(diag_f, link_f, seed)
     with localcontext(Context(prec=digits)):
         radius = Decimal(10.0 * scale).scaleb(1 - digits)
         diag, link2 = _exact_chain(params, n_tr, parity)

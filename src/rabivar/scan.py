@@ -4,8 +4,10 @@ All data files are tab-separated text with a header row; floats are written
 with shortest-roundtrip repr so files parse back bit-exactly and repeated
 runs are byte-identical.  A JSON sidecar records the full configuration and
 package version (never timestamps or absolute paths).  Scans are
-restartable: existing rows are kept and only missing (grid point, method)
-combinations are recomputed, warm-starting from the stored neighbors.
+restartable: when the stored meta.json has the same physics config (every
+field but the grid bounds, step and methods), existing rows are kept and
+only missing (grid point, method) combinations are recomputed,
+warm-starting from the stored neighbors; otherwise every row is recomputed.
 """
 
 from __future__ import annotations
@@ -125,6 +127,36 @@ def _write_meta(out_dir: str, command: str, config: dict, extra: dict | None = N
         fh.write("\n")
 
 
+def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_fields) -> dict:
+    """Rows of an earlier run in out_dir that may be reused, keyed by (method, grid value).
+
+    Rows are reused only when that run's meta.json records the same command
+    and the same config on every field except the grid bounds and step
+    (grid_fields) and the methods.  Any other difference, or a missing
+    meta.json, means the stored rows may describe other physics, and none
+    is reused.
+    """
+    try:
+        with open(os.path.join(out_dir, "meta.json")) as fh:
+            meta = json.load(fh)
+        _, rows = read_table(os.path.join(out_dir, "combined.tsv"))
+    except FileNotFoundError:
+        return {}
+    free = {"methods", *grid_fields}
+
+    def physics(c):
+        return {k: v for k, v in c.items() if k not in free}
+
+    if meta.get("command") != command or physics(meta["config"]) != physics(config):
+        return {}
+    stored = {}
+    for row in rows:
+        if row.get("converged") is not None:
+            row["converged"] = bool(row["converged"])
+        stored[(row["method"], _fmt(row[axis]))] = row
+    return stored
+
+
 @dataclass
 class ScanConfig:
     delta: float = 100.0
@@ -230,14 +262,8 @@ def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm) -> dict:
 def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     """Energy/observable scan over a lambda grid; one row per (point, method)."""
     os.makedirs(out_dir, exist_ok=True)
-    existing = {}
-    combined_path = os.path.join(out_dir, "combined.tsv")
-    if os.path.exists(combined_path):
-        _, rows = read_table(combined_path)
-        for row in rows:
-            if row.get("converged") is not None:
-                row["converged"] = bool(row["converged"])
-            existing[(row["method"], _fmt(row["lambda"]))] = row
+    config = asdict(cfg) | {"methods": list(cfg.methods)}
+    existing = _stored_rows(out_dir, "scan", config, "lambda", ("lambda_min", "lambda_max", "lambda_step"))
 
     grid = cfg.grid()
     rows = []
@@ -262,8 +288,8 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
             SCAN_COLUMNS,
             [r for r in rows if r["method"] == method],
         )
-    write_table(combined_path, SCAN_COLUMNS, rows)
-    _write_meta(out_dir, "scan", asdict(cfg) | {"methods": list(cfg.methods)})
+    write_table(os.path.join(out_dir, "combined.tsv"), SCAN_COLUMNS, rows)
+    _write_meta(out_dir, "scan", config)
     _emit_scan_plot(out_dir, cfg)
     return rows
 
@@ -311,13 +337,19 @@ def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     g = ratio * gc1
     mp = ModelParams(delta=cfg.delta, omega=cfg.omega, g=g, tau=cfg.tau)
     row = {"g_ratio": ratio, "g": g, "lambda": mp.lam, "method": "CSS2"}
-    try:
-        even = solve_ansatz(mp, AnsatzKind.CSS2, "even")
-        odd = solve_ansatz(mp, AnsatzKind.CSS2, "odd")
-    except NoConvergence as exc:
-        row["converged"] = False
-        row["energy"] = exc.best.energy if exc.best else None
+    fits = {}
+    for parity in ("even", "odd"):
+        try:
+            fits[parity] = solve_ansatz(mp, AnsatzKind.CSS2, parity)
+        except NoConvergence as exc:
+            row["converged"] = False
+            fits[parity] = exc.best
+    if row.get("converged") is False:
+        # Each parity's best-so-far energy, but no splitting: an unconverged
+        # row never enters the crossing.
+        row.update({f"e_{parity}": fit.energy for parity, fit in fits.items() if fit is not None})
         return row
+    even, odd = fits["even"], fits["odd"]
     # The two parity optima coincide up to overlap-suppressed terms, so the
     # splitting is evaluated in closed form at the even optimum instead of
     # subtracting two nearly equal minima.
@@ -339,15 +371,8 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
         raise InvalidTau(f"levels requires tau < 1, got {cfg.tau}")
     os.makedirs(out_dir, exist_ok=True)
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
-
-    existing = {}
-    combined_path = os.path.join(out_dir, "combined.tsv")
-    if os.path.exists(combined_path):
-        _, old = read_table(combined_path)
-        for row in old:
-            if row.get("converged") is not None:
-                row["converged"] = bool(row["converged"])
-            existing[(row["method"], _fmt(row["g_ratio"]))] = row
+    config = asdict(cfg) | {"methods": list(cfg.methods)}
+    existing = _stored_rows(out_dir, "levels", config, "g_ratio", ("g_min", "g_max", "g_step"))
 
     grid = cfg.grid()
     rows = []
@@ -376,13 +401,8 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
             LEVELS_COLUMNS,
             [r for r in rows if r["method"] == method],
         )
-    write_table(combined_path, LEVELS_COLUMNS, rows)
-    _write_meta(
-        out_dir,
-        "levels",
-        asdict(cfg) | {"methods": list(cfg.methods)},
-        {"g_c1": gc1, "crossing": crossings},
-    )
+    write_table(os.path.join(out_dir, "combined.tsv"), LEVELS_COLUMNS, rows)
+    _write_meta(out_dir, "levels", config, {"g_c1": gc1, "crossing": crossings})
     _emit_levels_plot(out_dir, cfg)
     return rows
 

