@@ -26,8 +26,6 @@ from .states import (
     CoherentSqueezedParams,
     WavefunctionProfile,
     css_fock_amplitudes,
-    hermite_osc_wavefunction,
-    overlap_css,
     position_profile,
 )
 from .variational import (

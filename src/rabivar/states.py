@@ -1,4 +1,4 @@
-"""Coherent-squeezed-state amplitudes, overlaps and position-space profiles.
+"""Coherent-squeezed-state amplitudes and position-space profiles.
 
 Conventions.  The displacement operator is U(b) = exp(b(a^dag - a)) and the
 squeeze operator is S(xi) = exp(xi(a^2 - a^dag^2)), both with real
@@ -12,24 +12,22 @@ eta^{-2} while the displaced-state overlap narrows as
 
     <f(b, xi)| f(b', xi)> = exp(-eta^2 (b - b')^2 / 2).
 
-The amplitudes produced by the series constructor here are the numerical
-oracle against which every closed form in :mod:`rabivar.variational` is
-checked.
+The Fock amplitudes built here, by exact exponentials of the truncated
+generators, are the numerical oracle against which every closed form in
+:mod:`rabivar.variational` is checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import TruncationNotConverged
 from .model import Truncation
-
-_TERM_TOL = 1e-16
-_MAX_TERMS = 200
-
 
 @dataclass(frozen=True)
 class CoherentSqueezedParams:
@@ -60,30 +58,12 @@ class WavefunctionProfile:
         )
 
 
-def hermite_osc_wavefunction(n: int, x, omega: float = 1.0):
-    """Normalized oscillator eigenfunction <x|n> for mode frequency omega.
+def oscillator_wavefunctions(n_max: int, x, omega: float = 1.0) -> np.ndarray:
+    """Matrix psi[n, j] = <x_j|n> for n = 0..n_max, for mode frequency omega.
 
     Uses the stable recurrence for orthonormal Hermite functions; raw
     Hermite polynomials overflow near n ~ 300 and are never formed.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    y = np.sqrt(omega) * x
-    psi_prev = omega**0.25 * np.pi**-0.25 * np.exp(-0.5 * y * y)
-    if n == 0:
-        return psi_prev
-    psi = np.sqrt(2.0) * y * psi_prev
-    for k in range(1, n):
-        psi, psi_prev = (
-            np.sqrt(2.0 / (k + 1.0)) * y * psi - np.sqrt(k / (k + 1.0)) * psi_prev,
-            psi,
-        )
-    return psi
-
-
-def oscillator_wavefunctions(n_max: int, x, omega: float = 1.0) -> np.ndarray:
-    """Matrix psi[n, j] = <x_j|n> for n = 0..n_max, by the same recurrence."""
     x = np.asarray(x, dtype=float)
     y = np.sqrt(omega) * x
     out = np.empty((n_max + 1, x.size))
@@ -135,78 +115,53 @@ def position_profile(c_plus, c_minus, xs, omega: float = 1.0) -> WavefunctionPro
     )
 
 
-def _apply_ladder_down(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    rt = np.sqrt(np.arange(1.0, v.size))
-    out[:-1] = rt * v[1:]
-    return out
+@lru_cache(maxsize=8)
+def _chain_modes(n_tr: int, generator: str):
+    """Eigenmodes (Lambda, V, diag J) of a truncated packet generator's chain.
 
-
-def _apply_ladder_up(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    rt = np.sqrt(np.arange(1.0, v.size))
-    out[1:] = rt * v[:-1]
-    return out
-
-
-def _apply_exp_series(apply_op, v: np.ndarray, norm_est: float) -> np.ndarray:
-    """exp(A) v by scaled Taylor series with term-norm cutoff.
-
-    apply_op computes A u; norm_est bounds ||A|| so the scaled series has
-    terms bounded by 1/k! and converges fast.
+    "displace" is a^dag - a on levels 0..n_tr, with links sqrt(m);
+    "squeeze" is a^dag^2 - a^2 on the even levels 0, 2, 4, ..., with links
+    sqrt((2k+1)(2k+2)).  Either chain L is antisymmetric with positive
+    subdiagonal, so L = J (-i T) J^-1 with J = diag(i^k) and T the
+    symmetric chain of the same links, T = V diag(Lambda) V^T.
     """
-    steps = 1
-    if norm_est > 1.0:
-        steps = 1 << max(0, math.ceil(math.log2(norm_est)))
-    w = v.astype(float, copy=True)
-    for _ in range(steps):
-        term = w.copy()
-        acc = w.copy()
-        for k in range(1, _MAX_TERMS):
-            term = apply_op(term) / (k * steps)
-            acc += term
-            if np.linalg.norm(term) < _TERM_TOL:
-                break
-        else:
-            raise RuntimeError("exponential series failed to converge")
-        w = acc
-    return w
+    if generator == "displace":
+        links = np.sqrt(np.arange(1.0, n_tr + 1))
+    else:
+        k = np.arange(n_tr // 2, dtype=float)
+        links = np.sqrt((2.0 * k + 1.0) * (2.0 * k + 2.0))
+    lam, vecs = eigh_tridiagonal(np.zeros(links.size + 1), links)
+    phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(links.size + 1) % 4]
+    for arr in (lam, vecs, phases):
+        arr.setflags(write=False)
+    return lam, vecs, phases
 
 
-def _apply_displacement(v: np.ndarray, c: float) -> np.ndarray:
-    """exp(c (a^dag - a)) v."""
-    if c == 0.0:
-        return v.copy()
-    op = lambda u: c * (_apply_ladder_up(u) - _apply_ladder_down(u))
-    return _apply_exp_series(op, v, abs(c) * 2.0 * math.sqrt(v.size))
-
-
-def _apply_squeeze(v: np.ndarray, c: float) -> np.ndarray:
-    """exp(c (a^dag^2 - a^2)) v."""
-    if c == 0.0:
-        return v.copy()
-
-    def op(u):
-        return c * (
-            _apply_ladder_up(_apply_ladder_up(u)) - _apply_ladder_down(_apply_ladder_down(u))
-        )
-
-    return _apply_exp_series(op, v, abs(c) * 2.0 * v.size)
+def _exp_chain(modes, c: float, v: np.ndarray) -> np.ndarray:
+    """exp(c L) v = Re[J V exp(-i c Lambda) V^T J^-1 v] for the chain L."""
+    lam, vecs, phases = modes
+    w = np.exp(-1j * c * lam) * (vecs.T @ (v * phases.conj()))
+    return (phases * (vecs @ w)).real
 
 
 def displaced_squeezed_amplitudes(displacement: float, xi: float, trunc: Truncation) -> np.ndarray:
     """Normalized Fock amplitudes of exp(b(a^dag-a)) exp(xi(a^dag^2-a^2)) |0>.
 
-    The exponentials act on the vacuum vector through scaled Taylor series.
-    Truncation inadequacy shows up either as a norm deficit or, because the
-    truncated generators stay antisymmetric and their exponentials
-    orthogonal, as weight piled against the cutoff; both diagnostics are
-    held below trunc.tail_tol or TruncationNotConverged is raised.
+    Both exponentials are exact for the truncated generators: each acts
+    through the cached eigenmodes of its chain (:func:`_chain_modes`), the
+    squeeze on the even levels only, so a squeezed vacuum keeps its odd
+    levels exactly empty.  Truncation inadequacy shows up either as a norm
+    deficit or, because the truncated generators stay antisymmetric and
+    their exponentials orthogonal, as weight piled against the cutoff; both
+    diagnostics are held below trunc.tail_tol or TruncationNotConverged is
+    raised.
     """
     v = np.zeros(trunc.dim)
     v[0] = 1.0
-    v = _apply_squeeze(v, xi)
-    v = _apply_displacement(v, displacement)
+    if xi != 0.0:
+        v[0::2] = _exp_chain(_chain_modes(trunc.n_tr, "squeeze"), xi, v[0::2])
+    if displacement != 0.0:
+        v = _exp_chain(_chain_modes(trunc.n_tr, "displace"), displacement, v)
     nrm = float(np.linalg.norm(v))
     top = min(5, trunc.dim)
     deficit = max(abs(1.0 - nrm), float(np.sum(v[trunc.dim - top :] ** 2)) / nrm**2)
@@ -226,22 +181,6 @@ def css_fock_amplitudes(p: CoherentSqueezedParams, trunc: Truncation) -> np.ndar
     makes the position variance grow as exp(4 xi).
     """
     return displaced_squeezed_amplitudes(-p.beta, p.xi, trunc)
-
-
-def overlap_css(beta_k: float, beta_kp: float, xi: float, sign: int = +1) -> float:
-    """Overlap of two equally squeezed packets, exp(-eta^2 (b_k -+ b_k')^2 / 2).
-
-    sign=+1 pairs equally oriented displacements (difference enters);
-    sign=-1 pairs opposite orientations (sum enters).  Symmetric in the two
-    displacements and contained in (0, 1].
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    eta = math.exp(-2.0 * xi)
-    d = beta_k - sign * beta_kp
-    if d == 0.0:
-        return 1.0
-    return math.exp(-0.5 * (eta * d) ** 2)
 
 
 def gaussian_packet_profile(xs, displacement: float, xi: float, omega: float = 1.0) -> np.ndarray:

@@ -23,7 +23,7 @@ The parameterization is redundant under the exact branch relabeling
 (c1, c2, beta1, beta2) -> (c2, c1, -beta2, -beta1) and under a global sign
 flip of (c1, c2); energies are Rayleigh quotients, so (c1, c2) need not be
 normalized.  All closed forms in this module are validated against explicit
-Fock-space construction of the same states (the series oracle in
+Fock-space construction of the same states (the oracle in
 :mod:`rabivar.states`); the oracle is authoritative.
 """
 

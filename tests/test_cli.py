@@ -2,10 +2,13 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rabivar
 import rabivar.scan as scan
 import rabivar.verify as verify
 from rabivar.cli import main
@@ -252,3 +255,20 @@ def test_verify_report_deterministic():
     a = format_report(run_all())
     b = format_report(run_all())
     assert a == b
+
+
+def test_module_entry_point_help():
+    src = os.path.dirname(os.path.dirname(rabivar.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rabivar", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: rabivar")
+    for command in ("scan", "levels", "wavefunction", "verify"):
+        assert command in proc.stdout

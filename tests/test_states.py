@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import gammaln
 
 from rabivar import (
@@ -10,8 +11,6 @@ from rabivar import (
     Truncation,
     TruncationNotConverged,
     css_fock_amplitudes,
-    hermite_osc_wavefunction,
-    overlap_css,
     position_profile,
     solve_lowest,
     spin_x_projection,
@@ -22,6 +21,7 @@ from rabivar.states import (
     gaussian_packet_profile,
     oscillator_wavefunctions,
 )
+from rabivar.variational import _pair_overlap
 
 
 def squeezed_vacuum_amplitudes(xi, n_tr):
@@ -35,36 +35,29 @@ def squeezed_vacuum_amplitudes(xi, n_tr):
 
 
 def test_gaussian_ground_value():
-    assert hermite_osc_wavefunction(0, 0.0) == pytest.approx(np.pi**-0.25, abs=1e-12)
+    assert oscillator_wavefunctions(0, 0.0)[0, 0] == pytest.approx(np.pi**-0.25, abs=1e-12)
 
 
 def test_first_excited_vanishes_at_origin():
     for omega in (1.0, 2.7):
-        assert hermite_osc_wavefunction(1, 0.0, omega) == 0.0
+        assert oscillator_wavefunctions(1, 0.0, omega)[1, 0] == 0.0
 
 
 def test_high_level_quadrature_norm():
     xs = np.arange(-15.0, 15.0 + 1e-12, 0.01)
-    psi = hermite_osc_wavefunction(50, xs)
+    psi = oscillator_wavefunctions(50, xs)[50]
     assert np.trapezoid(psi**2, xs) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_frequency_scaled_norm():
     xs = np.arange(-12.0, 12.0 + 1e-12, 0.005)
-    psi = hermite_osc_wavefunction(3, xs, omega=2.0)
+    psi = oscillator_wavefunctions(3, xs, omega=2.0)[3]
     assert np.trapezoid(psi**2, xs) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_batch_matches_single():
-    xs = np.linspace(-6.0, 6.0, 101)
-    batch = oscillator_wavefunctions(40, xs, omega=1.3)
-    for n in (0, 1, 7, 40):
-        assert np.allclose(batch[n], hermite_osc_wavefunction(n, xs, 1.3), atol=1e-13)
 
 
 def test_no_overflow_at_high_order():
     xs = np.linspace(-30.0, 30.0, 1001)
-    psi = hermite_osc_wavefunction(320, xs)
+    psi = oscillator_wavefunctions(320, xs)[320]
     assert np.all(np.isfinite(psi))
     assert np.max(np.abs(psi)) < 1.0
 
@@ -93,19 +86,47 @@ def test_packet_norm_and_occupation():
     assert float(n @ v**2) == pytest.approx(expected, abs=1e-9)
 
 
+def dense_packet(b, xi, n_tr):
+    """exp(b(a^dag-a)) exp(xi(a^dag^2-a^2)) |0> by dense expm of the truncated generators."""
+    a = np.diag(np.sqrt(np.arange(1.0, n_tr + 1)), 1)
+    vac = np.zeros(n_tr + 1)
+    vac[0] = 1.0
+    squeezed = scipy.linalg.expm(xi * (a.T @ a.T - a @ a)) @ vac
+    return scipy.linalg.expm(b * (a.T - a)) @ squeezed
+
+
+@pytest.mark.parametrize("n_tr", [40, 41, 160])
+def test_packet_matches_dense_expm(n_tr):
+    # Both sides use the same truncated generators, so weight near the cutoff
+    # is part of what is compared; the guard only has to let it through.
+    tr = Truncation(n_tr, 1e-6)
+    for b, xi in [(0.0, 0.3), (0.0, -0.3), (2.5, 0.0), (-2.5, 0.15), (1.3, -0.25), (-0.7, 0.3)]:
+        amps = displaced_squeezed_amplitudes(b, xi, tr)
+        assert np.max(np.abs(amps - dense_packet(b, xi, n_tr))) <= 1e-13
+
+
+def test_displaced_vacuum_is_poisson():
+    tr = Truncation(160)
+    n = np.arange(tr.dim)
+    for b in (2.5, -1.7, 0.4):
+        log_mag = -0.5 * b * b + n * math.log(abs(b)) - 0.5 * gammaln(n + 1)
+        expected = np.sign(b) ** n * np.exp(log_mag)
+        assert np.max(np.abs(displaced_squeezed_amplitudes(b, 0.0, tr) - expected)) <= 1e-12
+
+
 def test_truncation_guard_raises():
     with pytest.raises(TruncationNotConverged):
         css_fock_amplitudes(CoherentSqueezedParams(3.0, 0.0), Truncation(10))
 
 
 def test_overlap_identical_packets():
-    assert overlap_css(0.8, 0.8, 0.25, +1) == 1.0
+    assert _pair_overlap(math.exp(-0.5), 0.8 - 0.8) == 1.0
 
 
 def test_overlap_mirror_reduction():
     beta, xi = 0.9, 0.17
     eta = math.exp(-2.0 * xi)
-    assert overlap_css(beta, beta, xi, -1) == pytest.approx(
+    assert _pair_overlap(eta, beta + beta) == pytest.approx(
         math.exp(-2.0 * beta**2 * eta**2), abs=1e-15
     )
 
@@ -114,8 +135,11 @@ def test_overlap_sign_relation_exact():
     rng = np.random.default_rng(2)
     for _ in range(25):
         b1, b2 = rng.uniform(-3, 3, 2)
-        xi = rng.uniform(0, 0.4)
-        assert overlap_css(b1, b2, xi, -1) == overlap_css(b1, -b2, xi, +1)
+        eta = math.exp(-2.0 * rng.uniform(0, 0.4))
+        # symmetric in the two packets, for either relative orientation
+        assert _pair_overlap(eta, b1 - b2) == _pair_overlap(eta, b2 - b1)
+        assert _pair_overlap(eta, b1 + b2) == _pair_overlap(eta, -b2 - b1)
+        assert 0.0 < _pair_overlap(eta, b1 + b2) <= 1.0
 
 
 def test_overlap_matches_fock_inner_products():
@@ -125,13 +149,14 @@ def test_overlap_matches_fock_inner_products():
     for _ in range(20):
         b1, b2 = rng.uniform(-3, 3, 2)
         xi = rng.uniform(0, 0.4)
+        eta = math.exp(-2.0 * xi)
         fk = displaced_squeezed_amplitudes(-b1, xi, tr)
         plus = displaced_squeezed_amplitudes(-b2, xi, tr)
         minus = displaced_squeezed_amplitudes(+b2, xi, tr)
         worst = max(
             worst,
-            abs(float(fk @ plus) - overlap_css(b1, b2, xi, +1)),
-            abs(float(fk @ minus) - overlap_css(b1, b2, xi, -1)),
+            abs(float(fk @ plus) - _pair_overlap(eta, b1 - b2)),
+            abs(float(fk @ minus) - _pair_overlap(eta, b1 + b2)),
         )
     assert worst <= 1e-8
 
@@ -139,12 +164,13 @@ def test_overlap_matches_fock_inner_products():
 def test_overlap_specific_pair():
     tr = Truncation(160, 1e-9)
     b1, b2, xi = 0.7, -0.4, 0.15
+    eta = math.exp(-2.0 * xi)
     fk = displaced_squeezed_amplitudes(-b1, xi, tr)
     assert float(fk @ displaced_squeezed_amplitudes(-b2, xi, tr)) == pytest.approx(
-        overlap_css(b1, b2, xi, +1), abs=1e-9
+        _pair_overlap(eta, b1 - b2), abs=1e-9
     )
     assert float(fk @ displaced_squeezed_amplitudes(+b2, xi, tr)) == pytest.approx(
-        overlap_css(b1, b2, xi, -1), abs=1e-9
+        _pair_overlap(eta, b1 + b2), abs=1e-9
     )
 
 
