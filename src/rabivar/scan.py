@@ -3,11 +3,14 @@
 All data files are tab-separated text with a header row; floats are written
 with shortest-roundtrip repr so files parse back bit-exactly and repeated
 runs are byte-identical.  A JSON sidecar records the full configuration and
-package version (never timestamps or absolute paths).  Scans are
-restartable: when the stored meta.json has the same physics config (every
-field but the grid bounds, step and methods), existing rows are kept and
-only missing (grid point, method) combinations are recomputed,
-warm-starting from the stored neighbors; otherwise every row is recomputed.
+package version (never timestamps or absolute paths).  Scans and level
+runs share one grid driver and are restartable: when the stored meta.json
+has the same physics config (every field but the grid bounds, step and
+methods), existing rows are kept and only missing (grid point, method)
+combinations are recomputed, warm-starting from the stored neighbors;
+otherwise every row is recomputed.  Each computed row is appended to
+combined.tsv as soon as it is finished, so an interrupted run keeps its
+finished rows for the next one.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ LEVELS_COLUMNS = (
     "converged",
 )
 
+PROFILE_COLUMNS = ("x", "phi_plus", "phi_minus")
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -95,26 +100,35 @@ def _parse(value: str):
         return value
 
 
+def _line(columns, row) -> str:
+    return "\t".join(_fmt(row.get(c)) for c in columns) + "\n"
+
+
+def _replace(path: str, text: str) -> None:
+    """Write text to path through a temporary file, so path is never half written."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_table(path: str, columns, rows) -> None:
-    lines = ["\t".join(columns)]
-    for row in rows:
-        lines.append("\t".join(_fmt(row.get(c)) for c in columns))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _replace(path, "\t".join(columns) + "\n" + "".join(_line(columns, row) for row in rows))
 
 
 def read_table(path: str):
+    """Header and rows of a table; a line cut short by an interrupted append is dropped."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
+    lines.pop()  # "" after the final newline, or a last line cut off before it
     if not lines:
         return [], []
     columns = lines[0].split("\t")
     rows = []
     for line in lines[1:]:
-        if not line:
-            continue
         parts = line.split("\t")
-        rows.append({c: _parse(v) for c, v in zip(columns, parts)})
+        if len(parts) == len(columns):
+            rows.append({c: _parse(v) for c, v in zip(columns, parts)})
     return columns, rows
 
 
@@ -122,9 +136,7 @@ def _write_meta(out_dir: str, command: str, config: dict, extra: dict | None = N
     meta = {"command": command, "config": config, "version": __version__}
     if extra:
         meta.update(extra)
-    with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _replace(os.path.join(out_dir, "meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_fields) -> dict:
@@ -157,6 +169,11 @@ def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_field
     return stored
 
 
+def _grid(lo: float, hi: float, step: float) -> list:
+    n = int(round((hi - lo) / step))
+    return [round(lo + i * step, 12) for i in range(n + 1)]
+
+
 @dataclass
 class ScanConfig:
     delta: float = 100.0
@@ -171,8 +188,7 @@ class ScanConfig:
     tail_tol: float = 1e-12
 
     def grid(self):
-        n = int(round((self.lambda_max - self.lambda_min) / self.lambda_step))
-        return [round(self.lambda_min + i * self.lambda_step, 12) for i in range(n + 1)]
+        return _grid(self.lambda_min, self.lambda_max, self.lambda_step)
 
 
 @dataclass
@@ -188,8 +204,7 @@ class LevelsConfig:
     tail_tol: float = 1e-12
 
     def grid(self):
-        n = int(round((self.g_max - self.g_min) / self.g_step))
-        return [round(self.g_min + i * self.g_step, 12) for i in range(n + 1)]
+        return _grid(self.g_min, self.g_max, self.g_step)
 
 
 @dataclass
@@ -217,6 +232,50 @@ def _params_from_row(row):
     if row.get("beta1") is not None:
         return Ansatz1Params(row["beta1"], row["xi"] or 0.0)
     return None
+
+
+def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels, summary=None) -> list:
+    """Rows of row_fn(method, grid value, warm start) over methods x grid, written out.
+
+    Stored rows of an equal physics config are reused.  combined.tsv is
+    first rewritten with only those rows, before meta.json records the new
+    config, so a stored row never sits under a config it was not computed
+    for; each computed row is then appended as soon as it is finished.
+    The finished run rewrites combined.tsv sorted by method, in METHODS
+    order, then grid value, next to one <method>.tsv per method, meta.json
+    (with summary(rows) added) and plot.gp.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    config = asdict(cfg) | {"methods": list(cfg.methods)}
+    stored = _stored_rows(out_dir, command, config, axis, grid_fields)
+    grid = cfg.grid()
+    keys = [(method, _fmt(value)) for method in cfg.methods for value in grid]
+    combined = os.path.join(out_dir, "combined.tsv")
+    write_table(combined, columns, [stored[key] for key in keys if key in stored])
+    _write_meta(out_dir, command, config)
+
+    rows = []
+    with open(combined, "a") as fh:
+        for method in cfg.methods:
+            warm = None
+            for value in grid:
+                row = stored.get((method, _fmt(value)))
+                if row is None:
+                    row = row_fn(method, value, warm)
+                    fh.write(_line(columns, row))
+                    fh.flush()
+                rows.append(row)
+                warm = _params_from_row(row)
+
+    rows.sort(key=lambda r: (METHODS.index(r["method"]), r[axis]))
+    for method in cfg.methods:
+        write_table(
+            os.path.join(out_dir, f"{method}.tsv"), columns, [r for r in rows if r["method"] == method]
+        )
+    write_table(combined, columns, rows)
+    _write_meta(out_dir, command, config, summary(rows) if summary else None)
+    _emit_plot(out_dir, command, panels)
+    return rows
 
 
 def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
@@ -261,51 +320,38 @@ def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm) -> dict:
 
 def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     """Energy/observable scan over a lambda grid; one row per (point, method)."""
-    os.makedirs(out_dir, exist_ok=True)
-    config = asdict(cfg) | {"methods": list(cfg.methods)}
-    existing = _stored_rows(out_dir, "scan", config, "lambda", ("lambda_min", "lambda_max", "lambda_step"))
 
-    grid = cfg.grid()
-    rows = []
-    for method in cfg.methods:
-        warm = None
-        for lam in grid:
-            key = (method, _fmt(lam))
-            if key in existing:
-                row = existing[key]
-            elif method == "ED":
-                row = _scan_row_ed(cfg, lam)
-            else:
-                row = _scan_row_ansatz(cfg, lam, method, warm)
-            rows.append(row)
-            if method != "ED":
-                warm = _params_from_row(row)
+    def row(method, lam, warm):
+        if method == "ED":
+            return _scan_row_ed(cfg, lam)
+        return _scan_row_ansatz(cfg, lam, method, warm)
 
-    rows.sort(key=lambda r: (METHODS.index(r["method"]), r["lambda"]))
-    for method in cfg.methods:
-        write_table(
-            os.path.join(out_dir, f"{method}.tsv"),
-            SCAN_COLUMNS,
-            [r for r in rows if r["method"] == method],
-        )
-    write_table(os.path.join(out_dir, "combined.tsv"), SCAN_COLUMNS, rows)
-    _write_meta(out_dir, "scan", config)
-    _emit_scan_plot(out_dir, cfg)
-    return rows
+    panels = [
+        ("E / (delta*omega)", [(f"{m}.tsv", "energy_scaled", "lines", m) for m in cfg.methods]),
+        ("mean photon number", [(f"{m}.tsv", "mean_photon", "lines", m) for m in cfg.methods]),
+    ]
+    if "CSS2" in cfg.methods:
+        panels += [
+            ("coefficients", [("CSS2.tsv", c, "lines", c) for c in ("c1", "c2")]),
+            ("packet parameters", [("CSS2.tsv", c, "lines", c) for c in ("beta1", "beta2", "xi")]),
+        ]
+    grid_fields = ("lambda_min", "lambda_max", "lambda_step")
+    return _run_grid("scan", cfg, out_dir, "lambda", grid_fields, SCAN_COLUMNS, row, panels)
 
 
-def _interp_crossing(ratios, values):
-    """First sign change over the grid, linearly interpolated.
+def _interp_crossings(ratios, values) -> list:
+    """Every sign change over the grid, each linearly interpolated.
 
     Every value carries an exact sign (a closed-form or certified
     splitting); an exact zero has none and is skipped.  Signs are compared
     directly, since the product of two tiny splittings can underflow.
     """
     resolved = [(r, v) for r, v in zip(ratios, values) if v != 0.0]
-    for (r1, v1), (r2, v2) in zip(resolved, resolved[1:]):
-        if (v1 < 0.0) != (v2 < 0.0):
-            return r1 + (r2 - r1) * (-v1) / (v2 - v1)
-    return None
+    return [
+        r1 + (r2 - r1) * (-v1) / (v2 - v1)
+        for (r1, v1), (r2, v2) in zip(resolved, resolved[1:])
+        if (v1 < 0.0) != (v2 < 0.0)
+    ]
 
 
 def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
@@ -366,45 +412,39 @@ def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
 
 
 def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
-    """Even/odd level tracking around the crossing coupling (tau < 1 only)."""
+    """Even/odd level tracking around the crossing coupling (tau < 1 only).
+
+    meta.json records g_c1 and, per method, every sign change of the
+    splitting (crossings) and the first of them (crossing, None if none).
+    """
     if cfg.tau >= 1.0:
         raise InvalidTau(f"levels requires tau < 1, got {cfg.tau}")
-    os.makedirs(out_dir, exist_ok=True)
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
-    config = asdict(cfg) | {"methods": list(cfg.methods)}
-    existing = _stored_rows(out_dir, "levels", config, "g_ratio", ("g_min", "g_max", "g_step"))
 
-    grid = cfg.grid()
-    rows = []
-    for method in cfg.methods:
-        for ratio in grid:
-            key = (method, _fmt(ratio))
-            if key in existing:
-                row = existing[key]
-            elif method == "ED":
-                row = _levels_row_ed(cfg, ratio, gc1)
-            else:
-                row = _levels_row_css2(cfg, ratio, gc1)
-            rows.append(row)
-    rows.sort(key=lambda r: (r["method"], r["g_ratio"]))
+    def row(method, ratio, warm):
+        if method == "ED":
+            return _levels_row_ed(cfg, ratio, gc1)
+        return _levels_row_css2(cfg, ratio, gc1)
 
-    crossings = {}
-    for method in cfg.methods:
-        sub = [r for r in rows if r["method"] == method and r.get("splitting") is not None]
-        crossings[method] = _interp_crossing(
-            [r["g_ratio"] for r in sub], [r["splitting"] for r in sub]
-        )
+    def summary(rows):
+        crossings = {}
+        for method in cfg.methods:
+            sub = [r for r in rows if r["method"] == method and r.get("splitting") is not None]
+            crossings[method] = _interp_crossings([r["g_ratio"] for r in sub], [r["splitting"] for r in sub])
+        first = {method: found[0] if found else None for method, found in crossings.items()}
+        return {"g_c1": gc1, "crossing": first, "crossings": crossings}
 
-    for method in cfg.methods:
-        write_table(
-            os.path.join(out_dir, f"{method}.tsv"),
-            LEVELS_COLUMNS,
-            [r for r in rows if r["method"] == method],
-        )
-    write_table(os.path.join(out_dir, "combined.tsv"), LEVELS_COLUMNS, rows)
-    _write_meta(out_dir, "levels", config, {"g_c1": gc1, "crossing": crossings})
-    _emit_levels_plot(out_dir, cfg)
-    return rows
+    panels = [
+        ("energy", [
+            (f"{m}.tsv", column, style, f"{m} {parity}")
+            for m in cfg.methods
+            for column, style, parity in (("e_even", "lines", "even"), ("e_odd", "lines dt 2", "odd"))
+        ]),
+        ("ground-state mean photon number",
+         [(f"{m}.tsv", "mean_photon_ground", "lines", m) for m in cfg.methods]),
+    ]
+    grid_fields = ("g_min", "g_max", "g_step")
+    return _run_grid("levels", cfg, out_dir, "g_ratio", grid_fields, LEVELS_COLUMNS, row, panels, summary)
 
 
 def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
@@ -419,14 +459,10 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
         mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
         if cfg.source == "ED":
             res = solve_lowest(mp, Truncation(cfg.n_tr, cfg.tail_tol))
-            c_plus, c_minus = spin_x_projection(res.vectors[0])
-            prof = position_profile(c_plus, c_minus, xs, cfg.omega)
+            prof = position_profile(*spin_x_projection(res.vectors[0]), xs, cfg.omega)
             phi_p, phi_m = prof.phi_plus, prof.phi_minus
-            peaks_p, peaks_m = prof.peaks_plus, prof.peaks_minus
         else:
-            r = solve_ansatz(mp, AnsatzKind.CSS2, "even", warm=warm)
-            warm = r.params
-            p = r.params
+            p = warm = solve_ansatz(mp, AnsatzKind.CSS2, "even", warm=warm).params
             scale = 1.0 / math.sqrt(norm2_2css(p))
             phi_p = scale * (
                 p.c1 * gaussian_packet_profile(xs, -p.beta1, p.xi, cfg.omega)
@@ -436,107 +472,59 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
                 p.c1 * gaussian_packet_profile(xs, +p.beta1, p.xi, cfg.omega)
                 + p.c2 * gaussian_packet_profile(xs, -p.beta2, p.xi, cfg.omega)
             )
-            peaks_p = count_peaks(phi_p**2)
-            peaks_m = count_peaks(phi_m**2)
-        norm = float(np.trapezoid(phi_p**2 + phi_m**2, xs))
         fname = f"wf_{cfg.source}_lam{_fmt(lam)}.tsv"
         write_table(
             os.path.join(out_dir, fname),
-            ("x", "phi_plus", "phi_minus"),
+            PROFILE_COLUMNS,
             [{"x": x, "phi_plus": pp, "phi_minus": pm} for x, pp, pm in zip(xs, phi_p, phi_m)],
         )
-        summary.append(
-            {
-                "lambda": lam,
-                "source": cfg.source,
-                "peaks_plus": peaks_p,
-                "peaks_minus": peaks_m,
-                "norm": norm,
-                "file": fname,
-            }
-        )
+        summary.append({
+            "lambda": lam, "source": cfg.source,
+            "peaks_plus": count_peaks(phi_p**2), "peaks_minus": count_peaks(phi_m**2),
+            "norm": float(np.trapezoid(phi_p**2 + phi_m**2, xs)), "file": fname,
+        })
     write_table(
         os.path.join(out_dir, "summary.tsv"),
         ("lambda", "source", "peaks_plus", "peaks_minus", "norm", "file"),
         summary,
     )
     _write_meta(out_dir, "wavefunction", asdict(cfg) | {"lambdas": list(cfg.lambdas)})
-    _emit_wavefunction_plot(out_dir, cfg, [s["file"] for s in summary])
+    series = [
+        (s["file"], column, style, f"{s['file'][3:-4]} {phi}")
+        for s in summary
+        for column, style, phi in (("phi_plus", "lines", "phi+"), ("phi_minus", "lines dt 2", "phi-"))
+    ]
+    _emit_plot(out_dir, "wavefunction", [("phi(x)", series)])
     return summary
 
 
-def _emit_scan_plot(out_dir: str, cfg: ScanConfig) -> None:
-    methods = [m for m in cfg.methods]
-    energy_plots = ", ".join(
-        f"'{m}.tsv' skip 1 using 1:6 with lines title '{m}'" for m in methods
-    )
-    photon_plots = ", ".join(
-        f"'{m}.tsv' skip 1 using 1:7 with lines title '{m}'" for m in methods
-    )
+# Per command: the data named in the header line, terminal size, png name,
+# multiplot layout (None for a single panel), x label and the data files'
+# columns (column 1 is the x axis).
+_PLOTS = {
+    "scan": ("scan", "1200,900", "scan.png", "2,2", "lambda", SCAN_COLUMNS),
+    "levels": ("level-crossing", "1200,500", "levels.png", "1,2", "g / g_c1", LEVELS_COLUMNS),
+    "wavefunction": ("wavefunction", "900,600", "wavefunction.png", None, "x", PROFILE_COLUMNS),
+}
+
+
+def _emit_plot(out_dir: str, command: str, panels) -> None:
+    """plot.gp: one panel per (ylabel, [(file, column name, line style, title)])."""
+    data, size, png, layout, xlabel, columns = _PLOTS[command]
     lines = [
-        "# gnuplot script generated alongside the scan data",
-        "set terminal pngcairo size 1200,900",
-        "set output 'scan.png'",
-        "set multiplot layout 2,2",
-        "set xlabel 'lambda'",
-        "set ylabel 'E / (delta*omega)'",
-        f"plot {energy_plots}",
-        "set ylabel 'mean photon number'",
-        f"plot {photon_plots}",
+        f"# gnuplot script generated alongside the {data} data",
+        f"set terminal pngcairo size {size}",
+        f"set output '{png}'",
     ]
-    if "CSS2" in methods:
-        lines += [
-            "set ylabel 'coefficients'",
-            "plot 'CSS2.tsv' skip 1 using 1:10 with lines title 'c1', "
-            "'CSS2.tsv' skip 1 using 1:11 with lines title 'c2'",
-            "set ylabel 'packet parameters'",
-            "plot 'CSS2.tsv' skip 1 using 1:8 with lines title 'beta1', "
-            "'CSS2.tsv' skip 1 using 1:9 with lines title 'beta2', "
-            "'CSS2.tsv' skip 1 using 1:12 with lines title 'xi'",
-        ]
-    lines += ["unset multiplot"]
-    with open(os.path.join(out_dir, "plot.gp"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _emit_levels_plot(out_dir: str, cfg: LevelsConfig) -> None:
-    lines = [
-        "# gnuplot script generated alongside the level-crossing data",
-        "set terminal pngcairo size 1200,500",
-        "set output 'levels.png'",
-        "set multiplot layout 1,2",
-        "set xlabel 'g / g_c1'",
-        "set ylabel 'energy'",
-        "plot "
-        + ", ".join(
-            f"'{m}.tsv' skip 1 using 1:5 with lines title '{m} even', "
-            f"'{m}.tsv' skip 1 using 1:6 with lines dt 2 title '{m} odd'"
-            for m in cfg.methods
-        ),
-        "set ylabel 'ground-state mean photon number'",
-        "plot "
-        + ", ".join(
-            f"'{m}.tsv' skip 1 using 1:10 with lines title '{m}'" for m in cfg.methods
-        ),
-        "unset multiplot",
-    ]
-    with open(os.path.join(out_dir, "plot.gp"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _emit_wavefunction_plot(out_dir: str, cfg: WavefunctionConfig, files) -> None:
-    plots = ", ".join(
-        f"'{f}' skip 1 using 1:2 with lines title '{f[3:-4]} phi+', "
-        f"'{f}' skip 1 using 1:3 with lines dt 2 title '{f[3:-4]} phi-'"
-        for f in files
-    )
-    lines = [
-        "# gnuplot script generated alongside the wavefunction data",
-        "set terminal pngcairo size 900,600",
-        "set output 'wavefunction.png'",
-        "set xlabel 'x'",
-        "set ylabel 'phi(x)'",
-        f"plot {plots}",
-    ]
-    with open(os.path.join(out_dir, "plot.gp"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if layout:
+        lines.append(f"set multiplot layout {layout}")
+    lines.append(f"set xlabel '{xlabel}'")
+    for ylabel, series in panels:
+        lines.append(f"set ylabel '{ylabel}'")
+        lines.append("plot " + ", ".join(
+            f"'{file}' skip 1 using 1:{columns.index(column) + 1} with {style} title '{title}'"
+            for file, column, style, title in series
+        ))
+    if layout:
+        lines.append("unset multiplot")
+    _replace(os.path.join(out_dir, "plot.gp"), "\n".join(lines) + "\n")

@@ -2,6 +2,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -100,6 +101,45 @@ def test_scan_restart_recomputes_only_missing_rows(tmp_path):
     assert_trees_identical(str(full_dir), str(partial_dir))
 
 
+def test_interrupted_scan_keeps_finished_rows_and_resumes(tmp_path, monkeypatch):
+    cfg = ScanConfig(**SMALL_SCAN)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_scan(cfg, str(fresh))
+    row_ansatz = scan._scan_row_ansatz
+    calls = []
+
+    def interrupt_sixth(*args):
+        calls.append(args)
+        if len(calls) == 6:
+            raise KeyboardInterrupt
+        return row_ansatz(*args)
+
+    monkeypatch.setattr(scan, "_scan_row_ansatz", interrupt_sixth)
+    with pytest.raises(KeyboardInterrupt):
+        run_scan(cfg, str(out))
+    # 4 ED rows and the 5 finished ansatz rows survive, each as the full run wrote it
+    kept = (out / "combined.tsv").read_text().splitlines()
+    assert len(kept) == 1 + 4 + 5
+    assert set(kept) <= set((fresh / "combined.tsv").read_text().splitlines())
+
+    calls.clear()
+    monkeypatch.setattr(scan, "_scan_row_ansatz", lambda *args: calls.append(args) or row_ansatz(*args))
+    monkeypatch.setattr(scan, "solve_lowest", None)  # every ED row is stored
+    run_scan(cfg, str(out))
+    assert [(lam, method) for _, lam, method, _ in calls] == [
+        (lam, method) for method in ("CSS1", "CSS2") for lam in cfg.grid()
+    ][1:]
+    assert_trees_identical(str(fresh), str(out))
+
+
+def test_read_table_drops_cut_off_last_line(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("a\tb\n1.0\t2.0\n3.0\t4")
+    assert read_table(str(path)) == (["a", "b"], [{"a": 1.0, "b": 2.0}])
+    path.write_text("a\tb\n1.0\t2.0\n3.0\n")
+    assert read_table(str(path)) == (["a", "b"], [{"a": 1.0, "b": 2.0}])
+
+
 def test_scan_rerun_with_other_physics_recomputes_every_row(tmp_path):
     # Stored rows of another detuning must not survive under the new meta.json.
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
@@ -166,6 +206,19 @@ def test_levels_on_resolvable_detuning(tmp_path):
     assert all(r["mean_photon_ground"] >= 0 for r in ed)
 
 
+def test_levels_records_every_crossing(tmp_path):
+    # At detuning 8 the ED ground parity flips three times on 0.9-2.0 and the
+    # two-packet ansatz's only once (near g_c1).
+    out = tmp_path / "levels"
+    run_levels(LevelsConfig(delta=8.0, tau=0.5, g_min=0.9, g_max=2.0, g_step=0.05), str(out))
+    meta = json.loads((out / "meta.json").read_text())
+    ed, css2 = meta["crossings"]["ED"], meta["crossings"]["CSS2"]
+    assert len(ed) == 3 and len(css2) == 1
+    for found, (lo, hi) in zip(ed + css2, [(0.95, 1.0), (1.40, 1.45), (1.80, 1.85), (1.00, 1.05)]):
+        assert lo < found <= hi
+    assert meta["crossing"] == {"ED": ed[0], "CSS2": css2[0]}
+
+
 def test_levels_unresolved_splitting_leaves_fields_empty(tmp_path, monkeypatch):
     monkeypatch.setattr(
         scan, "sector_splitting", lambda params, n_tr: SectorSplitting(None, math.inf, 240, n_tr)
@@ -224,6 +277,30 @@ def test_wavefunction_source_validated(tmp_path):
         run_wavefunction(WavefunctionConfig(source="XX"), str(tmp_path / "x"))
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("scan", ScanConfig(**(SMALL_SCAN | {"lambda_max": 0.3}))),
+        ("scan", ScanConfig(**(SMALL_SCAN | {"lambda_max": 0.3, "methods": ("ED", "CS1")}))),
+        ("levels", LevelsConfig(delta=8.0, tau=0.5, g_min=0.98, g_max=1.02, g_step=0.02, n_tr=96)),
+        ("wavefunction", WavefunctionConfig(delta=8.0, lambdas=(0.5, 1.2), x_min=-8.0, x_max=8.0,
+                                            x_step=0.5, source="ED", n_tr=96)),
+        ("wavefunction", WavefunctionConfig(delta=8.0, lambdas=(0.5, 1.2), x_min=-8.0, x_max=8.0,
+                                            x_step=0.5, source="CSS2", n_tr=96)),
+    ],
+)
+def test_plot_script_names_written_files_and_columns(tmp_path, command, cfg):
+    run = {"scan": run_scan, "levels": run_levels, "wavefunction": run_wavefunction}[command]
+    run(cfg, str(tmp_path))
+    script = (tmp_path / "plot.gp").read_text()
+    series = re.findall(r"'([^']+)' skip 1 using (\d+):(\d+)", script)
+    assert series and len(series) == script.count(" using ")
+    for name, x, y in series:
+        assert (tmp_path / name).is_file(), name
+        header = (tmp_path / name).read_text().split("\n", 1)[0].split("\t")
+        assert 1 <= int(x) <= len(header) and 1 <= int(y) <= len(header), (name, x, y)
+
+
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
     rc = main(["verify", "--out", str(tmp_path / "v")])
     assert rc == 0
@@ -272,3 +349,25 @@ def test_module_entry_point_help():
     assert proc.stdout.startswith("usage: rabivar")
     for command in ("scan", "levels", "wavefunction", "verify"):
         assert command in proc.stdout
+
+
+def test_imports_leave_scipy_optimize_unloaded():
+    # Importing scipy.optimize costs ~0.3 s of start-up and ~19 MB of peak
+    # RSS, past the benchmark's set-up and memory bounds.
+    code = (
+        "import json, resource, sys, time\n"
+        "t = time.perf_counter()\n"
+        "import rabivar, rabivar.scan, rabivar.verify, rabivar.cli\n"
+        "print(json.dumps({'loaded': 'scipy.optimize' in sys.modules,"
+        " 'import_s': time.perf_counter() - t,"
+        " 'peak_rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rabivar.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    cost = json.loads(proc.stdout)
+    assert not cost["loaded"], (
+        f"importing rabivar loads scipy.optimize: the imports took {cost['import_s']:.2f} s "
+        f"and the process peaked at {cost['peak_rss_mb']:.1f} MB"
+    )
