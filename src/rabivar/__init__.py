@@ -40,4 +40,4 @@ from .variational import (
     parity_splitting_2css,
     stationarity_residuals_iso,
 )
-from .optimize import OptResult, minimize_scalar_field, solve_ansatz
+from .optimize import OptResult, solve_ansatz

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -181,6 +182,7 @@ class SectorSplitting:
 
 
 _NEWTON_STEPS = 12
+_CUT_MARGIN = 1e-2  # extrapolated truncation bound sought, relative to the rounding bound
 
 
 def _exact_chain(params: ModelParams, n_tr: int, parity: int):
@@ -238,30 +240,38 @@ def _newton_lowest(diag, link2, seed: float, tol):
     return None
 
 
-def _truncation_bound(diag: list, link: list, e: float, peak: int, v_peak: float) -> float:
-    """Estimated drop of the lowest level when the chain continues past its last site.
+def _truncation_bounds(diag: list, link: list, e: float, peak: int, v_peak: float, first: int) -> list:
+    """Estimated drop of the lowest level when the chain cut after site n continues, n = first..N.
 
-    diag and link hold one site beyond the kept chain 0..N.  The estimate is
-    twice the second-order shift b_{N+1}^2 v_N^2 / (d_{N+1} - E), the factor
-    2 covering the higher orders.  v_N is carried from the eigenvector's
-    peak component v_peak by the backward recurrence, which is stable from
-    the tail up to the peak because the eigenvector grows along it.
+    diag and link hold one site beyond the chain 0..N.  The estimate is
+    twice the second-order shift b_{n+1}^2 v_n^2 / (d_{n+1} - E), the factor
+    2 covering the higher orders.  v_n is carried from the eigenvector's
+    peak component v_peak by the backward recurrence from site N, which is
+    stable from the tail up to the peak because the eigenvector grows along
+    it.  At n = N this bounds the chain as given; at n < N the ratios of
+    the longer chain stand in for those of the chain cut at n.
     """
-    n = len(diag) - 2
-    gap = diag[n + 1] - e
-    if gap <= 0.0:
-        return math.inf
-    log_tail = rho = 0.0  # log |v_N / v_peak|
-    for m in range(n, peak, -1):
+    n_last = len(diag) - 2
+    rho, logs = 0.0, []
+    for m in range(n_last, peak, -1):
         rho = link[m - 1] / (e - diag[m] - link[m] * rho)  # v_m / v_{m-1}
-        log_tail += math.log(abs(rho))
-    return 2.0 * link[n] ** 2 * (v_peak * math.exp(log_tail)) ** 2 / gap
+        logs.append(math.log(abs(rho)))
+    log_v = list(accumulate(reversed(logs), initial=0.0))  # log |v_m / v_peak| from m = peak
+    bounds = []
+    for n in range(first, n_last + 1):
+        gap = diag[n + 1] - e
+        v_n = v_peak * math.exp(log_v[n - peak])
+        bounds.append(2.0 * link[n] ** 2 * v_n**2 / gap if gap > 0.0 else math.inf)
+    return bounds
 
 
-def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int):
+def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int, start=None):
     """Lowest chain eigenvalue in `digits` digits, with rounding and truncation bounds.
 
-    Newton starts from the float eigenvalue.  Sturm counts at E -+ r must
+    Newton starts from start, the eigenvalue of an earlier attempt at a
+    shorter chain or fewer digits, or else from the float eigenvalue.  It
+    also returns the float eigenvector's tail (float eigenvalue, peak site,
+    peak component) for :func:`_next_cutoff`.  Sturm counts at E -+ r must
     find no eigenvalue below E - r and one below E + r, where r is ten units
     of the last digit on the chain's norm scale; this proves E is the lowest
     root to within 2r, counting the rounding of the counts themselves
@@ -277,7 +287,7 @@ def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int):
         radius = Decimal(10.0 * scale).scaleb(1 - digits)
         diag, link2 = _exact_chain(params, n_tr, parity)
         try:
-            e = _newton_lowest(diag, link2, seed, radius)
+            e = _newton_lowest(diag, link2, seed if start is None else start, radius)
             certified = (
                 e is not None
                 and _sturm_count(diag, link2, e - radius) == 0
@@ -285,12 +295,28 @@ def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int):
             )
         except ZeroDivisionError:  # an exactly vanishing pivot
             certified = False
+    tail = (seed, peak, float(vecs[peak, 0]))
     if not certified:
-        return None, math.inf, math.inf
-    trunc = _truncation_bound(
-        diag_f.tolist(), link_f.tolist(), float(e), peak, float(vecs[peak, 0])
-    )
-    return e, 2.0 * float(radius), trunc
+        return None, math.inf, math.inf, tail
+    trunc = _truncation_bounds(diag_f.tolist(), link_f.tolist(), float(e), peak, tail[2], n_tr)[0]
+    return e, 2.0 * float(radius), trunc, tail
+
+
+def _next_cutoff(params: ModelParams, n_tr: int, tails, target: float) -> int:
+    """Least cutoff after n_tr whose truncation bound, extrapolated from the float vectors, is below target.
+
+    tails holds each parity's (float eigenvalue, peak site, peak component)
+    at n_tr.  :func:`_truncation_bounds` on chains of twice the length
+    carries the peak component out to every longer cutoff.  Returns the
+    doubled cutoff (at most N_TR_CAP) if none is below target.
+    """
+    n_far = min(max(2 * n_tr, 1), N_TR_CAP)
+    total = [0.0] * (n_far - n_tr)
+    for parity, (e, peak, v_peak) in zip((+1, -1), tails):
+        diag, link = parity_chain(params, n_far + 1, parity)
+        bounds = _truncation_bounds(diag.tolist(), link.tolist(), e, peak, v_peak, n_tr + 1)
+        total = [a + b for a, b in zip(total, bounds)]
+    return next((n for n, bound in zip(range(n_tr + 1, n_far + 1), total) if bound <= target), n_far)
 
 
 def sector_splitting(params: ModelParams, n_tr: int) -> SectorSplitting:
@@ -298,15 +324,19 @@ def sector_splitting(params: ModelParams, n_tr: int) -> SectorSplitting:
 
     Both parity chains are solved in SPLITTING_DIGITS decimal digits on Fock
     levels 0..n_tr.  The difference counts only when its magnitude exceeds
-    the sum of both chains' rounding and truncation bounds.  Otherwise n_tr
-    doubles when truncation dominates the bound and the digits double when
-    rounding does, up to N_TR_CAP and SPLITTING_DIGITS_CAP; past a cap the
-    splitting stays unresolved.
+    the sum of both chains' rounding and truncation bounds.  Otherwise,
+    when truncation dominates the bound, n_tr grows to the cutoff whose
+    truncation bound, extrapolated from the float eigenvectors
+    (:func:`_next_cutoff`), is a hundredth of the rounding bound, at most
+    doubling; when rounding dominates, the digits double.  Each new attempt
+    starts Newton from the previous one's eigenvalues.  Past N_TR_CAP or
+    SPLITTING_DIGITS_CAP the splitting stays unresolved.
     """
     digits = SPLITTING_DIGITS
+    e_even = e_odd = None
     while True:
-        e_even, round_even, trunc_even = _certified_lowest(params, n_tr, +1, digits)
-        e_odd, round_odd, trunc_odd = _certified_lowest(params, n_tr, -1, digits)
+        e_even, round_even, trunc_even, tail_even = _certified_lowest(params, n_tr, +1, digits, e_even)
+        e_odd, round_odd, trunc_odd, tail_odd = _certified_lowest(params, n_tr, -1, digits, e_odd)
         rounding = round_even + round_odd
         truncation = trunc_even + trunc_odd
         error = rounding + truncation
@@ -318,7 +348,7 @@ def sector_splitting(params: ModelParams, n_tr: int) -> SectorSplitting:
         if truncation > rounding:
             if n_tr >= N_TR_CAP:
                 return SectorSplitting(None, error, digits, n_tr)
-            n_tr = min(max(2 * n_tr, 1), N_TR_CAP)
+            n_tr = _next_cutoff(params, n_tr, (tail_even, tail_odd), _CUT_MARGIN * rounding)
         else:
             if digits >= SPLITTING_DIGITS_CAP:
                 return SectorSplitting(None, error, digits, n_tr)

@@ -1,9 +1,13 @@
-"""Derivative-free multi-start minimization of the trial-state energies.
+"""Multi-start quasi-Newton minimization of the trial-state energies.
 
-The simplex core is deterministic: identical objectives, seed lists and
-tolerances reproduce identical results bit for bit.  Each multi-start run
-finishes with a finite-difference Newton polish so the reported optimum
-satisfies a gradient criterion rather than only a simplex-size one.
+Every objective comes with its exact gradient.  The single-packet energy
+E_1(beta, xi) is minimized directly.  For two-packet kinds the linear
+coefficients (c1, c2) are projected out: for fixed packets the energy is a
+Rayleigh quotient in them, so :func:`rabivar.variational.projected_energy_2css`
+returns the lowest root of the 2x2 pencil and, by the Hellmann-Feynman
+theorem, its gradient in (beta1, beta2[, xi]).  A small BFGS with Armijo
+backtracking in pure-Python floats runs from each start, so identical
+inputs reproduce identical results bit for bit.
 
 Structure selection for two-packet kinds.  Below the delocalization
 threshold the second packet buys only a sub-resolution energy gain while
@@ -25,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateAnsatz, NoConvergence
 from .model import ModelParams
 from .variational import (
@@ -34,16 +36,13 @@ from .variational import (
     Ansatz2Params,
     AnsatzKind,
     asymptotic_params,
-    energy_2css,
+    energy_grad_1css,
+    projected_energy_2css,
 )
 
 GRAD_TOL = 1e-5
 STRUCT_RTOL = 1e-4
-_GRAD_STEP = 1e-6
-_HESS_STEP = 1e-4
-_PENALTY = 1e12
-_XI_BOUND = 20.0
-_BETA_BOUND = 1e4
+_EPS = 2.0**-52
 
 
 @dataclass
@@ -58,214 +57,78 @@ class OptResult:
     grad_norm: float
     converged: bool
     reduced: bool = False  # two-packet kinds: True if the single-packet reduction is reported
+    nfev: int = 0  # objective evaluations over all stages
 
 
-class _SimplexRun:
-    __slots__ = ("x", "fun", "nfev", "met_tol")
-
-    def __init__(self, x, fun, nfev, met_tol):
-        self.x = x
-        self.fun = fun
-        self.nfev = nfev
-        self.met_tol = met_tol
+def _dot(a, b) -> float:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def nelder_mead(f, x0, tol=1e-10, max_evals=100_000, init_step=0.25) -> _SimplexRun:
-    """Classic simplex descent; the best value is monotone non-increasing.
+def bfgs(fg, x0, max_iter=500):
+    """Local minimum from x0 by BFGS with Armijo backtracking.
 
-    Terminates when the simplex diameter drops below tol or the vertex
-    value spread drops below tol * max(1, |best|); met_tol is False if the
-    evaluation cap was reached first.
+    fg(x) returns (f, gradient) at a list x; f = inf rejects the point.  The
+    inverse-Hessian estimate starts as the identity (steps then capped at
+    unit length), is rescaled by s.y / y.y at its first update and is reset
+    whenever it gives no descent direction.  A step is accepted on Armijo's
+    condition or, where f is flat to its rounding eps * max(1, |f|), when it
+    halves the largest gradient component.  The run stops once an iteration
+    lowers f by no more than that rounding without halving the gradient, or
+    when no step along the steepest descent is accepted.
+
+    Returns (x, f, gradient, nfev); a rejected x0 returns at once with
+    f = inf.  Raises NoConvergence with that tuple at the best point
+    attached when max_iter iterations pass without stopping.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for i in range(n):
-        sim[i + 1] = x0
-        sim[i + 1, i] += init_step * max(1.0, abs(x0[i]))
-    fs = np.array([f(x) for x in sim])
-    nfev = n + 1
-
-    while True:
-        order = np.argsort(fs, kind="stable")
-        sim, fs = sim[order], fs[order]
-        diam = np.max(np.abs(sim[1:] - sim[0]))
-        spread = fs[-1] - fs[0]
-        if diam < tol or spread < tol * max(1.0, abs(fs[0])):
-            return _SimplexRun(sim[0].copy(), float(fs[0]), nfev, True)
-        if nfev >= max_evals:
-            return _SimplexRun(sim[0].copy(), float(fs[0]), nfev, False)
-
-        centroid = np.mean(sim[:-1], axis=0)
-        xr = centroid + (centroid - sim[-1])
-        fr = f(xr)
-        nfev += 1
-        if fr < fs[0]:
-            xe = centroid + 2.0 * (centroid - sim[-1])
-            fe = f(xe)
-            nfev += 1
-            if fe < fr:
-                sim[-1], fs[-1] = xe, fe
-            else:
-                sim[-1], fs[-1] = xr, fr
-        elif fr < fs[-2]:
-            sim[-1], fs[-1] = xr, fr
-        else:
-            if fr < fs[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid - 0.5 * (centroid - sim[-1])
-            fc = f(xc)
-            nfev += 1
-            if fc < min(fr, fs[-1]):
-                sim[-1], fs[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):  # shrink toward best vertex
-                    sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                    fs[i] = f(sim[i])
-                nfev += n
-
-
-def fd_gradient(f, x, h=_GRAD_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
-def _fd_hessian(f, x, h=_HESS_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    hess = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h**2)
-    return hess
-
-
-def _newton_polish(f, x, fx, max_iter=8):
-    """Damped finite-difference Newton steps; returns an equal-or-better point."""
-    x = np.asarray(x, dtype=float)
+    x = [float(v) for v in x0]
+    f, g = fg(x)
+    nfev = 1
+    h = None  # inverse-Hessian estimate; None stands for the identity
     for _ in range(max_iter):
-        g = fd_gradient(f, x)
-        if np.max(np.abs(g)) < 1e-9:
+        if not math.isfinite(f):
             break
-        hess = _fd_hessian(f, x)
-        w = np.linalg.eigvalsh(hess)
-        lam_min = float(w[0])
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if lam_min < 1e-8 * scale:
-            hess = hess + (1e-8 * scale - lam_min) * np.eye(x.size)
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            break
-        improved = False
-        t = 1.0
-        for _ in range(6):
-            xc = x + t * step
-            fc = f(xc)
-            if fc < fx:
-                x, fx = xc, fc
-                improved = True
+        p = [-v for v in g] if h is None else [-_dot(row, g) for row in h]
+        slope = _dot(g, p)
+        if slope >= 0.0:
+            if h is None:
+                break  # zero gradient
+            h = None
+            continue
+        t = 1.0 if h is not None else min(1.0, 1.0 / max(map(abs, p)))
+        noise = _EPS * max(1.0, abs(f))
+        gmax = max(map(abs, g))
+        for _ in range(40):
+            xn = [a + t * b for a, b in zip(x, p)]
+            fn, gn = fg(xn)
+            nfev += 1
+            if fn <= f + 1e-4 * t * slope:
                 break
+            if fn <= f + noise and max(map(abs, gn)) < 0.5 * gmax:
+                break  # f is flat to rounding here; the exact gradient decides
             t *= 0.5
-        if not improved:
+        else:
+            if h is None:
+                break
+            h = None
+            continue
+        s = [a - b for a, b in zip(xn, x)]
+        y = [a - b for a, b in zip(gn, g)]
+        gain, x, f, g = f - fn, xn, fn, gn
+        if gain <= noise and max(map(abs, g)) >= 0.5 * gmax:
             break
-    return x, fx
-
-
-def minimize_scalar_field(f, starts, tol=1e-10, max_evals=100_000):
-    """Best local minimum of f over the given start points.
-
-    Runs the simplex descent from every start, keeps the lowest value, and
-    polishes it with finite-difference Newton steps (re-running a tight
-    simplex once if the polish stalls on a flat direction).  Raises
-    NoConvergence (best point attached) if no start met the simplex
-    tolerance within the per-start evaluation cap.
-
-    Returns (x, fun, starts_tried, grad_norm) with grad_norm the largest
-    central-difference gradient component at the returned point.
-    """
-    starts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in starts]
-    if not starts:
-        raise ValueError("at least one start point is required")
-    runs = [nelder_mead(f, s, tol=tol, max_evals=max_evals) for s in starts]
-    best = min(runs, key=lambda r: r.fun)
-    x, fx = best.x, best.fun
-    for _ in range(2):
-        x, fx = _newton_polish(f, x, fx)
-        grad_norm = float(np.max(np.abs(fd_gradient(f, x))))
-        if grad_norm < 1e-7:
-            break
-        rerun = nelder_mead(f, x, tol=tol, max_evals=max_evals, init_step=1e-4)
-        if rerun.fun < fx:
-            x, fx = rerun.x, rerun.fun
-        grad_norm = float(np.max(np.abs(fd_gradient(f, x))))
-    if not any(r.met_tol for r in runs):
-        raise NoConvergence(
-            f"no start met tol={tol:g} within {max_evals} evaluations",
-            best=(x, fx, grad_norm),
-        )
-    return x, fx, len(starts), grad_norm
-
-
-def _penalized(value_fn, x):
-    over = 0.0
-    for xi in np.atleast_1d(x):
-        if abs(xi) > _BETA_BOUND:
-            over += abs(xi) - _BETA_BOUND
-    if over > 0.0:
-        return _PENALTY * (1.0 + over)
-    try:
-        return value_fn()
-    except (DegenerateAnsatz, OverflowError):
-        return _PENALTY
-
-
-def _objective_single(params: ModelParams, squeezed: bool, parity: str):
-    """Single-packet objective through the two-packet functional (theta = 0)."""
-
-    def f(x):
-        beta = x[0]
-        xi = x[1] if squeezed else 0.0
-        if abs(xi) > _XI_BOUND:
-            return _PENALTY * (1.0 + abs(xi) - _XI_BOUND)
-        a = Ansatz2Params(1.0, 0.0, beta, beta, xi)
-        return _penalized(lambda: energy_2css(params, a, parity), x)
-
-    return f
-
-
-def _objective_two(params: ModelParams, squeezed: bool, parity: str):
-    def f(x):
-        theta, b1, b2 = x[0], x[1], x[2]
-        xi = x[3] if squeezed else 0.0
-        if abs(xi) > _XI_BOUND:
-            return _PENALTY * (1.0 + abs(xi) - _XI_BOUND)
-        a = Ansatz2Params.from_theta(theta, b1, b2, xi)
-        return _penalized(lambda: energy_2css(params, a, parity), x)
-
-    return f
-
-
-def _theta_of(c1: float, c2: float) -> float:
-    theta = math.atan2(c2, c1)
-    if theta < 0.0:
-        theta += math.pi
-    return theta
+        sy = _dot(s, y)
+        if sy > 0.0:
+            if h is None:
+                h = [[sy / _dot(y, y) * (i == j) for j in range(len(x))] for i in range(len(x))]
+            hy = [_dot(row, y) for row in h]
+            c = (1.0 + _dot(y, hy) / sy) / sy
+            h = [
+                [hij + c * si * sj - (hyi * sj + si * hyj) / sy for sj, hyj, hij in zip(s, hy, row)]
+                for si, hyi, row in zip(s, hy, h)
+            ]
+    else:
+        raise NoConvergence(f"BFGS did not stop within {max_iter} iterations", best=(x, f, g, nfev))
+    return x, f, g, nfev
 
 
 def canonicalize_2css(a: Ansatz2Params) -> Ansatz2Params:
@@ -301,103 +164,110 @@ def _seed_values(params: ModelParams):
     return beta_small, beta_mf, xi_seed
 
 
+def _seed_values(params: ModelParams):
+    """Deterministic displacement/squeezing seeds.
+
+    beta_small solves the weak-coupling balance, beta_mf is the adiabatic
+    mean-field displacement, xi_seed the large-detuning squeezing estimate.
+    """
+    beta_small = params.g * params.tau / (params.omega + params.delta)
+    beta_mf = 2.0 * params.alpha / params.omega
+    if params.delta > 0.0:
+        xi_seed = 0.125 * math.log1p(4.0 * params.alpha**2 / (params.omega * params.delta))
+        if params.tau == 1.0:
+            beta_small, xi_seed = asymptotic_params(params)
+    else:
+        xi_seed = 0.0
+    return beta_small, beta_mf, xi_seed
+
+
 def _single_starts(params: ModelParams, squeezed: bool, warm):
     bs, bm, xa = _seed_values(params)
-    if squeezed:
-        starts = [(bs, xa), (bm, 0.0), (bm, xa), (bs, 0.0)]
-    else:
-        starts = [(bs,), (bm,), (0.5 * bm,)]
+    starts = [(bs, xa), (bm, 0.0), (bm, xa), (bs, 0.0)] if squeezed else [(bs,), (bm,), (0.5 * bm,)]
     if warm is not None:
-        w = _warm_single(warm)
-        if w is not None:
-            starts.append(w if squeezed else w[:1])
+        beta = warm.beta if isinstance(warm, Ansatz1Params) else warm.beta1
+        starts.append((beta, warm.xi) if squeezed else (beta,))
     return starts
-
-
-def _warm_single(warm):
-    if isinstance(warm, Ansatz1Params):
-        return (warm.beta, warm.xi)
-    if isinstance(warm, Ansatz2Params):
-        return (warm.beta1, warm.xi)
-    return None
 
 
 def _two_starts(params: ModelParams, squeezed: bool, single_x, warm):
-    b1 = single_x[0]
-    x1 = single_x[1] if squeezed and len(single_x) > 1 else 0.0
+    """Three starts on the symmetric line beta1 = beta2, one off it, and the warm start.
+
+    The start off the line keeps the odd solve at g = 0 from stalling on
+    the stationary point with both packets at the origin.
+    """
     bs, bm, xa = _seed_values(params)
-    th = 0.05
-    starts = [
-        (th, b1, b1, x1),
-        (math.pi / 4.0, b1, b1, x1),
-        (0.6, b1, b1, x1),
-        (math.pi - th, b1, b1, x1),
-        (math.pi / 4.0, bm, bm, xa if squeezed else 0.0),
-        (th, bs, bs, 0.0),
-    ]
-    if warm is not None and isinstance(warm, Ansatz2Params):
-        starts.append((_theta_of(warm.c1, warm.c2), warm.beta1, warm.beta2, warm.xi))
-    if not squeezed:
-        starts = [s[:3] for s in starts]
-    return starts
+    b1, x1 = single_x[0], single_x[1] if squeezed else 0.0
+    starts = [(b1, b1, x1), (bm, bm, xa if squeezed else 0.0), (bs, bs, 0.0), (b1 + 1.0, b1, x1)]
+    if isinstance(warm, Ansatz2Params):
+        starts.append((warm.beta1, warm.beta2, warm.xi))
+    return starts if squeezed else [start[:2] for start in starts]
 
 
-def _solve_single(params, squeezed, parity, warm, tol, max_evals):
-    f = _objective_single(params, squeezed, parity)
-    starts = _single_starts(params, squeezed, warm)
-    return minimize_scalar_field(f, starts, tol=tol, max_evals=max_evals), f
-
-
-def _solve_two(params, squeezed, parity, single_x, warm, tol, max_evals):
-    f = _objective_two(params, squeezed, parity)
-    starts = _two_starts(params, squeezed, single_x, warm)
-    return minimize_scalar_field(f, starts, tol=tol, max_evals=max_evals), f
-
-
-def solve_ansatz(
-    params: ModelParams,
-    kind: AnsatzKind,
-    parity: str = "even",
-    warm=None,
-    tol: float = 1e-10,
-    max_evals: int = 100_000,
-) -> OptResult:
+def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", warm=None) -> OptResult:
     """Multi-start minimization of the chosen trial-state energy.
 
     warm is an optional Ansatz1Params/Ansatz2Params from a neighboring scan
     point, added to the seed list.  Odd parity is valid only for two-packet
-    kinds.  NoConvergence propagates with the best-so-far attached.
-    Two-packet results may report the single-packet reduction; see the
-    module docstring for the selection rule.
+    kinds.  NoConvergence propagates with the best-so-far OptResult of the
+    failing stage attached.  Two-packet results may report the
+    single-packet reduction; see the module docstring for the selection
+    rule.
     """
     if isinstance(kind, str):
         kind = AnsatzKind(kind)
     if parity == "odd" and not kind.two_branch:
         raise ValueError("odd parity requires a two-packet trial state")
+    count = [0, 0]  # starts tried, objective evaluations
 
-    try:
-        if not kind.two_branch:
-            (x, fx, tried, grad_norm), _ = _solve_single(
-                params, kind.squeezed, parity, warm, tol, max_evals
-            )
-            a1 = Ansatz1Params(float(x[0]), float(x[1]) if kind.squeezed else 0.0)
-            converged = bool(grad_norm < GRAD_TOL and math.isfinite(fx))
-            return OptResult(kind, parity, float(fx), a1, tried, grad_norm, converged)
+    def report(f, packed, grad_norm, converged=True, reduced=False):
+        converged = converged and grad_norm < GRAD_TOL and math.isfinite(f)
+        return OptResult(kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1])
 
-        (xs, fs, n1, g1), _ = _solve_single(params, kind.squeezed, parity, warm, tol, max_evals)
-        if kind.squeezed:
-            (xc, fc, n2, _), _ = _solve_two(params, False, parity, xs[:1], warm, tol, max_evals)
-        (xf, ff, n3, gf), _ = _solve_two(params, kind.squeezed, parity, xs, warm, tol, max_evals)
-    except NoConvergence as exc:
-        if exc.best is not None and not isinstance(exc.best, OptResult):
-            x, fx, grad_norm = exc.best
-            exc.best = OptResult(
-                kind, parity, float(fx), _pack_best(kind, np.asarray(x)), 0, grad_norm, False
+    def single(x):
+        xi = x[1] if kind.squeezed else 0.0
+        return Ansatz2Params(1.0, 0.0, x[0], x[0], xi) if kind.two_branch else Ansatz1Params(x[0], xi)
+
+    def two(x):
+        _, _, c1, c2 = projected_energy_2css(params, *x, parity=parity)
+        return canonicalize_2css(Ansatz2Params(c1, c2, x[0], x[1], x[2] if len(x) > 2 else 0.0))
+
+    def minimize(energy_grad, starts, pack):
+        """Lowest BFGS run over the starts: (x, f, grad_norm)."""
+
+        def fg(x):  # degenerate, overflowing or non-finite points get f = inf
+            try:
+                e, g = energy_grad(params, *x, parity=parity)[:2]
+            except (DegenerateAnsatz, OverflowError):
+                return math.inf, None
+            return (e, g[: len(x)]) if math.isfinite(e) else (math.inf, None)
+
+        best, stopped = None, False
+        for start in starts:
+            try:
+                x, f, g, n = bfgs(fg, start)
+                stopped = True
+            except NoConvergence as exc:
+                x, f, g, n = exc.best
+            count[1] += n
+            if best is None or f < best[1]:
+                best = (x, f, g)
+        count[0] += len(starts)
+        x, f, g = best
+        grad_norm = max(map(abs, g)) if math.isfinite(f) else math.inf
+        if not stopped:
+            raise NoConvergence(
+                "no start stopped within the iteration cap",
+                best=report(f, pack(x), grad_norm, converged=False) if math.isfinite(f) else None,
             )
-        raise
-    if not kind.squeezed:
-        fc, n2 = ff, 0
-    tried = n1 + n2 + n3
+        return x, f, grad_norm
+
+    xs, fs, g1 = minimize(energy_grad_1css, _single_starts(params, kind.squeezed, warm), single)
+    if not kind.two_branch:
+        return report(fs, single(xs), g1)
+    if kind.squeezed:
+        _, fc, _ = minimize(projected_energy_2css, _two_starts(params, False, xs, warm), two)
+    xf, ff, gf = minimize(projected_energy_2css, _two_starts(params, kind.squeezed, xs, warm), two)
 
     gain = fs - ff
     if kind.squeezed:
@@ -408,31 +278,5 @@ def solve_ansatz(
     else:
         safe = True  # reducing the top of the ordering chain is always safe
     if gain <= STRUCT_RTOL * max(1.0, abs(ff)) and safe:
-        beta = float(xs[0])
-        xi = float(xs[1]) if kind.squeezed else 0.0
-        a2 = Ansatz2Params(1.0, 0.0, beta, beta, xi)
-        converged = bool(g1 < GRAD_TOL and math.isfinite(fs))
-        return OptResult(kind, parity, float(fs), a2, tried, g1, converged, reduced=True)
-
-    a2 = _pack_two(kind, xf)
-    converged = bool(gf < GRAD_TOL and math.isfinite(ff))
-    return OptResult(kind, parity, float(ff), a2, tried, gf, converged)
-
-
-def _pack_two(kind: AnsatzKind, x):
-    xi = float(x[3]) if kind.squeezed else 0.0
-    return canonicalize_2css(Ansatz2Params.from_theta(float(x[0]), float(x[1]), float(x[2]), xi))
-
-
-def _pack_best(kind: AnsatzKind, x):
-    """Best-so-far packing for NoConvergence payloads; x may come from the
-    restricted (1- or 2-vector) or the full (3- or 4-vector) stage."""
-    if x.size >= 3:
-        if kind.two_branch:
-            return _pack_two(kind, x)
-        x = x[:2]
-    beta = float(x[0])
-    xi = float(x[1]) if (kind.squeezed and x.size > 1) else 0.0
-    if kind.two_branch:
-        return Ansatz2Params(1.0, 0.0, beta, beta, xi)
-    return Ansatz1Params(beta, xi)
+        return report(fs, single(xs), g1, reduced=True)
+    return report(ff, two(xf), gf)

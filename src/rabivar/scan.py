@@ -412,13 +412,16 @@ def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
 
 
 def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
-    """Even/odd level tracking around the crossing coupling (tau < 1 only).
+    """Even/odd level tracking around the crossing coupling (tau < 1; methods ED, CSS2).
 
     meta.json records g_c1 and, per method, every sign change of the
     splitting (crossings) and the first of them (crossing, None if none).
     """
     if cfg.tau >= 1.0:
         raise InvalidTau(f"levels requires tau < 1, got {cfg.tau}")
+    unknown = [m for m in cfg.methods if m not in ("ED", "CSS2")]
+    if unknown:
+        raise ValueError(f"levels methods must come from ED, CSS2, got {unknown}")
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
 
     def row(method, ratio, warm):
@@ -448,12 +451,18 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
 
 
 def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
-    """Position-space spin-projected profiles per coupling; returns summary rows."""
+    """Position-space spin-projected profiles per coupling; returns summary rows.
+
+    A CSS2 solve that does not converge is profiled at its best-so-far
+    state, the next coupling starts cold, and meta.json lists such
+    couplings under unconverged_lambdas.
+    """
     if cfg.source not in ("ED", "CSS2"):
         raise ValueError(f"source must be ED or CSS2, got {cfg.source!r}")
     os.makedirs(out_dir, exist_ok=True)
     xs = cfg.xs()
     summary = []
+    unconverged = []
     warm = None
     for lam in cfg.lambdas:
         mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
@@ -462,7 +471,14 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
             prof = position_profile(*spin_x_projection(res.vectors[0]), xs, cfg.omega)
             phi_p, phi_m = prof.phi_plus, prof.phi_minus
         else:
-            p = warm = solve_ansatz(mp, AnsatzKind.CSS2, "even", warm=warm).params
+            try:
+                p = warm = solve_ansatz(mp, AnsatzKind.CSS2, "even", warm=warm).params
+            except NoConvergence as exc:
+                if exc.best is None:
+                    raise
+                # Profile the best-so-far state, but start the next lambda cold.
+                p, warm = exc.best.params, None
+                unconverged.append(lam)
             scale = 1.0 / math.sqrt(norm2_2css(p))
             phi_p = scale * (
                 p.c1 * gaussian_packet_profile(xs, -p.beta1, p.xi, cfg.omega)
@@ -488,7 +504,8 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
         ("lambda", "source", "peaks_plus", "peaks_minus", "norm", "file"),
         summary,
     )
-    _write_meta(out_dir, "wavefunction", asdict(cfg) | {"lambdas": list(cfg.lambdas)})
+    extra = {"unconverged_lambdas": unconverged} if unconverged else None
+    _write_meta(out_dir, "wavefunction", asdict(cfg) | {"lambdas": list(cfg.lambdas)}, extra)
     series = [
         (s["file"], column, style, f"{s['file'][3:-4]} {phi}")
         for s in summary

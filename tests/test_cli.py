@@ -208,14 +208,18 @@ def test_levels_on_resolvable_detuning(tmp_path):
 
 def test_levels_records_every_crossing(tmp_path):
     # At detuning 8 the ED ground parity flips three times on 0.9-2.0 and the
-    # two-packet ansatz's only once (near g_c1).
+    # two-packet ansatz's only once, at g_c1.  The grid point 1.00 is g_c1
+    # itself, where the two-packet splitting is a few units of its rounding
+    # (~1e-20) and may take either sign, so its crossing is pinned to g_c1
+    # rather than to one side of it.
     out = tmp_path / "levels"
     run_levels(LevelsConfig(delta=8.0, tau=0.5, g_min=0.9, g_max=2.0, g_step=0.05), str(out))
     meta = json.loads((out / "meta.json").read_text())
     ed, css2 = meta["crossings"]["ED"], meta["crossings"]["CSS2"]
     assert len(ed) == 3 and len(css2) == 1
-    for found, (lo, hi) in zip(ed + css2, [(0.95, 1.0), (1.40, 1.45), (1.80, 1.85), (1.00, 1.05)]):
+    for found, (lo, hi) in zip(ed, [(0.95, 1.0), (1.40, 1.45), (1.80, 1.85)]):
         assert lo < found <= hi
+    assert abs(css2[0] - 1.0) <= 1e-12
     assert meta["crossing"] == {"ED": ed[0], "CSS2": css2[0]}
 
 
@@ -256,6 +260,45 @@ def test_levels_css2_failure_keeps_best_so_far_energies(tmp_path, monkeypatch):
 def test_levels_requires_tau_below_one(tmp_path):
     with pytest.raises(InvalidTau):
         run_levels(LevelsConfig(delta=8.0, tau=1.0), str(tmp_path / "x"))
+
+
+@pytest.mark.parametrize("methods", [("ED", "CS1"), ("CSS1",), ("ED", "CSS2", "CS2")])
+def test_levels_rejects_methods_it_does_not_compute(tmp_path, methods):
+    out = tmp_path / "levels"
+    with pytest.raises(ValueError, match="ED, CSS2"):
+        run_levels(LevelsConfig(delta=8.0, tau=0.5, g_min=1.0, g_max=1.0, methods=methods), str(out))
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        main(["levels", "--out", str(out), "--delta", "8", "--tau", "0.5", "--methods", ",".join(methods)])
+    assert not out.exists()
+
+
+def test_wavefunction_css2_failure_profiles_best_so_far(tmp_path, monkeypatch):
+    solve = scan.solve_ansatz
+    warm_starts = []
+
+    def fail_at_first_lambda(params, kind, parity="even", warm=None):
+        warm_starts.append(warm)
+        res = solve(params, kind, parity, warm=warm)
+        if len(warm_starts) == 1:
+            raise NoConvergence("budget exhausted", best=res)
+        return res
+
+    monkeypatch.setattr(scan, "solve_ansatz", fail_at_first_lambda)
+    cfg = WavefunctionConfig(delta=8.0, lambdas=(1.2, 1.5), x_min=-8.0, x_max=8.0, x_step=0.05, source="CSS2")
+    out = tmp_path / "wf"
+    summary = run_wavefunction(cfg, str(out))
+    assert [row["lambda"] for row in summary] == [1.2, 1.5]
+    assert all(row["norm"] == pytest.approx(1.0, abs=1e-3) for row in summary)
+    assert warm_starts == [None, None]  # no warm start from an unconverged state
+    assert json.loads((out / "meta.json").read_text())["unconverged_lambdas"] == [1.2]
+    assert sorted(os.listdir(out)) == sorted(
+        ["meta.json", "plot.gp", "summary.tsv"] + [row["file"] for row in summary]
+    )
+    # Converged runs keep meta.json as before, without the key.
+    monkeypatch.setattr(scan, "solve_ansatz", solve)
+    run_wavefunction(cfg, str(tmp_path / "ok"))
+    assert "unconverged_lambdas" not in json.loads((tmp_path / "ok" / "meta.json").read_text())
 
 
 def test_wavefunction_profiles(tmp_path):

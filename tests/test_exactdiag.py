@@ -276,6 +276,22 @@ def test_certified_splitting_deep_two_packet_regime(ratio, expected, monkeypatch
         assert other.splitting == pytest.approx(base.splitting, rel=1e-9)
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1.03, 1.095])
+def test_truncation_limited_splitting_extends_the_cutoff_from_the_tail(ratio):
+    # At n_tr 256 the truncation bound exceeds these splittings.  The next
+    # cutoff comes from the float vectors' tail: longer than 256, shorter
+    # than the doubled 512, and the same certified value as at 512.
+    gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
+    mp = ModelParams(delta=100.0, tau=0.5, g=ratio * gc1)
+    grown = sector_splitting(mp, 256)
+    assert 256 < grown.n_tr < 512
+    assert grown.error < 1e-84
+    ref = sector_splitting(mp, 512)
+    assert ref.n_tr == 512
+    assert (grown.splitting > 0.0) == (ref.splitting > 0.0)
+    assert abs(grown.splitting - ref.splitting) <= grown.error + ref.error
+
+
 def test_unresolved_splitting_has_no_sign(monkeypatch):
     gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
     at_crossing = ModelParams(delta=100.0, tau=0.5, g=gc1)

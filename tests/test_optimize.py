@@ -1,43 +1,56 @@
 import math
 
-import numpy as np
 import pytest
 
 from rabivar import (
     AnsatzKind,
     ModelParams,
     NoConvergence,
-    minimize_scalar_field,
+    Truncation,
     solve_ansatz,
+    solve_parity_sector,
     stationarity_residuals_iso,
 )
-from rabivar.optimize import canonicalize_2css
+from rabivar.optimize import bfgs, canonicalize_2css
 from rabivar.variational import Ansatz2Params
 
 
+def _rosenbrock(x):
+    f = (x[0] - 1.0) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    grad = [2.0 * (x[0] - 1.0) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2)]
+    return f, grad
+
+
 def test_quadratic_minimum():
-    x, f, tried, grad = minimize_scalar_field(lambda x: (x[0] - 2.0) ** 2, [(0.0,)])
+    x, f, grad, nfev = bfgs(lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0)]), [0.0])
     assert abs(x[0] - 2.0) <= 1e-8
     assert f <= 1e-15
-    assert tried == 1
+    assert abs(grad[0]) <= 1e-7
+    assert nfev < 20
 
 
 def test_rosenbrock_minimum():
-    def rosen(x):
-        return (x[0] - 1.0) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-
-    x, f, _, grad = minimize_scalar_field(rosen, [(-1.0, 1.0)])
-    assert np.max(np.abs(x - 1.0)) <= 1e-6
-    assert grad <= 1e-5
+    x, f, grad, _ = bfgs(_rosenbrock, [-1.0, 1.0])
+    assert max(abs(v - 1.0) for v in x) <= 1e-6
+    assert max(abs(v) for v in grad) <= 1e-5
 
 
 def test_no_convergence_carries_best():
-    def rosen(x):
-        return (x[0] - 1.0) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-
     with pytest.raises(NoConvergence) as exc:
-        minimize_scalar_field(rosen, [(-1.5, 2.0)], max_evals=10)
-    assert exc.value.best is not None
+        bfgs(_rosenbrock, [-1.5, 2.0], max_iter=3)
+    x, f, grad, nfev = exc.value.best
+    assert f < _rosenbrock([-1.5, 2.0])[0]
+    assert (f, grad) == _rosenbrock(x)
+    assert nfev >= 4
+
+
+def test_rejected_points_are_stepped_around():
+    def fg(x):  # the quadratic of test_quadratic_minimum, undefined beyond 3
+        return (math.inf, None) if x[0] > 3.0 else ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0)])
+
+    x, f, _, _ = bfgs(fg, [-30.0])
+    assert abs(x[0] - 2.0) <= 1e-8
+    assert bfgs(fg, [4.0])[1] == math.inf
 
 
 def test_end_to_end_squeezed_single_packet():
@@ -105,7 +118,7 @@ def test_structure_selection_below_and_above_threshold():
 
 
 def test_canonical_representative_is_gauge_fixed():
-    a = Ansatz2Params.from_theta(0.4, 3.0, 2.5, 0.1)
+    a = Ansatz2Params(math.cos(0.4), math.sin(0.4), 3.0, 2.5, 0.1)
     assert canonicalize_2css(a) == canonicalize_2css(a.relabeled())
     neg = Ansatz2Params(-a.c1, -a.c2, a.beta1, a.beta2, a.xi)
     assert canonicalize_2css(a) == canonicalize_2css(neg)
@@ -118,3 +131,26 @@ def test_string_kind_accepted():
     mp = ModelParams(delta=2.0, g=0.2)
     r = solve_ansatz(mp, "CS1")
     assert r.kind is AnsatzKind.CS1
+
+
+@pytest.mark.parametrize("delta", [10.0, 100.0])
+@pytest.mark.parametrize("g", [0.0, 0.01, 0.1, 0.3])
+def test_weak_coupling_odd_stays_above_exact(delta, g):
+    # The odd optimum sits where the two packets merge (beta1 + beta2 -> 0),
+    # where the projected closed form loses precision unless such points are
+    # rejected.  At g = 0 the solve must also leave the +delta/2 saddle.
+    mp = ModelParams(delta=delta, omega=1.0, g=g, tau=1.0)
+    ed = solve_parity_sector(mp, Truncation(64), -1).energies[0]
+    for kind in (AnsatzKind.CS2, AnsatzKind.CSS2):
+        r = solve_ansatz(mp, kind, "odd")
+        assert r.energy >= ed - 1e-8 * max(1.0, abs(ed))
+        assert r.energy <= ed + 1e-6 * max(1.0, abs(ed))
+
+
+def test_nfev_counts_every_stage():
+    mp = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
+    single = solve_ansatz(mp, AnsatzKind.CSS1)
+    full = solve_ansatz(mp, AnsatzKind.CSS2)
+    assert single.nfev >= single.starts_tried > 0
+    assert full.nfev > single.nfev
+    assert full.starts_tried > single.starts_tried

@@ -19,7 +19,13 @@ from rabivar import (
     asymptotic_params,
     stationarity_residuals_iso,
 )
-from rabivar.variational import ansatz1_state_vector, ansatz2_state_vector, norm2_2css
+from rabivar.variational import (
+    ansatz1_state_vector,
+    ansatz2_state_vector,
+    energy_grad_1css,
+    norm2_2css,
+    projected_energy_2css,
+)
 
 TR = Truncation(160, 1e-9)
 
@@ -221,3 +227,62 @@ def test_state_vector_norm_matches_closed_form():
     a = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
     psi = ansatz2_state_vector(a, "even", TR)
     assert float(psi @ psi) == pytest.approx(norm2_2css(a), abs=1e-10)
+
+
+PROJECTED_POINTS = [(3.0, 2.5, 0.1), (0.4, 0.9, -0.2), (5.0, -1.0, 0.3), (1.2, 0.3, 0.05)]
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_projected_energy_is_energy_at_its_eigenvector(tau, parity):
+    mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
+    for b1, b2, xi in PROJECTED_POINTS:
+        e, _, c1, c2 = projected_energy_2css(mp, b1, b2, xi, parity)
+        assert c1 * c1 + c2 * c2 == pytest.approx(1.0, abs=1e-15)
+        direct = energy_2css(mp, Ansatz2Params(c1, c2, b1, b2, xi), parity)
+        assert abs(e - direct) <= 1e-12 * max(1.0, abs(e))
+        # The eigenvector minimizes the Rayleigh quotient over (c1, c2).
+        for t in np.linspace(0.0, math.pi, 13):
+            other = energy_2css(mp, Ansatz2Params(math.cos(t), math.sin(t), b1, b2, xi), parity)
+            assert other >= e - 1e-12 * max(1.0, abs(e))
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_projected_gradient_matches_central_differences(tau, parity):
+    mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
+    h = 1e-6
+    for x in PROJECTED_POINTS:
+        xi = x[2]
+        assert -math.expm1(-math.exp(-4.0 * xi) * (x[0] + x[1]) ** 2) >= 1e-2  # 1 - O+^2
+        _, grad, _, _ = projected_energy_2css(mp, *x, parity)
+        for i in range(3):
+            up, down = list(x), list(x)
+            up[i] += h
+            down[i] -= h
+            fd = (projected_energy_2css(mp, *up, parity)[0] - projected_energy_2css(mp, *down, parity)[0]) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_single_packet_gradient(tau, parity):
+    mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
+    h = 1e-6
+    for x in [(0.5, 0.1), (3.0, -0.2), (1.1, 0.0)]:
+        e, grad = energy_grad_1css(mp, *x, parity)
+        direct = energy_2css(mp, Ansatz2Params(1.0, 0.0, x[0], x[0], x[1]), parity)
+        assert abs(e - direct) <= 1e-12 * max(1.0, abs(e))
+        for i in range(2):
+            up, down = list(x), list(x)
+            up[i] += h
+            down[i] -= h
+            fd = (energy_grad_1css(mp, *up, parity)[0] - energy_grad_1css(mp, *down, parity)[0]) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def test_projected_energy_rejects_coincident_branches():
+    mp = ModelParams(delta=100.0, omega=1.0, g=0.01, tau=1.0)
+    with pytest.raises(DegenerateAnsatz):
+        projected_energy_2css(mp, 0.3, -0.295, 0.0, "odd")  # 1 - O+^2 = 2.5e-5
+    projected_energy_2css(mp, 0.3, -0.285, 0.0, "odd")  # 2.2e-4 is accepted
