@@ -10,7 +10,7 @@ from .errors import (
     TruncationNotConverged,
 )
 from .model import ModelParams, Truncation
-from .fock import boson_ops, build_hamiltonian, parity_diag
+from .fock import build_hamiltonian, parity_diag
 from .exactdiag import (
     SectorSplitting,
     SpectrumResult,
@@ -24,7 +24,6 @@ from .exactdiag import (
 )
 from .states import (
     CoherentSqueezedParams,
-    WavefunctionProfile,
     css_fock_amplitudes,
     position_profile,
 )

@@ -5,9 +5,11 @@ E_1(beta, xi) is minimized directly.  For two-packet kinds the linear
 coefficients (c1, c2) are projected out: for fixed packets the energy is a
 Rayleigh quotient in them, so :func:`rabivar.variational.projected_energy_2css`
 returns the lowest root of the 2x2 pencil and, by the Hellmann-Feynman
-theorem, its gradient in (beta1, beta2[, xi]).  A small BFGS with Armijo
-backtracking in pure-Python floats runs from each start, so identical
-inputs reproduce identical results bit for bit.
+theorem, its gradient in (beta1, beta2[, xi]).  A BFGS with Armijo
+backtracking runs from each start.  No trial state has more than three
+free variables, so :func:`bfgs` is a fixed three-slot kernel on Python
+float locals (fewer variables ride in frozen slots), and identical inputs
+reproduce identical results bit for bit.
 
 Structure selection for two-packet kinds.  Below the delocalization
 threshold the second packet buys only a sub-resolution energy gain while
@@ -19,6 +21,11 @@ reduction (c1, c2) = (1, 0), beta2 = beta1 whenever BOTH hold:
   * reporting the reduction cannot disturb the family ordering, i.e. the
     restricted optimum is still at or below the unsqueezed two-packet
     optimum (always true for the unsqueezed kind itself).
+
+The unsqueezed two-packet optimum of the second rule (the guard stage) is
+computed for the squeezed kind only when the first rule holds, since no
+other result reads it.  OptResult.starts_tried and .nfev count the stages
+that ran.
 
 Energies of reduced results are exact restricted optima, not truncations
 of the full ones.
@@ -57,15 +64,18 @@ class OptResult:
     grad_norm: float
     converged: bool
     reduced: bool = False  # two-packet kinds: True if the single-packet reduction is reported
-    nfev: int = 0  # objective evaluations over all stages
+    nfev: int = 0  # objective evaluations over the stages that ran
 
 
-def _dot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
+def _three(g, n):
+    """The n components of a gradient, padded with frozen zeros to three."""
+    if n == 3:
+        return g
+    return (g[0], g[1], 0.0) if n == 2 else (g[0], 0.0, 0.0)
 
 
 def bfgs(fg, x0, max_iter=500):
-    """Local minimum from x0 by BFGS with Armijo backtracking.
+    """Local minimum from x0 by BFGS with Armijo backtracking, in one to three variables.
 
     fg(x) returns (f, gradient) at a list x; f = inf rejects the point.  The
     inverse-Hessian estimate starts as the identity (steps then capped at
@@ -76,56 +86,99 @@ def bfgs(fg, x0, max_iter=500):
     lowers f by no more than that rounding without halving the gradient, or
     when no step along the steepest descent is accepted.
 
+    The iteration lives in float locals: three coordinates, gradients and
+    steps, and the nine inverse-Hessian entries.  A problem with fewer
+    variables rides in the leading slots; the rest stay frozen at zero with
+    zero gradient, which adds only exact zeros to every sum, so the result
+    is the same bit for bit as the textbook update on n-vectors.
+
     Returns (x, f, gradient, nfev); a rejected x0 returns at once with
     f = inf.  Raises NoConvergence with that tuple at the best point
-    attached when max_iter iterations pass without stopping.
+    attached when max_iter iterations pass without stopping, and ValueError
+    unless x0 has one to three entries.
     """
+    n = len(x0)
+    if not 1 <= n <= 3:
+        raise ValueError(f"bfgs takes 1 to 3 variables, got {n}")
     x = [float(v) for v in x0]
+    x0, x1, x2 = _three(x, n)
     f, g = fg(x)
     nfev = 1
-    h = None  # inverse-Hessian estimate; None stands for the identity
+    if math.isfinite(f):
+        g0, g1, g2 = _three(g, n)
+    ident = True  # the inverse-Hessian estimate is the identity; else it is h00..h22
+    h00 = h01 = h02 = h10 = h11 = h12 = h20 = h21 = h22 = 0.0
     for _ in range(max_iter):
         if not math.isfinite(f):
             break
-        p = [-v for v in g] if h is None else [-_dot(row, g) for row in h]
-        slope = _dot(g, p)
+        # Every sum starts from 0.0 and runs in index order, as sum() over a
+        # list does; the leading 0.0 turns a -0.0 total into +0.0.
+        if ident:
+            p0, p1, p2 = -g0, -g1, -g2
+        else:
+            p0 = -(0.0 + h00 * g0 + h01 * g1 + h02 * g2)
+            p1 = -(0.0 + h10 * g0 + h11 * g1 + h12 * g2)
+            p2 = -(0.0 + h20 * g0 + h21 * g1 + h22 * g2)
+        slope = 0.0 + g0 * p0 + g1 * p1 + g2 * p2
         if slope >= 0.0:
-            if h is None:
+            if ident:
                 break  # zero gradient
-            h = None
+            ident = True
             continue
-        t = 1.0 if h is not None else min(1.0, 1.0 / max(map(abs, p)))
+        t = min(1.0, 1.0 / max(abs(p0), abs(p1), abs(p2))) if ident else 1.0
         noise = _EPS * max(1.0, abs(f))
-        gmax = max(map(abs, g))
+        gmax = max(abs(g0), abs(g1), abs(g2))
         for _ in range(40):
-            xn = [a + t * b for a, b in zip(x, p)]
+            xn0, xn1, xn2 = x0 + t * p0, x1 + t * p1, x2 + t * p2
+            xn = [xn0, xn1, xn2] if n == 3 else [xn0, xn1] if n == 2 else [xn0]
             fn, gn = fg(xn)
             nfev += 1
             if fn <= f + 1e-4 * t * slope:
                 break
-            if fn <= f + noise and max(map(abs, gn)) < 0.5 * gmax:
-                break  # f is flat to rounding here; the exact gradient decides
+            if fn <= f + noise:
+                gn0, gn1, gn2 = _three(gn, n)
+                if max(abs(gn0), abs(gn1), abs(gn2)) < 0.5 * gmax:
+                    break  # f is flat to rounding here; the exact gradient decides
             t *= 0.5
         else:
-            if h is None:
+            if ident:
                 break
-            h = None
+            ident = True
             continue
-        s = [a - b for a, b in zip(xn, x)]
-        y = [a - b for a, b in zip(gn, g)]
+        gn0, gn1, gn2 = _three(gn, n)
+        s0, s1, s2 = xn0 - x0, xn1 - x1, xn2 - x2
+        y0, y1, y2 = gn0 - g0, gn1 - g1, gn2 - g2
         gain, x, f, g = f - fn, xn, fn, gn
-        if gain <= noise and max(map(abs, g)) >= 0.5 * gmax:
+        x0, x1, x2, g0, g1, g2 = xn0, xn1, xn2, gn0, gn1, gn2
+        if gain <= noise and max(abs(g0), abs(g1), abs(g2)) >= 0.5 * gmax:
             break
-        sy = _dot(s, y)
+        sy = 0.0 + s0 * y0 + s1 * y1 + s2 * y2
         if sy > 0.0:
-            if h is None:
-                h = [[sy / _dot(y, y) * (i == j) for j in range(len(x))] for i in range(len(x))]
-            hy = [_dot(row, y) for row in h]
-            c = (1.0 + _dot(y, hy) / sy) / sy
-            h = [
-                [hij + c * si * sj - (hyi * sj + si * hyj) / sy for sj, hyj, hij in zip(s, hy, row)]
-                for si, hyi, row in zip(s, hy, h)
-            ]
+            if ident:
+                d = sy / (0.0 + y0 * y0 + y1 * y1 + y2 * y2)
+                h00 = h11 = h22 = d
+                h01 = h02 = h10 = h12 = h20 = h21 = d * 0.0
+                ident = False
+            hy0 = 0.0 + h00 * y0 + h01 * y1 + h02 * y2
+            hy1 = 0.0 + h10 * y0 + h11 * y1 + h12 * y2
+            hy2 = 0.0 + h20 * y0 + h21 * y1 + h22 * y2
+            c = (1.0 + (0.0 + y0 * hy0 + y1 * hy1 + y2 * hy2) / sy) / sy
+            # h_ij += (c s_i) s_j - (hy_i s_j + s_i hy_j) / sy.  The second
+            # term is symmetric bit for bit (+ and * commute in IEEE
+            # arithmetic), so it is formed once per pair; the first is not.
+            cs0, cs1, cs2 = c * s0, c * s1, c * s2
+            q01 = (hy0 * s1 + s0 * hy1) / sy
+            q02 = (hy0 * s2 + s0 * hy2) / sy
+            q12 = (hy1 * s2 + s1 * hy2) / sy
+            h00 = h00 + cs0 * s0 - (hy0 * s0 + s0 * hy0) / sy
+            h01 = h01 + cs0 * s1 - q01
+            h02 = h02 + cs0 * s2 - q02
+            h10 = h10 + cs1 * s0 - q01
+            h11 = h11 + cs1 * s1 - (hy1 * s1 + s1 * hy1) / sy
+            h12 = h12 + cs1 * s2 - q12
+            h20 = h20 + cs2 * s0 - q02
+            h21 = h21 + cs2 * s1 - q12
+            h22 = h22 + cs2 * s2 - (hy2 * s2 + s2 * hy2) / sy
     else:
         raise NoConvergence(f"BFGS did not stop within {max_iter} iterations", best=(x, f, g, nfev))
     return x, f, g, nfev
@@ -145,23 +198,6 @@ def canonicalize_2css(a: Ansatz2Params) -> Ansatz2Params:
     if cand.c1 < 0.0 or (cand.c1 == 0.0 and cand.c2 < 0.0):
         cand = Ansatz2Params(-cand.c1, -cand.c2, cand.beta1, cand.beta2, cand.xi)
     return cand
-
-
-def _seed_values(params: ModelParams):
-    """Deterministic displacement/squeezing seeds.
-
-    beta_small solves the weak-coupling balance, beta_mf is the adiabatic
-    mean-field displacement, xi_seed the large-detuning squeezing estimate.
-    """
-    beta_small = params.g * params.tau / (params.omega + params.delta)
-    beta_mf = 2.0 * params.alpha / params.omega
-    if params.delta > 0.0:
-        xi_seed = 0.125 * math.log1p(4.0 * params.alpha**2 / (params.omega * params.delta))
-        if params.tau == 1.0:
-            beta_small, xi_seed = asymptotic_params(params)
-    else:
-        xi_seed = 0.0
-    return beta_small, beta_mf, xi_seed
 
 
 def _seed_values(params: ModelParams):
@@ -210,7 +246,8 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", wa
     warm is an optional Ansatz1Params/Ansatz2Params from a neighboring scan
     point, added to the seed list.  Odd parity is valid only for two-packet
     kinds.  NoConvergence propagates with the best-so-far OptResult of the
-    failing stage attached.  Two-packet results may report the
+    failing stage attached; the guard stage runs, and so can fail, only for
+    a reduction candidate.  Two-packet results may report the
     single-packet reduction; see the module docstring for the selection
     rule.
     """
@@ -234,22 +271,26 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", wa
 
     def minimize(energy_grad, starts, pack):
         """Lowest BFGS run over the starts: (x, f, grad_norm)."""
+        nvar = len(starts[0])
 
         def fg(x):  # degenerate, overflowing or non-finite points get f = inf
             try:
-                e, g = energy_grad(params, *x, parity=parity)[:2]
+                r = energy_grad(params, *x, parity=parity)
             except (DegenerateAnsatz, OverflowError):
                 return math.inf, None
-            return (e, g[: len(x)]) if math.isfinite(e) else (math.inf, None)
+            e, g = r[0], r[1]
+            if not math.isfinite(e):
+                return math.inf, None
+            return e, g if len(g) == nvar else g[:nvar]  # CS kinds leave xi out
 
         best, stopped = None, False
         for start in starts:
             try:
-                x, f, g, n = bfgs(fg, start)
+                x, f, g, nfev = bfgs(fg, start)
                 stopped = True
             except NoConvergence as exc:
-                x, f, g, n = exc.best
-            count[1] += n
+                x, f, g, nfev = exc.best
+            count[1] += nfev
             if best is None or f < best[1]:
                 best = (x, f, g)
         count[0] += len(starts)
@@ -265,18 +306,14 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", wa
     xs, fs, g1 = minimize(energy_grad_1css, _single_starts(params, kind.squeezed, warm), single)
     if not kind.two_branch:
         return report(fs, single(xs), g1)
-    if kind.squeezed:
-        _, fc, _ = minimize(projected_energy_2css, _two_starts(params, False, xs, warm), two)
     xf, ff, gf = minimize(projected_energy_2css, _two_starts(params, kind.squeezed, xs, warm), two)
-
-    gain = fs - ff
-    if kind.squeezed:
+    if fs - ff <= STRUCT_RTOL * max(1.0, abs(ff)):
+        if not kind.squeezed:  # reducing the top of the ordering chain is always safe
+            return report(fs, single(xs), g1, reduced=True)
         # Raising the squeezed two-packet report to its restricted optimum
         # must not lift it above the unsqueezed two-packet optimum, or the
         # family ordering would be disturbed.
-        safe = fs <= fc + 1e-10 * max(1.0, abs(fc))
-    else:
-        safe = True  # reducing the top of the ordering chain is always safe
-    if gain <= STRUCT_RTOL * max(1.0, abs(ff)) and safe:
-        return report(fs, single(xs), g1, reduced=True)
+        _, fc, _ = minimize(projected_energy_2css, _two_starts(params, False, xs, warm), two)
+        if fs <= fc + 1e-10 * max(1.0, abs(fc)):
+            return report(fs, single(xs), g1, reduced=True)
     return report(ff, two(xf), gf)

@@ -279,10 +279,11 @@ def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels,
 
 
 def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
+    """The lowest level of the scanned parity sector, the one the row is labelled with."""
     mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
     row = {"lambda": lam, "g": mp.g, "method": "ED", "parity": cfg.parity}
     try:
-        res = solve_lowest(mp, Truncation(cfg.n_tr, cfg.tail_tol))
+        res = solve_parity_sector(mp, Truncation(cfg.n_tr, cfg.tail_tol), +1 if cfg.parity == "even" else -1)
         row["energy"] = res.energies[0]
         row["energy_scaled"] = res.energies[0] / (cfg.delta * cfg.omega)
         row["mean_photon"] = mean_photon_ed(res.vectors[0])
@@ -319,7 +320,20 @@ def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm) -> dict:
 
 
 def run_scan(cfg: ScanConfig, out_dir: str) -> list:
-    """Energy/observable scan over a lambda grid; one row per (point, method)."""
+    """Energy/observable scan over a lambda grid; one row per (point, method).
+
+    Every row is computed in cfg.parity.  Unknown methods, an unknown
+    parity and single-packet methods with odd parity raise ValueError
+    before anything is written.
+    """
+    if cfg.parity not in ("even", "odd"):
+        raise ValueError(f"parity must be even or odd, got {cfg.parity!r}")
+    unknown = [m for m in cfg.methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"scan methods must come from {', '.join(METHODS)}, got {unknown}")
+    single = [m for m in cfg.methods if m != "ED" and not AnsatzKind(m).two_branch]
+    if cfg.parity == "odd" and single:
+        raise ValueError(f"odd parity needs two-packet methods or ED, got {single}")
 
     def row(method, lam, warm):
         if method == "ED":

@@ -14,7 +14,8 @@ import rabivar.scan as scan
 import rabivar.verify as verify
 from rabivar.cli import main
 from rabivar.errors import InvalidTau, NoConvergence
-from rabivar.exactdiag import SectorSplitting
+from rabivar.exactdiag import SectorSplitting, solve_parity_sector
+from rabivar.model import ModelParams, Truncation
 from rabivar.optimize import OptResult
 from rabivar.scan import (
     LevelsConfig,
@@ -124,7 +125,7 @@ def test_interrupted_scan_keeps_finished_rows_and_resumes(tmp_path, monkeypatch)
 
     calls.clear()
     monkeypatch.setattr(scan, "_scan_row_ansatz", lambda *args: calls.append(args) or row_ansatz(*args))
-    monkeypatch.setattr(scan, "solve_lowest", None)  # every ED row is stored
+    monkeypatch.setattr(scan, "solve_parity_sector", None)  # every ED row is stored
     run_scan(cfg, str(out))
     assert [(lam, method) for _, lam, method, _ in calls] == [
         (lam, method) for method in ("CSS1", "CSS2") for lam in cfg.grid()
@@ -156,9 +157,38 @@ def test_rerun_reuses_rows_across_grid_and_methods(tmp_path, monkeypatch):
     def recompute(*args, **kwargs):
         raise AssertionError("a stored row was recomputed")
 
-    monkeypatch.setattr(scan, "solve_lowest", recompute)
+    monkeypatch.setattr(scan, "solve_parity_sector", recompute)
     rows = run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED",), "lambda_max": 0.6})), str(out))
     assert [r["lambda"] for r in rows] == [0.0, 0.3, 0.6]
+
+
+@pytest.mark.parametrize("parity, sign", [("even", +1), ("odd", -1)])
+@pytest.mark.parametrize("ratio", [0.9, 1.2])
+def test_scan_ed_rows_come_from_the_scanned_parity(tmp_path, parity, sign, ratio):
+    # At delta 8, tau 0.5 the even level lies lowest at 0.9 g_c1 and the odd
+    # one at 1.2 g_c1, so at one of the two the lowest level of both sectors
+    # has the other parity.
+    g = ratio * ModelParams(delta=8.0, g=1.0, tau=0.5).g_c1
+    lam = ModelParams(delta=8.0, omega=1.0, g=g, tau=0.5).lam
+    cfg = ScanConfig(delta=8.0, tau=0.5, lambda_min=lam, lambda_max=lam, lambda_step=0.1,
+                     methods=("ED",), parity=parity)
+    (row,) = run_scan(cfg, str(tmp_path / parity))
+    mp = ModelParams.from_lambda(8.0, row["lambda"], 1.0, 0.5)
+    sector = solve_parity_sector(mp, Truncation(cfg.n_tr), sign).energies[0]
+    other = solve_parity_sector(mp, Truncation(cfg.n_tr), -sign).energies[0]
+    assert row["parity"] == parity and row["energy"] == sector
+    assert abs(sector - other) > 1e-8  # the two sectors are told apart here
+
+
+@pytest.mark.parametrize("methods, parity", [(("ED", "CS3"), "even"), (("ED", "CS1"), "odd")])
+def test_scan_rejects_inputs_before_writing(tmp_path, methods, parity):
+    out = tmp_path / "scan"
+    with pytest.raises(ValueError, match=methods[1]):
+        run_scan(ScanConfig(**(SMALL_SCAN | {"methods": methods, "parity": parity})), str(out))
+    assert not out.exists()
+    with pytest.raises(ValueError, match=methods[1]):
+        main(["scan", "--out", str(out), "--delta", "20", "--methods", ",".join(methods), "--parity", parity])
+    assert not out.exists()
 
 
 def test_scan_cli_flags_override_config(tmp_path):

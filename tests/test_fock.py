@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rabivar import ModelParams, Truncation, boson_ops, build_hamiltonian, parity_diag
+from rabivar import ModelParams, Truncation, build_hamiltonian, parity_diag
+from rabivar.fock import boson_ops
 
 
 def test_boson_ops_single_level_pair():

@@ -11,8 +11,10 @@ from rabivar import (
     solve_parity_sector,
     stationarity_residuals_iso,
 )
+import rabivar.optimize as optimize
+from rabivar.errors import DegenerateAnsatz
 from rabivar.optimize import bfgs, canonicalize_2css
-from rabivar.variational import Ansatz2Params
+from rabivar.variational import Ansatz2Params, energy_grad_1css, projected_energy_2css
 
 
 def _rosenbrock(x):
@@ -154,3 +156,152 @@ def test_nfev_counts_every_stage():
     assert single.nfev >= single.starts_tried > 0
     assert full.nfev > single.nfev
     assert full.starts_tried > single.starts_tried
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _reference_bfgs(fg, x0, max_iter=500):
+    """The textbook list-based BFGS that optimize.bfgs must reproduce bit for bit."""
+    x = [float(v) for v in x0]
+    f, g = fg(x)
+    nfev = 1
+    h = None  # inverse-Hessian estimate; None stands for the identity
+    for _ in range(max_iter):
+        if not math.isfinite(f):
+            break
+        p = [-v for v in g] if h is None else [-_dot(row, g) for row in h]
+        slope = _dot(g, p)
+        if slope >= 0.0:
+            if h is None:
+                break
+            h = None
+            continue
+        t = 1.0 if h is not None else min(1.0, 1.0 / max(map(abs, p)))
+        noise = 2.0**-52 * max(1.0, abs(f))
+        gmax = max(map(abs, g))
+        for _ in range(40):
+            xn = [a + t * b for a, b in zip(x, p)]
+            fn, gn = fg(xn)
+            nfev += 1
+            if fn <= f + 1e-4 * t * slope:
+                break
+            if fn <= f + noise and max(map(abs, gn)) < 0.5 * gmax:
+                break
+            t *= 0.5
+        else:
+            if h is None:
+                break
+            h = None
+            continue
+        s = [a - b for a, b in zip(xn, x)]
+        y = [a - b for a, b in zip(gn, g)]
+        gain, x, f, g = f - fn, xn, fn, gn
+        if gain <= noise and max(map(abs, g)) >= 0.5 * gmax:
+            break
+        sy = _dot(s, y)
+        if sy > 0.0:
+            if h is None:
+                h = [[sy / _dot(y, y) * (i == j) for j in range(len(x))] for i in range(len(x))]
+            hy = [_dot(row, y) for row in h]
+            c = (1.0 + _dot(y, hy) / sy) / sy
+            h = [
+                [hij + c * si * sj - (hyi * sj + si * hyj) / sy for sj, hyj, hij in zip(s, hy, row)]
+                for si, hyi, row in zip(s, hy, h)
+            ]
+    else:
+        raise NoConvergence(f"BFGS did not stop within {max_iter} iterations", best=(x, f, g, nfev))
+    return x, f, g, nfev
+
+
+def _objective(energy_grad, n, params, parity):
+    """solve_ansatz's view of an objective: n variables, rejected points at f = inf."""
+
+    def fg(x):
+        try:
+            e, g = energy_grad(params, *x, parity=parity)[:2]
+        except (DegenerateAnsatz, OverflowError):
+            return math.inf, None
+        return (e, list(g[:n])) if math.isfinite(e) else (math.inf, None)
+
+    return fg
+
+
+def _run(minimizer, fg, x0, max_iter):
+    """(x, f, g, nfev), or ("NoConvergence", that tuple at the best point)."""
+    try:
+        return minimizer(fg, x0, max_iter)
+    except NoConvergence as exc:
+        return "NoConvergence", exc.best
+
+
+_MP = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
+_ANISO = ModelParams.from_lambda(50.0, 1.05, 1.0, 0.5)
+_G0 = ModelParams(delta=100.0, g=0.0)
+
+
+def _rejecting_log_cosh(x):  # secant steps overshoot the minimum at 2 into the undefined x > 3
+    u = x[0] - 2.0
+    if x[0] > 3.0:
+        return math.inf, None
+    return math.log(math.cosh(u)) + 0.1 * u * u, [math.tanh(u) + 0.2 * u]
+
+
+# (fg, start, whether the run steps onto rejected points)
+_KERNEL_CASES = [
+    (lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0)]), [0.0], False),
+    (_rejecting_log_cosh, [-5.0], True),
+    (_rosenbrock, [-1.0, 1.0], False),
+    (_rosenbrock, [-1.5, 2.0], False),
+    (_objective(energy_grad_1css, 1, _MP, "even"), [0.5], False),  # CS1
+    (_objective(energy_grad_1css, 2, _MP, "even"), [4.0, 0.0], False),  # CSS1
+    (_objective(projected_energy_2css, 2, _MP, "even"), [7.0, 5.0], False),  # CS2
+    (_objective(projected_energy_2css, 3, _MP, "even"), [7.0, 5.0, 0.1], False),  # CSS2
+    (_objective(projected_energy_2css, 3, _ANISO, "even"), [3.0, 2.0, 0.0], False),
+    # Odd solves at weak coupling walk into the rejected band 1 - O+^2 < 1e-4 around beta1 + beta2 = 0.
+    (_objective(projected_energy_2css, 2, _G0, "odd"), [1.0, 0.0], True),
+    (_objective(projected_energy_2css, 3, _G0, "odd"), [2.0, -1.5, 0.0], True),
+    (_objective(projected_energy_2css, 3, ModelParams(delta=100.0, g=0.3), "odd"), [2.0, -1.5, 0.0], True),
+]
+
+
+@pytest.mark.parametrize("fg, x0, rejects", _KERNEL_CASES)
+@pytest.mark.parametrize("max_iter", [500, 2])
+def test_kernel_matches_reference_bit_for_bit(fg, x0, rejects, max_iter):
+    expected = _run(_reference_bfgs, fg, x0, max_iter)
+    seen = []
+    got = _run(bfgs, lambda x: seen.append(fg(x)[0]) or fg(x), x0, max_iter)
+    assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0 and round-trips every float
+    if max_iter == 500:
+        assert expected[0] != "NoConvergence"
+        assert (math.inf in seen) == rejects
+    else:
+        assert expected[0] == "NoConvergence"
+
+
+@pytest.mark.parametrize("x0", [[], [1.0, 2.0, 3.0, 4.0]])
+def test_kernel_takes_one_to_three_variables(x0):
+    with pytest.raises(ValueError, match="1 to 3"):
+        bfgs(lambda x: (0.0, [0.0] * len(x)), x0)
+
+
+def test_guard_stage_runs_only_for_reduction_candidates(monkeypatch):
+    # The unsqueezed guard stage is the only caller of projected_energy_2css without xi.
+    calls = []
+    projected = optimize.projected_energy_2css
+
+    def counted(params, *x, **kwargs):
+        calls.append(len(x))
+        return projected(params, *x, **kwargs)
+
+    monkeypatch.setattr(optimize, "projected_energy_2css", counted)
+    two_packet = solve_ansatz(ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0), AnsatzKind.CSS2)
+    assert not two_packet.reduced
+    assert calls and 2 not in calls
+    calls.clear()
+    reduced = solve_ansatz(ModelParams.from_lambda(100.0, 0.8, 1.0, 1.0), AnsatzKind.CSS2)
+    assert reduced.reduced
+    assert calls.count(2) > 0
+    # starts_tried counts the stages that ran: single, full and guard here, two of them above
+    assert reduced.starts_tried > two_packet.starts_tried
