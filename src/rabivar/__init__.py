@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegenerateAnsatz,
+    InvalidConfig,
     InvalidTau,
     NoConvergence,
     NotIsotropic,

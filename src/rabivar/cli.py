@@ -2,7 +2,11 @@
 
 Configuration comes from an optional JSON file (--config) whose keys match
 the dataclass fields in :mod:`rabivar.scan`; command-line flags override
-file values.  All physical inputs are in units of omega.
+file values.  All physical inputs are in units of omega.  Input a command
+rejects (an unknown config key or method, odd parity with CS1/CSS1,
+tau >= 1 for levels, an unknown source) ends it before anything is
+written, with one line "rabivar: error: ..." on stderr and exit status 2,
+as argparse does for malformed flags.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import json
 import os
 import sys
 
+from .errors import InvalidConfig
 from .scan import (
     LevelsConfig,
     ScanConfig,
@@ -86,12 +91,21 @@ def _load_config(args, cls, list_fields=()):
             values[key] = tuple(values[key])
     unknown = set(values) - set(cls.__dataclass_fields__)
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
     return cls(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; input the command rejects exits with status 2 and a one-line error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except InvalidConfig as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+
+
+def _run(args) -> int:
     if args.command == "scan":
         cfg = _load_config(args, ScanConfig, list_fields=("methods",))
         run_scan(cfg, args.out)

@@ -29,5 +29,9 @@ class DegenerateAnsatz(ValueError):
     """Two-packet superposition whose norm is numerically zero."""
 
 
-class InvalidTau(ValueError):
+class InvalidConfig(ValueError):
+    """Input an operation does not support, rejected before it computes or writes anything."""
+
+
+class InvalidTau(InvalidConfig):
     """Anisotropy ratio outside the valid range for this operation."""

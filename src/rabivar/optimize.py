@@ -22,10 +22,17 @@ reduction (c1, c2) = (1, 0), beta2 = beta1 whenever BOTH hold:
     restricted optimum is still at or below the unsqueezed two-packet
     optimum (always true for the unsqueezed kind itself).
 
-The unsqueezed two-packet optimum of the second rule (the guard stage) is
-computed for the squeezed kind only when the first rule holds, since no
-other result reads it.  OptResult.starts_tried and .nfev count the stages
-that ran.
+The unsqueezed two-packet optimum of the second rule (the guard) is read
+for the squeezed kind only when the first rule holds, since no other result
+reads it.
+
+The families nest, so their stages are shared: the single-packet stage of
+CS2/CSS2 is the CS1/CSS1 solve, and the guard is CS2's two-packet stage.
+solve_ansatz takes the results of kinds already solved at the same point
+and parity (a scan point's earlier rows) and reuses these stages from them,
+reading CS2's unreduced optimum (OptResult.two_packet_energy), never its
+reported energy; a stage with no converged result to reuse is solved in
+the call.  OptResult.starts_tried and .nfev count the stages the call ran.
 
 Energies of reduced results are exact restricted optima, not truncations
 of the full ones.
@@ -64,7 +71,8 @@ class OptResult:
     grad_norm: float
     converged: bool
     reduced: bool = False  # two-packet kinds: True if the single-packet reduction is reported
-    nfev: int = 0  # objective evaluations over the stages that ran
+    nfev: int = 0  # objective evaluations over the stages this call ran
+    two_packet_energy: float | None = None  # two-packet kinds: the unreduced two-packet optimum
 
 
 def _three(g, n):
@@ -240,26 +248,34 @@ def _two_starts(params: ModelParams, squeezed: bool, single_x, warm):
     return starts if squeezed else [start[:2] for start in starts]
 
 
-def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", warm=None) -> OptResult:
+def solve_ansatz(
+    params: ModelParams, kind: AnsatzKind, parity: str = "even", warm=None, solved=None
+) -> OptResult:
     """Multi-start minimization of the chosen trial-state energy.
 
     warm is an optional Ansatz1Params/Ansatz2Params from a neighboring scan
-    point, added to the seed list.  Odd parity is valid only for two-packet
-    kinds.  NoConvergence propagates with the best-so-far OptResult of the
-    failing stage attached; the guard stage runs, and so can fail, only for
-    a reduction candidate.  Two-packet results may report the
-    single-packet reduction; see the module docstring for the selection
+    point, added to the seed list.  solved optionally maps kinds already
+    solved at these params and parity to their results: a converged CS1/CSS1
+    result stands in for the single-packet stage of CS2/CSS2, and a CS2
+    result's two_packet_energy for CSS2's guard.  Odd parity is valid only
+    for two-packet kinds.  NoConvergence propagates with the best-so-far
+    OptResult of the failing stage attached; the guard runs, and so can
+    fail, only for a reduction candidate.  Two-packet results may report
+    the single-packet reduction; see the module docstring for the selection
     rule.
     """
     if isinstance(kind, str):
         kind = AnsatzKind(kind)
     if parity == "odd" and not kind.two_branch:
         raise ValueError("odd parity requires a two-packet trial state")
+    solved = solved or {}
     count = [0, 0]  # starts tried, objective evaluations
 
-    def report(f, packed, grad_norm, converged=True, reduced=False):
+    def report(f, packed, grad_norm, converged=True, reduced=False, two_packet_energy=None):
         converged = converged and grad_norm < GRAD_TOL and math.isfinite(f)
-        return OptResult(kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1])
+        return OptResult(
+            kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1], two_packet_energy
+        )
 
     def single(x):
         xi = x[1] if kind.squeezed else 0.0
@@ -303,17 +319,29 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", wa
             )
         return x, f, grad_norm
 
-    xs, fs, g1 = minimize(energy_grad_1css, _single_starts(params, kind.squeezed, warm), single)
+    def two_stage(squeezed):
+        """The two-packet optimum (x, f, grad_norm) with or without squeezing."""
+        return minimize(projected_energy_2css, _two_starts(params, squeezed, xs, warm), two)
+
+    prior = solved.get(AnsatzKind.CSS1 if kind.squeezed else AnsatzKind.CS1) if kind.two_branch else None
+    if prior is not None and prior.converged:  # the CS1/CSS1 solve is this single-packet stage
+        p = prior.params
+        xs, fs, g1 = ([p.beta, p.xi] if kind.squeezed else [p.beta]), prior.energy, prior.grad_norm
+    else:
+        xs, fs, g1 = minimize(energy_grad_1css, _single_starts(params, kind.squeezed, warm), single)
     if not kind.two_branch:
         return report(fs, single(xs), g1)
-    xf, ff, gf = minimize(projected_energy_2css, _two_starts(params, kind.squeezed, xs, warm), two)
+    xf, ff, gf = two_stage(kind.squeezed)
     if fs - ff <= STRUCT_RTOL * max(1.0, abs(ff)):
         if not kind.squeezed:  # reducing the top of the ordering chain is always safe
-            return report(fs, single(xs), g1, reduced=True)
+            return report(fs, single(xs), g1, reduced=True, two_packet_energy=ff)
         # Raising the squeezed two-packet report to its restricted optimum
         # must not lift it above the unsqueezed two-packet optimum, or the
-        # family ordering would be disturbed.
-        _, fc, _ = minimize(projected_energy_2css, _two_starts(params, False, xs, warm), two)
+        # family ordering would be disturbed.  A CS2 result at this point
+        # gives that optimum; otherwise the stage runs here.
+        fc = getattr(solved.get(AnsatzKind.CS2), "two_packet_energy", None)
+        if fc is None:
+            fc = two_stage(False)[1]
         if fs <= fc + 1e-10 * max(1.0, abs(fc)):
-            return report(fs, single(xs), g1, reduced=True)
-    return report(ff, two(xf), gf)
+            return report(fs, single(xs), g1, reduced=True, two_packet_energy=ff)
+    return report(ff, two(xf), gf, two_packet_energy=ff)

@@ -8,9 +8,12 @@ runs share one grid driver and are restartable: when the stored meta.json
 has the same physics config (every field but the grid bounds, step and
 methods), existing rows are kept and only missing (grid point, method)
 combinations are recomputed, warm-starting from the stored neighbors;
-otherwise every row is recomputed.  Each computed row is appended to
-combined.tsv as soon as it is finished, so an interrupted run keeps its
-finished rows for the next one.
+otherwise every row is recomputed.  At each scan point the CS2/CSS2 rows
+take their single-packet stage from the CS1/CSS1 row, stored or computed,
+and CSS2 its guard from the CS2 row computed in the same run (see
+solve_ansatz).  Each computed row is appended to combined.tsv as soon as
+it is finished, so an interrupted run keeps its finished rows for the next
+one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateAnsatz, InvalidTau, NoConvergence, TruncationNotConverged
+from .errors import DegenerateAnsatz, InvalidConfig, InvalidTau, NoConvergence, TruncationNotConverged
 from .exactdiag import (
     mean_photon_ed,
     sector_splitting,
@@ -32,12 +35,13 @@ from .exactdiag import (
     spin_x_projection,
 )
 from .model import ModelParams, Truncation
-from .optimize import solve_ansatz
+from .optimize import OptResult, solve_ansatz
 from .states import count_peaks, gaussian_packet_profile, position_profile
 from .variational import (
     Ansatz1Params,
     Ansatz2Params,
     AnsatzKind,
+    energy_grad_1css,
     mean_photon_1css,
     mean_photon_2css,
     norm2_2css,
@@ -235,7 +239,11 @@ def _params_from_row(row):
 
 
 def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels, summary=None) -> list:
-    """Rows of row_fn(method, grid value, warm start) over methods x grid, written out.
+    """Rows of row_fn(method, grid value, warm start, point) over methods x grid, written out.
+
+    The warm start is the same method's row at the previous grid value,
+    rebuilt by _params_from_row; point maps each method done so far at the
+    grid value, in METHODS order, to its stored or computed row.
 
     Stored rows of an equal physics config are reused.  combined.tsv is
     first rewritten with only those rows, before meta.json records the new
@@ -255,15 +263,18 @@ def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels,
     _write_meta(out_dir, command, config)
 
     rows = []
+    points = {}
     with open(combined, "a") as fh:
         for method in cfg.methods:
             warm = None
             for value in grid:
+                point = points.setdefault(_fmt(value), {})
                 row = stored.get((method, _fmt(value)))
                 if row is None:
-                    row = row_fn(method, value, warm)
+                    row = row_fn(method, value, warm, point)
                     fh.write(_line(columns, row))
                     fh.flush()
+                point[method] = row
                 rows.append(row)
                 warm = _params_from_row(row)
 
@@ -293,17 +304,40 @@ def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
     return row
 
 
-def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm) -> dict:
+def _restored_result(cfg: ScanConfig, lam: float, row) -> OptResult | None:
+    """A stored CS1/CSS1 row as the OptResult CS2/CSS2 reuse at its point.
+
+    Rows round-trip exactly, so one objective evaluation at the stored
+    optimum restores the gradient norm the solve reported.  Rows of other
+    methods, and unconverged rows, give None.
+    """
+    kind = AnsatzKind(row["method"])
+    if kind.two_branch or not row.get("converged"):
+        return None
+    mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
+    p = Ansatz1Params(row["beta1"], row["xi"])
+    _, (de_beta, de_xi) = energy_grad_1css(mp, p.beta, p.xi)
+    grad_norm = max(abs(de_beta), abs(de_xi)) if kind.squeezed else abs(de_beta)
+    return OptResult(kind, "even", row["energy"], p, 0, grad_norm, True)
+
+
+def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm, solved: dict) -> dict:
+    """One trial-state row.
+
+    solved maps the kinds already solved at this point to their results
+    (see solve_ansatz); this row's result is added to it.
+    """
     mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
     kind = AnsatzKind(method)
     row = {"lambda": lam, "g": mp.g, "method": method, "parity": cfg.parity}
     try:
-        res = solve_ansatz(mp, kind, cfg.parity, warm=warm)
+        res = solve_ansatz(mp, kind, cfg.parity, warm=warm, solved=solved)
     except NoConvergence as exc:
-        if exc.best is None:
-            row["converged"] = False
-            return row
         res = exc.best
+    solved[kind] = res
+    if res is None:
+        row["converged"] = False
+        return row
     p = res.params
     row["energy"] = res.energy
     row["energy_scaled"] = res.energy / (cfg.delta * cfg.omega)
@@ -323,22 +357,28 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     """Energy/observable scan over a lambda grid; one row per (point, method).
 
     Every row is computed in cfg.parity.  Unknown methods, an unknown
-    parity and single-packet methods with odd parity raise ValueError
+    parity and single-packet methods with odd parity raise InvalidConfig
     before anything is written.
     """
     if cfg.parity not in ("even", "odd"):
-        raise ValueError(f"parity must be even or odd, got {cfg.parity!r}")
+        raise InvalidConfig(f"parity must be even or odd, got {cfg.parity!r}")
     unknown = [m for m in cfg.methods if m not in METHODS]
     if unknown:
-        raise ValueError(f"scan methods must come from {', '.join(METHODS)}, got {unknown}")
+        raise InvalidConfig(f"scan methods must come from {', '.join(METHODS)}, got {unknown}")
     single = [m for m in cfg.methods if m != "ED" and not AnsatzKind(m).two_branch]
     if cfg.parity == "odd" and single:
-        raise ValueError(f"odd parity needs two-packet methods or ED, got {single}")
+        raise InvalidConfig(f"odd parity needs two-packet methods or ED, got {single}")
 
-    def row(method, lam, warm):
+    solved = {}  # lambda -> {AnsatzKind: OptResult} of the kinds solved at that point in this call
+
+    def row(method, lam, warm, point):
         if method == "ED":
             return _scan_row_ed(cfg, lam)
-        return _scan_row_ansatz(cfg, lam, method, warm)
+        at = solved.setdefault(lam, {})
+        for m, done in point.items():
+            if m != "ED" and AnsatzKind(m) not in at:  # a stored row
+                at[AnsatzKind(m)] = _restored_result(cfg, lam, done)
+        return _scan_row_ansatz(cfg, lam, method, warm, at)
 
     panels = [
         ("E / (delta*omega)", [(f"{m}.tsv", "energy_scaled", "lines", m) for m in cfg.methods]),
@@ -435,10 +475,10 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
         raise InvalidTau(f"levels requires tau < 1, got {cfg.tau}")
     unknown = [m for m in cfg.methods if m not in ("ED", "CSS2")]
     if unknown:
-        raise ValueError(f"levels methods must come from ED, CSS2, got {unknown}")
+        raise InvalidConfig(f"levels methods must come from ED, CSS2, got {unknown}")
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
 
-    def row(method, ratio, warm):
+    def row(method, ratio, warm, point):
         if method == "ED":
             return _levels_row_ed(cfg, ratio, gc1)
         return _levels_row_css2(cfg, ratio, gc1)
@@ -472,7 +512,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     couplings under unconverged_lambdas.
     """
     if cfg.source not in ("ED", "CSS2"):
-        raise ValueError(f"source must be ED or CSS2, got {cfg.source!r}")
+        raise InvalidConfig(f"source must be ED or CSS2, got {cfg.source!r}")
     os.makedirs(out_dir, exist_ok=True)
     xs = cfg.xs()
     summary = []

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exactdiag import solve_parity_sector
 from .fock import build_hamiltonian, parity_diag
@@ -59,7 +58,10 @@ def _squeezed_vacuum_reference(xi: float, n_tr: int) -> np.ndarray:
     r = 2.0 * xi
     m = np.arange(0, n_tr // 2 + 1)
     amps = np.zeros(n_tr + 1)
-    logs = 0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
+    # log of sqrt((2k)!) / (2^k k!), from the stdlib log-gamma
+    logs = np.array(
+        [0.5 * math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1) for k in range(m.size)]
+    )
     amps[2 * m] = math.cosh(r) ** -0.5 * np.tanh(r) ** m * np.exp(logs)
     return amps
 

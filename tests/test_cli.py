@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rabivar
+import rabivar.optimize as optimize
 import rabivar.scan as scan
 import rabivar.verify as verify
 from rabivar.cli import main
@@ -27,7 +28,7 @@ from rabivar.scan import (
     run_wavefunction,
     write_table,
 )
-from rabivar.variational import Ansatz2Params, _bilinear_parts
+from rabivar.variational import Ansatz2Params, AnsatzKind, _bilinear_parts
 from rabivar.verify import oracle_checks, run_all
 
 SMALL_SCAN = dict(
@@ -47,6 +48,17 @@ def assert_trees_identical(a, b):
     for name in cmp.common_files:
         with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read(), f"{name} differs"
+
+
+def cli_error(argv, capsys):
+    """The one-line stderr message of a command line the CLI rejects with exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rabivar: error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
 
 
 def test_scan_outputs_and_roundtrip(tmp_path):
@@ -127,9 +139,36 @@ def test_interrupted_scan_keeps_finished_rows_and_resumes(tmp_path, monkeypatch)
     monkeypatch.setattr(scan, "_scan_row_ansatz", lambda *args: calls.append(args) or row_ansatz(*args))
     monkeypatch.setattr(scan, "solve_parity_sector", None)  # every ED row is stored
     run_scan(cfg, str(out))
-    assert [(lam, method) for _, lam, method, _ in calls] == [
+    assert [(lam, method) for _, lam, method, *_ in calls] == [
         (lam, method) for method in ("CSS1", "CSS2") for lam in cfg.grid()
     ][1:]
+    assert_trees_identical(str(fresh), str(out))
+
+
+def test_stored_single_packet_row_restores_its_result(tmp_path):
+    # A resumed CS2/CSS2 row rebuilds the CS1/CSS1 stage from the stored row,
+    # exactly as the solve reported it.
+    cfg = ScanConfig(**SMALL_SCAN)
+    solved = {}
+    for method in ("CS1", "CSS1"):
+        path = str(tmp_path / f"{method}.tsv")
+        write_table(path, scan.SCAN_COLUMNS, [scan._scan_row_ansatz(cfg, 0.9, method, None, solved)])
+        live, restored = solved[AnsatzKind(method)], scan._restored_result(cfg, 0.9, read_table(path)[1][0])
+        for field in ("energy", "params", "grad_norm"):
+            assert getattr(restored, field) == getattr(live, field), field
+        assert restored.converged and restored.parity == "even"
+
+
+def test_resumed_scan_reuses_stored_single_packet_rows(tmp_path, monkeypatch):
+    cfg = ScanConfig(**(SMALL_SCAN | {"methods": scan.METHODS}))
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_scan(cfg, str(fresh))
+    run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED", "CS1", "CSS1")})), str(out))
+    solves = []
+    objective = optimize.energy_grad_1css
+    monkeypatch.setattr(optimize, "energy_grad_1css", lambda *a, **k: solves.append(a) or objective(*a, **k))
+    run_scan(cfg, str(out))
+    assert not solves  # CS2/CSS2 took their single-packet stage from the stored rows
     assert_trees_identical(str(fresh), str(out))
 
 
@@ -180,14 +219,60 @@ def test_scan_ed_rows_come_from_the_scanned_parity(tmp_path, parity, sign, ratio
     assert abs(sector - other) > 1e-8  # the two sectors are told apart here
 
 
+@pytest.mark.parametrize("delta", [1.0, 8.0, 100.0])
+@pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
+def test_scan_rows_keep_the_family_ordering(tmp_path, delta, tau):
+    cfg = ScanConfig(delta=delta, tau=tau, lambda_max=1.5, lambda_step=0.1, methods=scan.METHODS)
+    points = {}
+    for row in run_scan(cfg, str(tmp_path / "scan")):
+        assert row["converged"]
+        points.setdefault(row["lambda"], {})[row["method"]] = row["energy"]
+    assert len(points) == len(cfg.grid())
+    for lam, e in points.items():
+        for lower, upper in (("CSS2", "CS2"), ("CSS2", "CSS1"), ("CSS1", "CS1"), ("CS2", "CS1")):
+            assert e[lower] <= e[upper] + 1e-8 * max(1.0, abs(e[upper])), (lam, lower, upper)
+
+
+def test_scan_solves_each_stage_once_per_point(tmp_path, monkeypatch):
+    # CS2/CSS2 reuse the CS1/CSS1 optimum for their single-packet stage, and
+    # CSS2's guard reads CS2's two-packet optimum: the single-packet
+    # objective runs only in CS1/CSS1 rows and the unsqueezed two-packet one
+    # (no xi argument) only in CS2 rows.
+    calls, current = [], [None]
+    for name in ("energy_grad_1css", "projected_energy_2css"):
+        objective = getattr(optimize, name)
+
+        def counted(params, *x, _name=name, _objective=objective, **kwargs):
+            calls.append((current[0], _name, len(x)))
+            return _objective(params, *x, **kwargs)
+
+        monkeypatch.setattr(optimize, name, counted)
+    row_ansatz = scan._scan_row_ansatz
+
+    def labelled(cfg, lam, method, *args):
+        current[0] = method
+        return row_ansatz(cfg, lam, method, *args)
+
+    monkeypatch.setattr(scan, "_scan_row_ansatz", labelled)
+    cfg = ScanConfig(delta=100.0, tau=1.0, lambda_max=1.5, lambda_step=0.1, methods=scan.METHODS)
+    rows = run_scan(cfg, str(tmp_path / "a"))
+    assert any(r["method"] == "CSS2" and r["c2"] == 0.0 for r in rows)  # the guard was read
+    assert {m for m, name, _ in calls if name == "energy_grad_1css"} == {"CS1", "CSS1"}
+    assert {m for m, name, n in calls if name == "projected_energy_2css" and n == 2} == {"CS2"}
+    first = list(calls)
+    calls.clear()
+    run_scan(cfg, str(tmp_path / "b"))  # no state survives the call
+    assert calls == first
+
+
 @pytest.mark.parametrize("methods, parity", [(("ED", "CS3"), "even"), (("ED", "CS1"), "odd")])
-def test_scan_rejects_inputs_before_writing(tmp_path, methods, parity):
+def test_scan_rejects_inputs_before_writing(tmp_path, capsys, methods, parity):
     out = tmp_path / "scan"
     with pytest.raises(ValueError, match=methods[1]):
         run_scan(ScanConfig(**(SMALL_SCAN | {"methods": methods, "parity": parity})), str(out))
     assert not out.exists()
-    with pytest.raises(ValueError, match=methods[1]):
-        main(["scan", "--out", str(out), "--delta", "20", "--methods", ",".join(methods), "--parity", parity])
+    argv = ["scan", "--out", str(out), "--delta", "20", "--methods", ",".join(methods), "--parity", parity]
+    assert methods[1] in cli_error(argv, capsys)
     assert not out.exists()
 
 
@@ -213,11 +298,11 @@ def test_scan_cli_flags_override_config(tmp_path):
     assert meta["version"]
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(SystemExit):
-        main(["scan", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    assert "bogus" in cli_error(["scan", "--config", str(cfg_file), "--out", str(tmp_path / "x")], capsys)
+    assert not (tmp_path / "x").exists()
 
 
 def test_levels_on_resolvable_detuning(tmp_path):
@@ -292,14 +377,23 @@ def test_levels_requires_tau_below_one(tmp_path):
         run_levels(LevelsConfig(delta=8.0, tau=1.0), str(tmp_path / "x"))
 
 
+def test_cli_reports_rejected_tau_and_source_in_one_line(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert "tau < 1" in cli_error(["levels", "--out", str(out), "--delta", "8", "--tau", "1"], capsys)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"source": "XX"}))
+    assert "'XX'" in cli_error(["wavefunction", "--config", str(cfg_file), "--out", str(out)], capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("methods", [("ED", "CS1"), ("CSS1",), ("ED", "CSS2", "CS2")])
-def test_levels_rejects_methods_it_does_not_compute(tmp_path, methods):
+def test_levels_rejects_methods_it_does_not_compute(tmp_path, capsys, methods):
     out = tmp_path / "levels"
     with pytest.raises(ValueError, match="ED, CSS2"):
         run_levels(LevelsConfig(delta=8.0, tau=0.5, g_min=1.0, g_max=1.0, methods=methods), str(out))
     assert not out.exists()
-    with pytest.raises(ValueError):
-        main(["levels", "--out", str(out), "--delta", "8", "--tau", "0.5", "--methods", ",".join(methods)])
+    argv = ["levels", "--out", str(out), "--delta", "8", "--tau", "0.5", "--methods", ",".join(methods)]
+    assert "ED, CSS2" in cli_error(argv, capsys)
     assert not out.exists()
 
 
@@ -426,12 +520,13 @@ def test_module_entry_point_help():
 
 def test_imports_leave_scipy_optimize_unloaded():
     # Importing scipy.optimize costs ~0.3 s of start-up and ~19 MB of peak
-    # RSS, past the benchmark's set-up and memory bounds.
+    # RSS, past the benchmark's set-up and memory bounds; scipy.special
+    # costs 50-80 ms and ~2 MB.
     code = (
         "import json, resource, sys, time\n"
         "t = time.perf_counter()\n"
         "import rabivar, rabivar.scan, rabivar.verify, rabivar.cli\n"
-        "print(json.dumps({'loaded': 'scipy.optimize' in sys.modules,"
+        "print(json.dumps({'loaded': [m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules],"
         " 'import_s': time.perf_counter() - t,"
         " 'peak_rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
     )
@@ -441,6 +536,6 @@ def test_imports_leave_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     cost = json.loads(proc.stdout)
     assert not cost["loaded"], (
-        f"importing rabivar loads scipy.optimize: the imports took {cost['import_s']:.2f} s "
+        f"importing rabivar loads {', '.join(cost['loaded'])}: the imports took {cost['import_s']:.2f} s "
         f"and the process peaked at {cost['peak_rss_mb']:.1f} MB"
     )

@@ -305,3 +305,21 @@ def test_guard_stage_runs_only_for_reduction_candidates(monkeypatch):
     assert calls.count(2) > 0
     # starts_tried counts the stages that ran: single, full and guard here, two of them above
     assert reduced.starts_tried > two_packet.starts_tried
+
+
+def test_css2_guard_reads_the_unreduced_cs2_optimum():
+    # At delta 10, tau 1.5, lambda 0.15 CS2 reports its single-packet
+    # reduction, ~1.8e-5 above its two-packet optimum, and the CSS1 optimum
+    # lies between the two, so comparing with CS2's reported energy would
+    # wrongly let CSS2 reduce.
+    mp = ModelParams.from_lambda(10.0, 0.15, 1.0, 1.5)
+    solved = {}
+    for kind in (AnsatzKind.CS1, AnsatzKind.CSS1, AnsatzKind.CS2):
+        solved[kind] = solve_ansatz(mp, kind, solved=solved)
+    cs2 = solved[AnsatzKind.CS2]
+    assert cs2.reduced and cs2.energy == solved[AnsatzKind.CS1].energy
+    assert cs2.two_packet_energy < cs2.energy
+    shared, alone = solve_ansatz(mp, AnsatzKind.CSS2, solved=solved), solve_ansatz(mp, AnsatzKind.CSS2)
+    assert not shared.reduced and not alone.reduced
+    assert shared.energy == pytest.approx(alone.energy, rel=1e-13, abs=1e-13)
+    assert shared.starts_tried < alone.starts_tried  # only the squeezed two-packet stage ran
