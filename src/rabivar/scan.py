@@ -13,7 +13,9 @@ take their single-packet stage from the CS1/CSS1 row, stored or computed,
 and CSS2 its guard from the CS2 row computed in the same run (see
 solve_ansatz).  Each computed row is appended to combined.tsv as soon as
 it is finished, so an interrupted run keeps its finished rows for the next
-one.
+one.  Level rows depend only on the config, the method and the coupling, so
+run_levels computes them in one worker process per available CPU; the
+files are the same as from one process.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ LEVELS_COLUMNS = (
     "mean_photon_odd",
     "mean_photon_ground",
     "converged",
+    "n_tr_used",
+    "split_error",
+    "split_digits",
+    "split_n_tr",
 )
 
 PROFILE_COLUMNS = ("x", "phi_plus", "phi_minus")
@@ -96,12 +102,19 @@ def _fmt(value) -> str:
 
 
 def _parse(value: str):
+    """A field as _fmt wrote it.
+
+    A float's repr always holds a '.', an 'e', 'inf' or 'nan', so a field
+    that int() parses was written from an int.
+    """
     if value == "":
         return None
-    try:
-        return float(value)
-    except ValueError:
-        return value
+    for kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    return value
 
 
 def _line(columns, row) -> str:
@@ -143,19 +156,19 @@ def _write_meta(out_dir: str, command: str, config: dict, extra: dict | None = N
     _replace(os.path.join(out_dir, "meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_fields) -> dict:
+def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_fields, columns) -> dict:
     """Rows of an earlier run in out_dir that may be reused, keyed by (method, grid value).
 
     Rows are reused only when that run's meta.json records the same command
     and the same config on every field except the grid bounds and step
-    (grid_fields) and the methods.  Any other difference, or a missing
-    meta.json, means the stored rows may describe other physics, and none
-    is reused.
+    (grid_fields) and the methods, and its combined.tsv has these columns.
+    Any other difference, or a missing meta.json, means the stored rows may
+    describe other physics or lack fields, and none is reused.
     """
     try:
         with open(os.path.join(out_dir, "meta.json")) as fh:
             meta = json.load(fh)
-        _, rows = read_table(os.path.join(out_dir, "combined.tsv"))
+        header, rows = read_table(os.path.join(out_dir, "combined.tsv"))
     except FileNotFoundError:
         return {}
     free = {"methods", *grid_fields}
@@ -163,7 +176,7 @@ def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_field
     def physics(c):
         return {k: v for k, v in c.items() if k not in free}
 
-    if meta.get("command") != command or physics(meta["config"]) != physics(config):
+    if meta.get("command") != command or physics(meta["config"]) != physics(config) or header != list(columns):
         return {}
     stored = {}
     for row in rows:
@@ -229,6 +242,19 @@ class WavefunctionConfig:
         return np.array([self.x_min + i * self.x_step for i in range(n + 1)])
 
 
+def _check_model(cfg) -> None:
+    """Reject a detuning, frequency or anisotropy no row can be computed for, before anything is written.
+
+    The lambda axis and g_c1 both divide by delta * omega.
+    """
+    if not cfg.delta > 0.0:
+        raise InvalidConfig(f"delta must be positive, got {cfg.delta}")
+    if not cfg.omega > 0.0:
+        raise InvalidConfig(f"omega must be positive, got {cfg.omega}")
+    if not cfg.tau >= 0.0:
+        raise InvalidConfig(f"tau must be non-negative, got {cfg.tau}")
+
+
 def _params_from_row(row):
     """Rebuild warm-start parameters from a stored scan row."""
     if row.get("c1") is not None:
@@ -238,12 +264,15 @@ def _params_from_row(row):
     return None
 
 
-def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels, summary=None) -> list:
+def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels, summary=None,
+              independent=False) -> list:
     """Rows of row_fn(method, grid value, warm start, point) over methods x grid, written out.
 
     The warm start is the same method's row at the previous grid value,
     rebuilt by _params_from_row; point maps each method done so far at the
     grid value, in METHODS order, to its stored or computed row.
+    Independent rows take neither: row_fn(method, grid value) is then
+    called through _independent_rows.
 
     Stored rows of an equal physics config are reused.  combined.tsv is
     first rewritten with only those rows, before meta.json records the new
@@ -255,28 +284,39 @@ def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels,
     """
     os.makedirs(out_dir, exist_ok=True)
     config = asdict(cfg) | {"methods": list(cfg.methods)}
-    stored = _stored_rows(out_dir, command, config, axis, grid_fields)
+    stored = _stored_rows(out_dir, command, config, axis, grid_fields, columns)
     grid = cfg.grid()
     keys = [(method, _fmt(value)) for method in cfg.methods for value in grid]
     combined = os.path.join(out_dir, "combined.tsv")
-    write_table(combined, columns, [stored[key] for key in keys if key in stored])
+    reused = [stored[key] for key in keys if key in stored]
+    write_table(combined, columns, reused)
     _write_meta(out_dir, command, config)
 
-    rows = []
-    points = {}
     with open(combined, "a") as fh:
-        for method in cfg.methods:
-            warm = None
-            for value in grid:
-                point = points.setdefault(_fmt(value), {})
-                row = stored.get((method, _fmt(value)))
-                if row is None:
-                    row = row_fn(method, value, warm, point)
-                    fh.write(_line(columns, row))
-                    fh.flush()
-                point[method] = row
-                rows.append(row)
-                warm = _params_from_row(row)
+
+        def keep(row):
+            fh.write(_line(columns, row))
+            fh.flush()
+            return row
+
+        if independent:
+            tasks = [
+                (method, value) for method in cfg.methods for value in grid if (method, _fmt(value)) not in stored
+            ]
+            rows = reused + _independent_rows(row_fn, tasks, keep)
+        else:
+            rows = []
+            points = {}
+            for method in cfg.methods:
+                warm = None
+                for value in grid:
+                    point = points.setdefault(_fmt(value), {})
+                    row = stored.get((method, _fmt(value)))
+                    if row is None:
+                        row = keep(row_fn(method, value, warm, point))
+                    point[method] = row
+                    rows.append(row)
+                    warm = _params_from_row(row)
 
     rows.sort(key=lambda r: (METHODS.index(r["method"]), r[axis]))
     for method in cfg.methods:
@@ -287,6 +327,45 @@ def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels,
     _write_meta(out_dir, command, config, summary(rows) if summary else None)
     _emit_plot(out_dir, command, panels)
     return rows
+
+
+_worker_row_fn = None  # row_fn of the pool this process works for
+
+
+def _init_worker(row_fn) -> None:
+    """Pool worker set-up: row_fn arrives by fork, and Ctrl-C is left to the parent."""
+    import signal
+
+    global _worker_row_fn
+    _worker_row_fn = row_fn
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_row(task) -> dict:
+    return _worker_row_fn(*task)
+
+
+def _independent_rows(row_fn, tasks, keep) -> list:
+    """keep(row_fn(method, value)) for each (method, value) task, in task order.
+
+    The rows are computed in a fork-context pool with one worker per CPU
+    this process may run on, at most one per task; with one worker they
+    are computed here.  Each row is kept as soon as it and every row before
+    it are done.  The pool is terminated and joined on every way out, so
+    an error in a row, which propagates, or Ctrl-C leaves no worker behind
+    and only the rows kept so far.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers < 2:
+        return [keep(row_fn(*task)) for task in tasks]
+    import multiprocessing  # kept out of import rabivar: only a parallel run pays for it
+
+    pool = multiprocessing.get_context("fork").Pool(workers, _init_worker, (row_fn,))
+    try:
+        return [keep(row) for row in pool.imap(_worker_row, tasks)]
+    finally:
+        pool.terminate()
+        pool.join()
 
 
 def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
@@ -358,8 +437,9 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
 
     Every row is computed in cfg.parity.  Unknown methods, an unknown
     parity and single-packet methods with odd parity raise InvalidConfig
-    before anything is written.
+    before anything is written, as does any input _check_model rejects.
     """
+    _check_model(cfg)
     if cfg.parity not in ("even", "odd"):
         raise InvalidConfig(f"parity must be even or odd, got {cfg.parity!r}")
     unknown = [m for m in cfg.methods if m not in METHODS]
@@ -421,14 +501,19 @@ def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
         return row
     # The float sector energies differ by noise once the splitting drops
     # below eps * |E|, so the splitting and the ground branch come from the
-    # certified extended-precision solve; unresolved leaves both empty.
-    split = sector_splitting(mp, max(even.n_tr_used, odd.n_tr_used)).splitting
+    # certified extended-precision solve; unresolved leaves both empty.  The
+    # row records the cutoff the float solves needed and the certified
+    # solve's error bound, digits and cutoff, resolved or not.
+    n_tr = max(even.n_tr_used, odd.n_tr_used)
+    certified = sector_splitting(mp, n_tr)
+    split = certified.splitting
     n_even, n_odd = mean_photon_ed(even.vectors[0]), mean_photon_ed(odd.vectors[0])
     row.update(
         e_even=even.energies[0], e_odd=odd.energies[0], splitting=split,
         mean_photon_even=n_even, mean_photon_odd=n_odd,
         mean_photon_ground=None if split is None else (n_even if split < 0.0 else n_odd),
-        converged=True,
+        converged=True, n_tr_used=n_tr, split_error=certified.error,
+        split_digits=certified.digits, split_n_tr=certified.n_tr,
     )
     return row
 
@@ -470,7 +555,9 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
 
     meta.json records g_c1 and, per method, every sign change of the
     splitting (crossings) and the first of them (crossing, None if none).
+    The rows are computed in one worker process per available CPU.
     """
+    _check_model(cfg)
     if cfg.tau >= 1.0:
         raise InvalidTau(f"levels requires tau < 1, got {cfg.tau}")
     unknown = [m for m in cfg.methods if m not in ("ED", "CSS2")]
@@ -478,7 +565,7 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
         raise InvalidConfig(f"levels methods must come from ED, CSS2, got {unknown}")
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
 
-    def row(method, ratio, warm, point):
+    def row(method, ratio):
         if method == "ED":
             return _levels_row_ed(cfg, ratio, gc1)
         return _levels_row_css2(cfg, ratio, gc1)
@@ -501,7 +588,9 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
          [(f"{m}.tsv", "mean_photon_ground", "lines", m) for m in cfg.methods]),
     ]
     grid_fields = ("g_min", "g_max", "g_step")
-    return _run_grid("levels", cfg, out_dir, "g_ratio", grid_fields, LEVELS_COLUMNS, row, panels, summary)
+    return _run_grid(
+        "levels", cfg, out_dir, "g_ratio", grid_fields, LEVELS_COLUMNS, row, panels, summary, independent=True
+    )
 
 
 def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
@@ -511,6 +600,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     state, the next coupling starts cold, and meta.json lists such
     couplings under unconverged_lambdas.
     """
+    _check_model(cfg)
     if cfg.source not in ("ED", "CSS2"):
         raise InvalidConfig(f"source must be ED or CSS2, got {cfg.source!r}")
     os.makedirs(out_dir, exist_ok=True)

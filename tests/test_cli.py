@@ -1,10 +1,13 @@
 import filecmp
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -305,6 +308,143 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "levels"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--delta", "0"], "delta must be positive"),
+        (["--delta", "-1"], "delta must be positive"),
+        (["--omega", "0"], "omega must be positive"),
+        (["--tau", "-0.5"], "tau must be non-negative"),
+    ],
+)
+def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, flags, message):
+    out = tmp_path / "x"
+    base = ["--tau", "0.5"] if command == "levels" else []
+    assert message in cli_error([command, "--out", str(out), *base, *flags], capsys)
+    assert not out.exists()
+
+
+def _env_with_src():
+    src = os.path.dirname(os.path.dirname(rabivar.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+SMALL_LEVELS = dict(delta=8.0, tau=0.5, g_min=0.96, g_max=1.04, g_step=0.02, n_tr=96)
+
+
+def test_pooled_levels_equal_rows_computed_in_process(tmp_path, monkeypatch):
+    cfg = LevelsConfig(**SMALL_LEVELS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one CPU: every row in this process
+    serial = run_levels(cfg, str(tmp_path / "serial"))
+
+    pids = tmp_path / "pids"
+    row_ed = scan._levels_row_ed
+
+    def record_pid(*args):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return row_ed(*args)
+
+    monkeypatch.setattr(scan, "_levels_row_ed", record_pid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = run_levels(cfg, str(tmp_path / "pooled"))
+    assert len(pids.read_text().split()) == len(cfg.grid())
+    assert str(os.getpid()) not in pids.read_text().split()  # the ED rows came from workers
+    assert pooled == serial
+    assert_trees_identical(str(tmp_path / "serial"), str(tmp_path / "pooled"))
+    assert not multiprocessing.active_children()
+
+
+def test_levels_worker_error_propagates_and_keeps_earlier_rows(tmp_path, monkeypatch):
+    cfg = LevelsConfig(**SMALL_LEVELS)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_levels(cfg, str(fresh))
+    row_css2 = scan._levels_row_css2
+
+    def fail_at_crossing(cfg, ratio, gc1):
+        if ratio == 1.0:
+            raise RuntimeError("row failed in a worker")
+        return row_css2(cfg, ratio, gc1)
+
+    monkeypatch.setattr(scan, "_levels_row_css2", fail_at_crossing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="row failed in a worker"):
+        run_levels(cfg, str(out))
+    assert not multiprocessing.active_children()
+    # Every row before the failed one in grid order, as the full run wrote it:
+    # the 5 ED rows and CSS2 at 0.96 and 0.98.
+    kept = (out / "combined.tsv").read_text().splitlines()
+    assert kept == (fresh / "combined.tsv").read_text().splitlines()[: 1 + 5 + 2]
+
+    monkeypatch.setattr(scan, "_levels_row_css2", row_css2)
+    run_levels(cfg, str(out))
+    assert_trees_identical(str(fresh), str(out))
+
+
+def test_interrupted_levels_leaves_no_process(tmp_path):
+    out = tmp_path / "levels"
+    argv = [sys.executable, "-m", "rabivar", "levels", "--out", str(out), "--delta", "100", "--tau", "0.5",
+            "--g-step", "0.0005"]
+    proc = subprocess.Popen(argv, env=_env_with_src(), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        combined = out / "combined.tsv"
+        while not (combined.exists() and len(combined.read_text().splitlines()) > 3):
+            assert proc.poll() is None, "the run ended before it was interrupted"
+            time.sleep(0.02)
+        seen = len(combined.read_text().splitlines())
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does: to the parent and its workers
+        _, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == -signal.SIGINT and b"KeyboardInterrupt" in err
+    deadline = time.monotonic() + 10
+    while True:  # the workers stay in the parent's session and process group
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a worker outlived the interrupted run"
+        time.sleep(0.05)
+    _, rows = read_table(str(combined))
+    assert len(rows) >= seen - 1 and len(rows) == len(combined.read_text().splitlines()) - 1
+
+
+def test_levels_ed_rows_record_the_certified_solve(tmp_path):
+    out = tmp_path / "levels"
+    run_levels(LevelsConfig(**SMALL_LEVELS), str(out))
+    columns, rows = read_table(str(out / "combined.tsv"))
+    # appended after the columns plot.gp indexes
+    assert columns[-5:] == ["converged", "n_tr_used", "split_error", "split_digits", "split_n_tr"]
+    for row in rows:
+        diagnostics = [row[c] for c in ("n_tr_used", "split_error", "split_digits", "split_n_tr")]
+        if row["method"] == "CSS2":
+            assert diagnostics == [None] * 4
+            continue
+        n_tr, error, digits, split_n_tr = diagnostics
+        assert all(isinstance(v, int) for v in (n_tr, digits, split_n_tr))
+        assert 96 <= n_tr <= split_n_tr and digits >= 90
+        assert 0.0 < error < abs(row["splitting"])
+
+
+def test_levels_rerun_over_other_columns_recomputes_every_row(tmp_path):
+    # A combined.tsv written with other columns (an older version's) is not
+    # reused, or its rows would come back with empty fields.
+    cfg = LevelsConfig(**SMALL_LEVELS)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_levels(cfg, str(fresh))
+    run_levels(cfg, str(out))
+    columns, rows = read_table(str(out / "combined.tsv"))
+    write_table(str(out / "combined.tsv"), columns[:-1], rows)
+    run_levels(cfg, str(out))
+    assert_trees_identical(str(fresh), str(out))
+
+
 def test_levels_on_resolvable_detuning(tmp_path):
     out = tmp_path / "levels"
     cfg = LevelsConfig(delta=8.0, tau=0.5, g_min=0.96, g_max=1.04, g_step=0.005, n_tr=96)
@@ -351,6 +491,7 @@ def test_levels_unresolved_splitting_leaves_fields_empty(tmp_path, monkeypatch):
     for row in rows:
         assert row["splitting"] is None and row["mean_photon_ground"] is None
         assert row["mean_photon_even"] is not None and row["converged"] == 1.0
+        assert (row["split_error"], row["split_digits"], row["split_n_tr"]) == (math.inf, 240, row["n_tr_used"])
     assert json.loads((out / "meta.json").read_text())["crossing"]["ED"] is None
 
 
@@ -502,9 +643,7 @@ def test_verify_report_deterministic():
 
 
 def test_module_entry_point_help():
-    src = os.path.dirname(os.path.dirname(rabivar.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-m", "rabivar", "--help"],
         capture_output=True,
@@ -521,18 +660,18 @@ def test_module_entry_point_help():
 def test_imports_leave_scipy_optimize_unloaded():
     # Importing scipy.optimize costs ~0.3 s of start-up and ~19 MB of peak
     # RSS, past the benchmark's set-up and memory bounds; scipy.special
-    # costs 50-80 ms and ~2 MB.
+    # costs 50-80 ms and ~2 MB.  The process pool is loaded only by a
+    # levels run that computes rows in parallel.
     code = (
         "import json, resource, sys, time\n"
         "t = time.perf_counter()\n"
         "import rabivar, rabivar.scan, rabivar.verify, rabivar.cli\n"
-        "print(json.dumps({'loaded': [m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules],"
+        "unloaded = ('scipy.optimize', 'scipy.special', 'multiprocessing.pool')\n"
+        "print(json.dumps({'loaded': [m for m in unloaded if m in sys.modules],"
         " 'import_s': time.perf_counter() - t,"
         " 'peak_rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
     )
-    src = os.path.dirname(os.path.dirname(rabivar.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _env_with_src()
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     cost = json.loads(proc.stdout)
     assert not cost["loaded"], (
