@@ -4,9 +4,11 @@ Configuration comes from an optional JSON file (--config) whose keys match
 the dataclass fields in :mod:`rabivar.scan`; command-line flags override
 file values.  All physical inputs are in units of omega.  Input a command
 rejects (an unknown config key or method, odd parity with CS1/CSS1,
-tau >= 1 for levels, an unknown source, delta or omega <= 0, tau < 0)
-ends it before anything is written, with one line "rabivar: error: ..."
-on stderr and exit status 2, as argparse does for malformed flags.
+tau >= 1 for levels, an unknown source, delta or omega <= 0, tau < 0, a
+grid step that is not positive and finite, a grid max below its min or not
+finite, n_tr not a non-negative integer, tail_tol <= 0) ends it before
+anything is written, with one line "rabivar: error: ..." on stderr and exit
+status 2, as argparse does for malformed flags.
 """
 
 from __future__ import annotations

@@ -204,6 +204,8 @@ class ScanConfig:
     n_tr: int = 256
     tail_tol: float = 1e-12
 
+    grid_fields = ("lambda_min", "lambda_max", "lambda_step")
+
     def grid(self):
         return _grid(self.lambda_min, self.lambda_max, self.lambda_step)
 
@@ -219,6 +221,8 @@ class LevelsConfig:
     methods: tuple = ("ED", "CSS2")
     n_tr: int = 256
     tail_tol: float = 1e-12
+
+    grid_fields = ("g_min", "g_max", "g_step")
 
     def grid(self):
         return _grid(self.g_min, self.g_max, self.g_step)
@@ -237,15 +241,19 @@ class WavefunctionConfig:
     n_tr: int = 256
     tail_tol: float = 1e-12
 
+    grid_fields = ("x_min", "x_max", "x_step")
+
     def xs(self):
         n = int(round((self.x_max - self.x_min) / self.x_step))
         return np.array([self.x_min + i * self.x_step for i in range(n + 1)])
 
 
 def _check_model(cfg) -> None:
-    """Reject a detuning, frequency or anisotropy no row can be computed for, before anything is written.
+    """Reject a model, grid or truncation no row can be computed for, before anything is written.
 
-    The lambda axis and g_c1 both divide by delta * omega.
+    The lambda axis and g_c1 both divide by delta * omega.  The grid named
+    by cfg.grid_fields needs finite bounds, max >= min and a finite positive
+    step.
     """
     if not cfg.delta > 0.0:
         raise InvalidConfig(f"delta must be positive, got {cfg.delta}")
@@ -253,6 +261,16 @@ def _check_model(cfg) -> None:
         raise InvalidConfig(f"omega must be positive, got {cfg.omega}")
     if not cfg.tau >= 0.0:
         raise InvalidConfig(f"tau must be non-negative, got {cfg.tau}")
+    lo_name, hi_name, step_name = cfg.grid_fields
+    lo, hi, step = (getattr(cfg, name) for name in cfg.grid_fields)
+    if not 0.0 < step < math.inf:
+        raise InvalidConfig(f"{step_name} must be positive and finite, got {step}")
+    if not -math.inf < lo <= hi < math.inf:
+        raise InvalidConfig(f"{lo_name} and {hi_name} must be finite with {hi_name} >= {lo_name}, got {lo}, {hi}")
+    if not (isinstance(cfg.n_tr, int) and cfg.n_tr >= 0):
+        raise InvalidConfig(f"n_tr must be a non-negative integer, got {cfg.n_tr!r}")
+    if not cfg.tail_tol > 0.0:
+        raise InvalidConfig(f"tail_tol must be positive, got {cfg.tail_tol}")
 
 
 def _params_from_row(row):
@@ -264,8 +282,7 @@ def _params_from_row(row):
     return None
 
 
-def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels, summary=None,
-              independent=False) -> list:
+def _run_grid(command, cfg, out_dir, axis, columns, row_fn, panels, summary=None, independent=False) -> list:
     """Rows of row_fn(method, grid value, warm start, point) over methods x grid, written out.
 
     The warm start is the same method's row at the previous grid value,
@@ -284,7 +301,7 @@ def _run_grid(command, cfg, out_dir, axis, grid_fields, columns, row_fn, panels,
     """
     os.makedirs(out_dir, exist_ok=True)
     config = asdict(cfg) | {"methods": list(cfg.methods)}
-    stored = _stored_rows(out_dir, command, config, axis, grid_fields, columns)
+    stored = _stored_rows(out_dir, command, config, axis, cfg.grid_fields, columns)
     grid = cfg.grid()
     keys = [(method, _fmt(value)) for method in cfg.methods for value in grid]
     combined = os.path.join(out_dir, "combined.tsv")
@@ -469,8 +486,7 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
             ("coefficients", [("CSS2.tsv", c, "lines", c) for c in ("c1", "c2")]),
             ("packet parameters", [("CSS2.tsv", c, "lines", c) for c in ("beta1", "beta2", "xi")]),
         ]
-    grid_fields = ("lambda_min", "lambda_max", "lambda_step")
-    return _run_grid("scan", cfg, out_dir, "lambda", grid_fields, SCAN_COLUMNS, row, panels)
+    return _run_grid("scan", cfg, out_dir, "lambda", SCAN_COLUMNS, row, panels)
 
 
 def _interp_crossings(ratios, values) -> list:
@@ -587,10 +603,7 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
         ("ground-state mean photon number",
          [(f"{m}.tsv", "mean_photon_ground", "lines", m) for m in cfg.methods]),
     ]
-    grid_fields = ("g_min", "g_max", "g_step")
-    return _run_grid(
-        "levels", cfg, out_dir, "g_ratio", grid_fields, LEVELS_COLUMNS, row, panels, summary, independent=True
-    )
+    return _run_grid("levels", cfg, out_dir, "g_ratio", LEVELS_COLUMNS, row, panels, summary, independent=True)
 
 
 def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:

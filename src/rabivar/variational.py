@@ -1,30 +1,41 @@
 """Closed-form trial-state energies, observables and stationarity residuals.
 
-Single-packet trial state (parity-even):
-
-    |psi_1> = (|+x> (x) |f(+beta)> - |-x> (x) |f(-beta)>) / sqrt(2),
-
-with |f(b)> the squeezed packet displaced to b in the +x projection (see
-:mod:`rabivar.states`).  Its energy is
-
-    E_1(beta, xi) = omega (sinh^2 2xi + beta^2) - 2 beta alpha
-                    - (delta/2 + 2 gamma beta eta^2) exp(-2 beta^2 eta^2).
-
-Two-packet trial state.  Each spin projection carries a superposition of
-two packets; the second branch is parameterized with reflected orientation
-so that at a two-packet optimum both displacement parameters come out
-positive:
+Trial states.  Each spin projection carries a superposition of two
+packets, |f(b)> being the squeezed packet displaced to b in the +x
+projection (see :mod:`rabivar.states`).  The second branch is
+parameterized with reflected orientation so that at a two-packet optimum
+both displacement parameters come out positive:
 
     +x component:  c1 |f(-beta1)> + c2 |f(+beta2)>
     -x component:  c1 |f(+beta1)> + c2 |f(-beta2)>   (times -1 for even parity,
                                                       +1 for odd parity)
 
+The single-packet (even) trial state is the case c1 = 1/sqrt(2), c2 = 0,
+beta1 = beta; :func:`energy_grad_1css` gives its energy in closed form.
 The parameterization is redundant under the exact branch relabeling
 (c1, c2, beta1, beta2) -> (c2, c1, -beta2, -beta1) and under a global sign
 flip of (c1, c2); energies are Rayleigh quotients, so (c1, c2) need not be
-normalized.  All closed forms in this module are validated against explicit
-Fock-space construction of the same states (the oracle in
-:mod:`rabivar.states`); the oracle is authoritative.
+normalized.
+
+Pair matrices.  With the -x packets at a = (beta1, -beta2) and the +x
+packets at -a, every expectation value is 2 c^T M c for a symmetric 2x2
+matrix M of one pair function of the packet positions.  With
+u = eta^2 = e^{-4xi}, sh = sinh 2xi, ch = cosh 2xi and O(d) = exp(-u d^2 / 2):
+
+    N_ij  = O(a_i - a_j)
+    Ph_ij = N_ij (sh^2 + a_i a_j + sh ch u (a_i - a_j)^2)
+    A_ij  = omega Ph_ij - alpha (a_i + a_j) N_ij
+    B_ij  = O(a_i + a_j) (delta/2 + gamma u (a_i + a_j))
+
+The energy of parity s (+1 even, -1 odd) is the Rayleigh quotient of
+A - s B over N, and the photon number that of Ph over N.  With the parts
+M_d = c1^2 M_11 + c2^2 M_22 and M_x = 2 c1 c2 M_12, the mirror splitting
+E_even(c1, c2) - E_odd(c1, -c2) is 2 [(A_x - B_d) N_d - (A_d - B_x) N_x]
+/ (N_d^2 - N_x^2), free of the cancellation between the two energies.
+
+All closed forms in this module are validated against explicit Fock-space
+construction of the same states (the oracle in :mod:`rabivar.states`); the
+oracle is authoritative.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from .model import ModelParams, Truncation
 from .states import displaced_squeezed_amplitudes
 
 _NORM_FLOOR = 1e-12
+_NO_COUPLING = ModelParams(delta=0.0)  # for the forms that read only N and Ph
 _PENCIL_FLOOR = 1e-4  # least 1 - O+^2 of projected_energy_2css
 
 
@@ -90,14 +102,9 @@ def _check_parity(parity: str) -> int:
 
 
 def _pair_overlap(eta: float, d: float) -> float:
-    """exp(-(eta d)^2 / 2) with underflow clamped to exactly zero."""
-    if d == 0.0:
-        return 1.0
+    """exp(-(eta d)^2 / 2); math.exp underflows to exactly zero."""
     t = eta * d
-    arg = 0.5 * t * t
-    if arg > 745.0:
-        return 0.0
-    return math.exp(-arg)
+    return math.exp(-0.5 * t * t)
 
 
 def energy_1css(params: ModelParams, a: Ansatz1Params) -> float:
@@ -166,56 +173,43 @@ def asymptotic_params(params: ModelParams):
     return beta, xi
 
 
-def _bilinear_parts(params: ModelParams, a: Ansatz2Params):
-    """Diagonal/cross split of the four energy pieces and the squared norm.
+def _pair_parts(params, a: Ansatz2Params):
+    """The parts ([N_d, N_x], [Ph_d, Ph_x], [A_d, A_x], [B_d, B_x]) of the pair matrices.
 
-    Returns (atom_d, atom_x, ph_d, ph_x, iso_d, iso_x, ani_d, ani_x, n_d, n_x)
-    where *_d collects the c1^2/c2^2 terms and *_x the c1 c2 cross terms of
-    <psi|.|psi> for the even combination; the odd combination flips the sign
-    of the atom and ani pieces.
+    See the module docstring; params supplies delta, omega, alpha and gamma.
     """
-    c1, c2, b1, b2 = a.c1, a.c2, a.beta1, a.beta2
+    c, pos = (a.c1, a.c2), (a.beta1, -a.beta2)
     sh = math.sinh(2.0 * a.xi)
-    ch = math.cosh(2.0 * a.xi)
+    shch = sh * math.cosh(2.0 * a.xi)
     eta = math.exp(-2.0 * a.xi)
-    eta2 = eta * eta
-    o21 = _pair_overlap(eta, 2.0 * b1)
-    o22 = _pair_overlap(eta, 2.0 * b2)
-    om = _pair_overlap(eta, b1 - b2)
-    op = _pair_overlap(eta, b1 + b2)
-    c11, c22, c12 = c1 * c1, c2 * c2, c1 * c2
+    u = eta * eta
+    n, ph, h_a, h_b = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    for i, j in ((0, 0), (1, 1), (0, 1)):
+        k, w = (0, c[i] * c[j]) if i == j else (1, 2.0 * c[i] * c[j])
+        d, sm = pos[i] - pos[j], pos[i] + pos[j]
+        o = _pair_overlap(eta, d)
+        p = o * (sh * sh + pos[i] * pos[j] + shch * u * d * d)
+        n[k] += w * o
+        ph[k] += w * p
+        h_a[k] += w * (params.omega * p - params.alpha * sm * o)
+        h_b[k] += w * _pair_overlap(eta, sm) * (0.5 * params.delta + params.gamma * u * sm)
+    return n, ph, h_a, h_b
 
-    atom_d = -params.delta * (c11 * o21 + c22 * o22)
-    atom_x = -2.0 * params.delta * c12 * om
 
-    ph_d = 2.0 * params.omega * (c11 * (sh * sh + b1 * b1) + c22 * (sh * sh + b2 * b2))
-    ph_x = 0.0
-    if op != 0.0:
-        ph_x = 4.0 * params.omega * c12 * op * (sh * sh - b1 * b2 + sh * ch * eta2 * (b1 + b2) ** 2)
-
-    iso_d = -4.0 * params.alpha * (c11 * b1 - c22 * b2)
-    iso_x = -4.0 * params.alpha * c12 * op * (b1 - b2)
-
-    ani_d = 0.0
-    if params.gamma != 0.0:
-        t1 = c11 * b1 * o21 if o21 != 0.0 else 0.0
-        t2 = c22 * b2 * o22 if o22 != 0.0 else 0.0
-        ani_d = -4.0 * params.gamma * eta2 * (t1 - t2)
-    ani_x = 0.0
-    if params.gamma != 0.0 and om != 0.0:
-        ani_x = -4.0 * params.gamma * eta2 * c12 * (b1 - b2) * om
-
-    n_d = 2.0 * (c11 + c22)
-    n_x = 4.0 * c12 * op
-    return atom_d, atom_x, ph_d, ph_x, iso_d, iso_x, ani_d, ani_x, n_d, n_x
+def _quotient(num: float, n) -> float:
+    """num / c^T N c; DegenerateAnsatz when the squared norm 2 c^T N c is below 1e-12."""
+    nrm = n[0] + n[1]
+    if 2.0 * nrm < _NORM_FLOOR:
+        raise DegenerateAnsatz(f"squared norm {2.0 * nrm:.3e} below {_NORM_FLOOR:.0e}")
+    return num / nrm
 
 
 def projected_energy_2css(params: ModelParams, beta1: float, beta2: float, xi: float = 0.0, parity: str = "even"):
     """Two-packet energy minimized over (c1, c2), with its exact gradient.
 
     For fixed packets the energy is a Rayleigh quotient in (c1, c2) of the
-    pencil h - E n built from the :func:`_bilinear_parts` pieces (halved, so
-    n = [[1, O+], [O+, 1]]); its minimum over (c1, c2) is the lowest root of
+    pencil h - E n of the :func:`_pair_parts` matrices h = A - s B and
+    n = N = [[1, O+], [O+, 1]]; its minimum over (c1, c2) is the lowest root of
     det(h - E n) = 0, and (c1, c2) the root's eigenvector (variable
     projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The
     root is found in the n-orthonormal basis (1, +-1) / sqrt(2 (1 +- O+)),
@@ -298,9 +292,8 @@ def projected_energy_2css(params: ModelParams, beta1: float, beta2: float, xi: f
 
 def norm2_2css(a: Ansatz2Params) -> float:
     """Squared norm of the two-packet state, 2(c1^2 + c2^2 + 2 c1 c2 O+)."""
-    eta = math.exp(-2.0 * a.xi)
-    op = _pair_overlap(eta, a.beta1 + a.beta2)
-    return 2.0 * (a.c1**2 + a.c2**2 + 2.0 * a.c1 * a.c2 * op)
+    n = _pair_parts(_NO_COUPLING, a)[0]
+    return 2.0 * (n[0] + n[1])
 
 
 def energy_2css(params: ModelParams, a: Ansatz2Params, parity: str = "even") -> float:
@@ -311,29 +304,14 @@ def energy_2css(params: ModelParams, a: Ansatz2Params, parity: str = "even") -> 
     below 1e-12 (near-cancelling superposition).
     """
     s = _check_parity(parity)
-    atom_d, atom_x, ph_d, ph_x, iso_d, iso_x, ani_d, ani_x, n_d, n_x = _bilinear_parts(params, a)
-    nrm = n_d + n_x
-    if nrm < _NORM_FLOOR:
-        raise DegenerateAnsatz(f"squared norm {nrm:.3e} below {_NORM_FLOOR:.0e}")
-    num = s * (atom_d + atom_x) + ph_d + ph_x + iso_d + iso_x + s * (ani_d + ani_x)
-    return num / nrm
+    n, _, h_a, h_b = _pair_parts(params, a)
+    return _quotient(h_a[0] + h_a[1] - s * (h_b[0] + h_b[1]), n)
 
 
 def mean_photon_2css(a: Ansatz2Params) -> float:
     """Mode occupation of the two-packet state (parity independent)."""
-    c1, c2, b1, b2 = a.c1, a.c2, a.beta1, a.beta2
-    sh = math.sinh(2.0 * a.xi)
-    ch = math.cosh(2.0 * a.xi)
-    eta = math.exp(-2.0 * a.xi)
-    eta2 = eta * eta
-    op = _pair_overlap(eta, b1 + b2)
-    nrm = 2.0 * (c1 * c1 + c2 * c2 + 2.0 * c1 * c2 * op)
-    if nrm < _NORM_FLOOR:
-        raise DegenerateAnsatz(f"squared norm {nrm:.3e} below {_NORM_FLOOR:.0e}")
-    ph = 2.0 * (c1 * c1 * (sh * sh + b1 * b1) + c2 * c2 * (sh * sh + b2 * b2))
-    if op != 0.0:
-        ph += 4.0 * c1 * c2 * op * (sh * sh - b1 * b2 + sh * ch * eta2 * (b1 + b2) ** 2)
-    return ph / nrm
+    n, ph, _, _ = _pair_parts(_NO_COUPLING, a)
+    return _quotient(ph[0] + ph[1], n)
 
 
 def parity_splitting_2css(params: ModelParams, a: Ansatz2Params) -> float:
@@ -342,15 +320,13 @@ def parity_splitting_2css(params: ModelParams, a: Ansatz2Params) -> float:
     The two parity optima mirror each other through c2 -> -c2 up to terms
     suppressed by the inter-packet overlaps, so this difference at the even
     optimum tracks the level splitting without the catastrophic cancellation
-    of subtracting two separately minimized energies.
+    of subtracting two separately minimized energies (module docstring).
     """
-    atom_d, atom_x, ph_d, ph_x, iso_d, iso_x, ani_d, ani_x, n_d, n_x = _bilinear_parts(params, a)
-    dsum = 2.0 * (atom_d + ph_x + iso_x + ani_d)
-    ssum = 2.0 * (atom_x + ph_d + iso_d + ani_x)
-    denom = n_d * n_d - n_x * n_x
-    if denom < _NORM_FLOOR**2:
-        raise DegenerateAnsatz(f"norm product {denom:.3e} below {_NORM_FLOOR**2:.0e}")
-    return (dsum * n_d - ssum * n_x) / denom
+    n, _, h_a, h_b = _pair_parts(params, a)
+    denom = n[0] * n[0] - n[1] * n[1]
+    if 4.0 * denom < _NORM_FLOOR**2:  # the floor is on the squared norms 2 c^T N c
+        raise DegenerateAnsatz(f"norm product {4.0 * denom:.3e} below {_NORM_FLOOR**2:.0e}")
+    return 2.0 * ((h_a[1] - h_b[0]) * n[0] - (h_a[0] - h_b[1]) * n[1]) / denom
 
 
 def ansatz2_state_vector(a: Ansatz2Params, parity: str, trunc: Truncation) -> np.ndarray:

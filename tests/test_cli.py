@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from rabivar.scan import (
     run_wavefunction,
     write_table,
 )
-from rabivar.variational import Ansatz2Params, AnsatzKind, _bilinear_parts
+from rabivar.variational import Ansatz2Params, AnsatzKind, _pair_parts
 from rabivar.verify import oracle_checks, run_all
 
 SMALL_SCAN = dict(
@@ -308,7 +309,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("command", ["scan", "levels"])
+@pytest.mark.parametrize("command", ["scan", "levels", "wavefunction"])
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -316,12 +317,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         (["--delta", "-1"], "delta must be positive"),
         (["--omega", "0"], "omega must be positive"),
         (["--tau", "-0.5"], "tau must be non-negative"),
+        (["--{axis}-step", "0"], "_step must be positive"),
+        (["--{axis}-step", "-0.1"], "_step must be positive"),
+        (["--{axis}-step", "nan"], "_step must be positive"),
+        (["--{axis}-min", "1", "--{axis}-max", "0.5"], "_max >= "),
+        (["--{axis}-max", "inf"], "_max >= "),
+        (["--ntr", "-1"], "n_tr must be a non-negative integer"),
+        (["--config", "n_tr=96.5"], "n_tr must be a non-negative integer"),
+        (["--config", "tail_tol=0"], "tail_tol must be positive"),
     ],
 )
 def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, flags, message):
     out = tmp_path / "x"
-    base = ["--tau", "0.5"] if command == "levels" else []
-    assert message in cli_error([command, "--out", str(out), *base, *flags], capsys)
+    axis = {"scan": "lambda", "levels": "g", "wavefunction": "x"}[command]
+    argv = [command, "--out", str(out), "--tau", "0.5"]
+    for flag, value in zip(flags[::2], flags[1::2]):
+        if flag == "--config":  # n_tr and tail_tol values the flags cannot carry
+            key, text = value.split("=")
+            (tmp_path / "cfg.json").write_text(json.dumps({key: float(text)}))
+            value = str(tmp_path / "cfg.json")
+        argv += [flag.format(axis=axis), value]
+    assert message in cli_error(argv, capsys)
     assert not out.exists()
 
 
@@ -619,11 +635,11 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
 
 def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch):
     def flipped_energy_2css(params, a, parity="even"):
-        # energy_2css with the antisymmetric-coupling term's sign flipped
+        # energy_2css with the antisymmetric-coupling term's sign flipped (gamma enters B only)
         s = +1.0 if parity == "even" else -1.0
-        atom_d, atom_x, ph_d, ph_x, iso_d, iso_x, ani_d, ani_x, n_d, n_x = _bilinear_parts(params, a)
-        num = s * (atom_d + atom_x) + ph_d + ph_x + iso_d + iso_x - s * (ani_d + ani_x)
-        return num / (n_d + n_x)
+        flipped = SimpleNamespace(delta=params.delta, omega=params.omega, alpha=params.alpha, gamma=-params.gamma)
+        n, _, h_a, h_b = _pair_parts(flipped, a)
+        return (h_a[0] + h_a[1] - s * (h_b[0] + h_b[1])) / (n[0] + n[1])
 
     monkeypatch.setattr(verify, "energy_2css", flipped_energy_2css)
     results = oracle_checks(n_sets=6)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -221,6 +222,50 @@ def test_parity_splitting_stable_in_deep_regime():
     a = Ansatz2Params(0.98, 0.17, 7.6, 7.3, 0.004)
     s = parity_splitting_2css(mp, a)
     assert 0.0 < abs(s) < 1e-30
+
+
+def _decimal_splitting(mp, a, digits=60):
+    """The mirror splitting of the two-packet state, expanded term by term in decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        c1, c2, b1, b2, xi = (Decimal(v) for v in (a.c1, a.c2, a.beta1, a.beta2, a.xi))
+        delta, omega, alpha, gamma = (Decimal(v) for v in (mp.delta, mp.omega, mp.alpha, mp.gamma))
+        e2 = (2 * xi).exp()
+        sh, ch, u = (e2 - 1 / e2) / 2, (e2 + 1 / e2) / 2, 1 / (e2 * e2)
+
+        def overlap(d):
+            return (-u * d * d / 2).exp()
+
+        op, om, o21, o22 = overlap(b1 + b2), overlap(b1 - b2), overlap(2 * b1), overlap(2 * b2)
+        n_d, n_x = c1 * c1 + c2 * c2, 2 * c1 * c2 * op
+        a_d = c1 * c1 * (omega * (sh * sh + b1 * b1) - 2 * alpha * b1)
+        a_d += c2 * c2 * (omega * (sh * sh + b2 * b2) + 2 * alpha * b2)
+        a_x = 2 * c1 * c2 * op * (omega * (sh * sh - b1 * b2 + sh * ch * u * (b1 + b2) ** 2) - alpha * (b1 - b2))
+        b_d = c1 * c1 * o21 * (delta / 2 + 2 * gamma * u * b1) + c2 * c2 * o22 * (delta / 2 - 2 * gamma * u * b2)
+        b_x = 2 * c1 * c2 * om * (delta / 2 + gamma * u * (b1 - b2))
+        return 2 * ((a_x - b_d) * n_d - (a_d - b_x) * n_x) / (n_d * n_d - n_x * n_x)
+
+
+@pytest.mark.parametrize(
+    "ratio, a",
+    [  # the even CSS2 optima of the README levels run (delta 100, tau 0.5)
+        (0.95, Ansatz2Params(0.9821477420553091, 0.18811117132073285, 7.645227281661268, 7.638411316328461,
+                             0.003615076230230788)),
+        (0.99, Ansatz2Params(0.9849820500568243, 0.17265677242974234, 8.062523282747886, 8.061212420776783,
+                             0.0006427571456392415)),
+        (1.05, Ansatz2Params(0.988238356963176, 0.15292138446509843, 8.667829874705003, 8.674060062937974,
+                             -0.0027368292851261584)),
+    ],
+)
+def test_tiny_parity_splitting_matches_decimal_expansion(ratio, a):
+    # The README splittings are 1e-50 to 1e-73 against energies near -100,
+    # so only the cancellation-free closed form resolves them; its regrouped
+    # float sums must keep the relative accuracy of a 60-digit evaluation.
+    gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
+    mp = ModelParams(delta=100.0, g=ratio * gc1, tau=0.5)
+    exact = _decimal_splitting(mp, a)
+    assert 1e-75 < abs(exact) < 1e-45
+    assert abs((Decimal(parity_splitting_2css(mp, a)) - exact) / exact) <= Decimal("1e-11")
 
 
 def test_state_vector_norm_matches_closed_form():
