@@ -5,7 +5,8 @@ the dataclass fields in :mod:`rabivar.scan`; command-line flags override
 file values.  All physical inputs are in units of omega.  Input a command
 rejects (an unknown config key or method, odd parity with CS1/CSS1,
 tau >= 1 for levels, an unknown source, delta or omega <= 0, tau < 0, a
-grid step that is not positive and finite, a grid max below its min or not
+negative or non-finite lambda_min, g_min or lambdas entry, a grid step
+that is not positive and finite, a grid max below its min or not
 finite, n_tr not a non-negative integer, tail_tol <= 0) ends it before
 anything is written, with one line "rabivar: error: ..." on stderr and exit
 status 2, as argparse does for malformed flags.
@@ -27,7 +28,7 @@ from .scan import (
     run_scan,
     run_wavefunction,
 )
-from .verify import DEFAULT_SEED, format_report, run_all
+from .verify import DEFAULT_SEED, format_json, format_report, run_all
 
 
 def _add_common(p):
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=["ED", "CSS2"])
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--out", help="optional directory for verify.txt")
+    p.add_argument("--out", help="optional directory for verify.txt and verify.json")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return ap
 
@@ -137,6 +138,8 @@ def _run(args) -> int:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, "verify.txt"), "w") as fh:
                 fh.write(report)
+            with open(os.path.join(args.out, "verify.json"), "w") as fh:
+                fh.write(format_json(results))
         return 0 if all(r.passed for r in results) else 1
     raise AssertionError(f"unhandled command {args.command}")
 

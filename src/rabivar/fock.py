@@ -1,4 +1,4 @@
-"""Truncated ladder/spin operators and the model Hamiltonian as dense arrays.
+"""Truncated ladder operators, the model Hamiltonian and parity as dense arrays.
 
 Basis ordering is spin-major: index = s*(n_tr+1) + n with s=0 the spin-up
 block (sigma_z eigenvalue +1) and s=1 the spin-down block, Fock index n
@@ -12,13 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelParams, Truncation
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-I_SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])  # sigma_z @ sigma_x
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |up><down|
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |down><up|
-
 
 def boson_ops(trunc: Truncation):
     """Annihilation, creation and number operators on Fock levels 0..n_tr.
@@ -39,19 +32,30 @@ def build_hamiltonian(params: ModelParams, trunc: Truncation, form: str = "ladde
     form="ladder" assembles g(a^dag sigma_- + a sigma_+) + g tau (a^dag sigma_+ + a sigma_-);
     form="quadrature" assembles the equivalent alpha (a^dag + a) sigma_x
     + gamma (a^dag - a) i sigma_y.  Both produce the identical matrix.
+
+    The diagonal and the four bands of the off-diagonal spin blocks are
+    written straight into one zeroed array, each entry with the float
+    expression the Kronecker-product form of these operators gives it.
     """
-    a, adag, num = boson_ops(trunc)
-    dim = trunc.dim
-    h = 0.5 * params.delta * np.kron(SIGMA_Z, np.eye(dim))
-    h += params.omega * np.kron(np.eye(2), num)
-    if form == "ladder":
-        h += params.g * (np.kron(SIGMA_MINUS, adag) + np.kron(SIGMA_PLUS, a))
-        h += params.g * params.tau * (np.kron(SIGMA_PLUS, adag) + np.kron(SIGMA_MINUS, a))
-    elif form == "quadrature":
-        h += params.alpha * np.kron(SIGMA_X, adag + a)
-        h += params.gamma * np.kron(I_SIGMA_Y, adag - a)
-    else:
+    if form not in ("ladder", "quadrature"):
         raise ValueError(f"unknown form {form!r}")
+    dim = trunc.dim
+    n = np.arange(dim, dtype=float)
+    rt = np.sqrt(n[1:])  # <n-1|a|n> = sqrt(n), n = 1..n_tr
+    if form == "ladder":
+        lower = params.g * rt  # a sigma_+ and its transpose a^dag sigma_-
+        upper = (params.g * params.tau) * rt  # a^dag sigma_+ and a sigma_-
+    else:
+        x, y = params.alpha * rt, params.gamma * rt
+        lower, upper = x - y, x + y
+    h = np.zeros((2 * dim, 2 * dim))
+    i = np.arange(dim)
+    half = 0.5 * params.delta
+    h[i, i] = half + params.omega * n
+    h[dim + i, dim + i] = -half + params.omega * n
+    m = i[:-1]
+    h[m, dim + m + 1] = h[dim + m + 1, m] = lower  # <up, n-1| H |down, n>
+    h[m + 1, dim + m] = h[dim + m, m + 1] = upper  # <up, n| H |down, n-1>
     return h
 
 

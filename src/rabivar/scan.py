@@ -251,9 +251,10 @@ class WavefunctionConfig:
 def _check_model(cfg) -> None:
     """Reject a model, grid or truncation no row can be computed for, before anything is written.
 
-    The lambda axis and g_c1 both divide by delta * omega.  The grid named
-    by cfg.grid_fields needs finite bounds, max >= min and a finite positive
-    step.
+    The lambda axis and g_c1 both divide by delta * omega.  Every coupling
+    (lambda_min, g_min, each of lambdas) must be non-negative and finite.
+    The grid named by cfg.grid_fields needs finite bounds, max >= min and a
+    finite positive step.
     """
     if not cfg.delta > 0.0:
         raise InvalidConfig(f"delta must be positive, got {cfg.delta}")
@@ -261,6 +262,10 @@ def _check_model(cfg) -> None:
         raise InvalidConfig(f"omega must be positive, got {cfg.omega}")
     if not cfg.tau >= 0.0:
         raise InvalidConfig(f"tau must be non-negative, got {cfg.tau}")
+    couplings = [(name, getattr(cfg, name)) for name in ("lambda_min", "g_min") if hasattr(cfg, name)]
+    for name, value in couplings + [("lambdas", lam) for lam in getattr(cfg, "lambdas", ())]:
+        if not 0.0 <= value < math.inf:
+            raise InvalidConfig(f"{name} must be non-negative and finite, got {value}")
     lo_name, hi_name, step_name = cfg.grid_fields
     lo, hi, step = (getattr(cfg, name) for name in cfg.grid_fields)
     if not 0.0 < step < math.inf:
@@ -504,6 +509,28 @@ def _interp_crossings(ratios, values) -> list:
     ]
 
 
+def _parity_disagreements(rows, grid) -> list:
+    """[first, last] g/g_c1 of each run of consecutive grid points where ED and CSS2 disagree.
+
+    A point disagrees when both methods' rows carry a signed (nonzero)
+    splitting and the signs differ, i.e. the two methods put the ground
+    state in opposite parities; a point where either row has no sign ends
+    the run.
+    """
+    negative = {(r["method"], r["g_ratio"]): r["splitting"] < 0.0 for r in rows if r.get("splitting")}
+    runs, run = [], None
+    for ratio in grid:
+        ed, css2 = negative.get(("ED", ratio)), negative.get(("CSS2", ratio))
+        if ed is None or css2 is None or ed == css2:
+            run = None
+        elif run is None:
+            run = [ratio, ratio]
+            runs.append(run)
+        else:
+            run[1] = ratio
+    return runs
+
+
 def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     g = ratio * gc1
     mp = ModelParams(delta=cfg.delta, omega=cfg.omega, g=g, tau=cfg.tau)
@@ -570,7 +597,9 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
     """Even/odd level tracking around the crossing coupling (tau < 1; methods ED, CSS2).
 
     meta.json records g_c1 and, per method, every sign change of the
-    splitting (crossings) and the first of them (crossing, None if none).
+    splitting (crossings) and the first of them (crossing, None if none);
+    with both methods, also the g/g_c1 ranges where their splittings have
+    opposite signs (parity_disagreements, see _parity_disagreements).
     The rows are computed in one worker process per available CPU.
     """
     _check_model(cfg)
@@ -592,7 +621,10 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
             sub = [r for r in rows if r["method"] == method and r.get("splitting") is not None]
             crossings[method] = _interp_crossings([r["g_ratio"] for r in sub], [r["splitting"] for r in sub])
         first = {method: found[0] if found else None for method, found in crossings.items()}
-        return {"g_c1": gc1, "crossing": first, "crossings": crossings}
+        extra = {"g_c1": gc1, "crossing": first, "crossings": crossings}
+        if {"ED", "CSS2"} <= set(cfg.methods):
+            extra["parity_disagreements"] = _parity_disagreements(rows, cfg.grid())
+        return extra
 
     panels = [
         ("energy", [

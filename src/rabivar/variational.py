@@ -329,25 +329,36 @@ def parity_splitting_2css(params: ModelParams, a: Ansatz2Params) -> float:
     return 2.0 * ((h_a[1] - h_b[0]) * n[0] - (h_a[0] - h_b[1]) * n[1]) / denom
 
 
-def ansatz2_state_vector(a: Ansatz2Params, parity: str, trunc: Truncation) -> np.ndarray:
-    """Explicit spin x Fock vector of the two-packet state (Fock oracle input).
+def ansatz2_state_vectors(a: Ansatz2Params, trunc: Truncation):
+    """Explicit spin x Fock vectors (even, odd) of the two-packet state (Fock oracle input).
 
-    Spin-major flat layout matching :mod:`rabivar.fock`; the vector is not
-    normalized (its squared norm approaches :func:`norm2_2css` as the
-    truncation grows).
+    Spin-major flat layout matching :mod:`rabivar.fock`; the vectors are not
+    normalized (each squared norm approaches :func:`norm2_2css` as the
+    truncation grows).  Each packet is built once for both parities, and
+    the +-beta1 packets serve as the +-beta2 ones when beta2 == beta1.
     """
-    s = _check_parity(parity)
-    u = a.c1 * displaced_squeezed_amplitudes(-a.beta1, a.xi, trunc)
-    u = u + a.c2 * displaced_squeezed_amplitudes(+a.beta2, a.xi, trunc)
-    v = a.c1 * displaced_squeezed_amplitudes(+a.beta1, a.xi, trunc)
-    v = v + a.c2 * displaced_squeezed_amplitudes(-a.beta2, a.xi, trunc)
+    minus1 = displaced_squeezed_amplitudes(-a.beta1, a.xi, trunc)
+    plus1 = displaced_squeezed_amplitudes(+a.beta1, a.xi, trunc)
+    if a.beta2 == a.beta1:
+        plus2, minus2 = plus1, minus1
+    else:
+        plus2 = displaced_squeezed_amplitudes(+a.beta2, a.xi, trunc)
+        minus2 = displaced_squeezed_amplitudes(-a.beta2, a.xi, trunc)
+    u = a.c1 * minus1 + a.c2 * plus2  # +x projection
+    v = a.c1 * plus1 + a.c2 * minus2  # -x projection, before the parity sign
     rt = 1.0 / math.sqrt(2.0)
-    up = rt * (u - s * v)
-    down = rt * (u + s * v)
-    return np.concatenate([up, down])
+    diff, tot = rt * (u - v), rt * (u + v)
+    return np.concatenate([diff, tot]), np.concatenate([tot, diff])
+
+
+def ansatz2_state_vector(a: Ansatz2Params, parity: str, trunc: Truncation) -> np.ndarray:
+    """The two-packet state of one parity; see :func:`ansatz2_state_vectors`."""
+    s = _check_parity(parity)
+    even, odd = ansatz2_state_vectors(a, trunc)
+    return even if s > 0 else odd
 
 
 def ansatz1_state_vector(a: Ansatz1Params, trunc: Truncation) -> np.ndarray:
     """Explicit spin x Fock vector of the single-packet (parity-even) state."""
     two = Ansatz2Params(1.0 / math.sqrt(2.0), 0.0, a.beta, a.beta, a.xi)
-    return ansatz2_state_vector(two, "even", trunc)
+    return ansatz2_state_vectors(two, trunc)[0]

@@ -9,6 +9,7 @@ from a fixed seed, so repeated runs produce identical reports.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .variational import (
     AnsatzKind,
     _pair_overlap,
     ansatz1_state_vector,
-    ansatz2_state_vector,
+    ansatz2_state_vectors,
     energy_1css,
     energy_2css,
     mean_photon_1css,
@@ -130,8 +131,7 @@ def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20):
         c1 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         c2 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         a2 = Ansatz2Params(c1, c2, rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.3))
-        psi_e = ansatz2_state_vector(a2, "even", tr)
-        psi_o = ansatz2_state_vector(a2, "odd", tr)
+        psi_e, psi_o = ansatz2_state_vectors(a2, tr)
         dev_e2_even = max(dev_e2_even, abs(_rayleigh(h, psi_e) - energy_2css(mp, a2, "even")))
         dev_e2_odd = max(dev_e2_odd, abs(_rayleigh(h, psi_o) - energy_2css(mp, a2, "odd")))
         dev_n2 = max(dev_n2, abs(_mean_photon_vec(psi_e, dim) - mean_photon_2css(a2)))
@@ -230,3 +230,17 @@ def format_report(results) -> str:
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
     return "\n".join(lines) + "\n"
+
+
+def format_json(results) -> str:
+    """The report as JSON: one object per check, then the totals.
+
+    Floats are written in shortest round-trip form, so equal results give
+    byte-identical files.
+    """
+    checks = [
+        {"name": r.name, "max_dev": float(r.max_dev), "tol": float(r.tol), "passed": bool(r.passed)} for r in results
+    ]
+    n_passed = sum(c["passed"] for c in checks)
+    totals = {"passed": n_passed, "failed": len(checks) - n_passed, "total": len(checks)}
+    return json.dumps({"checks": checks, **totals}, indent=2) + "\n"

@@ -16,6 +16,8 @@ import pytest
 import rabivar
 import rabivar.optimize as optimize
 import rabivar.scan as scan
+import rabivar.states as states
+import rabivar.variational as variational
 import rabivar.verify as verify
 from rabivar.cli import main
 from rabivar.errors import InvalidTau, NoConvergence
@@ -33,7 +35,7 @@ from rabivar.scan import (
     write_table,
 )
 from rabivar.variational import Ansatz2Params, AnsatzKind, _pair_parts
-from rabivar.verify import oracle_checks, run_all
+from rabivar.verify import format_json, oracle_checks, run_all
 
 SMALL_SCAN = dict(
     delta=20.0,
@@ -325,18 +327,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         (["--ntr", "-1"], "n_tr must be a non-negative integer"),
         (["--config", "n_tr=96.5"], "n_tr must be a non-negative integer"),
         (["--config", "tail_tol=0"], "tail_tol must be positive"),
+        (["{low}", "-0.1"], "must be non-negative and finite"),
+        (["{low}", "nan"], "must be non-negative and finite"),
+        (["{low}", "inf"], "must be non-negative and finite"),
     ],
 )
 def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, flags, message):
     out = tmp_path / "x"
     axis = {"scan": "lambda", "levels": "g", "wavefunction": "x"}[command]
+    low = {"scan": "--lambda-min", "levels": "--g-min", "wavefunction": "--lambdas"}[command]  # lowest coupling
     argv = [command, "--out", str(out), "--tau", "0.5"]
     for flag, value in zip(flags[::2], flags[1::2]):
         if flag == "--config":  # n_tr and tail_tol values the flags cannot carry
             key, text = value.split("=")
             (tmp_path / "cfg.json").write_text(json.dumps({key: float(text)}))
             value = str(tmp_path / "cfg.json")
-        argv += [flag.format(axis=axis), value]
+        argv += [flag.format(axis=axis, low=low), value]
     assert message in cli_error(argv, capsys)
     assert not out.exists()
 
@@ -494,6 +500,28 @@ def test_levels_records_every_crossing(tmp_path):
     assert meta["crossing"] == {"ED": ed[0], "CSS2": css2[0]}
 
 
+def test_levels_records_parity_disagreements_on_readme_grid(tmp_path):
+    # At detuning 100 the certified ED splitting changes sign near 1.00,
+    # 1.03, 1.06 and 1.09, the two-packet one only at g_c1, so the two put
+    # the ground state in opposite parities on 1.035-1.06 and 1.095-1.10.
+    out = tmp_path / "levels"
+    run_levels(LevelsConfig(delta=100.0, tau=0.5, g_min=0.9, g_max=1.1, g_step=0.005), str(out))
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["parity_disagreements"] == [[1.035, 1.06], [1.095, 1.1]]
+
+
+def test_parity_disagreements_need_a_sign_on_both_rows():
+    def rows(method, splittings):
+        return [{"method": method, "g_ratio": r, "splitting": v} for r, v in zip(grid, splittings)]
+
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+    ed = rows("ED", [-1.0, 1.0, 1.0, None, 1.0, -2.0, -0.0])
+    css2 = rows("CSS2", [-1.0, -1.0, -3.0, -1.0, -1.0, 1.0, 1.0])
+    # 0.4 (ED unresolved) ends a run; 0.7 (a zero splitting) has no sign
+    assert scan._parity_disagreements(ed + css2, grid) == [[0.2, 0.3], [0.5, 0.6]]
+    assert scan._parity_disagreements(ed + ed, grid) == []
+
+
 def test_levels_unresolved_splitting_leaves_fields_empty(tmp_path, monkeypatch):
     monkeypatch.setattr(
         scan, "sector_splitting", lambda params, n_tr: SectorSplitting(None, math.inf, 240, n_tr)
@@ -631,6 +659,30 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
     text = (tmp_path / "v" / "verify.txt").read_text()
     assert "FAIL" not in text
     assert text == capsys.readouterr().out
+    doc = json.loads((tmp_path / "v" / "verify.json").read_text())
+    lines = text.splitlines()
+    assert [c["name"] for c in doc["checks"]] == [line.split()[1] for line in lines[:-1]]
+    assert all(c["passed"] and c["max_dev"] <= c["tol"] for c in doc["checks"])
+    assert (doc["passed"], doc["failed"], doc["total"]) == (14, 0, 14)
+    assert lines[-1] == "14/14 checks passed"
+    for check, line in zip(doc["checks"], lines):
+        assert f"max_dev={check['max_dev']:.3e} tol={check['tol']:.1e}" in line
+
+
+def test_oracle_builds_each_packet_once(monkeypatch):
+    # 60 overlap packets, 11 css_fock_amplitudes packets, and per random
+    # set 2 single-packet (beta2 == beta1) and 4 two-packet ones
+    calls = []
+    original = states.displaced_squeezed_amplitudes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (states, verify, variational):
+        monkeypatch.setattr(module, "displaced_squeezed_amplitudes", counted)
+    assert all(r.passed for r in oracle_checks())
+    assert len(calls) == 191
 
 
 def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch):
@@ -653,9 +705,9 @@ def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch):
 def test_verify_report_deterministic():
     from rabivar.verify import format_report
 
-    a = format_report(run_all())
-    b = format_report(run_all())
-    assert a == b
+    a, b = run_all(), run_all()
+    assert format_report(a) == format_report(b)
+    assert format_json(a) == format_json(b)
 
 
 def test_module_entry_point_help():

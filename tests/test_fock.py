@@ -4,6 +4,27 @@ import pytest
 from rabivar import ModelParams, Truncation, build_hamiltonian, parity_diag
 from rabivar.fock import boson_ops
 
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+I_SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])  # sigma_z @ sigma_x
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |up><down|
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |down><up|
+
+
+def kron_hamiltonian(params, trunc, form):
+    """Textbook assembly of the Hamiltonian from Kronecker products of spin and ladder operators."""
+    a, adag, num = boson_ops(trunc)
+    dim = trunc.dim
+    h = 0.5 * params.delta * np.kron(SIGMA_Z, np.eye(dim))
+    h += params.omega * np.kron(np.eye(2), num)
+    if form == "ladder":
+        h += params.g * (np.kron(SIGMA_MINUS, adag) + np.kron(SIGMA_PLUS, a))
+        h += params.g * params.tau * (np.kron(SIGMA_PLUS, adag) + np.kron(SIGMA_MINUS, a))
+    else:
+        h += params.alpha * np.kron(SIGMA_X, adag + a)
+        h += params.gamma * np.kron(I_SIGMA_Y, adag - a)
+    return h
+
 
 def test_boson_ops_single_level_pair():
     a, adag, num = boson_ops(Truncation(1))
@@ -52,6 +73,16 @@ def test_form_cross_check_ground_energy():
     e1 = np.linalg.eigvalsh(build_hamiltonian(mp, tr, form="ladder"))[0]
     e2 = np.linalg.eigvalsh(build_hamiltonian(mp, tr, form="quadrature"))[0]
     assert abs(e1 - e2) <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["ladder", "quadrature"])
+@pytest.mark.parametrize("n_tr", [0, 1, 2, 40, 160])
+def test_matrix_equals_kron_assembly(form, n_tr):
+    rng = np.random.default_rng(n_tr)
+    tr = Truncation(n_tr)
+    for tau in (0.0, 0.5, 1.0, 1.5):
+        mp = ModelParams(delta=rng.uniform(0.0, 30.0), omega=rng.uniform(0.2, 3.0), g=rng.uniform(0.0, 3.0), tau=tau)
+        assert np.array_equal(build_hamiltonian(mp, tr, form=form), kron_hamiltonian(mp, tr, form))
 
 
 def test_unknown_form_rejected():

@@ -20,9 +20,11 @@ from rabivar import (
     asymptotic_params,
     stationarity_residuals_iso,
 )
+from rabivar.states import displaced_squeezed_amplitudes
 from rabivar.variational import (
     ansatz1_state_vector,
     ansatz2_state_vector,
+    ansatz2_state_vectors,
     energy_grad_1css,
     norm2_2css,
     projected_energy_2css,
@@ -272,6 +274,42 @@ def test_state_vector_norm_matches_closed_form():
     a = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
     psi = ansatz2_state_vector(a, "even", TR)
     assert float(psi @ psi) == pytest.approx(norm2_2css(a), abs=1e-10)
+
+
+def four_packet_vector(a, parity, trunc=TR):
+    """The two-packet state of the module docstring, each of its four packets built on its own."""
+    s = +1 if parity == "even" else -1
+    u = a.c1 * displaced_squeezed_amplitudes(-a.beta1, a.xi, trunc)
+    u = u + a.c2 * displaced_squeezed_amplitudes(+a.beta2, a.xi, trunc)
+    v = a.c1 * displaced_squeezed_amplitudes(+a.beta1, a.xi, trunc)
+    v = v + a.c2 * displaced_squeezed_amplitudes(-a.beta2, a.xi, trunc)
+    rt = 1.0 / math.sqrt(2.0)
+    return np.concatenate([rt * (u - s * v), rt * (u + s * v)])
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        Ansatz2Params(0.6, -0.3, 1.1, -0.4, 0.2),
+        Ansatz2Params(-0.8, 0.45, 2.3, 2.3, 0.15),  # beta2 == beta1: packets shared
+        Ansatz2Params(0.7, 0.0, -1.6, 0.9, 0.1),  # c2 = 0
+        Ansatz2Params(0.5, 0.5, 0.0, -0.0, 0.0),  # +0.0 == -0.0: shared
+        Ansatz2Params(0.4, -0.9, -0.0, 0.0, 0.25),
+        Ansatz2Params(0.3, 0.6, -0.0, 1.4, 0.0),
+    ],
+)
+def test_state_vectors_bit_equal_four_packet_formula(a):
+    even, odd = ansatz2_state_vectors(a, TR)
+    assert even.tobytes() == four_packet_vector(a, "even").tobytes()
+    assert odd.tobytes() == four_packet_vector(a, "odd").tobytes()
+    assert ansatz2_state_vector(a, "even", TR).tobytes() == even.tobytes()
+    assert ansatz2_state_vector(a, "odd", TR).tobytes() == odd.tobytes()
+
+
+@pytest.mark.parametrize("beta, xi", [(0.8, 0.1), (-1.9, 0.0), (0.0, 0.2), (-0.0, 0.2)])
+def test_single_packet_vector_bit_equal_four_packet_formula(beta, xi):
+    two = Ansatz2Params(1.0 / math.sqrt(2.0), 0.0, beta, beta, xi)
+    assert ansatz1_state_vector(Ansatz1Params(beta, xi), TR).tobytes() == four_packet_vector(two, "even").tobytes()
 
 
 PROJECTED_POINTS = [(3.0, 2.5, 0.1), (0.4, 0.9, -0.2), (5.0, -1.0, 0.3), (1.2, 0.3, 0.05)]
