@@ -23,11 +23,7 @@ from .exactdiag import (
     solve_parity_sector,
     spin_x_projection,
 )
-from .states import (
-    CoherentSqueezedParams,
-    css_fock_amplitudes,
-    position_profile,
-)
+from .states import position_profile
 from .variational import (
     Ansatz1Params,
     Ansatz2Params,

@@ -3,13 +3,15 @@
 Configuration comes from an optional JSON file (--config) whose keys match
 the dataclass fields in :mod:`rabivar.scan`; command-line flags override
 file values.  All physical inputs are in units of omega.  Input a command
-rejects (an unknown config key or method, odd parity with CS1/CSS1,
-tau >= 1 for levels, an unknown source, delta or omega <= 0, tau < 0, a
+rejects (a --config file that cannot be read or holds no JSON object, an
+unknown config key or method, a numeric value that is not a number, a
+bool included, odd parity with CS1/CSS1, tau >= 1 for levels, an unknown
+source, delta or omega <= 0, tau < 0, a non-finite delta, omega or tau, a
 negative or non-finite lambda_min, g_min or lambdas entry, a grid step
 that is not positive and finite, a grid max below its min or not
-finite, n_tr not a non-negative integer, tail_tol <= 0) ends it before
-anything is written, with one line "rabivar: error: ..." on stderr and exit
-status 2, as argparse does for malformed flags.
+finite, n_tr not a non-negative integer, tail_tol outside (0, 1)) ends it
+before anything is written, with one line "rabivar: error: ..." on stderr
+and exit status 2, as argparse does for malformed flags.
 """
 
 from __future__ import annotations
@@ -80,8 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args, cls, list_fields=()):
     values = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            values.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidConfig(f"cannot read config {args.config!r}: {exc}") from None
+        if not isinstance(values, dict):
+            raise InvalidConfig(f"config {args.config!r} must hold a JSON object, got {type(values).__name__}")
     for key in cls.__dataclass_fields__:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -89,9 +96,14 @@ def _load_config(args, cls, list_fields=()):
     for key in list_fields:
         if key in values and isinstance(values[key], str):
             parts = [s for s in values[key].split(",") if s]
-            values[key] = tuple(float(s) if key == "lambdas" else s for s in parts)
-        elif key in values:
+            try:
+                values[key] = tuple(float(s) if key == "lambdas" else s for s in parts)
+            except ValueError:
+                raise InvalidConfig(f"{key} must be a comma list of numbers, got {values[key]!r}") from None
+        elif isinstance(values.get(key), list):
             values[key] = tuple(values[key])
+        elif key in values:
+            raise InvalidConfig(f"{key} must be a comma list or a JSON list, got {values[key]!r}")
     unknown = set(values) - set(cls.__dataclass_fields__)
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")

@@ -44,13 +44,10 @@ class SpinFockVector:
     def down(self) -> np.ndarray:
         return self.coeffs[self.n_tr + 1 :]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass
 class SpectrumResult:
-    """Lowest eigenpairs plus the truncation actually used."""
+    """Ground level (one-entry energies and vectors lists) plus the truncation actually used."""
 
     energies: list
     vectors: list
@@ -85,9 +82,10 @@ def parity_chain(params: ModelParams, n_tr: int, parity: int):
     return diag, link[1:]
 
 
-def _chain_lowest(diag: np.ndarray, link: np.ndarray, k: int):
-    """k lowest eigenvalues and eigenvectors (columns, in chain order) of a chain."""
-    return scipy.linalg.eigh_tridiagonal(diag, link, select="i", select_range=(0, k - 1))
+def _chain_lowest(diag: np.ndarray, link: np.ndarray):
+    """Lowest eigenvalue and its eigenvector (in chain order) of a chain."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, link, select="i", select_range=(0, 0))
+    return vals[0], vecs[:, 0]
 
 
 def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:
@@ -95,36 +93,31 @@ def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:
     return float(np.max(np.abs(diag)) + abs(e) + 2.0 * np.max(link, initial=0.0))
 
 
-def _solve_chains(params: ModelParams, trunc: Truncation, parities, k: int) -> SpectrumResult:
-    """k lowest eigenpairs over the given parity sectors, with adaptive truncation.
+def _solve_chains(params: ModelParams, trunc: Truncation, parities) -> SpectrumResult:
+    """Ground level over the given parity sectors, with adaptive truncation.
 
-    Each sector's chain contributes its own k lowest levels and the levels
-    merge by energy, except that an odd level goes below an even one only
-    if it lies lower by more than the eigensolver's rounding, ten units of
-    eps on the chain's norm scale.  So inside an even/odd pair degenerate
-    below double precision the even member comes first.  n_tr doubles (up
-    to N_TR_CAP) until the ground vector carries at most tail_tol weight on
-    its top five Fock levels, which are its last five chain sites.
+    An odd level is the ground level only if it lies below the even one by
+    more than the eigensolver's rounding, ten units of eps on the chain's
+    norm scale, so inside an even/odd pair degenerate below double
+    precision the even member is the ground level.  n_tr doubles (up to
+    N_TR_CAP) until the ground vector's tail weight (Truncation.tail_weight)
+    is at most tail_tol; its top Fock levels are its last chain sites.
     """
     n_tr = trunc.n_tr
     while True:
-        levels = []  # (merge key, energy, parity, chain vector)
+        best = None  # (tie-broken energy, energy, parity, chain vector)
         for parity in parities:
             diag, link = parity_chain(params, n_tr, parity)
-            vals, vecs = _chain_lowest(diag, link, min(k, n_tr + 1))
-            tie = 0.0 if parity == +1 else 10.0 * _EPS * _norm_scale(diag, link, vals[0])
-            levels += [(e + tie, float(e), parity, vecs[:, i]) for i, e in enumerate(vals)]
-        levels.sort(key=lambda level: level[0])  # stable: even first on exact ties
-        levels = levels[:k]
-        tail = float(np.sum(levels[0][3][-5:] ** 2))
+            e, v = _chain_lowest(diag, link)
+            tie = 0.0 if parity == +1 else 10.0 * _EPS * _norm_scale(diag, link, e)
+            if best is None or e + tie < best[0]:
+                best = (e + tie, float(e), parity, v)
+        _, e, parity, v = best
+        tail = Truncation.tail_weight(v)
         if tail <= trunc.tail_tol:
-            sites = np.arange(n_tr + 1)
-            vectors = []
-            for _, _, parity, v in levels:
-                full = np.zeros(2 * (n_tr + 1))
-                full[np.where(_down_sites(n_tr, parity), n_tr + 1, 0) + sites] = v
-                vectors.append(SpinFockVector(_phase_fix(full), n_tr))
-            return SpectrumResult([level[1] for level in levels], vectors, n_tr, tail)
+            full = np.zeros(2 * (n_tr + 1))
+            full[np.where(_down_sites(n_tr, parity), n_tr + 1, 0) + np.arange(n_tr + 1)] = v
+            return SpectrumResult([e], [SpinFockVector(_phase_fix(full), n_tr)], n_tr, tail)
         if n_tr >= N_TR_CAP:
             raise TruncationNotConverged(
                 f"tail weight {tail:.3e} > {trunc.tail_tol:.3e} at n_tr={n_tr}",
@@ -134,35 +127,27 @@ def _solve_chains(params: ModelParams, trunc: Truncation, parities, k: int) -> S
         n_tr = min(2 * n_tr if n_tr > 0 else 1, N_TR_CAP)
 
 
-def solve_lowest(params: ModelParams, trunc: Truncation, k: int = 1) -> SpectrumResult:
-    """k lowest eigenpairs of the truncated Hamiltonian, merged from both parity chains.
+def solve_lowest(params: ModelParams, trunc: Truncation) -> SpectrumResult:
+    """Ground level of the truncated Hamiltonian, the lower of the two parity chains' ones.
 
-    Doubles n_tr (up to 4096) until the ground vector carries less than
-    tail_tol weight on the top five Fock levels; raises
-    TruncationNotConverged if the cap is insufficient.  Each vector lies in
-    one parity sector; in an even/odd pair degenerate to below double
-    precision the even member is the ground state.
+    Doubles n_tr (up to 4096) until the ground vector's tail weight is at
+    most tail_tol; raises TruncationNotConverged if the cap is
+    insufficient.  The vector lies in one parity sector; in an even/odd
+    pair degenerate to below double precision the even member is the
+    ground state.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > 2 * trunc.dim:
-        raise ValueError(f"k={k} exceeds basis dimension {2 * trunc.dim}")
-    return _solve_chains(params, trunc, (+1, -1), k)
+    return _solve_chains(params, trunc, (+1, -1))
 
 
-def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int, k: int = 1) -> SpectrumResult:
-    """k lowest eigenpairs restricted to the parity = +-1 subspace.
+def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int) -> SpectrumResult:
+    """Ground level of the parity = +-1 subspace.
 
-    Returned vectors live on the full spin x Fock basis with zeros outside
-    the sector, so downstream projections apply unchanged.
+    The returned vector lives on the full spin x Fock basis with zeros
+    outside the sector, so downstream projections apply unchanged.
     """
     if parity not in (+1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > trunc.dim:
-        raise ValueError(f"k={k} exceeds sector dimension {trunc.dim}")
-    return _solve_chains(params, trunc, (parity,), k)
+    return _solve_chains(params, trunc, (parity,))
 
 
 @dataclass
@@ -279,9 +264,9 @@ def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int, 
     is infinite when the counts fail.
     """
     diag_f, link_f = parity_chain(params, n_tr + 1, parity)
-    vals, vecs = _chain_lowest(diag_f[:-1], link_f[:-1], 1)
-    seed = float(vals[0])
-    peak = int(np.argmax(np.abs(vecs[:, 0])))
+    e_f, v_f = _chain_lowest(diag_f[:-1], link_f[:-1])
+    seed = float(e_f)
+    peak = int(np.argmax(np.abs(v_f)))
     scale = _norm_scale(diag_f, link_f, seed)
     with localcontext(Context(prec=digits)):
         radius = Decimal(10.0 * scale).scaleb(1 - digits)
@@ -295,7 +280,7 @@ def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int, 
             )
         except ZeroDivisionError:  # an exactly vanishing pivot
             certified = False
-    tail = (seed, peak, float(vecs[peak, 0]))
+    tail = (seed, peak, float(v_f[peak]))
     if not certified:
         return None, math.inf, math.inf, tail
     trunc = _truncation_bounds(diag_f.tolist(), link_f.tolist(), float(e), peak, tail[2], n_tr)[0]

@@ -1,4 +1,4 @@
-"""Truncated ladder operators, the model Hamiltonian and parity as dense arrays.
+"""The model Hamiltonian and parity as dense arrays on the spin x Fock basis.
 
 Basis ordering is spin-major: index = s*(n_tr+1) + n with s=0 the spin-up
 block (sigma_z eigenvalue +1) and s=1 the spin-down block, Fock index n
@@ -12,18 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ModelParams, Truncation
-
-def boson_ops(trunc: Truncation):
-    """Annihilation, creation and number operators on Fock levels 0..n_tr.
-
-    a[n-1, n] = sqrt(n); creation is the transpose; number is diagonal.
-    """
-    dim = trunc.dim
-    a = np.zeros((dim, dim))
-    if dim > 1:
-        rt = np.sqrt(np.arange(1.0, dim))
-        a[np.arange(dim - 1), np.arange(1, dim)] = rt
-    return a, a.T.copy(), np.diag(np.arange(dim, dtype=float))
 
 
 def build_hamiltonian(params: ModelParams, trunc: Truncation, form: str = "ladder") -> np.ndarray:

@@ -7,7 +7,10 @@ unless the caller chooses otherwise; ``omega`` defaults to 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidTau
 
@@ -29,6 +32,9 @@ class ModelParams:
     tau: float = 1.0
 
     def __post_init__(self):
+        for name in ("delta", "omega", "g", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.delta < 0.0:
@@ -78,19 +84,25 @@ class ModelParams:
 class Truncation:
     """Fock-space cutoff: levels 0..n_tr are kept.
 
-    tail_tol bounds the probability weight allowed on the top five kept
-    levels of any produced state; adaptive solvers enlarge n_tr until the
-    bound holds.
+    tail_tol bounds the tail weight (:meth:`tail_weight`) of any produced
+    state; adaptive solvers enlarge n_tr until the bound holds.  It lies
+    in (0, 1): a weight of 1 or more, or an infinite one, would pass every
+    cutoff.
     """
 
     n_tr: int
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.n_tr < 0 or int(self.n_tr) != self.n_tr:
-            raise ValueError(f"n_tr must be a non-negative integer, got {self.n_tr}")
-        if not self.tail_tol > 0.0:
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
+        if not (isinstance(self.n_tr, numbers.Integral) and self.n_tr >= 0):
+            raise ValueError(f"n_tr must be a non-negative integer, got {self.n_tr!r}")
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must be positive and below 1, got {self.tail_tol}")
+
+    @staticmethod
+    def tail_weight(v: np.ndarray) -> float:
+        """Probability weight of the amplitudes v on their top five levels (all of them if fewer)."""
+        return float(np.sum(v[-5:] ** 2))
 
     @property
     def dim(self) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -162,20 +162,23 @@ def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_field
     Rows are reused only when that run's meta.json records the same command
     and the same config on every field except the grid bounds and step
     (grid_fields) and the methods, and its combined.tsv has these columns.
-    Any other difference, or a missing meta.json, means the stored rows may
-    describe other physics or lack fields, and none is reused.
+    Any other difference, or a meta.json that is missing or holds no such
+    record, means the stored rows may describe other physics or lack
+    fields, and none is reused.
     """
     try:
         with open(os.path.join(out_dir, "meta.json")) as fh:
             meta = json.load(fh)
         header, rows = read_table(os.path.join(out_dir, "combined.tsv"))
-    except FileNotFoundError:
+    except (OSError, ValueError):
         return {}
     free = {"methods", *grid_fields}
 
     def physics(c):
         return {k: v for k, v in c.items() if k not in free}
 
+    if not (isinstance(meta, dict) and isinstance(meta.get("config"), dict)):
+        return {}
     if meta.get("command") != command or physics(meta["config"]) != physics(config) or header != list(columns):
         return {}
     stored = {}
@@ -186,9 +189,13 @@ def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_field
     return stored
 
 
+def _steps(lo: float, hi: float, step: float) -> range:
+    """Indices i of the grid points lo + i * step that do not pass hi by more than 1e-9 of a step."""
+    return range(math.floor((hi - lo) / step + 1e-9) + 1)
+
+
 def _grid(lo: float, hi: float, step: float) -> list:
-    n = int(round((hi - lo) / step))
-    return [round(lo + i * step, 12) for i in range(n + 1)]
+    return [round(lo + i * step, 12) for i in _steps(lo, hi, step)]
 
 
 @dataclass
@@ -244,24 +251,31 @@ class WavefunctionConfig:
     grid_fields = ("x_min", "x_max", "x_step")
 
     def xs(self):
-        n = int(round((self.x_max - self.x_min) / self.x_step))
-        return np.array([self.x_min + i * self.x_step for i in range(n + 1)])
+        return np.array([self.x_min + i * self.x_step for i in _steps(self.x_min, self.x_max, self.x_step)])
 
 
 def _check_model(cfg) -> None:
     """Reject a model, grid or truncation no row can be computed for, before anything is written.
 
-    The lambda axis and g_c1 both divide by delta * omega.  Every coupling
-    (lambda_min, g_min, each of lambdas) must be non-negative and finite.
-    The grid named by cfg.grid_fields needs finite bounds, max >= min and a
-    finite positive step.
+    Every numeric field and each of lambdas must be an int or a float (not
+    a bool).  The lambda axis and g_c1 both divide by delta * omega, so
+    delta must be positive; omega, tau, n_tr and tail_tol must be valid for
+    ModelParams and Truncation.  Every coupling (lambda_min, g_min, each of
+    lambdas) must be non-negative and finite.  The grid named by
+    cfg.grid_fields needs finite bounds, max >= min and a finite positive
+    step.
     """
+    numeric = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if type(f.default) in (int, float)]
+    for name, value in numeric + [("lambdas", lam) for lam in getattr(cfg, "lambdas", ())]:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InvalidConfig(f"{name} must be a number, got {value!r}")
     if not cfg.delta > 0.0:
         raise InvalidConfig(f"delta must be positive, got {cfg.delta}")
-    if not cfg.omega > 0.0:
-        raise InvalidConfig(f"omega must be positive, got {cfg.omega}")
-    if not cfg.tau >= 0.0:
-        raise InvalidConfig(f"tau must be non-negative, got {cfg.tau}")
+    try:
+        ModelParams(cfg.delta, cfg.omega, tau=cfg.tau)
+        Truncation(cfg.n_tr, cfg.tail_tol)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from None
     couplings = [(name, getattr(cfg, name)) for name in ("lambda_min", "g_min") if hasattr(cfg, name)]
     for name, value in couplings + [("lambdas", lam) for lam in getattr(cfg, "lambdas", ())]:
         if not 0.0 <= value < math.inf:
@@ -272,10 +286,6 @@ def _check_model(cfg) -> None:
         raise InvalidConfig(f"{step_name} must be positive and finite, got {step}")
     if not -math.inf < lo <= hi < math.inf:
         raise InvalidConfig(f"{lo_name} and {hi_name} must be finite with {hi_name} >= {lo_name}, got {lo}, {hi}")
-    if not (isinstance(cfg.n_tr, int) and cfg.n_tr >= 0):
-        raise InvalidConfig(f"n_tr must be a non-negative integer, got {cfg.n_tr!r}")
-    if not cfg.tail_tol > 0.0:
-        raise InvalidConfig(f"tail_tol must be positive, got {cfg.tail_tol}")
 
 
 def _params_from_row(row):
@@ -657,8 +667,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
         mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
         if cfg.source == "ED":
             res = solve_lowest(mp, Truncation(cfg.n_tr, cfg.tail_tol))
-            prof = position_profile(*spin_x_projection(res.vectors[0]), xs, cfg.omega)
-            phi_p, phi_m = prof.phi_plus, prof.phi_minus
+            phi_p, phi_m = position_profile(*spin_x_projection(res.vectors[0]), xs, cfg.omega)
         else:
             try:
                 p = warm = solve_ansatz(mp, AnsatzKind.CSS2, "even", warm=warm).params

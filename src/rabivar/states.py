@@ -20,7 +20,6 @@ generators, are the numerical oracle against which every closed form in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,34 +27,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import TruncationNotConverged
 from .model import Truncation
-
-@dataclass(frozen=True)
-class CoherentSqueezedParams:
-    """Displacement beta and squeezing xi of a single packet."""
-
-    beta: float
-    xi: float = 0.0
-
-    @property
-    def eta(self) -> float:
-        """Width factor cosh(2 xi) - sinh(2 xi) = exp(-2 xi)."""
-        return math.exp(-2.0 * self.xi)
-
-
-@dataclass
-class WavefunctionProfile:
-    """Sampled spin-projected wavefunctions and their peak structure."""
-
-    xs: np.ndarray
-    phi_plus: np.ndarray
-    phi_minus: np.ndarray
-    peaks_plus: int
-    peaks_minus: int
-
-    def norm(self) -> float:
-        return float(
-            np.trapezoid(self.phi_plus**2 + self.phi_minus**2, self.xs)
-        )
 
 
 def oscillator_wavefunctions(n_max: int, x, omega: float = 1.0) -> np.ndarray:
@@ -93,26 +64,16 @@ def count_peaks(density: np.ndarray, floor_frac: float = 0.02) -> int:
     return int(np.count_nonzero(hits))
 
 
-def position_profile(c_plus, c_minus, xs, omega: float = 1.0) -> WavefunctionProfile:
-    """Sampled phi_{+x}, phi_{-x} from sigma_x-basis Fock coefficients.
+def position_profile(c_plus, c_minus, xs, omega: float = 1.0):
+    """Sampled (phi_{+x}, phi_{-x}) from sigma_x-basis Fock coefficients.
 
-    phi_{+-x}(x) = sum_n c_{n,+-} <x|n>; peaks are counted on |phi|^2 with a
-    2% floor relative to each profile's own maximum.
+    phi_{+-x}(x) = sum_n c_{n,+-} <x|n>.
     """
     c_plus = np.asarray(c_plus, dtype=float)
     c_minus = np.asarray(c_minus, dtype=float)
-    xs = np.asarray(xs, dtype=float)
     n_max = max(c_plus.size, c_minus.size) - 1
     basis = oscillator_wavefunctions(n_max, xs, omega)
-    phi_p = c_plus @ basis[: c_plus.size]
-    phi_m = c_minus @ basis[: c_minus.size]
-    return WavefunctionProfile(
-        xs=xs,
-        phi_plus=phi_p,
-        phi_minus=phi_m,
-        peaks_plus=count_peaks(phi_p**2),
-        peaks_minus=count_peaks(phi_m**2),
-    )
+    return c_plus @ basis[: c_plus.size], c_minus @ basis[: c_minus.size]
 
 
 @lru_cache(maxsize=8)
@@ -163,8 +124,7 @@ def displaced_squeezed_amplitudes(displacement: float, xi: float, trunc: Truncat
     if displacement != 0.0:
         v = _exp_chain(_chain_modes(trunc.n_tr, "displace"), displacement, v)
     nrm = float(np.linalg.norm(v))
-    top = min(5, trunc.dim)
-    deficit = max(abs(1.0 - nrm), float(np.sum(v[trunc.dim - top :] ** 2)) / nrm**2)
+    deficit = max(abs(1.0 - nrm), Truncation.tail_weight(v) / nrm**2)
     if deficit > trunc.tail_tol:
         raise TruncationNotConverged(
             f"tail weight {deficit:.3e} > {trunc.tail_tol:.3e} at n_tr={trunc.n_tr}",
@@ -172,15 +132,6 @@ def displaced_squeezed_amplitudes(displacement: float, xi: float, trunc: Truncat
             tail_weight=deficit,
         )
     return v / nrm
-
-
-def css_fock_amplitudes(p: CoherentSqueezedParams, trunc: Truncation) -> np.ndarray:
-    """Fock amplitudes of the packet U(beta)^dag S(xi)^dag |0>.
-
-    U(beta)^dag displaces by -beta and S(xi)^dag squeezes with the sign that
-    makes the position variance grow as exp(4 xi).
-    """
-    return displaced_squeezed_amplitudes(-p.beta, p.xi, trunc)
 
 
 def gaussian_packet_profile(xs, displacement: float, xi: float, omega: float = 1.0) -> np.ndarray:

@@ -351,13 +351,6 @@ def ansatz2_state_vectors(a: Ansatz2Params, trunc: Truncation):
     return np.concatenate([diff, tot]), np.concatenate([tot, diff])
 
 
-def ansatz2_state_vector(a: Ansatz2Params, parity: str, trunc: Truncation) -> np.ndarray:
-    """The two-packet state of one parity; see :func:`ansatz2_state_vectors`."""
-    s = _check_parity(parity)
-    even, odd = ansatz2_state_vectors(a, trunc)
-    return even if s > 0 else odd
-
-
 def ansatz1_state_vector(a: Ansatz1Params, trunc: Truncation) -> np.ndarray:
     """Explicit spin x Fock vector of the single-packet (parity-even) state."""
     two = Ansatz2Params(1.0 / math.sqrt(2.0), 0.0, a.beta, a.beta, a.xi)

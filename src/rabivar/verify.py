@@ -19,11 +19,7 @@ from .exactdiag import solve_parity_sector
 from .fock import build_hamiltonian, parity_diag
 from .model import ModelParams, Truncation
 from .optimize import solve_ansatz
-from .states import (
-    CoherentSqueezedParams,
-    css_fock_amplitudes,
-    displaced_squeezed_amplitudes,
-)
+from .states import displaced_squeezed_amplitudes
 from .variational import (
     Ansatz1Params,
     Ansatz2Params,
@@ -98,7 +94,7 @@ def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20):
 
     dev_sq = 0.0
     for xi in (0.05, 0.2, 0.35):
-        v = css_fock_amplitudes(CoherentSqueezedParams(0.0, xi), tr)
+        v = displaced_squeezed_amplitudes(0.0, xi, tr)
         dev_sq = max(dev_sq, float(np.max(np.abs(v - _squeezed_vacuum_reference(xi, tr.n_tr)))))
 
     dev_ph_state = 0.0
@@ -106,7 +102,7 @@ def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20):
     for _ in range(8):
         beta = rng.uniform(-3.0, 3.0)
         xi = rng.uniform(0.0, 0.4)
-        v = css_fock_amplitudes(CoherentSqueezedParams(beta, xi), tr)
+        v = displaced_squeezed_amplitudes(-beta, xi, tr)
         dev_ph_state = max(
             dev_ph_state,
             abs(float(nvec @ v**2) - (math.sinh(2 * xi) ** 2 + beta**2)),

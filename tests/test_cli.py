@@ -195,6 +195,17 @@ def test_scan_rerun_with_other_physics_recomputes_every_row(tmp_path):
     assert_trees_identical(str(fresh), str(reused))
 
 
+@pytest.mark.parametrize("meta", ["{not json", '{"command": "scan"}', '["scan"]', '{"command": "scan", "config": 1}'])
+def test_scan_rerun_over_unreadable_meta_recomputes_every_row(tmp_path, meta):
+    # Rows stored under a meta.json that records no config are never reused.
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 10.0})), str(reused))
+    (reused / "meta.json").write_text(meta)
+    run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 50.0})), str(reused))
+    run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 50.0})), str(fresh))
+    assert_trees_identical(str(fresh), str(reused))
+
+
 def test_rerun_reuses_rows_across_grid_and_methods(tmp_path, monkeypatch):
     out = tmp_path / "scan"
     run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED", "CS1")})), str(out))
@@ -327,6 +338,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         (["--ntr", "-1"], "n_tr must be a non-negative integer"),
         (["--config", "n_tr=96.5"], "n_tr must be a non-negative integer"),
         (["--config", "tail_tol=0"], "tail_tol must be positive"),
+        (["--config", "tail_tol=1"], "tail_tol must be positive and below 1"),
+        (["--config", "tail_tol=inf"], "tail_tol must be positive and below 1"),
+        (["--delta", "inf"], "delta must be finite"),
+        (["--omega", "inf"], "omega must be finite"),
+        (["--tau", "nan"], "tau must be finite"),
         (["{low}", "-0.1"], "must be non-negative and finite"),
         (["{low}", "nan"], "must be non-negative and finite"),
         (["{low}", "inf"], "must be non-negative and finite"),
@@ -345,6 +361,65 @@ def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, 
         argv += [flag.format(axis=axis, low=low), value]
     assert message in cli_error(argv, capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, message",
+    [
+        ("wavefunction", ["--lambdas", "a,b"], None, "lambdas must be a comma list of numbers"),
+        ("wavefunction", [], {"lambdas": ["a"]}, "lambdas must be a number"),
+        ("scan", [], {"methods": 5}, "methods must be a comma list or a JSON list"),
+        ("scan", [], "missing", "cannot read config"),
+        ("scan", [], "{delta: 1}", "cannot read config"),
+        ("scan", [], [1, 2], "must hold a JSON object, got list"),
+        ("scan", [], {"delta": "abc"}, "delta must be a number, got 'abc'"),
+        ("levels", [], {"tau": True}, "tau must be a number, got True"),
+        ("wavefunction", [], {"n_tr": False}, "n_tr must be a number, got False"),
+    ],
+)
+def test_cli_rejects_malformed_input_before_writing(tmp_path, capsys, command, flags, config, message):
+    out = tmp_path / "x"
+    argv = [command, "--out", str(out), *flags]
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        if config != "missing":
+            cfg_file.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(cfg_file)]
+    assert message in cli_error(argv, capsys)
+    assert not out.exists()
+
+
+def test_infinite_tail_tol_rejected_before_a_truncated_row_is_written(tmp_path, capsys):
+    # With tail_tol inf, n_tr 8 passed the truncation check: the ED row read
+    # -53.5 with converged=1, above the CSS2 row, where the ground energy is -61.8.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"tail_tol": math.inf}))
+    argv = ["scan", "--config", str(cfg_file), "--out", str(tmp_path / "x"), "--ntr", "8",
+            "--lambda-min", "1.4", "--lambda-max", "1.4", "--methods", "ED,CSS2"]
+    assert "tail_tol" in cli_error(argv, capsys)
+    assert not (tmp_path / "x").exists()
+    res = solve_parity_sector(ModelParams.from_lambda(100.0, 1.4), Truncation(8), +1)
+    assert res.energies[0] == pytest.approx(-61.826, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "command, cfg, axis",
+    [
+        ("scan", ScanConfig(delta=8.0, lambda_max=1.0, lambda_step=0.6, methods=("ED",), n_tr=32), "lambda"),
+        ("levels", LevelsConfig(delta=8.0, tau=0.5, g_min=0.9, g_max=1.0, g_step=0.06, methods=("ED",), n_tr=32),
+         "g_ratio"),
+        ("wavefunction", WavefunctionConfig(delta=8.0, lambdas=(0.5,), x_min=-1.0, x_max=1.0, x_step=0.3, n_tr=32),
+         "x"),
+    ],
+)
+def test_grid_stops_at_its_max(tmp_path, command, cfg, axis):
+    # The point count used to be rounded, so lambda 1.2, g/g_c1 1.02 and x 1.1 were written.
+    run = {"scan": run_scan, "levels": run_levels, "wavefunction": run_wavefunction}[command]
+    run(cfg, str(tmp_path))
+    name = "wf_ED_lam0.5.tsv" if command == "wavefunction" else "combined.tsv"
+    values = [row[axis] for row in read_table(str(tmp_path / name))[1]]
+    expected = {"scan": [0.0, 0.6], "levels": [0.9, 0.96], "wavefunction": [-1.0, -0.7, -0.4, -0.1, 0.2, 0.5, 0.8]}
+    assert values == pytest.approx(expected[command], abs=1e-12)
 
 
 def _env_with_src():
@@ -670,7 +745,7 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
 
 
 def test_oracle_builds_each_packet_once(monkeypatch):
-    # 60 overlap packets, 11 css_fock_amplitudes packets, and per random
+    # 60 overlap packets, 11 single packets of the squeezing and photon checks, and per random
     # set 2 single-packet (beta2 == beta1) and 4 two-packet ones
     calls = []
     original = states.displaced_squeezed_amplitudes

@@ -40,7 +40,7 @@ def jaynes_cummings_ground(delta, omega, g, n_max=2000):
 
 
 def test_decoupled_ground_state():
-    res = solve_lowest(ModelParams(delta=1.0, g=0.0), Truncation(16), k=1)
+    res = solve_lowest(ModelParams(delta=1.0, g=0.0), Truncation(16))
     assert res.energies[0] == pytest.approx(-0.5, abs=1e-14)
     v = res.vectors[0]
     expected = np.zeros(2 * (res.n_tr_used + 1))
@@ -93,28 +93,38 @@ def test_sector_union_matches_full_spectrum():
             tau=float(rng.choice([0.5, 1.0, 1.5])),
         )
         tr = Truncation(40, tail_tol=1e-6)
-        full = solve_lowest(mp, tr, k=k)
-        dense, _ = _dense_lowest(mp, full.n_tr_used, k)
-        assert np.allclose(full.energies, dense, atol=1e-10)
-        even = solve_parity_sector(mp, tr, +1, k=k)
-        odd = solve_parity_sector(mp, tr, -1, k=k)
-        assert even.n_tr_used == odd.n_tr_used == full.n_tr_used
-        merged = sorted(even.energies + odd.energies)[:k]
-        assert np.allclose(merged, dense, atol=1e-10)
+        full = solve_lowest(mp, tr)
+        n_tr = full.n_tr_used
+        dense, _ = _dense_lowest(mp, n_tr, k)
+        assert full.energies[0] == pytest.approx(dense[0], abs=1e-10)
+        even = solve_parity_sector(mp, tr, +1)
+        odd = solve_parity_sector(mp, tr, -1)
+        assert even.n_tr_used == odd.n_tr_used == n_tr
+        assert min(even.energies[0], odd.energies[0]) == full.energies[0]
+        chains = [
+            scipy.linalg.eigh_tridiagonal(*parity_chain(mp, n_tr, parity), eigvals_only=True,
+                                          select="i", select_range=(0, k - 1))
+            for parity in (+1, -1)
+        ]
+        assert np.allclose([chains[0][0], chains[1][0]], even.energies + odd.energies, atol=1e-12)
+        assert np.allclose(np.sort(np.concatenate(chains))[:k], dense, atol=1e-10)
 
 
-def test_eigenpair_residuals():
+@pytest.mark.parametrize("parity", [0, -1], ids=["both", "odd"])
+def test_eigenpair_residuals(parity):
     mp = ModelParams(delta=2.0, omega=1.0, g=0.8, tau=1.5)
     tr = Truncation(48, tail_tol=1e-8)
-    res = solve_lowest(mp, tr, k=3)
-    dense, h = _dense_lowest(mp, res.n_tr_used, 3)
-    np.testing.assert_allclose(res.energies, dense, rtol=0.0, atol=1e-10)
-    bound = 1e-10 * np.max(np.abs(h))
+    res = solve_parity_sector(mp, tr, parity) if parity else solve_lowest(mp, tr)
+    h = build_hamiltonian(mp, Truncation(res.n_tr_used))
+    e, v = res.energies[0], res.vectors[0].coeffs
+    dense = scipy.linalg.eigvalsh(h)
+    assert np.min(np.abs(dense - e)) <= 1e-10
+    if not parity:
+        assert e == pytest.approx(dense[0], abs=1e-10)
+    assert np.linalg.norm(h @ v - e * v) <= 1e-10 * np.max(np.abs(h))
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     p = parity_diag(Truncation(res.n_tr_used))
-    for e, v in zip(res.energies, res.vectors):
-        assert np.linalg.norm(h @ v.coeffs - e * v.coeffs) <= bound
-        assert abs(v.norm() - 1.0) <= 1e-12
-        assert abs(v.coeffs @ (p * v.coeffs)) == pytest.approx(1.0, abs=1e-12)  # definite parity
+    assert abs(v @ (p * v)) == pytest.approx(1.0, abs=1e-12)  # definite parity
 
 
 @pytest.mark.parametrize("lam", [1.3, 1.5])
@@ -134,7 +144,7 @@ def test_isotropic_ground_state_is_even_in_degenerate_pair(lam, n_tr):
 def test_solve_lowest_independent_of_blas_threads():
     script = (
         "import numpy as np; from rabivar import ModelParams, Truncation, solve_lowest\n"
-        "r = solve_lowest(ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0), Truncation(256), k=3)\n"
+        "r = solve_lowest(ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0), Truncation(256))\n"
         "print(np.array(r.energies).tobytes().hex(), "
         "np.concatenate([v.coeffs for v in r.vectors]).tobytes().hex())\n"
     )
@@ -154,11 +164,7 @@ def test_phase_fixing_sign():
     assert v[np.argmax(np.abs(v))] > 0
 
 
-def test_k_validation():
-    with pytest.raises(ValueError):
-        solve_lowest(ModelParams(delta=1.0), Truncation(4), k=0)
-    with pytest.raises(ValueError):
-        solve_lowest(ModelParams(delta=1.0), Truncation(4), k=11)
+def test_parity_validation():
     with pytest.raises(ValueError):
         solve_parity_sector(ModelParams(delta=1.0), Truncation(4), parity=0)
 

@@ -1,14 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
 from rabivar import ModelParams, Truncation, build_hamiltonian, parity_diag
-from rabivar.fock import boson_ops
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 I_SIGMA_Y = np.array([[0.0, 1.0], [-1.0, 0.0]])  # sigma_z @ sigma_x
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |up><down|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # |down><up|
+
+
+def boson_ops(trunc):
+    """Annihilation, creation and number operators on Fock levels 0..n_tr.
+
+    a[n-1, n] = sqrt(n); creation is the transpose; number is diagonal.
+    """
+    dim = trunc.dim
+    a = np.zeros((dim, dim))
+    if dim > 1:
+        rt = np.sqrt(np.arange(1.0, dim))
+        a[np.arange(dim - 1), np.arange(1, dim)] = rt
+    return a, a.T.copy(), np.diag(np.arange(dim, dtype=float))
 
 
 def kron_hamiltonian(params, trunc, form):
@@ -151,6 +165,33 @@ def test_invalid_params_rejected():
         Truncation(-1)
     with pytest.raises(ValueError):
         Truncation(4, tail_tol=0.0)
+
+
+@pytest.mark.parametrize("field", ["delta", "omega", "g", "tau"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_params_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams(**({"delta": 1.0} | {field: value}))
+
+
+@pytest.mark.parametrize("tail_tol", [1.0, 2.0, math.inf, math.nan, -1e-12])
+def test_tail_tol_that_passes_every_cutoff_rejected(tail_tol):
+    # A tail weight never exceeds 1, so such a tail_tol accepted any cutoff.
+    with pytest.raises(ValueError, match="tail_tol must be positive and below 1"):
+        Truncation(8, tail_tol)
+
+
+@pytest.mark.parametrize("n_tr", [3.0, "8"])
+def test_non_integer_cutoff_rejected(n_tr):
+    with pytest.raises(ValueError, match="n_tr must be a non-negative integer"):
+        Truncation(n_tr)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5, 6, 41])
+def test_tail_weight_is_the_top_five_levels(dim):
+    v = np.random.default_rng(dim).standard_normal(dim)
+    assert Truncation.tail_weight(v) == float(np.sum(v[dim - min(5, dim):] ** 2))
+    assert Truncation.tail_weight(v) == float(np.sum(v[-5:] ** 2))
 
 
 def test_gc1_requires_weak_counter_rotation():

@@ -6,11 +6,9 @@ import scipy.linalg
 from scipy.special import gammaln
 
 from rabivar import (
-    CoherentSqueezedParams,
     ModelParams,
     Truncation,
     TruncationNotConverged,
-    css_fock_amplitudes,
     position_profile,
     solve_lowest,
     spin_x_projection,
@@ -63,7 +61,7 @@ def test_no_overflow_at_high_order():
 
 
 def test_vacuum_packet():
-    v = css_fock_amplitudes(CoherentSqueezedParams(0.0, 0.0), Truncation(30))
+    v = displaced_squeezed_amplitudes(0.0, 0.0, Truncation(30))
     expected = np.zeros(31)
     expected[0] = 1.0
     assert np.array_equal(v, expected)
@@ -71,7 +69,7 @@ def test_vacuum_packet():
 
 def test_squeezed_vacuum_against_closed_form():
     tr = Truncation(160, 1e-10)
-    v = css_fock_amplitudes(CoherentSqueezedParams(0.0, 0.2), tr)
+    v = displaced_squeezed_amplitudes(0.0, 0.2, tr)
     ref = squeezed_vacuum_amplitudes(0.2, tr.n_tr)
     assert np.max(np.abs(v - ref)) <= 1e-10
     assert np.max(np.abs(v[1::2])) == 0.0  # odd levels empty
@@ -79,7 +77,7 @@ def test_squeezed_vacuum_against_closed_form():
 
 def test_packet_norm_and_occupation():
     tr = Truncation(160, 1e-10)
-    v = css_fock_amplitudes(CoherentSqueezedParams(1.3, 0.1), tr)
+    v = displaced_squeezed_amplitudes(-1.3, 0.1, tr)
     n = np.arange(tr.dim)
     assert float(v @ v) == pytest.approx(1.0, abs=1e-12)
     expected = math.sinh(0.2) ** 2 + 1.3**2
@@ -116,7 +114,7 @@ def test_displaced_vacuum_is_poisson():
 
 def test_truncation_guard_raises():
     with pytest.raises(TruncationNotConverged):
-        css_fock_amplitudes(CoherentSqueezedParams(3.0, 0.0), Truncation(10))
+        displaced_squeezed_amplitudes(-3.0, 0.0, Truncation(10))
 
 
 def test_overlap_identical_packets():
@@ -174,15 +172,6 @@ def test_overlap_specific_pair():
     )
 
 
-def test_width_factor_properties():
-    for xi in (0.0, 0.13, 0.4):
-        p = CoherentSqueezedParams(0.0, xi)
-        q = CoherentSqueezedParams(0.0, -xi)
-        assert p.eta * q.eta == pytest.approx(1.0, abs=1e-14)
-        assert p.eta * math.exp(2.0 * xi) == pytest.approx(1.0, abs=1e-14)
-    assert CoherentSqueezedParams(0.0, 0.0).eta == 1.0
-
-
 def test_count_peaks_floor_discrimination():
     xs = np.linspace(-10, 10, 2001)
     main = np.exp(-((xs - 2.0) ** 2))
@@ -196,8 +185,8 @@ def test_profile_norm_from_normalized_state():
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
     res = solve_lowest(mp, Truncation(256))
     c_plus, c_minus = spin_x_projection(res.vectors[0])
-    prof = position_profile(c_plus, c_minus, xs)
-    assert prof.norm() == pytest.approx(1.0, abs=1e-3)
+    phi_plus, phi_minus = position_profile(c_plus, c_minus, xs)
+    assert np.trapezoid(phi_plus**2 + phi_minus**2, xs) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_peak_counts_stable_under_grid_refinement():
@@ -207,8 +196,8 @@ def test_peak_counts_stable_under_grid_refinement():
     counts = []
     for step in (0.02, 0.01):
         xs = np.arange(-25.0, 25.0 + 1e-9, step)
-        prof = position_profile(c_plus, c_minus, xs)
-        counts.append((prof.peaks_plus, prof.peaks_minus))
+        phi_plus, phi_minus = position_profile(c_plus, c_minus, xs)
+        counts.append((count_peaks(phi_plus**2), count_peaks(phi_minus**2)))
     assert counts[0] == counts[1]
 
 

@@ -23,7 +23,6 @@ from rabivar import (
 from rabivar.states import displaced_squeezed_amplitudes
 from rabivar.variational import (
     ansatz1_state_vector,
-    ansatz2_state_vector,
     ansatz2_state_vectors,
     energy_grad_1css,
     norm2_2css,
@@ -142,8 +141,7 @@ def test_odd_packet_at_origin():
 def test_two_packet_energies_against_fock():
     mp = ModelParams.from_lambda(100.0, 1.05, 1.0, 1.0)
     a = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
-    for parity in ("even", "odd"):
-        psi = ansatz2_state_vector(a, parity, TR)
+    for parity, psi in zip(("even", "odd"), ansatz2_state_vectors(a, TR)):
         assert abs(rayleigh(mp, psi) - energy_2css(mp, a, parity)) <= 1e-8
 
 
@@ -159,8 +157,7 @@ def test_two_packet_energies_fock_random():
             rng.uniform(0.2, 1.0), rng.uniform(-1.0, 1.0),
             rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.3),
         )
-        for parity in ("even", "odd"):
-            psi = ansatz2_state_vector(a, parity, TR)
+        for parity, psi in zip(("even", "odd"), ansatz2_state_vectors(a, TR)):
             worst = max(worst, abs(rayleigh(mp, psi) - energy_2css(mp, a, parity)))
     assert worst <= 1e-8
 
@@ -170,7 +167,7 @@ def test_two_packet_photon_number():
     assert mean_photon_2css(a) == pytest.approx(1.0 + math.sinh(0.2) ** 2, abs=1e-13)
     assert mean_photon_2css(Ansatz2Params(0.5, 0.5, 0.0, 0.0, 0.0)) == 0.0
     b = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
-    psi = ansatz2_state_vector(b, "even", TR)
+    psi = ansatz2_state_vectors(b, TR)[0]
     assert abs(photon_of(psi) - mean_photon_2css(b)) <= 1e-8
 
 
@@ -187,8 +184,8 @@ def test_branch_relabeling_invariance():
 
 def test_relabeled_state_is_identical():
     a = Ansatz2Params(0.6, -0.3, 1.1, -0.4, 0.2)
-    psi = ansatz2_state_vector(a, "even", TR)
-    psi_rel = ansatz2_state_vector(a.relabeled(), "even", TR)
+    psi = ansatz2_state_vectors(a, TR)[0]
+    psi_rel = ansatz2_state_vectors(a.relabeled(), TR)[0]
     assert np.max(np.abs(psi - psi_rel)) <= 1e-12
 
 
@@ -272,7 +269,7 @@ def test_tiny_parity_splitting_matches_decimal_expansion(ratio, a):
 
 def test_state_vector_norm_matches_closed_form():
     a = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
-    psi = ansatz2_state_vector(a, "even", TR)
+    psi = ansatz2_state_vectors(a, TR)[0]
     assert float(psi @ psi) == pytest.approx(norm2_2css(a), abs=1e-10)
 
 
@@ -302,8 +299,6 @@ def test_state_vectors_bit_equal_four_packet_formula(a):
     even, odd = ansatz2_state_vectors(a, TR)
     assert even.tobytes() == four_packet_vector(a, "even").tobytes()
     assert odd.tobytes() == four_packet_vector(a, "odd").tobytes()
-    assert ansatz2_state_vector(a, "even", TR).tobytes() == even.tobytes()
-    assert ansatz2_state_vector(a, "odd", TR).tobytes() == odd.tobytes()
 
 
 @pytest.mark.parametrize("beta, xi", [(0.8, 0.1), (-1.9, 0.0), (0.0, 0.2), (-0.0, 0.2)])
