@@ -9,7 +9,7 @@ bool included, odd parity with CS1/CSS1, tau >= 1 for levels, an unknown
 source, delta or omega <= 0, tau < 0, a non-finite delta, omega or tau, a
 negative or non-finite lambda_min, g_min or lambdas entry, a grid step
 that is not positive and finite, a grid max below its min or not
-finite, n_tr not a non-negative integer, tail_tol outside (0, 1)) ends it
+finite, a grid of more than a million points, n_tr not a non-negative integer, tail_tol outside (0, 1)) ends it
 before anything is written, with one line "rabivar: error: ..." on stderr
 and exit status 2, as argparse does for malformed flags.
 """

@@ -1,11 +1,14 @@
 """Multi-start quasi-Newton minimization of the trial-state energies.
 
-Every objective comes with its exact gradient.  The single-packet energy
-E_1(beta, xi) is minimized directly.  For two-packet kinds the linear
-coefficients (c1, c2) are projected out: for fixed packets the energy is a
-Rayleigh quotient in them, so :func:`rabivar.variational.projected_energy_2css`
-returns the lowest root of the 2x2 pencil and, by the Hellmann-Feynman
-theorem, its gradient in (beta1, beta2[, xi]).  A BFGS with Armijo
+Every objective comes with its exact gradient, and each stage binds its
+objective once (:func:`rabivar.variational.objective`).  The single-packet
+energy E_1(beta, xi) is minimized directly.  For two-packet kinds the
+linear coefficients (c1, c2) are projected out: for fixed packets the
+energy is a Rayleigh quotient in them, so the objective is the lowest root
+of the 2x2 pencil with, by the Hellmann-Feynman theorem, its gradient in
+(beta1, beta2[, xi]).  A solve depends only on its model parameters, kind
+and parity (and on the results of the same point it reuses, below): every
+stage starts from fixed seeds, never from another point.  A BFGS with Armijo
 backtracking runs from each start.  No trial state has more than three
 free variables, so :func:`bfgs` is a fixed three-slot kernel on Python
 float locals (fewer variables ride in frozen slots), and identical inputs
@@ -43,15 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateAnsatz, NoConvergence
+from .errors import NoConvergence
 from .model import ModelParams
 from .variational import (
     Ansatz1Params,
     Ansatz2Params,
     AnsatzKind,
     asymptotic_params,
-    energy_grad_1css,
-    projected_energy_2css,
+    objective,
 )
 
 GRAD_TOL = 1e-5
@@ -225,17 +227,13 @@ def _seed_values(params: ModelParams):
     return beta_small, beta_mf, xi_seed
 
 
-def _single_starts(params: ModelParams, squeezed: bool, warm):
+def _single_starts(params: ModelParams, squeezed: bool):
     bs, bm, xa = _seed_values(params)
-    starts = [(bs, xa), (bm, 0.0), (bm, xa), (bs, 0.0)] if squeezed else [(bs,), (bm,), (0.5 * bm,)]
-    if warm is not None:
-        beta = warm.beta if isinstance(warm, Ansatz1Params) else warm.beta1
-        starts.append((beta, warm.xi) if squeezed else (beta,))
-    return starts
+    return [(bs, xa), (bm, 0.0), (bm, xa), (bs, 0.0)] if squeezed else [(bs,), (bm,), (0.5 * bm,)]
 
 
-def _two_starts(params: ModelParams, squeezed: bool, single_x, warm):
-    """Three starts on the symmetric line beta1 = beta2, one off it, and the warm start.
+def _two_starts(params: ModelParams, squeezed: bool, single_x):
+    """Three starts on the symmetric line beta1 = beta2 and one off it.
 
     The start off the line keeps the odd solve at g = 0 from stalling on
     the stationary point with both packets at the origin.
@@ -243,26 +241,20 @@ def _two_starts(params: ModelParams, squeezed: bool, single_x, warm):
     bs, bm, xa = _seed_values(params)
     b1, x1 = single_x[0], single_x[1] if squeezed else 0.0
     starts = [(b1, b1, x1), (bm, bm, xa if squeezed else 0.0), (bs, bs, 0.0), (b1 + 1.0, b1, x1)]
-    if isinstance(warm, Ansatz2Params):
-        starts.append((warm.beta1, warm.beta2, warm.xi))
     return starts if squeezed else [start[:2] for start in starts]
 
 
-def solve_ansatz(
-    params: ModelParams, kind: AnsatzKind, parity: str = "even", warm=None, solved=None
-) -> OptResult:
+def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", solved=None) -> OptResult:
     """Multi-start minimization of the chosen trial-state energy.
 
-    warm is an optional Ansatz1Params/Ansatz2Params from a neighboring scan
-    point, added to the seed list.  solved optionally maps kinds already
-    solved at these params and parity to their results: a converged CS1/CSS1
-    result stands in for the single-packet stage of CS2/CSS2, and a CS2
-    result's two_packet_energy for CSS2's guard.  Odd parity is valid only
-    for two-packet kinds.  NoConvergence propagates with the best-so-far
-    OptResult of the failing stage attached; the guard runs, and so can
-    fail, only for a reduction candidate.  Two-packet results may report
-    the single-packet reduction; see the module docstring for the selection
-    rule.
+    solved optionally maps kinds already solved at these params and parity
+    to their results: a converged CS1/CSS1 result stands in for the
+    single-packet stage of CS2/CSS2, and a CS2 result's two_packet_energy
+    for CSS2's guard.  Odd parity is valid only for two-packet kinds.
+    NoConvergence propagates with the best-so-far OptResult of the failing
+    stage attached; the guard runs, and so can fail, only for a reduction
+    candidate.  Two-packet results may report the single-packet reduction;
+    see the module docstring for the selection rule.
     """
     if isinstance(kind, str):
         kind = AnsatzKind(kind)
@@ -270,6 +262,7 @@ def solve_ansatz(
         raise ValueError("odd parity requires a two-packet trial state")
     solved = solved or {}
     count = [0, 0]  # starts tried, objective evaluations
+    single_kind = AnsatzKind.CSS1 if kind.squeezed else AnsatzKind.CS1
 
     def report(f, packed, grad_norm, converged=True, reduced=False, two_packet_energy=None):
         converged = converged and grad_norm < GRAD_TOL and math.isfinite(f)
@@ -277,28 +270,17 @@ def solve_ansatz(
             kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1], two_packet_energy
         )
 
-    def single(x):
-        xi = x[1] if kind.squeezed else 0.0
-        return Ansatz2Params(1.0, 0.0, x[0], x[0], xi) if kind.two_branch else Ansatz1Params(x[0], xi)
+    def pack(stage, x):
+        """The parameters of this kind's trial state at the stage's optimum x."""
+        xi = x[-1] if stage.squeezed else 0.0
+        if not stage.two_branch:
+            return Ansatz2Params(1.0, 0.0, x[0], x[0], xi) if kind.two_branch else Ansatz1Params(x[0], xi)
+        c1, c2 = objective(params, stage, parity)(x, True)
+        return canonicalize_2css(Ansatz2Params(c1, c2, x[0], x[1], xi))
 
-    def two(x):
-        _, _, c1, c2 = projected_energy_2css(params, *x, parity=parity)
-        return canonicalize_2css(Ansatz2Params(c1, c2, x[0], x[1], x[2] if len(x) > 2 else 0.0))
-
-    def minimize(energy_grad, starts, pack):
-        """Lowest BFGS run over the starts: (x, f, grad_norm)."""
-        nvar = len(starts[0])
-
-        def fg(x):  # degenerate, overflowing or non-finite points get f = inf
-            try:
-                r = energy_grad(params, *x, parity=parity)
-            except (DegenerateAnsatz, OverflowError):
-                return math.inf, None
-            e, g = r[0], r[1]
-            if not math.isfinite(e):
-                return math.inf, None
-            return e, g if len(g) == nvar else g[:nvar]  # CS kinds leave xi out
-
+    def minimize(stage, starts):
+        """Lowest BFGS run of the stage kind's objective over the starts: (x, f, grad_norm)."""
+        fg = objective(params, stage, parity)
         best, stopped = None, False
         for start in starts:
             try:
@@ -315,33 +297,30 @@ def solve_ansatz(
         if not stopped:
             raise NoConvergence(
                 "no start stopped within the iteration cap",
-                best=report(f, pack(x), grad_norm, converged=False) if math.isfinite(f) else None,
+                best=report(f, pack(stage, x), grad_norm, converged=False) if math.isfinite(f) else None,
             )
         return x, f, grad_norm
 
-    def two_stage(squeezed):
-        """The two-packet optimum (x, f, grad_norm) with or without squeezing."""
-        return minimize(projected_energy_2css, _two_starts(params, squeezed, xs, warm), two)
-
-    prior = solved.get(AnsatzKind.CSS1 if kind.squeezed else AnsatzKind.CS1) if kind.two_branch else None
+    prior = solved.get(single_kind) if kind.two_branch else None
     if prior is not None and prior.converged:  # the CS1/CSS1 solve is this single-packet stage
         p = prior.params
         xs, fs, g1 = ([p.beta, p.xi] if kind.squeezed else [p.beta]), prior.energy, prior.grad_norm
     else:
-        xs, fs, g1 = minimize(energy_grad_1css, _single_starts(params, kind.squeezed, warm), single)
+        xs, fs, g1 = minimize(single_kind, _single_starts(params, kind.squeezed))
+    single = pack(single_kind, xs)
     if not kind.two_branch:
-        return report(fs, single(xs), g1)
-    xf, ff, gf = two_stage(kind.squeezed)
+        return report(fs, single, g1)
+    xf, ff, gf = minimize(kind, _two_starts(params, kind.squeezed, xs))
     if fs - ff <= STRUCT_RTOL * max(1.0, abs(ff)):
         if not kind.squeezed:  # reducing the top of the ordering chain is always safe
-            return report(fs, single(xs), g1, reduced=True, two_packet_energy=ff)
+            return report(fs, single, g1, reduced=True, two_packet_energy=ff)
         # Raising the squeezed two-packet report to its restricted optimum
         # must not lift it above the unsqueezed two-packet optimum, or the
         # family ordering would be disturbed.  A CS2 result at this point
         # gives that optimum; otherwise the stage runs here.
         fc = getattr(solved.get(AnsatzKind.CS2), "two_packet_energy", None)
         if fc is None:
-            fc = two_stage(False)[1]
+            fc = minimize(AnsatzKind.CS2, _two_starts(params, False, xs))[1]
         if fs <= fc + 1e-10 * max(1.0, abs(fc)):
-            return report(fs, single(xs), g1, reduced=True, two_packet_energy=ff)
-    return report(ff, two(xf), gf, two_packet_energy=ff)
+            return report(fs, single, g1, reduced=True, two_packet_energy=ff)
+    return report(ff, pack(kind, xf), gf, two_packet_energy=ff)

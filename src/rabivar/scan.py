@@ -4,18 +4,17 @@ All data files are tab-separated text with a header row; floats are written
 with shortest-roundtrip repr so files parse back bit-exactly and repeated
 runs are byte-identical.  A JSON sidecar records the full configuration and
 package version (never timestamps or absolute paths).  Scans and level
-runs share one grid driver and are restartable: when the stored meta.json
-has the same physics config (every field but the grid bounds, step and
-methods), existing rows are kept and only missing (grid point, method)
-combinations are recomputed, warm-starting from the stored neighbors;
-otherwise every row is recomputed.  At each scan point the CS2/CSS2 rows
-take their single-packet stage from the CS1/CSS1 row, stored or computed,
-and CSS2 its guard from the CS2 row computed in the same run (see
-solve_ansatz).  Each computed row is appended to combined.tsv as soon as
-it is finished, so an interrupted run keeps its finished rows for the next
-one.  Level rows depend only on the config, the method and the coupling, so
-run_levels computes them in one worker process per available CPU; the
-files are the same as from one process.
+runs share one grid driver.  A row depends only on the config and its grid
+point, so the driver computes the grid points in one worker process per
+available CPU; the files are the same as from one process.  Within a scan
+point the CS2/CSS2 rows take their single-packet stage from the CS1/CSS1
+row, stored or computed, and CSS2 its guard from the CS2 row computed at
+the same point (see solve_ansatz).  Runs are restartable: when the stored
+meta.json has the same physics config (every field but the grid bounds,
+step and methods), existing rows are kept and only missing (grid point,
+method) combinations are recomputed; otherwise every row is recomputed.
+Each computed row is appended to combined.tsv as soon as it is finished,
+so an interrupted run keeps its finished rows for the next one.
 """
 
 from __future__ import annotations
@@ -41,16 +40,17 @@ from .optimize import OptResult, solve_ansatz
 from .states import count_peaks, gaussian_packet_profile, position_profile
 from .variational import (
     Ansatz1Params,
-    Ansatz2Params,
     AnsatzKind,
-    energy_grad_1css,
     mean_photon_1css,
     mean_photon_2css,
     norm2_2css,
+    objective,
     parity_splitting_2css,
 )
 
 METHODS = ("ED", "CS1", "CSS1", "CS2", "CSS2")
+
+GRID_POINTS_MAX = 1_000_000  # points of one grid _check_model accepts
 
 SCAN_COLUMNS = (
     "lambda",
@@ -262,8 +262,8 @@ def _check_model(cfg) -> None:
     delta must be positive; omega, tau, n_tr and tail_tol must be valid for
     ModelParams and Truncation.  Every coupling (lambda_min, g_min, each of
     lambdas) must be non-negative and finite.  The grid named by
-    cfg.grid_fields needs finite bounds, max >= min and a finite positive
-    step.
+    cfg.grid_fields needs finite bounds, max >= min, a finite positive
+    step and at most GRID_POINTS_MAX points.
     """
     numeric = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if type(f.default) in (int, float)]
     for name, value in numeric + [("lambdas", lam) for lam in getattr(cfg, "lambdas", ())]:
@@ -286,41 +286,37 @@ def _check_model(cfg) -> None:
         raise InvalidConfig(f"{step_name} must be positive and finite, got {step}")
     if not -math.inf < lo <= hi < math.inf:
         raise InvalidConfig(f"{lo_name} and {hi_name} must be finite with {hi_name} >= {lo_name}, got {lo}, {hi}")
+    if not (hi - lo) / step < GRID_POINTS_MAX - 1:
+        raise InvalidConfig(f"{step_name} {step} gives more than {GRID_POINTS_MAX} grid points from {lo} to {hi}")
 
 
-def _params_from_row(row):
-    """Rebuild warm-start parameters from a stored scan row."""
-    if row.get("c1") is not None:
-        return Ansatz2Params(row["c1"], row["c2"], row["beta1"], row["beta2"], row["xi"])
-    if row.get("beta1") is not None:
-        return Ansatz1Params(row["beta1"], row["xi"] or 0.0)
-    return None
+def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=None) -> list:
+    """Rows over cfg.methods x grid, computed point by point and written out.
 
-
-def _run_grid(command, cfg, out_dir, axis, columns, row_fn, panels, summary=None, independent=False) -> list:
-    """Rows of row_fn(method, grid value, warm start, point) over methods x grid, written out.
-
-    The warm start is the same method's row at the previous grid value,
-    rebuilt by _params_from_row; point maps each method done so far at the
-    grid value, in METHODS order, to its stored or computed row.
-    Independent rows take neither: row_fn(method, grid value) is then
-    called through _independent_rows.
+    rows_at(value, methods, stored) yields the rows of the methods (in
+    METHODS order) missing at a grid value; stored maps each method with a
+    reusable row there to that row.  The points with missing rows are
+    computed through _pooled_rows.
 
     Stored rows of an equal physics config are reused.  combined.tsv is
     first rewritten with only those rows, before meta.json records the new
     config, so a stored row never sits under a config it was not computed
-    for; each computed row is then appended as soon as it is finished.
-    The finished run rewrites combined.tsv sorted by method, in METHODS
-    order, then grid value, next to one <method>.tsv per method, meta.json
-    (with summary(rows) added) and plot.gp.
+    for; each computed row is then appended as soon as it is kept.  The
+    finished run rewrites combined.tsv sorted by method, in METHODS order,
+    then grid value, next to one <method>.tsv per method, meta.json (with
+    summary(rows) added) and plot.gp.
     """
     os.makedirs(out_dir, exist_ok=True)
     config = asdict(cfg) | {"methods": list(cfg.methods)}
     stored = _stored_rows(out_dir, command, config, axis, cfg.grid_fields, columns)
-    grid = cfg.grid()
-    keys = [(method, _fmt(value)) for method in cfg.methods for value in grid]
+    methods = [m for m in METHODS if m in cfg.methods]
+    tasks, reused = [], []
+    for value in cfg.grid():
+        at = {m: stored[m, _fmt(value)] for m in methods if (m, _fmt(value)) in stored}
+        reused += at.values()
+        if len(at) < len(methods):
+            tasks.append((value, [m for m in methods if m not in at], at))
     combined = os.path.join(out_dir, "combined.tsv")
-    reused = [stored[key] for key in keys if key in stored]
     write_table(combined, columns, reused)
     _write_meta(out_dir, command, config)
 
@@ -331,24 +327,7 @@ def _run_grid(command, cfg, out_dir, axis, columns, row_fn, panels, summary=None
             fh.flush()
             return row
 
-        if independent:
-            tasks = [
-                (method, value) for method in cfg.methods for value in grid if (method, _fmt(value)) not in stored
-            ]
-            rows = reused + _independent_rows(row_fn, tasks, keep)
-        else:
-            rows = []
-            points = {}
-            for method in cfg.methods:
-                warm = None
-                for value in grid:
-                    point = points.setdefault(_fmt(value), {})
-                    row = stored.get((method, _fmt(value)))
-                    if row is None:
-                        row = keep(row_fn(method, value, warm, point))
-                    point[method] = row
-                    rows.append(row)
-                    warm = _params_from_row(row)
+        rows = reused + _pooled_rows(rows_at, tasks, keep)
 
     rows.sort(key=lambda r: (METHODS.index(r["method"]), r[axis]))
     for method in cfg.methods:
@@ -361,40 +340,56 @@ def _run_grid(command, cfg, out_dir, axis, columns, row_fn, panels, summary=None
     return rows
 
 
-_worker_row_fn = None  # row_fn of the pool this process works for
+_worker_rows_at = None  # rows_at of the pool this process works for
 
 
-def _init_worker(row_fn) -> None:
-    """Pool worker set-up: row_fn arrives by fork, and Ctrl-C is left to the parent."""
+def _init_worker(rows_at) -> None:
+    """Pool worker set-up: rows_at arrives by fork, and Ctrl-C is left to the parent."""
     import signal
 
-    global _worker_row_fn
-    _worker_row_fn = row_fn
+    global _worker_rows_at
+    _worker_rows_at = rows_at
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _worker_row(task) -> dict:
-    return _worker_row_fn(*task)
+def _worker_rows(task):
+    """The rows of one task, or the SystemExit or KeyboardInterrupt it raised.
+
+    The pool hands back only an Exception; any other exception would end
+    the worker and leave the parent waiting for the task forever.
+    """
+    try:
+        return list(_worker_rows_at(*task))
+    except Exception:
+        raise
+    except BaseException as exc:
+        return exc
 
 
-def _independent_rows(row_fn, tasks, keep) -> list:
-    """keep(row_fn(method, value)) for each (method, value) task, in task order.
+def _pooled_rows(rows_at, tasks, keep) -> list:
+    """keep(row) for each row rows_at(*task) yields, task by task.
 
-    The rows are computed in a fork-context pool with one worker per CPU
-    this process may run on, at most one per task; with one worker they
-    are computed here.  Each row is kept as soon as it and every row before
-    it are done.  The pool is terminated and joined on every way out, so
-    an error in a row, which propagates, or Ctrl-C leaves no worker behind
-    and only the rows kept so far.
+    The tasks run in a fork-context pool with one worker per CPU this
+    process may run on, at most one per task, and the rows of each task
+    are kept as soon as it and every task before it are done; with one
+    worker the tasks run here and each row is kept as soon as it is made.
+    An exception in a task, whatever its type, propagates.  The pool is
+    terminated and joined on every way out, so an error or Ctrl-C leaves no
+    worker behind and only the rows kept so far.
     """
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers < 2:
-        return [keep(row_fn(*task)) for task in tasks]
+        return [keep(row) for task in tasks for row in rows_at(*task)]
     import multiprocessing  # kept out of import rabivar: only a parallel run pays for it
 
-    pool = multiprocessing.get_context("fork").Pool(workers, _init_worker, (row_fn,))
+    pool = multiprocessing.get_context("fork").Pool(workers, _init_worker, (rows_at,))
     try:
-        return [keep(row) for row in pool.imap(_worker_row, tasks)]
+        kept = []
+        for rows in pool.imap(_worker_rows, tasks):
+            if isinstance(rows, BaseException):
+                raise rows
+            kept += map(keep, rows)
+        return kept
     finally:
         pool.terminate()
         pool.join()
@@ -427,12 +422,11 @@ def _restored_result(cfg: ScanConfig, lam: float, row) -> OptResult | None:
         return None
     mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
     p = Ansatz1Params(row["beta1"], row["xi"])
-    _, (de_beta, de_xi) = energy_grad_1css(mp, p.beta, p.xi)
-    grad_norm = max(abs(de_beta), abs(de_xi)) if kind.squeezed else abs(de_beta)
-    return OptResult(kind, "even", row["energy"], p, 0, grad_norm, True)
+    _, grad = objective(mp, kind)([p.beta, p.xi] if kind.squeezed else [p.beta])
+    return OptResult(kind, "even", row["energy"], p, 0, max(map(abs, grad)), True)
 
 
-def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm, solved: dict) -> dict:
+def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, solved: dict) -> dict:
     """One trial-state row.
 
     solved maps the kinds already solved at this point to their results
@@ -442,7 +436,7 @@ def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm, solved: dic
     kind = AnsatzKind(method)
     row = {"lambda": lam, "g": mp.g, "method": method, "parity": cfg.parity}
     try:
-        res = solve_ansatz(mp, kind, cfg.parity, warm=warm, solved=solved)
+        res = solve_ansatz(mp, kind, cfg.parity, solved=solved)
     except NoConvergence as exc:
         res = exc.best
     solved[kind] = res
@@ -467,9 +461,12 @@ def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, warm, solved: dic
 def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     """Energy/observable scan over a lambda grid; one row per (point, method).
 
-    Every row is computed in cfg.parity.  Unknown methods, an unknown
-    parity and single-packet methods with odd parity raise InvalidConfig
-    before anything is written, as does any input _check_model rejects.
+    Every row is computed in cfg.parity and depends only on cfg and its
+    lambda: the solves start from fixed seeds, never from a neighboring
+    point, so the points are computed in one worker process per available
+    CPU.  Unknown methods, an unknown parity and single-packet methods with
+    odd parity raise InvalidConfig before anything is written, as does any
+    input _check_model rejects.
     """
     _check_model(cfg)
     if cfg.parity not in ("even", "odd"):
@@ -481,16 +478,10 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     if cfg.parity == "odd" and single:
         raise InvalidConfig(f"odd parity needs two-packet methods or ED, got {single}")
 
-    solved = {}  # lambda -> {AnsatzKind: OptResult} of the kinds solved at that point in this call
-
-    def row(method, lam, warm, point):
-        if method == "ED":
-            return _scan_row_ed(cfg, lam)
-        at = solved.setdefault(lam, {})
-        for m, done in point.items():
-            if m != "ED" and AnsatzKind(m) not in at:  # a stored row
-                at[AnsatzKind(m)] = _restored_result(cfg, lam, done)
-        return _scan_row_ansatz(cfg, lam, method, warm, at)
+    def rows_at(lam, methods, stored):
+        solved = {AnsatzKind(m): _restored_result(cfg, lam, row) for m, row in stored.items() if m != "ED"}
+        for method in methods:
+            yield _scan_row_ed(cfg, lam) if method == "ED" else _scan_row_ansatz(cfg, lam, method, solved)
 
     panels = [
         ("E / (delta*omega)", [(f"{m}.tsv", "energy_scaled", "lines", m) for m in cfg.methods]),
@@ -501,7 +492,7 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
             ("coefficients", [("CSS2.tsv", c, "lines", c) for c in ("c1", "c2")]),
             ("packet parameters", [("CSS2.tsv", c, "lines", c) for c in ("beta1", "beta2", "xi")]),
         ]
-    return _run_grid("scan", cfg, out_dir, "lambda", SCAN_COLUMNS, row, panels)
+    return _run_grid("scan", cfg, out_dir, "lambda", SCAN_COLUMNS, rows_at, panels)
 
 
 def _interp_crossings(ratios, values) -> list:
@@ -610,7 +601,7 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
     splitting (crossings) and the first of them (crossing, None if none);
     with both methods, also the g/g_c1 ranges where their splittings have
     opposite signs (parity_disagreements, see _parity_disagreements).
-    The rows are computed in one worker process per available CPU.
+    The grid points are computed in one worker process per available CPU.
     """
     _check_model(cfg)
     if cfg.tau >= 1.0:
@@ -620,10 +611,9 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
         raise InvalidConfig(f"levels methods must come from ED, CSS2, got {unknown}")
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
 
-    def row(method, ratio):
-        if method == "ED":
-            return _levels_row_ed(cfg, ratio, gc1)
-        return _levels_row_css2(cfg, ratio, gc1)
+    def rows_at(ratio, methods, stored):
+        for method in methods:
+            yield _levels_row_ed(cfg, ratio, gc1) if method == "ED" else _levels_row_css2(cfg, ratio, gc1)
 
     def summary(rows):
         crossings = {}
@@ -645,15 +635,15 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
         ("ground-state mean photon number",
          [(f"{m}.tsv", "mean_photon_ground", "lines", m) for m in cfg.methods]),
     ]
-    return _run_grid("levels", cfg, out_dir, "g_ratio", LEVELS_COLUMNS, row, panels, summary, independent=True)
+    return _run_grid("levels", cfg, out_dir, "g_ratio", LEVELS_COLUMNS, rows_at, panels, summary)
 
 
 def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     """Position-space spin-projected profiles per coupling; returns summary rows.
 
-    A CSS2 solve that does not converge is profiled at its best-so-far
-    state, the next coupling starts cold, and meta.json lists such
-    couplings under unconverged_lambdas.
+    Each coupling is solved on its own, as a scan row is.  A CSS2 solve
+    that does not converge is profiled at its best-so-far state, and
+    meta.json lists such couplings under unconverged_lambdas.
     """
     _check_model(cfg)
     if cfg.source not in ("ED", "CSS2"):
@@ -662,7 +652,6 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     xs = cfg.xs()
     summary = []
     unconverged = []
-    warm = None
     for lam in cfg.lambdas:
         mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
         if cfg.source == "ED":
@@ -670,12 +659,11 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
             phi_p, phi_m = position_profile(*spin_x_projection(res.vectors[0]), xs, cfg.omega)
         else:
             try:
-                p = warm = solve_ansatz(mp, AnsatzKind.CSS2, "even", warm=warm).params
+                p = solve_ansatz(mp, AnsatzKind.CSS2, "even").params
             except NoConvergence as exc:
                 if exc.best is None:
                     raise
-                # Profile the best-so-far state, but start the next lambda cold.
-                p, warm = exc.best.params, None
+                p = exc.best.params
                 unconverged.append(lam)
             scale = 1.0 / math.sqrt(norm2_2css(p))
             phi_p = scale * (

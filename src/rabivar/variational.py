@@ -11,7 +11,7 @@ both displacement parameters come out positive:
                                                       +1 for odd parity)
 
 The single-packet (even) trial state is the case c1 = 1/sqrt(2), c2 = 0,
-beta1 = beta; :func:`energy_grad_1css` gives its energy in closed form.
+beta1 = beta; :func:`objective` gives its energy in closed form.
 The parameterization is redundant under the exact branch relabeling
 (c1, c2, beta1, beta2) -> (c2, c1, -beta2, -beta1) and under a global sign
 flip of (c1, c2); energies are Rayleigh quotients, so (c1, c2) need not be
@@ -52,7 +52,7 @@ from .states import displaced_squeezed_amplitudes
 
 _NORM_FLOOR = 1e-12
 _NO_COUPLING = ModelParams(delta=0.0)  # for the forms that read only N and Ph
-_PENCIL_FLOOR = 1e-4  # least 1 - O+^2 of projected_energy_2css
+_PENCIL_FLOOR = 1e-4  # least 1 - O+^2 of the projected two-packet energy
 
 
 @dataclass(frozen=True)
@@ -109,30 +109,7 @@ def _pair_overlap(eta: float, d: float) -> float:
 
 def energy_1css(params: ModelParams, a: Ansatz1Params) -> float:
     """Energy of the single-packet trial state; xi = 0 gives the unsqueezed case."""
-    return energy_grad_1css(params, a.beta, a.xi)[0]
-
-
-def energy_grad_1css(params: ModelParams, beta: float, xi: float = 0.0, parity: str = "even"):
-    """Single-packet energy of either parity with its exact gradient (dE/dbeta, dE/dxi).
-
-    The parity sign s flips the atom and anisotropic terms:
-
-        E = omega (sinh^2 2xi + beta^2) - 2 beta alpha
-            - s (delta/2 + 2 gamma beta eta^2) exp(-2 beta^2 eta^2),
-
-    the single-packet trial state's energy for s = +1.
-    """
-    s = _check_parity(parity)
-    sh = math.sinh(2.0 * xi)
-    ch = math.cosh(2.0 * xi)
-    u = math.exp(-4.0 * xi)
-    o2 = math.exp(-2.0 * u * beta * beta)
-    w = s * (0.5 * params.delta + 2.0 * params.gamma * beta * u) * o2
-    e = params.omega * (sh * sh + beta * beta) - 2.0 * beta * params.alpha - w
-    de_beta = 2.0 * params.omega * beta - 2.0 * params.alpha - 2.0 * s * params.gamma * u * o2
-    de_beta += 4.0 * u * beta * w
-    de_xi = 4.0 * params.omega * sh * ch + 8.0 * s * params.gamma * beta * u * o2 - 8.0 * u * beta * beta * w
-    return e, (de_beta, de_xi)
+    return objective(params, AnsatzKind.CSS1)([a.beta, a.xi])[0]
 
 
 def mean_photon_1css(a: Ansatz1Params) -> float:
@@ -204,90 +181,152 @@ def _quotient(num: float, n) -> float:
     return num / nrm
 
 
-def projected_energy_2css(params: ModelParams, beta1: float, beta2: float, xi: float = 0.0, parity: str = "even"):
-    """Two-packet energy minimized over (c1, c2), with its exact gradient.
+def objective(params: ModelParams, kind: AnsatzKind, parity: str = "even"):
+    """The energy of kind's trial state in parity as fg(x) -> (E, gradient), bound once.
 
-    For fixed packets the energy is a Rayleigh quotient in (c1, c2) of the
-    pencil h - E n of the :func:`_pair_parts` matrices h = A - s B and
-    n = N = [[1, O+], [O+, 1]]; its minimum over (c1, c2) is the lowest root of
-    det(h - E n) = 0, and (c1, c2) the root's eigenvector (variable
-    projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The
-    root is found in the n-orthonormal basis (1, +-1) / sqrt(2 (1 +- O+)),
-    where the pencil is an ordinary symmetric 2x2 matrix.  By the
-    Hellmann-Feynman theorem dE/dp = c^T (dh/dp - E dn/dp) c / c^T n c.
+    x holds the free variables of kind, and the gradient has one entry per
+    variable: [beta] (CS1), [beta, xi] (CSS1), [beta1, beta2] (CS2) or
+    [beta1, beta2, xi] (CSS2); the unsqueezed kinds fix xi = 0.  delta,
+    omega, alpha, gamma and the parity sign s are read at binding.  A point
+    the closed form cannot evaluate gives (inf, None): a degenerate pencil,
+    an overflow or a non-finite energy.
 
-    Returns (E, (dE/dbeta1, dE/dbeta2, dE/dxi), c1, c2) with
-    c1^2 + c2^2 = 1.  Raises DegenerateAnsatz when 1 - O+^2 < 1e-4: as
+    Single-packet kinds: with u = e^{-4xi}, sh = sinh 2xi,
+
+        E = omega (sh^2 + beta^2) - 2 beta alpha
+            - s (delta/2 + 2 gamma beta u) exp(-2 beta^2 u),
+
+    the single-packet trial state's energy for s = +1.
+
+    Two-packet kinds: the energy minimized over (c1, c2).  For fixed packets
+    the energy is a Rayleigh quotient in (c1, c2) of the pencil h - E n of
+    the :func:`_pair_parts` matrices h = A - s B and n = N = [[1, O+], [O+, 1]];
+    its minimum over (c1, c2) is the lowest root of det(h - E n) = 0, and
+    (c1, c2) the root's eigenvector (variable projection, Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 413 (1973)).  The root is found in the
+    n-orthonormal basis (1, +-1) / sqrt(2 (1 +- O+)), where the pencil is an
+    ordinary symmetric 2x2 matrix.  By the Hellmann-Feynman theorem
+    dE/dp = c^T (dh/dp - E dn/dp) c / c^T n c.  fg(x, True) returns that
+    eigenvector (c1, c2), with c1^2 + c2^2 = 1, at any point fg accepts.
+    The pencil counts as degenerate when 1 - O+^2 < 1e-4: as
     beta1 + beta2 -> 0 both branches tend to the same state, the pencil
     tends to 0/0 and the closed form loses the digits it divides out.
     """
     s = _check_parity(parity)
     delta, omega, alpha, gamma = params.delta, params.omega, params.alpha, params.gamma
-    b1, b2 = beta1, beta2
-    sm, df = b1 + b2, b1 - b2
-    sh = math.sinh(2.0 * xi)
-    ch = math.cosh(2.0 * xi)
-    sh2, shch = sh * sh, sh * ch
-    u = math.exp(-4.0 * xi)  # eta^2
-    one_m_op = -math.expm1(-0.5 * u * sm * sm)  # 1 - O+
-    one_p_op = 2.0 - one_m_op
-    if one_m_op * one_p_op < _PENCIL_FLOOR:
-        raise DegenerateAnsatz(f"1 - O+^2 = {one_m_op * one_p_op:.3e} below {_PENCIL_FLOOR:.0e}")
-    op = 1.0 - one_m_op
-    o21 = math.exp(-2.0 * u * b1 * b1)
-    o22 = math.exp(-2.0 * u * b2 * b2)
-    om = math.exp(-0.5 * u * df * df)
-    hd, sg = 0.5 * s * delta, s * gamma * u
+    squeezed = kind.squeezed
+    rejected = (math.inf, None)
 
-    h11 = -hd * o21 + omega * (sh2 + b1 * b1) - 2.0 * alpha * b1 - 2.0 * sg * b1 * o21
-    h22 = -hd * o22 + omega * (sh2 + b2 * b2) + 2.0 * alpha * b2 + 2.0 * sg * b2 * o22
-    pp = sh2 - b1 * b2 + shch * u * sm * sm
-    h12 = -hd * om + omega * op * pp - alpha * op * df - sg * df * om
+    if not kind.two_branch:
+        half_delta, two_gamma, two_omega, two_alpha = 0.5 * delta, 2.0 * gamma, 2.0 * omega, 2.0 * alpha
+        two_s_gamma, eight_s_gamma, four_omega = 2.0 * s * gamma, 8.0 * s * gamma, 4.0 * omega
 
-    # Lowest eigenpair in the n-orthonormal basis e+- = (1, +-1) / sqrt(2 (1 +- O+)).
-    a = (h11 + h22 + 2.0 * h12) / (2.0 * one_p_op)
-    b = (h11 + h22 - 2.0 * h12) / (2.0 * one_m_op)
-    r = (h11 - h22) / (2.0 * math.sqrt(one_m_op * one_p_op))
-    half = 0.5 * (a - b)
-    rad = math.hypot(half, r)
-    shift = r * r / (rad + abs(half)) if rad > 0.0 else 0.0
-    if a <= b:
-        e, x, y = a - shift, b - a + shift, -r
-    else:
-        e, x, y = b - shift, -r, a - b + shift
-    nrm = math.hypot(x, y)
-    if nrm == 0.0:
-        x, nrm = 1.0, 1.0
-    x /= nrm * math.sqrt(2.0 * one_p_op)
-    y /= nrm * math.sqrt(2.0 * one_m_op)
-    c1, c2 = x + y, x - y  # c^T n c = 1
+        def single(x):
+            beta = x[0]
+            try:
+                if squeezed:
+                    xi = x[1]
+                    sh = math.sinh(2.0 * xi)
+                    ch = math.cosh(2.0 * xi)
+                    u = math.exp(-4.0 * xi)
+                else:
+                    sh, ch, u = 0.0, 1.0, 1.0
+                o2 = math.exp(-2.0 * u * beta * beta)
+                w = s * (half_delta + two_gamma * beta * u) * o2
+                e = omega * (sh * sh + beta * beta) - 2.0 * beta * alpha - w
+                if not math.isfinite(e):
+                    return rejected
+                de_beta = two_omega * beta - two_alpha - two_s_gamma * u * o2
+                de_beta += 4.0 * u * beta * w
+                if not squeezed:
+                    return e, (de_beta,)
+                de_xi = four_omega * sh * ch + eight_s_gamma * beta * u * o2 - 8.0 * u * beta * beta * w
+            except OverflowError:
+                return rejected
+            return e, (de_beta, de_xi)
 
-    # Derivatives of the pencil entries.
-    dop1 = -u * sm * op  # dO+/dbeta1 = dO+/dbeta2
-    dop_xi = 2.0 * u * sm * sm * op
-    dom1 = -u * df * om  # dO-/dbeta1 = -dO-/dbeta2
-    dom_xi = 2.0 * u * df * df * om
-    dpp = 2.0 * shch * u * sm
-    dpp_xi = 4.0 * shch + sm * sm * u * (2.0 * (ch * ch + sh2) - 4.0 * shch)
-    h11_b1 = 4.0 * hd * u * b1 * o21 + 2.0 * omega * b1 - 2.0 * alpha - 2.0 * sg * o21 * (1.0 - 4.0 * u * b1 * b1)
-    h22_b2 = 4.0 * hd * u * b2 * o22 + 2.0 * omega * b2 + 2.0 * alpha + 2.0 * sg * o22 * (1.0 - 4.0 * u * b2 * b2)
-    h11_xi = -8.0 * hd * u * b1 * b1 * o21 + 4.0 * omega * shch + 8.0 * sg * b1 * o21 * (1.0 - 2.0 * u * b1 * b1)
-    h22_xi = -8.0 * hd * u * b2 * b2 * o22 + 4.0 * omega * shch - 8.0 * sg * b2 * o22 * (1.0 - 2.0 * u * b2 * b2)
-    ani = sg * om * (1.0 - u * df * df)
-    h12_b1 = -hd * dom1 + omega * (dop1 * pp + op * (dpp - b2)) - alpha * (dop1 * df + op) - ani
-    h12_b2 = hd * dom1 + omega * (dop1 * pp + op * (dpp - b1)) - alpha * (dop1 * df - op) + ani
-    h12_xi = (
-        -hd * dom_xi + omega * (dop_xi * pp + op * dpp_xi) - alpha * dop_xi * df
-        + sg * df * om * (4.0 - 2.0 * u * df * df)
-    )
-    cc = 2.0 * c1 * c2
-    grad = (
-        c1 * c1 * h11_b1 + cc * (h12_b1 - e * dop1),
-        c2 * c2 * h22_b2 + cc * (h12_b2 - e * dop1),
-        c1 * c1 * h11_xi + c2 * c2 * h22_xi + cc * (h12_xi - e * dop_xi),
-    )
-    scale = math.hypot(c1, c2)
-    return e, grad, c1 / scale, c2 / scale
+        return single
+
+    hd, s_gamma, two_alpha = 0.5 * s * delta, s * gamma, 2.0 * alpha
+
+    def projected(x, coefficients=False):
+        b1, b2 = x[0], x[1]
+        try:
+            if squeezed:
+                xi = x[2]
+                sh = math.sinh(2.0 * xi)
+                ch = math.cosh(2.0 * xi)
+                u = math.exp(-4.0 * xi)  # eta^2
+            else:
+                sh, ch, u = 0.0, 1.0, 1.0
+            sm, df = b1 + b2, b1 - b2
+            sh2, shch = sh * sh, sh * ch
+            one_m_op = -math.expm1(-0.5 * u * sm * sm)  # 1 - O+
+            one_p_op = 2.0 - one_m_op
+            if one_m_op * one_p_op < _PENCIL_FLOOR:
+                return rejected
+            op = 1.0 - one_m_op
+            o21 = math.exp(-2.0 * u * b1 * b1)
+            o22 = math.exp(-2.0 * u * b2 * b2)
+            om = math.exp(-0.5 * u * df * df)
+            sg = s_gamma * u
+
+            h11 = -hd * o21 + omega * (sh2 + b1 * b1) - two_alpha * b1 - 2.0 * sg * b1 * o21
+            h22 = -hd * o22 + omega * (sh2 + b2 * b2) + two_alpha * b2 + 2.0 * sg * b2 * o22
+            pp = sh2 - b1 * b2 + shch * u * sm * sm
+            h12 = -hd * om + omega * op * pp - alpha * op * df - sg * df * om
+
+            # Lowest eigenpair in the n-orthonormal basis e+- = (1, +-1) / sqrt(2 (1 +- O+)).
+            a = (h11 + h22 + 2.0 * h12) / (2.0 * one_p_op)
+            b = (h11 + h22 - 2.0 * h12) / (2.0 * one_m_op)
+            r = (h11 - h22) / (2.0 * math.sqrt(one_m_op * one_p_op))
+            half = 0.5 * (a - b)
+            rad = math.hypot(half, r)
+            shift = r * r / (rad + abs(half)) if rad > 0.0 else 0.0
+            if a <= b:
+                e, cx, cy = a - shift, b - a + shift, -r
+            else:
+                e, cx, cy = b - shift, -r, a - b + shift
+            if not math.isfinite(e):
+                return rejected
+            nrm = math.hypot(cx, cy)
+            if nrm == 0.0:
+                cx, nrm = 1.0, 1.0
+            cx /= nrm * math.sqrt(2.0 * one_p_op)
+            cy /= nrm * math.sqrt(2.0 * one_m_op)
+            c1, c2 = cx + cy, cx - cy  # c^T n c = 1
+            if coefficients:
+                scale = math.hypot(c1, c2)
+                return c1 / scale, c2 / scale
+
+            # Derivatives of the pencil entries.
+            dop1 = -u * sm * op  # dO+/dbeta1 = dO+/dbeta2
+            dom1 = -u * df * om  # dO-/dbeta1 = -dO-/dbeta2
+            dpp = 2.0 * shch * u * sm
+            h11_b1 = 4.0 * hd * u * b1 * o21 + 2.0 * omega * b1 - two_alpha - 2.0 * sg * o21 * (1.0 - 4.0 * u * b1 * b1)
+            h22_b2 = 4.0 * hd * u * b2 * o22 + 2.0 * omega * b2 + two_alpha + 2.0 * sg * o22 * (1.0 - 4.0 * u * b2 * b2)
+            ani = sg * om * (1.0 - u * df * df)
+            h12_b1 = -hd * dom1 + omega * (dop1 * pp + op * (dpp - b2)) - alpha * (dop1 * df + op) - ani
+            h12_b2 = hd * dom1 + omega * (dop1 * pp + op * (dpp - b1)) - alpha * (dop1 * df - op) + ani
+            cc = 2.0 * c1 * c2
+            g1 = c1 * c1 * h11_b1 + cc * (h12_b1 - e * dop1)
+            g2 = c2 * c2 * h22_b2 + cc * (h12_b2 - e * dop1)
+            if not squeezed:
+                return e, (g1, g2)
+            dop_xi = 2.0 * u * sm * sm * op
+            dom_xi = 2.0 * u * df * df * om
+            dpp_xi = 4.0 * shch + sm * sm * u * (2.0 * (ch * ch + sh2) - 4.0 * shch)
+            h11_xi = -8.0 * hd * u * b1 * b1 * o21 + 4.0 * omega * shch + 8.0 * sg * b1 * o21 * (1.0 - 2.0 * u * b1 * b1)
+            h22_xi = -8.0 * hd * u * b2 * b2 * o22 + 4.0 * omega * shch - 8.0 * sg * b2 * o22 * (1.0 - 2.0 * u * b2 * b2)
+            h12_xi = (
+                -hd * dom_xi + omega * (dop_xi * pp + op * dpp_xi) - alpha * dop_xi * df
+                + sg * df * om * (4.0 - 2.0 * u * df * df)
+            )
+        except OverflowError:
+            return rejected
+        return e, (g1, g2, c1 * c1 * h11_xi + c2 * c2 * h22_xi + cc * (h12_xi - e * dop_xi))
+
+    return projected
 
 
 def norm2_2css(a: Ansatz2Params) -> float:

@@ -120,10 +120,16 @@ def test_scan_restart_recomputes_only_missing_rows(tmp_path):
     assert_trees_identical(str(full_dir), str(partial_dir))
 
 
+def one_cpu(monkeypatch):
+    """Compute every row in this process, where the calls a test records are seen."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 def test_interrupted_scan_keeps_finished_rows_and_resumes(tmp_path, monkeypatch):
     cfg = ScanConfig(**SMALL_SCAN)
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     run_scan(cfg, str(fresh))
+    one_cpu(monkeypatch)
     row_ansatz = scan._scan_row_ansatz
     calls = []
 
@@ -136,18 +142,18 @@ def test_interrupted_scan_keeps_finished_rows_and_resumes(tmp_path, monkeypatch)
     monkeypatch.setattr(scan, "_scan_row_ansatz", interrupt_sixth)
     with pytest.raises(KeyboardInterrupt):
         run_scan(cfg, str(out))
-    # 4 ED rows and the 5 finished ansatz rows survive, each as the full run wrote it
+    # Points run in grid order, each in METHODS order: the 4 rows at 0.0 and
+    # ED, CS1, CSS1 at 0.3 survive, each as the full run wrote it.
     kept = (out / "combined.tsv").read_text().splitlines()
-    assert len(kept) == 1 + 4 + 5
+    assert len(kept) == 1 + 4 + 3
     assert set(kept) <= set((fresh / "combined.tsv").read_text().splitlines())
 
     calls.clear()
     monkeypatch.setattr(scan, "_scan_row_ansatz", lambda *args: calls.append(args) or row_ansatz(*args))
-    monkeypatch.setattr(scan, "solve_parity_sector", None)  # every ED row is stored
     run_scan(cfg, str(out))
-    assert [(lam, method) for _, lam, method, *_ in calls] == [
-        (lam, method) for method in ("CSS1", "CSS2") for lam in cfg.grid()
-    ][1:]
+    assert [(lam, method) for _, lam, method, _ in calls] == [(0.3, "CSS2")] + [
+        (lam, method) for lam in cfg.grid()[2:] for method in ("CS1", "CSS1", "CSS2")
+    ]
     assert_trees_identical(str(fresh), str(out))
 
 
@@ -158,11 +164,30 @@ def test_stored_single_packet_row_restores_its_result(tmp_path):
     solved = {}
     for method in ("CS1", "CSS1"):
         path = str(tmp_path / f"{method}.tsv")
-        write_table(path, scan.SCAN_COLUMNS, [scan._scan_row_ansatz(cfg, 0.9, method, None, solved)])
+        write_table(path, scan.SCAN_COLUMNS, [scan._scan_row_ansatz(cfg, 0.9, method, solved)])
         live, restored = solved[AnsatzKind(method)], scan._restored_result(cfg, 0.9, read_table(path)[1][0])
         for field in ("energy", "params", "grad_norm"):
             assert getattr(restored, field) == getattr(live, field), field
         assert restored.converged and restored.parity == "even"
+
+
+def record_stages(monkeypatch):
+    """[(row method, stage kind)] of every objective the solves bind, in call order."""
+    stages, current = [], [None]
+    bind = optimize.objective
+    row_ansatz = scan._scan_row_ansatz
+
+    def recorded(params, kind, parity="even"):
+        stages.append((current[0], kind.value))
+        return bind(params, kind, parity)
+
+    def labelled(cfg, lam, method, solved):
+        current[0] = method
+        return row_ansatz(cfg, lam, method, solved)
+
+    monkeypatch.setattr(optimize, "objective", recorded)
+    monkeypatch.setattr(scan, "_scan_row_ansatz", labelled)
+    return stages
 
 
 def test_resumed_scan_reuses_stored_single_packet_rows(tmp_path, monkeypatch):
@@ -170,11 +195,10 @@ def test_resumed_scan_reuses_stored_single_packet_rows(tmp_path, monkeypatch):
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     run_scan(cfg, str(fresh))
     run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED", "CS1", "CSS1")})), str(out))
-    solves = []
-    objective = optimize.energy_grad_1css
-    monkeypatch.setattr(optimize, "energy_grad_1css", lambda *a, **k: solves.append(a) or objective(*a, **k))
+    one_cpu(monkeypatch)
+    stages = record_stages(monkeypatch)
     run_scan(cfg, str(out))
-    assert not solves  # CS2/CSS2 took their single-packet stage from the stored rows
+    assert stages and {kind for _, kind in stages} <= {"CS2", "CSS2"}  # single-packet stages came from rows
     assert_trees_identical(str(fresh), str(out))
 
 
@@ -252,34 +276,70 @@ def test_scan_rows_keep_the_family_ordering(tmp_path, delta, tau):
 
 def test_scan_solves_each_stage_once_per_point(tmp_path, monkeypatch):
     # CS2/CSS2 reuse the CS1/CSS1 optimum for their single-packet stage, and
-    # CSS2's guard reads CS2's two-packet optimum: the single-packet
-    # objective runs only in CS1/CSS1 rows and the unsqueezed two-packet one
-    # (no xi argument) only in CS2 rows.
-    calls, current = [], [None]
-    for name in ("energy_grad_1css", "projected_energy_2css"):
-        objective = getattr(optimize, name)
-
-        def counted(params, *x, _name=name, _objective=objective, **kwargs):
-            calls.append((current[0], _name, len(x)))
-            return _objective(params, *x, **kwargs)
-
-        monkeypatch.setattr(optimize, name, counted)
-    row_ansatz = scan._scan_row_ansatz
-
-    def labelled(cfg, lam, method, *args):
-        current[0] = method
-        return row_ansatz(cfg, lam, method, *args)
-
-    monkeypatch.setattr(scan, "_scan_row_ansatz", labelled)
+    # CSS2's guard reads CS2's two-packet optimum: single-packet objectives
+    # are bound only in CS1/CSS1 rows and the unsqueezed two-packet one only
+    # in CS2 rows.
+    one_cpu(monkeypatch)
+    stages = record_stages(monkeypatch)
     cfg = ScanConfig(delta=100.0, tau=1.0, lambda_max=1.5, lambda_step=0.1, methods=scan.METHODS)
     rows = run_scan(cfg, str(tmp_path / "a"))
     assert any(r["method"] == "CSS2" and r["c2"] == 0.0 for r in rows)  # the guard was read
-    assert {m for m, name, _ in calls if name == "energy_grad_1css"} == {"CS1", "CSS1"}
-    assert {m for m, name, n in calls if name == "projected_energy_2css" and n == 2} == {"CS2"}
-    first = list(calls)
-    calls.clear()
+    assert {m for m, kind in stages if kind in ("CS1", "CSS1")} == {"CS1", "CSS1"}
+    assert {m for m, kind in stages if kind == "CS2"} == {"CS2"}
+    first = list(stages)
+    stages.clear()
     run_scan(cfg, str(tmp_path / "b"))  # no state survives the call
-    assert calls == first
+    assert stages == first
+
+
+@pytest.mark.parametrize("other", [
+    dict(lambda_step=0.15),  # a finer grid through the same points
+    dict(lambda_min=0.6, lambda_max=1.5),  # a shifted grid sharing 0.6 and 0.9
+    dict(methods=("CSS2", "ED", "CS1", "CSS1")),  # the methods in another order
+])
+def test_scan_rows_depend_only_on_their_point(tmp_path, monkeypatch, other):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    base = run_scan(ScanConfig(**SMALL_SCAN), str(tmp_path / "base"))
+    rows = {(r["method"], r["lambda"]): r for r in run_scan(ScanConfig(**(SMALL_SCAN | other)), str(tmp_path / "other"))}
+    shared = [r for r in base if (r["method"], r["lambda"]) in rows]
+    assert len(shared) >= 2 * len(SMALL_SCAN["methods"])
+    for row in shared:
+        assert row == rows[(row["method"], row["lambda"])]
+
+
+def test_scan_trees_from_one_and_two_cpus_identical(tmp_path, monkeypatch):
+    cfg = ScanConfig(**(SMALL_SCAN | {"methods": scan.METHODS}))
+    one_cpu(monkeypatch)
+    run_scan(cfg, str(tmp_path / "serial"))
+    pids = tmp_path / "pids"
+    row_ed = scan._scan_row_ed
+
+    def record_pid(*args):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return row_ed(*args)
+
+    monkeypatch.setattr(scan, "_scan_row_ed", record_pid)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_scan(cfg, str(tmp_path / "pooled"))
+    assert len(pids.read_text().split()) == len(cfg.grid())
+    assert str(os.getpid()) not in pids.read_text().split()  # the points came from workers
+    assert_trees_identical(str(tmp_path / "serial"), str(tmp_path / "pooled"))
+    assert not multiprocessing.active_children()
+
+
+def test_pooled_scan_resumes_byte_identical(tmp_path, monkeypatch):
+    # Every other stored row, over all methods and points, is recomputed in workers.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = ScanConfig(**(SMALL_SCAN | {"methods": scan.METHODS}))
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_scan(cfg, str(fresh))
+    columns, rows = read_table(str(fresh / "combined.tsv"))
+    os.makedirs(out)
+    write_table(str(out / "combined.tsv"), columns, rows[1::2])
+    (out / "meta.json").write_bytes((fresh / "meta.json").read_bytes())
+    run_scan(cfg, str(out))
+    assert_trees_identical(str(fresh), str(out))
 
 
 @pytest.mark.parametrize("methods, parity", [(("ED", "CS3"), "even"), (("ED", "CS1"), "odd")])
@@ -335,6 +395,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         (["--{axis}-step", "nan"], "_step must be positive"),
         (["--{axis}-min", "1", "--{axis}-max", "0.5"], "_max >= "),
         (["--{axis}-max", "inf"], "_max >= "),
+        (["--{axis}-step", "5e-324"], "grid points"),
+        (["--{axis}-step", "1e-300"], "grid points"),
         (["--ntr", "-1"], "n_tr must be a non-negative integer"),
         (["--config", "n_tr=96.5"], "n_tr must be a non-negative integer"),
         (["--config", "tail_tol=0"], "tail_tol must be positive"),
@@ -471,13 +533,89 @@ def test_levels_worker_error_propagates_and_keeps_earlier_rows(tmp_path, monkeyp
     with pytest.raises(RuntimeError, match="row failed in a worker"):
         run_levels(cfg, str(out))
     assert not multiprocessing.active_children()
-    # Every row before the failed one in grid order, as the full run wrote it:
-    # the 5 ED rows and CSS2 at 0.96 and 0.98.
+    # Both rows of every point before the failed one in grid order, point by
+    # point, as the full run wrote them: ED and CSS2 at 0.96, then at 0.98.
+    lines = (fresh / "combined.tsv").read_text().splitlines()
+    ed, css2 = lines[1:6], lines[6:]
     kept = (out / "combined.tsv").read_text().splitlines()
-    assert kept == (fresh / "combined.tsv").read_text().splitlines()[: 1 + 5 + 2]
+    assert kept == [lines[0], ed[0], css2[0], ed[1], css2[1]]
 
     monkeypatch.setattr(scan, "_levels_row_css2", row_css2)
     run_levels(cfg, str(out))
+    assert_trees_identical(str(fresh), str(out))
+
+
+def run_script(code, *args):
+    """(exit status, stderr) of a Python script run on two worker CPUs; a run over 60 s fails the test."""
+    preamble = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+    proc = subprocess.Popen([sys.executable, "-c", preamble + code, *map(str, args)], env=_env_with_src(),
+                            start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        err = None
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)  # the run and any worker it left
+    except ProcessLookupError:
+        pass
+    if err is None:
+        proc.communicate()
+        pytest.fail("the run hung")
+    return proc.returncode, err.decode()
+
+
+def test_levels_worker_exit_reaches_the_parent(tmp_path):
+    # A SystemExit in a worker used to end the worker, and the parent then
+    # waited for its row forever.
+    code = """
+import json, sys
+import rabivar.scan as scan
+from rabivar.scan import LevelsConfig, run_levels
+
+row_css2 = scan._levels_row_css2
+
+def exit_at_crossing(cfg, ratio, gc1):
+    if ratio == 1.0:
+        sys.exit(3)
+    return row_css2(cfg, ratio, gc1)
+
+scan._levels_row_css2 = exit_at_crossing
+run_levels(LevelsConfig(**json.loads(sys.argv[2])), sys.argv[1])
+"""
+    out = tmp_path / "levels"
+    status, err = run_script(code, out, json.dumps(SMALL_LEVELS))
+    assert status == 3, err
+    assert len((out / "combined.tsv").read_text().splitlines()) == 1 + 2 * 2  # the points 0.96 and 0.98
+
+
+def test_interrupted_pooled_scan_keeps_finished_points_and_resumes(tmp_path):
+    # A KeyboardInterrupt raised in a worker reaches the parent, which stops
+    # the other workers and keeps the points finished before it.
+    code = """
+import json, sys
+import rabivar.scan as scan
+from rabivar.scan import ScanConfig, run_scan
+
+row_ansatz = scan._scan_row_ansatz
+
+def interrupt_at(cfg, lam, method, solved):
+    if (lam, method) == (0.6, "CSS1"):
+        raise KeyboardInterrupt
+    return row_ansatz(cfg, lam, method, solved)
+
+scan._scan_row_ansatz = interrupt_at
+run_scan(ScanConfig(**json.loads(sys.argv[2])), sys.argv[1])
+"""
+    cfg = ScanConfig(**SMALL_SCAN)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_scan(cfg, str(fresh))
+    status, err = run_script(code, out, json.dumps(SMALL_SCAN))
+    assert status == -signal.SIGINT and "KeyboardInterrupt" in err
+    lines = (fresh / "combined.tsv").read_text().splitlines()
+    kept = (out / "combined.tsv").read_text().splitlines()
+    assert kept[0] == lines[0]
+    assert sorted(kept[1:]) == sorted(line for line in lines[1:] if float(line.split("\t")[0]) < 0.6)
+    run_scan(cfg, str(out))
     assert_trees_identical(str(fresh), str(out))
 
 
@@ -659,12 +797,12 @@ def test_levels_rejects_methods_it_does_not_compute(tmp_path, capsys, methods):
 
 def test_wavefunction_css2_failure_profiles_best_so_far(tmp_path, monkeypatch):
     solve = scan.solve_ansatz
-    warm_starts = []
+    calls = []
 
-    def fail_at_first_lambda(params, kind, parity="even", warm=None):
-        warm_starts.append(warm)
-        res = solve(params, kind, parity, warm=warm)
-        if len(warm_starts) == 1:
+    def fail_at_first_lambda(params, kind, parity="even"):
+        calls.append(params)
+        res = solve(params, kind, parity)
+        if len(calls) == 1:
             raise NoConvergence("budget exhausted", best=res)
         return res
 
@@ -674,7 +812,6 @@ def test_wavefunction_css2_failure_profiles_best_so_far(tmp_path, monkeypatch):
     summary = run_wavefunction(cfg, str(out))
     assert [row["lambda"] for row in summary] == [1.2, 1.5]
     assert all(row["norm"] == pytest.approx(1.0, abs=1e-3) for row in summary)
-    assert warm_starts == [None, None]  # no warm start from an unconverged state
     assert json.loads((out / "meta.json").read_text())["unconverged_lambdas"] == [1.2]
     assert sorted(os.listdir(out)) == sorted(
         ["meta.json", "plot.gp", "summary.tsv"] + [row["file"] for row in summary]

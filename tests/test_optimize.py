@@ -12,9 +12,8 @@ from rabivar import (
     stationarity_residuals_iso,
 )
 import rabivar.optimize as optimize
-from rabivar.errors import DegenerateAnsatz
 from rabivar.optimize import bfgs, canonicalize_2css
-from rabivar.variational import Ansatz2Params, energy_grad_1css, projected_energy_2css
+from rabivar.variational import Ansatz2Params, objective
 
 
 def _rosenbrock(x):
@@ -95,14 +94,6 @@ def test_determinism():
     assert r1.energy == r2.energy
     assert r1.params == r2.params
     assert r1.grad_norm == r2.grad_norm
-
-
-def test_warm_start_never_hurts():
-    mp_prev = ModelParams.from_lambda(100.0, 1.18, 1.0, 1.0)
-    mp = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
-    cold = solve_ansatz(mp, AnsatzKind.CSS2)
-    warm = solve_ansatz(mp, AnsatzKind.CSS2, warm=solve_ansatz(mp_prev, AnsatzKind.CSS2).params)
-    assert warm.energy <= cold.energy + 1e-10 * max(1.0, abs(cold.energy))
 
 
 def test_odd_parity_needs_two_packets():
@@ -215,19 +206,6 @@ def _reference_bfgs(fg, x0, max_iter=500):
     return x, f, g, nfev
 
 
-def _objective(energy_grad, n, params, parity):
-    """solve_ansatz's view of an objective: n variables, rejected points at f = inf."""
-
-    def fg(x):
-        try:
-            e, g = energy_grad(params, *x, parity=parity)[:2]
-        except (DegenerateAnsatz, OverflowError):
-            return math.inf, None
-        return (e, list(g[:n])) if math.isfinite(e) else (math.inf, None)
-
-    return fg
-
-
 def _run(minimizer, fg, x0, max_iter):
     """(x, f, g, nfev), or ("NoConvergence", that tuple at the best point)."""
     try:
@@ -254,15 +232,15 @@ _KERNEL_CASES = [
     (_rejecting_log_cosh, [-5.0], True),
     (_rosenbrock, [-1.0, 1.0], False),
     (_rosenbrock, [-1.5, 2.0], False),
-    (_objective(energy_grad_1css, 1, _MP, "even"), [0.5], False),  # CS1
-    (_objective(energy_grad_1css, 2, _MP, "even"), [4.0, 0.0], False),  # CSS1
-    (_objective(projected_energy_2css, 2, _MP, "even"), [7.0, 5.0], False),  # CS2
-    (_objective(projected_energy_2css, 3, _MP, "even"), [7.0, 5.0, 0.1], False),  # CSS2
-    (_objective(projected_energy_2css, 3, _ANISO, "even"), [3.0, 2.0, 0.0], False),
+    (objective(_MP, AnsatzKind.CS1, "even"), [0.5], False),
+    (objective(_MP, AnsatzKind.CSS1, "even"), [4.0, 0.0], False),
+    (objective(_MP, AnsatzKind.CS2, "even"), [7.0, 5.0], False),
+    (objective(_MP, AnsatzKind.CSS2, "even"), [7.0, 5.0, 0.1], False),
+    (objective(_ANISO, AnsatzKind.CSS2, "even"), [3.0, 2.0, 0.0], False),
     # Odd solves at weak coupling walk into the rejected band 1 - O+^2 < 1e-4 around beta1 + beta2 = 0.
-    (_objective(projected_energy_2css, 2, _G0, "odd"), [1.0, 0.0], True),
-    (_objective(projected_energy_2css, 3, _G0, "odd"), [2.0, -1.5, 0.0], True),
-    (_objective(projected_energy_2css, 3, ModelParams(delta=100.0, g=0.3), "odd"), [2.0, -1.5, 0.0], True),
+    (objective(_G0, AnsatzKind.CS2, "odd"), [1.0, 0.0], True),
+    (objective(_G0, AnsatzKind.CSS2, "odd"), [2.0, -1.5, 0.0], True),
+    (objective(ModelParams(delta=100.0, g=0.3), AnsatzKind.CSS2, "odd"), [2.0, -1.5, 0.0], True),
 ]
 
 
@@ -287,22 +265,22 @@ def test_kernel_takes_one_to_three_variables(x0):
 
 
 def test_guard_stage_runs_only_for_reduction_candidates(monkeypatch):
-    # The unsqueezed guard stage is the only caller of projected_energy_2css without xi.
-    calls = []
-    projected = optimize.projected_energy_2css
+    # In a CSS2 solve the unsqueezed guard stage is the only stage that binds the CS2 objective.
+    stages = []
+    bind = optimize.objective
 
-    def counted(params, *x, **kwargs):
-        calls.append(len(x))
-        return projected(params, *x, **kwargs)
+    def recorded(params, kind, parity="even"):
+        stages.append(kind)
+        return bind(params, kind, parity)
 
-    monkeypatch.setattr(optimize, "projected_energy_2css", counted)
+    monkeypatch.setattr(optimize, "objective", recorded)
     two_packet = solve_ansatz(ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0), AnsatzKind.CSS2)
     assert not two_packet.reduced
-    assert calls and 2 not in calls
-    calls.clear()
+    assert stages and AnsatzKind.CS2 not in stages
+    stages.clear()
     reduced = solve_ansatz(ModelParams.from_lambda(100.0, 0.8, 1.0, 1.0), AnsatzKind.CSS2)
     assert reduced.reduced
-    assert calls.count(2) > 0
+    assert AnsatzKind.CS2 in stages
     # starts_tried counts the stages that ran: single, full and guard here, two of them above
     assert reduced.starts_tried > two_packet.starts_tried
 

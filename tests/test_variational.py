@@ -22,11 +22,13 @@ from rabivar import (
 )
 from rabivar.states import displaced_squeezed_amplitudes
 from rabivar.variational import (
+    _PENCIL_FLOOR,
+    AnsatzKind,
+    _check_parity,
     ansatz1_state_vector,
     ansatz2_state_vectors,
-    energy_grad_1css,
     norm2_2css,
-    projected_energy_2css,
+    objective,
 )
 
 TR = Truncation(160, 1e-9)
@@ -40,6 +42,134 @@ def rayleigh(mp, psi, trunc=TR):
 def photon_of(psi, trunc=TR):
     n = np.concatenate([np.arange(trunc.dim), np.arange(trunc.dim)]).astype(float)
     return float(n @ psi**2) / float(psi @ psi)
+
+
+# The unbound energies with their gradients, as the optimizer called them
+# before each stage bound its objective once; variational.objective must
+# reproduce them bit for bit.
+
+
+def energy_grad_1css(params: ModelParams, beta: float, xi: float = 0.0, parity: str = "even"):
+    """Single-packet energy of either parity with its exact gradient (dE/dbeta, dE/dxi).
+
+    The parity sign s flips the atom and anisotropic terms:
+
+        E = omega (sinh^2 2xi + beta^2) - 2 beta alpha
+            - s (delta/2 + 2 gamma beta eta^2) exp(-2 beta^2 eta^2),
+
+    the single-packet trial state's energy for s = +1.
+    """
+    s = _check_parity(parity)
+    sh = math.sinh(2.0 * xi)
+    ch = math.cosh(2.0 * xi)
+    u = math.exp(-4.0 * xi)
+    o2 = math.exp(-2.0 * u * beta * beta)
+    w = s * (0.5 * params.delta + 2.0 * params.gamma * beta * u) * o2
+    e = params.omega * (sh * sh + beta * beta) - 2.0 * beta * params.alpha - w
+    de_beta = 2.0 * params.omega * beta - 2.0 * params.alpha - 2.0 * s * params.gamma * u * o2
+    de_beta += 4.0 * u * beta * w
+    de_xi = 4.0 * params.omega * sh * ch + 8.0 * s * params.gamma * beta * u * o2 - 8.0 * u * beta * beta * w
+    return e, (de_beta, de_xi)
+
+
+def projected_energy_2css(params: ModelParams, beta1: float, beta2: float, xi: float = 0.0, parity: str = "even"):
+    """Two-packet energy minimized over (c1, c2), with its exact gradient.
+
+    For fixed packets the energy is a Rayleigh quotient in (c1, c2) of the
+    pencil h - E n of the :func:`_pair_parts` matrices h = A - s B and
+    n = N = [[1, O+], [O+, 1]]; its minimum over (c1, c2) is the lowest root of
+    det(h - E n) = 0, and (c1, c2) the root's eigenvector (variable
+    projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  The
+    root is found in the n-orthonormal basis (1, +-1) / sqrt(2 (1 +- O+)),
+    where the pencil is an ordinary symmetric 2x2 matrix.  By the
+    Hellmann-Feynman theorem dE/dp = c^T (dh/dp - E dn/dp) c / c^T n c.
+
+    Returns (E, (dE/dbeta1, dE/dbeta2, dE/dxi), c1, c2) with
+    c1^2 + c2^2 = 1.  Raises DegenerateAnsatz when 1 - O+^2 < 1e-4: as
+    beta1 + beta2 -> 0 both branches tend to the same state, the pencil
+    tends to 0/0 and the closed form loses the digits it divides out.
+    """
+    s = _check_parity(parity)
+    delta, omega, alpha, gamma = params.delta, params.omega, params.alpha, params.gamma
+    b1, b2 = beta1, beta2
+    sm, df = b1 + b2, b1 - b2
+    sh = math.sinh(2.0 * xi)
+    ch = math.cosh(2.0 * xi)
+    sh2, shch = sh * sh, sh * ch
+    u = math.exp(-4.0 * xi)  # eta^2
+    one_m_op = -math.expm1(-0.5 * u * sm * sm)  # 1 - O+
+    one_p_op = 2.0 - one_m_op
+    if one_m_op * one_p_op < _PENCIL_FLOOR:
+        raise DegenerateAnsatz(f"1 - O+^2 = {one_m_op * one_p_op:.3e} below {_PENCIL_FLOOR:.0e}")
+    op = 1.0 - one_m_op
+    o21 = math.exp(-2.0 * u * b1 * b1)
+    o22 = math.exp(-2.0 * u * b2 * b2)
+    om = math.exp(-0.5 * u * df * df)
+    hd, sg = 0.5 * s * delta, s * gamma * u
+
+    h11 = -hd * o21 + omega * (sh2 + b1 * b1) - 2.0 * alpha * b1 - 2.0 * sg * b1 * o21
+    h22 = -hd * o22 + omega * (sh2 + b2 * b2) + 2.0 * alpha * b2 + 2.0 * sg * b2 * o22
+    pp = sh2 - b1 * b2 + shch * u * sm * sm
+    h12 = -hd * om + omega * op * pp - alpha * op * df - sg * df * om
+
+    # Lowest eigenpair in the n-orthonormal basis e+- = (1, +-1) / sqrt(2 (1 +- O+)).
+    a = (h11 + h22 + 2.0 * h12) / (2.0 * one_p_op)
+    b = (h11 + h22 - 2.0 * h12) / (2.0 * one_m_op)
+    r = (h11 - h22) / (2.0 * math.sqrt(one_m_op * one_p_op))
+    half = 0.5 * (a - b)
+    rad = math.hypot(half, r)
+    shift = r * r / (rad + abs(half)) if rad > 0.0 else 0.0
+    if a <= b:
+        e, x, y = a - shift, b - a + shift, -r
+    else:
+        e, x, y = b - shift, -r, a - b + shift
+    nrm = math.hypot(x, y)
+    if nrm == 0.0:
+        x, nrm = 1.0, 1.0
+    x /= nrm * math.sqrt(2.0 * one_p_op)
+    y /= nrm * math.sqrt(2.0 * one_m_op)
+    c1, c2 = x + y, x - y  # c^T n c = 1
+
+    # Derivatives of the pencil entries.
+    dop1 = -u * sm * op  # dO+/dbeta1 = dO+/dbeta2
+    dop_xi = 2.0 * u * sm * sm * op
+    dom1 = -u * df * om  # dO-/dbeta1 = -dO-/dbeta2
+    dom_xi = 2.0 * u * df * df * om
+    dpp = 2.0 * shch * u * sm
+    dpp_xi = 4.0 * shch + sm * sm * u * (2.0 * (ch * ch + sh2) - 4.0 * shch)
+    h11_b1 = 4.0 * hd * u * b1 * o21 + 2.0 * omega * b1 - 2.0 * alpha - 2.0 * sg * o21 * (1.0 - 4.0 * u * b1 * b1)
+    h22_b2 = 4.0 * hd * u * b2 * o22 + 2.0 * omega * b2 + 2.0 * alpha + 2.0 * sg * o22 * (1.0 - 4.0 * u * b2 * b2)
+    h11_xi = -8.0 * hd * u * b1 * b1 * o21 + 4.0 * omega * shch + 8.0 * sg * b1 * o21 * (1.0 - 2.0 * u * b1 * b1)
+    h22_xi = -8.0 * hd * u * b2 * b2 * o22 + 4.0 * omega * shch - 8.0 * sg * b2 * o22 * (1.0 - 2.0 * u * b2 * b2)
+    ani = sg * om * (1.0 - u * df * df)
+    h12_b1 = -hd * dom1 + omega * (dop1 * pp + op * (dpp - b2)) - alpha * (dop1 * df + op) - ani
+    h12_b2 = hd * dom1 + omega * (dop1 * pp + op * (dpp - b1)) - alpha * (dop1 * df - op) + ani
+    h12_xi = (
+        -hd * dom_xi + omega * (dop_xi * pp + op * dpp_xi) - alpha * dop_xi * df
+        + sg * df * om * (4.0 - 2.0 * u * df * df)
+    )
+    cc = 2.0 * c1 * c2
+    grad = (
+        c1 * c1 * h11_b1 + cc * (h12_b1 - e * dop1),
+        c2 * c2 * h22_b2 + cc * (h12_b2 - e * dop1),
+        c1 * c1 * h11_xi + c2 * c2 * h22_xi + cc * (h12_xi - e * dop_xi),
+    )
+    scale = math.hypot(c1, c2)
+    return e, grad, c1 / scale, c2 / scale
+
+
+
+def reference_fg(energy_grad, mp, n, parity):
+    """A reference energy as the optimizer saw it: n variables, rejected points at (inf, None)."""
+
+    def fg(x):
+        try:
+            e, g = energy_grad(mp, *x, parity=parity)[:2]
+        except (DegenerateAnsatz, OverflowError):
+            return math.inf, None
+        return (e, tuple(g[:n])) if math.isfinite(e) else (math.inf, None)
+
+    return fg
 
 
 def test_vacuum_energy():
@@ -314,8 +444,10 @@ PROJECTED_POINTS = [(3.0, 2.5, 0.1), (0.4, 0.9, -0.2), (5.0, -1.0, 0.3), (1.2, 0
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_projected_energy_is_energy_at_its_eigenvector(tau, parity):
     mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
+    fg = objective(mp, AnsatzKind.CSS2, parity)
     for b1, b2, xi in PROJECTED_POINTS:
-        e, _, c1, c2 = projected_energy_2css(mp, b1, b2, xi, parity)
+        e = fg([b1, b2, xi])[0]
+        c1, c2 = fg([b1, b2, xi], True)
         assert c1 * c1 + c2 * c2 == pytest.approx(1.0, abs=1e-15)
         direct = energy_2css(mp, Ansatz2Params(c1, c2, b1, b2, xi), parity)
         assert abs(e - direct) <= 1e-12 * max(1.0, abs(e))
@@ -329,16 +461,17 @@ def test_projected_energy_is_energy_at_its_eigenvector(tau, parity):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_projected_gradient_matches_central_differences(tau, parity):
     mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
+    fg = objective(mp, AnsatzKind.CSS2, parity)
     h = 1e-6
     for x in PROJECTED_POINTS:
         xi = x[2]
         assert -math.expm1(-math.exp(-4.0 * xi) * (x[0] + x[1]) ** 2) >= 1e-2  # 1 - O+^2
-        _, grad, _, _ = projected_energy_2css(mp, *x, parity)
+        _, grad = fg(list(x))
         for i in range(3):
             up, down = list(x), list(x)
             up[i] += h
             down[i] -= h
-            fd = (projected_energy_2css(mp, *up, parity)[0] - projected_energy_2css(mp, *down, parity)[0]) / (2 * h)
+            fd = (fg(up)[0] - fg(down)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
@@ -346,21 +479,73 @@ def test_projected_gradient_matches_central_differences(tau, parity):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_single_packet_gradient(tau, parity):
     mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
+    fg = objective(mp, AnsatzKind.CSS1, parity)
     h = 1e-6
     for x in [(0.5, 0.1), (3.0, -0.2), (1.1, 0.0)]:
-        e, grad = energy_grad_1css(mp, *x, parity)
+        e, grad = fg(list(x))
         direct = energy_2css(mp, Ansatz2Params(1.0, 0.0, x[0], x[0], x[1]), parity)
         assert abs(e - direct) <= 1e-12 * max(1.0, abs(e))
         for i in range(2):
             up, down = list(x), list(x)
             up[i] += h
             down[i] -= h
-            fd = (energy_grad_1css(mp, *up, parity)[0] - energy_grad_1css(mp, *down, parity)[0]) / (2 * h)
+            fd = (fg(up)[0] - fg(down)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_projected_energy_rejects_coincident_branches():
     mp = ModelParams(delta=100.0, omega=1.0, g=0.01, tau=1.0)
+    fg = objective(mp, AnsatzKind.CS2, "odd")
+    assert fg([0.3, -0.295]) == (math.inf, None)  # 1 - O+^2 = 2.5e-5
+    assert math.isfinite(fg([0.3, -0.285])[0])  # 2.2e-4 is accepted
     with pytest.raises(DegenerateAnsatz):
-        projected_energy_2css(mp, 0.3, -0.295, 0.0, "odd")  # 1 - O+^2 = 2.5e-5
-    projected_energy_2css(mp, 0.3, -0.285, 0.0, "odd")  # 2.2e-4 is accepted
+        projected_energy_2css(mp, 0.3, -0.295, 0.0, "odd")
+
+
+_NVAR = {AnsatzKind.CS1: 1, AnsatzKind.CSS1: 2, AnsatzKind.CS2: 2, AnsatzKind.CSS2: 3}
+
+
+def _random_points(rng, kind, count):
+    """Points over the working range and past it: rejected pencils, overflows, non-finite energies."""
+    n = _NVAR[kind]
+    points = [list(rng.uniform(-6.0, 6.0, n)) for _ in range(count)]
+    if kind.squeezed:
+        for x in points[: count // 4]:
+            x[-1] = rng.uniform(-0.6, 0.6)
+        points += [[1.0] * (n - 1) + [xi] for xi in (200.0, -200.0, 400.0, -400.0, 1e300, -1e300, math.nan)]
+    if kind.two_branch:  # beta1 + beta2 inside and around the rejected band
+        points += [[b, -b + d] + [0.0] * (n - 2) for b, d in zip(rng.uniform(-3, 3, 50), rng.uniform(-0.02, 0.02, 50))]
+    points += [[1e200] + [0.5] * (n - 1), [math.inf] * n, [math.nan] * n, [0.0] * n, [-0.0] * n]
+    return points
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("mp", [
+    ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0),
+    ModelParams.from_lambda(10.0, 0.4, 1.0, 0.5),
+    ModelParams(delta=8.0, omega=1.3, g=2.1, tau=1.5),
+    ModelParams(delta=100.0, g=0.0),
+])
+def test_bound_objective_equals_reference_bit_for_bit(kind, parity, mp):
+    reference = projected_energy_2css if kind.two_branch else energy_grad_1css
+    n = _NVAR[kind]
+    expected_fg = reference_fg(reference, mp, n, parity)
+    fg = objective(mp, kind, parity)
+    branches = set()
+    for x in _random_points(np.random.default_rng(len(kind.value) + 7 * (parity == "odd")), kind, 1000):
+        args = x if kind.squeezed else x + [0.0]  # the unsqueezed kinds fix xi = 0
+        got, expected = fg(x), expected_fg(args)
+        assert repr(got) == repr(expected), x  # repr tells -0.0 from 0.0 and round-trips every float
+        if kind.two_branch and got[1] is not None:
+            assert repr(fg(x, True)) == repr(reference(mp, *args, parity=parity)[2:])
+        try:
+            r = reference(mp, *args, parity=parity)
+            branches.add("finite" if math.isfinite(r[0]) else "non-finite")
+        except DegenerateAnsatz:
+            branches.add("degenerate")
+        except OverflowError:
+            branches.add("overflow")
+    assert {"finite", "non-finite"} <= branches
+    assert ("degenerate" in branches) == kind.two_branch
+    assert ("overflow" in branches) == kind.squeezed
