@@ -5,16 +5,17 @@ with shortest-roundtrip repr so files parse back bit-exactly and repeated
 runs are byte-identical.  A JSON sidecar records the full configuration and
 package version (never timestamps or absolute paths).  Scans and level
 runs share one grid driver.  A row depends only on the config and its grid
-point, so the driver computes the grid points in one worker process per
-available CPU; the files are the same as from one process.  Within a scan
-point the CS2/CSS2 rows take their single-packet stage from the CS1/CSS1
-row, stored or computed, and CSS2 its guard from the CS2 row computed at
-the same point (see solve_ansatz).  Runs are restartable: when the stored
-meta.json has the same physics config (every field but the grid bounds,
-step and methods), existing rows are kept and only missing (grid point,
-method) combinations are recomputed; otherwise every row is recomputed.
-Each computed row is appended to combined.tsv as soon as it is finished,
-so an interrupted run keeps its finished rows for the next one.
+point, so the driver shares the grid points among the calling process and
+one worker process per further available CPU; the files are the same as
+from one process.  Within a scan point the CS2/CSS2 rows take their
+single-packet stage from the CS1/CSS1 row, stored or computed, and CSS2
+its guard from the CS2 row computed at the same point (see solve_ansatz).
+Runs are restartable: when the stored meta.json has the same physics
+config (every field but the grid bounds, step and methods), existing rows
+are kept and only missing (grid point, method) combinations are
+recomputed; otherwise every row is recomputed.  Each computed row is
+appended to combined.tsv as soon as it is finished, so an interrupted run
+keeps its finished rows for the next one.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     rows_at(value, methods, stored) yields the rows of the methods (in
     METHODS order) missing at a grid value; stored maps each method with a
     reusable row there to that row.  The points with missing rows are
-    computed through _pooled_rows.
+    computed through _mapped_rows.
 
     Stored rows of an equal physics config are reused.  combined.tsv is
     first rewritten with only those rows, before meta.json records the new
@@ -327,7 +328,7 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
             fh.flush()
             return row
 
-        rows = reused + _pooled_rows(rows_at, tasks, keep)
+        rows = reused + _mapped_rows(rows_at, tasks, keep)
 
     rows.sort(key=lambda r: (METHODS.index(r["method"]), r[axis]))
     for method in cfg.methods:
@@ -340,59 +341,111 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     return rows
 
 
-_worker_rows_at = None  # rows_at of the pool this process works for
-
-
-def _init_worker(rows_at) -> None:
-    """Pool worker set-up: rows_at arrives by fork, and Ctrl-C is left to the parent."""
-    import signal
-
-    global _worker_rows_at
-    _worker_rows_at = rows_at
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _worker_rows(task):
-    """The rows of one task, or the SystemExit or KeyboardInterrupt it raised.
-
-    The pool hands back only an Exception; any other exception would end
-    the worker and leave the parent waiting for the task forever.
-    """
+def _task_rows(rows_at, task):
+    """The rows of one task, or the exception, of any type, it raised."""
     try:
-        return list(_worker_rows_at(*task))
-    except Exception:
-        raise
+        return list(rows_at(*task))
     except BaseException as exc:
         return exc
 
 
-def _pooled_rows(rows_at, tasks, keep) -> list:
+def _work(rows_at, tasks, take, slot, send) -> None:
+    """Forked worker: send (index, rows or exception) of each task taken, until none is left or one fails.
+
+    A result that does not pickle ends the worker in its task, which the
+    caller reports as a dead worker.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is left to the caller
+    while (i := take(slot)) < len(tasks):
+        rows = _task_rows(rows_at, tasks[i])
+        send.send((i, rows))
+        if isinstance(rows, BaseException):
+            return
+
+
+def _mapped_rows(rows_at, tasks, keep) -> list:
     """keep(row) for each row rows_at(*task) yields, task by task.
 
-    The tasks run in a fork-context pool with one worker per CPU this
-    process may run on, at most one per task, and the rows of each task
-    are kept as soon as it and every task before it are done; with one
-    worker the tasks run here and each row is kept as soon as it is made.
-    An exception in a task, whatever its type, propagates.  The pool is
-    terminated and joined on every way out, so an error or Ctrl-C leaves no
-    worker behind and only the rows kept so far.
+    With W CPUs this process may run on (at most one per task), W - 1
+    fork-context worker processes start, and they and this process take
+    task indices from one shared counter.  Workers send their results over
+    one pipe; between its own tasks this process collects what has arrived
+    and keeps the rows of each task as soon as it and every task before it
+    are done.  With one CPU the tasks run here and each row is kept as soon
+    as it is made.  An exception in a task, whatever its type, propagates
+    once the rows of every task before it are kept.  A worker that dies in
+    a task (killed, os._exit) ends the call the same way, with a
+    RuntimeError naming that task's grid point.  Workers are terminated and
+    joined on every way out, so an error or Ctrl-C leaves no process behind
+    and only the rows kept so far.
     """
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers < 2:
         return [keep(row) for task in tasks for row in rows_at(*task)]
     import multiprocessing  # kept out of import rabivar: only a parallel run pays for it
+    from multiprocessing.connection import wait
 
-    pool = multiprocessing.get_context("fork").Pool(workers, _init_worker, (rows_at,))
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    holding = ctx.RawArray("q", [-1] * (workers - 1))  # the index each worker took last
+
+    def take(slot=None):
+        with counter.get_lock():
+            i = counter.value
+            if slot is not None:
+                holding[slot] = i  # before the count moves on, so no taken index goes unrecorded
+            counter.value = i + 1
+        return i
+
+    recv, send = ctx.Pipe(duplex=False)
+    procs = [ctx.Process(target=_work, args=(rows_at, tasks, take, slot, send), daemon=True)
+             for slot in range(workers - 1)]
     try:
-        kept = []
-        for rows in pool.imap(_worker_rows, tasks):
-            if isinstance(rows, BaseException):
-                raise rows
-            kept += map(keep, rows)
-        return kept
+        for proc in procs:
+            proc.start()
+        send.close()  # the workers hold the only write ends, so the pipe ends when they do
+        running = dict(enumerate(procs))
+        results, kept = {}, []
+
+        def collect(block):
+            """Store each result sent, and a RuntimeError for the task of each worker that died in one."""
+            if block:
+                wait([recv, *(proc.sentinel for proc in running.values())])
+            ended = {slot: proc for slot, proc in running.items() if proc.exitcode is not None}
+            try:
+                while recv.poll():
+                    i, rows = recv.recv()
+                    results[i] = rows
+            except EOFError:  # every worker has ended
+                pass
+            for slot, proc in ended.items():  # all it sent is read now: it ended before the drain
+                del running[slot]
+                i = holding[slot]
+                if len(kept) <= i < len(tasks) and i not in results:
+                    results[i] = RuntimeError(f"worker process {proc.pid} ended with exit code {proc.exitcode} "
+                                              f"while computing grid point {tasks[i][0]}")
+
+        while len(kept) < len(tasks):
+            failed = any(isinstance(rows, BaseException) for rows in results.values())
+            i = len(tasks) if failed else take()  # after a failed task, only the tasks before it
+            if i < len(tasks):
+                results[i] = _task_rows(rows_at, tasks[i])
+            collect(block=i >= len(tasks))
+            while len(kept) in results:
+                rows = results.pop(len(kept))
+                if isinstance(rows, BaseException):
+                    raise rows
+                kept.append([keep(row) for row in rows])
+        return [row for rows in kept for row in rows]
     finally:
-        pool.terminate()
-        pool.join()
+        for proc in procs:
+            if proc.pid is not None:
+                proc.terminate()
+                proc.join()
+        send.close()
+        recv.close()
 
 
 def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
@@ -463,10 +516,11 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
 
     Every row is computed in cfg.parity and depends only on cfg and its
     lambda: the solves start from fixed seeds, never from a neighboring
-    point, so the points are computed in one worker process per available
-    CPU.  Unknown methods, an unknown parity and single-packet methods with
-    odd parity raise InvalidConfig before anything is written, as does any
-    input _check_model rejects.
+    point, so the points are shared among this process and one worker
+    process per further available CPU (see _mapped_rows).  Unknown
+    methods, an unknown parity and single-packet methods with odd parity
+    raise InvalidConfig before anything is written, as does any input
+    _check_model rejects.
     """
     _check_model(cfg)
     if cfg.parity not in ("even", "odd"):
@@ -601,7 +655,8 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
     splitting (crossings) and the first of them (crossing, None if none);
     with both methods, also the g/g_c1 ranges where their splittings have
     opposite signs (parity_disagreements, see _parity_disagreements).
-    The grid points are computed in one worker process per available CPU.
+    The grid points are shared among this process and one worker process
+    per further available CPU (see _mapped_rows).
     """
     _check_model(cfg)
     if cfg.tau >= 1.0:

@@ -67,6 +67,18 @@ def cli_error(argv, capsys):
     return captured.err
 
 
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process running as a worker, or ended and unreaped."""
+    yield
+    assert not multiprocessing.active_children()
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        pid = 0
+    assert pid == 0, f"child process {pid} was left behind (wait status {status})"
+
+
 def test_scan_outputs_and_roundtrip(tmp_path):
     out = tmp_path / "scan"
     rows = run_scan(ScanConfig(**SMALL_SCAN), str(out))
@@ -307,25 +319,63 @@ def test_scan_rows_depend_only_on_their_point(tmp_path, monkeypatch, other):
         assert row == rows[(row["method"], row["lambda"])]
 
 
+def record_points(monkeypatch, name, log):
+    """Replace scan.<name>(cfg, point, ...) by one that appends "<pid> <point>" to log."""
+    row = getattr(scan, name)
+
+    def recorded(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[1]!r}\n")
+        return row(*args)
+
+    monkeypatch.setattr(scan, name, recorded)
+
+
+def assert_shared_once(log, grid):
+    """Each grid point was computed once, and this process and at least one worker computed them."""
+    pids, points = zip(*(line.split() for line in log.read_text().splitlines()))
+    assert sorted(map(float, points)) == sorted(grid)
+    assert str(os.getpid()) in pids and len(set(pids)) >= 2
+
+
 def test_scan_trees_from_one_and_two_cpus_identical(tmp_path, monkeypatch):
     cfg = ScanConfig(**(SMALL_SCAN | {"methods": scan.METHODS}))
     one_cpu(monkeypatch)
     run_scan(cfg, str(tmp_path / "serial"))
-    pids = tmp_path / "pids"
-    row_ed = scan._scan_row_ed
-
-    def record_pid(*args):
-        with open(pids, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return row_ed(*args)
-
-    monkeypatch.setattr(scan, "_scan_row_ed", record_pid)
+    record_points(monkeypatch, "_scan_row_ed", tmp_path / "points")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     run_scan(cfg, str(tmp_path / "pooled"))
-    assert len(pids.read_text().split()) == len(cfg.grid())
-    assert str(os.getpid()) not in pids.read_text().split()  # the points came from workers
+    assert_shared_once(tmp_path / "points", cfg.grid())
     assert_trees_identical(str(tmp_path / "serial"), str(tmp_path / "pooled"))
-    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("fail_at", [None, 150])
+def test_shared_counter_hands_out_each_task_once(tmp_path, monkeypatch, fail_at):
+    # Four processes race for 200 quick tasks: a lost update of the shared
+    # counter would compute a task twice, or never and hang.
+    log = tmp_path / "log"
+
+    def rows_at(i):
+        with open(log, "a") as fh:
+            fh.write(f"{i}\n")
+        if i == fail_at:
+            raise ValueError(f"task {i} failed")
+        yield i
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    kept = []
+    tasks = [(i,) for i in range(200)]
+    if fail_at is None:
+        assert scan._mapped_rows(rows_at, tasks, lambda row: kept.append(row) or row) == list(range(200))
+    else:
+        with pytest.raises(ValueError, match=f"task {fail_at} failed"):
+            scan._mapped_rows(rows_at, tasks, kept.append)
+    computed = [int(i) for i in log.read_text().split()]
+    assert len(set(computed)) == len(computed)  # no task twice
+    if fail_at is None:
+        assert kept == sorted(computed) == list(range(200))
+    else:  # every task up to the failed one, and only the rows before it kept
+        assert set(range(fail_at + 1)) <= set(computed) and kept == list(range(fail_at))
 
 
 def test_pooled_scan_resumes_byte_identical(tmp_path, monkeypatch):
@@ -498,23 +548,12 @@ def test_pooled_levels_equal_rows_computed_in_process(tmp_path, monkeypatch):
     cfg = LevelsConfig(**SMALL_LEVELS)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one CPU: every row in this process
     serial = run_levels(cfg, str(tmp_path / "serial"))
-
-    pids = tmp_path / "pids"
-    row_ed = scan._levels_row_ed
-
-    def record_pid(*args):
-        with open(pids, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return row_ed(*args)
-
-    monkeypatch.setattr(scan, "_levels_row_ed", record_pid)
+    record_points(monkeypatch, "_levels_row_ed", tmp_path / "points")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pooled = run_levels(cfg, str(tmp_path / "pooled"))
-    assert len(pids.read_text().split()) == len(cfg.grid())
-    assert str(os.getpid()) not in pids.read_text().split()  # the ED rows came from workers
+    assert_shared_once(tmp_path / "points", cfg.grid())
     assert pooled == serial
     assert_trees_identical(str(tmp_path / "serial"), str(tmp_path / "pooled"))
-    assert not multiprocessing.active_children()
 
 
 def test_levels_worker_error_propagates_and_keeps_earlier_rows(tmp_path, monkeypatch):
@@ -532,7 +571,6 @@ def test_levels_worker_error_propagates_and_keeps_earlier_rows(tmp_path, monkeyp
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(RuntimeError, match="row failed in a worker"):
         run_levels(cfg, str(out))
-    assert not multiprocessing.active_children()
     # Both rows of every point before the failed one in grid order, point by
     # point, as the full run wrote them: ED and CSS2 at 0.96, then at 0.98.
     lines = (fresh / "combined.tsv").read_text().splitlines()
@@ -588,9 +626,53 @@ run_levels(LevelsConfig(**json.loads(sys.argv[2])), sys.argv[1])
     assert len((out / "combined.tsv").read_text().splitlines()) == 1 + 2 * 2  # the points 0.96 and 0.98
 
 
+@pytest.mark.parametrize("death, code", [
+    ("os._exit(7)", 7),
+    ("os.kill(os.getpid(), signal.SIGKILL)", -signal.SIGKILL),
+])
+def test_dead_worker_ends_the_scan_with_its_point(tmp_path, death, code):
+    # A worker that died mid-point used to leave the parent waiting for that
+    # point forever.  Here the first point a worker takes kills it.
+    script = f"""
+import json, multiprocessing, os, signal, sys
+import rabivar.scan as scan
+from rabivar.scan import ScanConfig, run_scan
+
+caller, row_ed = os.getpid(), scan._scan_row_ed
+
+def die_in_worker(cfg, lam):
+    if os.getpid() != caller:
+        {death}
+    return row_ed(cfg, lam)
+
+scan._scan_row_ed = die_in_worker
+try:
+    run_scan(ScanConfig(**json.loads(sys.argv[2])), sys.argv[1])
+finally:
+    assert not multiprocessing.active_children(), "a worker outlived the run"
+"""
+    cfg = ScanConfig(**SMALL_SCAN)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    run_scan(cfg, str(fresh))
+    status, err = run_script(script, out, json.dumps(SMALL_SCAN))
+    assert status == 1, err
+    found = re.fullmatch(rf"RuntimeError: worker process \d+ ended with exit code {code} "
+                         r"while computing grid point (\S+)", err.splitlines()[-1])
+    assert found, err
+    lost = float(found.group(1))
+    assert lost in cfg.grid()
+    lines = (fresh / "combined.tsv").read_text().splitlines()
+    kept = (out / "combined.tsv").read_text().splitlines()
+    assert kept[0] == lines[0]
+    assert sorted(kept[1:]) == sorted(line for line in lines[1:] if float(line.split("\t")[0]) < lost)
+    run_scan(cfg, str(out))
+    assert_trees_identical(str(fresh), str(out))
+
+
 def test_interrupted_pooled_scan_keeps_finished_points_and_resumes(tmp_path):
-    # A KeyboardInterrupt raised in a worker reaches the parent, which stops
-    # the other workers and keeps the points finished before it.
+    # A KeyboardInterrupt raised in a point, in a worker or in the calling
+    # process, ends the run once the points before it are kept, and stops
+    # the workers.
     code = """
 import json, sys
 import rabivar.scan as scan
@@ -940,13 +1022,13 @@ def test_module_entry_point_help():
 def test_imports_leave_scipy_optimize_unloaded():
     # Importing scipy.optimize costs ~0.3 s of start-up and ~19 MB of peak
     # RSS, past the benchmark's set-up and memory bounds; scipy.special
-    # costs 50-80 ms and ~2 MB.  The process pool is loaded only by a
-    # levels run that computes rows in parallel.
+    # costs 50-80 ms and ~2 MB.  multiprocessing is loaded only by a scan
+    # or levels run that computes grid points in worker processes.
     code = (
         "import json, resource, sys, time\n"
         "t = time.perf_counter()\n"
         "import rabivar, rabivar.scan, rabivar.verify, rabivar.cli\n"
-        "unloaded = ('scipy.optimize', 'scipy.special', 'multiprocessing.pool')\n"
+        "unloaded = ('scipy.optimize', 'scipy.special', 'multiprocessing')\n"
         "print(json.dumps({'loaded': [m for m in unloaded if m in sys.modules],"
         " 'import_s': time.perf_counter() - t,"
         " 'peak_rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
