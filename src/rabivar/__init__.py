@@ -25,14 +25,11 @@ from .exactdiag import (
 )
 from .states import position_profile
 from .variational import (
-    Ansatz1Params,
-    Ansatz2Params,
     AnsatzKind,
+    PacketParams,
     asymptotic_params,
-    energy_1css,
-    energy_2css,
-    mean_photon_1css,
-    mean_photon_2css,
+    energy,
+    mean_photon,
     parity_splitting_2css,
     stationarity_residuals_iso,
 )

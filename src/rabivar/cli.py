@@ -9,9 +9,10 @@ bool included, odd parity with CS1/CSS1, tau >= 1 for levels, an unknown
 source, delta or omega <= 0, tau < 0, a non-finite delta, omega or tau, a
 negative or non-finite lambda_min, g_min or lambdas entry, a grid step
 that is not positive and finite, a grid max below its min or not
-finite, a grid of more than a million points, n_tr not a non-negative integer, tail_tol outside (0, 1)) ends it
-before anything is written, with one line "rabivar: error: ..." on stderr
-and exit status 2, as argparse does for malformed flags.
+finite, a grid of more than a million points, n_tr not a non-negative
+integer, tail_tol outside (0, 1), a negative verify seed) ends it before
+anything is written, with one line "rabivar: error: ..." on stderr and
+exit status 2, as argparse does for malformed flags.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def _run(args) -> int:
             )
         return 0
     if args.command == "verify":
+        if args.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {args.seed}")
         results = run_all(seed=args.seed)
         report = format_report(results)
         sys.stdout.write(report)

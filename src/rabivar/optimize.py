@@ -1,7 +1,7 @@
 """Multi-start quasi-Newton minimization of the trial-state energies.
 
 Every objective comes with its exact gradient, and each stage binds its
-objective once (:func:`rabivar.variational.objective`).  The single-packet
+objective once (:func:`rabivar.variational.objective`).  The one-packet
 energy E_1(beta, xi) is minimized directly.  For two-packet kinds the
 linear coefficients (c1, c2) are projected out: for fixed packets the
 energy is a Rayleigh quotient in them, so the objective is the lowest root
@@ -14,11 +14,18 @@ free variables, so :func:`bfgs` is a fixed three-slot kernel on Python
 float locals (fewer variables ride in frozen slots), and identical inputs
 reproduce identical results bit for bit.
 
+Every result holds its trial state as a packet list
+(:class:`rabivar.variational.PacketParams`): one packet, c = (1,) and
+a = (beta,), for CS1/CSS1; two packets for CS2/CSS2, with a = (beta1,
+-beta2) and c the pencil's unit eigenvector, in the canonical order of
+:meth:`~rabivar.variational.PacketParams.canonical`.
+
 Structure selection for two-packet kinds.  Below the delocalization
 threshold the second packet buys only a sub-resolution energy gain while
 its coefficients wander an almost flat valley, so the packet decomposition
 is ill conditioned there.  solve_ansatz therefore reports the single-packet
-reduction (c1, c2) = (1, 0), beta2 = beta1 whenever BOTH hold:
+reduction c = (1, 0), a = (beta, -beta), i.e. c2 = 0 and beta2 = beta1,
+whenever BOTH hold:
 
   * the two-packet gain is below STRUCT_RTOL * max(1, |E|), and
   * reporting the reduction cannot disturb the family ordering, i.e. the
@@ -48,13 +55,7 @@ from dataclasses import dataclass
 
 from .errors import NoConvergence
 from .model import ModelParams
-from .variational import (
-    Ansatz1Params,
-    Ansatz2Params,
-    AnsatzKind,
-    asymptotic_params,
-    objective,
-)
+from .variational import AnsatzKind, PacketParams, asymptotic_params, objective
 
 GRAD_TOL = 1e-5
 STRUCT_RTOL = 1e-4
@@ -68,7 +69,7 @@ class OptResult:
     kind: AnsatzKind
     parity: str
     energy: float
-    params: object  # Ansatz1Params or Ansatz2Params
+    params: PacketParams
     starts_tried: int
     grad_norm: float
     converged: bool
@@ -194,22 +195,6 @@ def bfgs(fg, x0, max_iter=500):
     return x, f, g, nfev
 
 
-def canonicalize_2css(a: Ansatz2Params) -> Ansatz2Params:
-    """Gauge-fixed representative of a two-packet parameter set.
-
-    Picks between the set and its exact relabeling (c2, c1, -beta2, -beta1)
-    the one with the larger displacement sum (majority packet first), then
-    normalizes the overall coefficient sign (c1 > 0, or c2 > 0 when c1 = 0).
-    """
-    cand = a
-    alt = a.relabeled()
-    if (alt.beta1 + alt.beta2, alt.c1**2 - alt.c2**2) > (cand.beta1 + cand.beta2, cand.c1**2 - cand.c2**2):
-        cand = alt
-    if cand.c1 < 0.0 or (cand.c1 == 0.0 and cand.c2 < 0.0):
-        cand = Ansatz2Params(-cand.c1, -cand.c2, cand.beta1, cand.beta2, cand.xi)
-    return cand
-
-
 def _seed_values(params: ModelParams):
     """Deterministic displacement/squeezing seeds.
 
@@ -273,10 +258,11 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", so
     def pack(stage, x):
         """The parameters of this kind's trial state at the stage's optimum x."""
         xi = x[-1] if stage.squeezed else 0.0
-        if not stage.two_branch:
-            return Ansatz2Params(1.0, 0.0, x[0], x[0], xi) if kind.two_branch else Ansatz1Params(x[0], xi)
-        c1, c2 = objective(params, stage, parity)(x, True)
-        return canonicalize_2css(Ansatz2Params(c1, c2, x[0], x[1], xi))
+        if stage.two_branch:
+            return PacketParams(objective(params, stage, parity)(x, True), (x[0], -x[1]), xi).canonical()
+        if kind.two_branch:  # the single-packet reduction: c2 = 0, beta2 = beta1
+            return PacketParams((1.0, 0.0), (x[0], -x[0]), xi)
+        return PacketParams((1.0,), (x[0],), xi)
 
     def minimize(stage, starts):
         """Lowest BFGS run of the stage kind's objective over the starts: (x, f, grad_norm)."""

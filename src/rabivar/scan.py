@@ -39,15 +39,7 @@ from .exactdiag import (
 from .model import ModelParams, Truncation
 from .optimize import OptResult, solve_ansatz
 from .states import count_peaks, gaussian_packet_profile, position_profile
-from .variational import (
-    Ansatz1Params,
-    AnsatzKind,
-    mean_photon_1css,
-    mean_photon_2css,
-    norm2_2css,
-    objective,
-    parity_splitting_2css,
-)
+from .variational import AnsatzKind, PacketParams, mean_photon, norm2, objective, parity_splitting_2css, superpose
 
 METHODS = ("ED", "CS1", "CSS1", "CS2", "CSS2")
 
@@ -474,7 +466,7 @@ def _restored_result(cfg: ScanConfig, lam: float, row) -> OptResult | None:
     if kind.two_branch or not row.get("converged"):
         return None
     mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
-    p = Ansatz1Params(row["beta1"], row["xi"])
+    p = PacketParams((1.0,), (row["beta1"],), row["xi"])
     _, grad = objective(mp, kind)([p.beta, p.xi] if kind.squeezed else [p.beta])
     return OptResult(kind, "even", row["energy"], p, 0, max(map(abs, grad)), True)
 
@@ -500,14 +492,13 @@ def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, solved: dict) -> 
     row["energy"] = res.energy
     row["energy_scaled"] = res.energy / (cfg.delta * cfg.omega)
     row["converged"] = res.converged
-    if kind.two_branch:
-        row.update(beta1=p.beta1, beta2=p.beta2, c1=p.c1, c2=p.c2, xi=p.xi)
-        try:
-            row["mean_photon"] = mean_photon_2css(p)
-        except DegenerateAnsatz:
-            pass
-    else:
-        row.update(beta1=p.beta, xi=p.xi, mean_photon=mean_photon_1css(p))
+    row.update(beta1=p.a[0], xi=p.xi)
+    if kind.two_branch:  # one-packet rows leave beta2, c1 and c2 empty
+        row.update(beta2=-p.a[1], c1=p.c[0], c2=p.c[1])
+    try:
+        row["mean_photon"] = mean_photon(p)
+    except DegenerateAnsatz:
+        pass
     return row
 
 
@@ -637,8 +628,8 @@ def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     # splitting is evaluated in closed form at the even optimum instead of
     # subtracting two nearly equal minima.
     split = parity_splitting_2css(mp, even.params)
-    n_even = mean_photon_2css(even.params)
-    n_odd = mean_photon_2css(odd.params)
+    n_even = mean_photon(even.params)
+    n_odd = mean_photon(odd.params)
     row.update(
         e_even=even.energy, e_odd=odd.energy, splitting=split,
         mean_photon_even=n_even, mean_photon_odd=n_odd,
@@ -720,15 +711,12 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
                     raise
                 p = exc.best.params
                 unconverged.append(lam)
-            scale = 1.0 / math.sqrt(norm2_2css(p))
-            phi_p = scale * (
-                p.c1 * gaussian_packet_profile(xs, -p.beta1, p.xi, cfg.omega)
-                + p.c2 * gaussian_packet_profile(xs, +p.beta2, p.xi, cfg.omega)
-            )
-            phi_m = -scale * (
-                p.c1 * gaussian_packet_profile(xs, +p.beta1, p.xi, cfg.omega)
-                + p.c2 * gaussian_packet_profile(xs, -p.beta2, p.xi, cfg.omega)
-            )
+            scale = 1.0 / math.sqrt(norm2(p))
+
+            def profile(b):
+                return gaussian_packet_profile(xs, b, p.xi, cfg.omega)
+
+            phi_p, phi_m = scale * superpose(p, -1.0, profile), -scale * superpose(p, 1.0, profile)
         fname = f"wf_{cfg.source}_lam{_fmt(lam)}.tsv"
         write_table(
             os.path.join(out_dir, fname),

@@ -1,26 +1,27 @@
 """Closed-form trial-state energies, observables and stationarity residuals.
 
-Trial states.  Each spin projection carries a superposition of two
-packets, |f(b)> being the squeezed packet displaced to b in the +x
-projection (see :mod:`rabivar.states`).  The second branch is
-parameterized with reflected orientation so that at a two-packet optimum
-both displacement parameters come out positive:
+Trial states.  Every trial state is a list of packets (:class:`PacketParams`):
+coefficients c_j, positions a_j and one shared squeezing xi, |f(b)> being
+the squeezed packet displaced to b in the +x projection (see
+:mod:`rabivar.states`):
 
-    +x component:  c1 |f(-beta1)> + c2 |f(+beta2)>
-    -x component:  c1 |f(+beta1)> + c2 |f(-beta2)>   (times -1 for even parity,
-                                                      +1 for odd parity)
+    +x component:  sum_j c_j |f(-a_j)>
+    -x component:  sum_j c_j |f(+a_j)>   (times -1 for even parity,
+                                          +1 for odd parity)
 
-The single-packet (even) trial state is the case c1 = 1/sqrt(2), c2 = 0,
-beta1 = beta; :func:`objective` gives its energy in closed form.
-The parameterization is redundant under the exact branch relabeling
-(c1, c2, beta1, beta2) -> (c2, c1, -beta2, -beta1) and under a global sign
-flip of (c1, c2); energies are Rayleigh quotients, so (c1, c2) need not be
-normalized.
+One packet, a = (beta,), is the CS1/CSS1 state; two packets,
+a = (beta1, -beta2), are the CS2/CSS2 state, whose second position is
+reflected so that at a two-packet optimum beta1 and beta2 both come out
+positive.  The state is a sum over packets, so reordering the list (for two
+packets, reversing it: (c1, c2, beta1, beta2) -> (c2, c1, -beta2, -beta1))
+and flipping the sign of every c_j give the same state;
+:meth:`PacketParams.canonical` picks one representative.  Energies are
+Rayleigh quotients, so c need not be normalized.
 
-Pair matrices.  With the -x packets at a = (beta1, -beta2) and the +x
-packets at -a, every expectation value is 2 c^T M c for a symmetric 2x2
-matrix M of one pair function of the packet positions.  With
-u = eta^2 = e^{-4xi}, sh = sinh 2xi, ch = cosh 2xi and O(d) = exp(-u d^2 / 2):
+Pair matrices.  With the -x packets at a and the +x packets at -a, every
+expectation value is 2 c^T M c for a symmetric matrix M of one pair
+function of the packet positions.  With u = eta^2 = e^{-4xi},
+sh = sinh 2xi, ch = cosh 2xi and O(d) = exp(-u d^2 / 2):
 
     N_ij  = O(a_i - a_j)
     Ph_ij = N_ij (sh^2 + a_i a_j + sh ch u (a_i - a_j)^2)
@@ -28,14 +29,18 @@ u = eta^2 = e^{-4xi}, sh = sinh 2xi, ch = cosh 2xi and O(d) = exp(-u d^2 / 2):
     B_ij  = O(a_i + a_j) (delta/2 + gamma u (a_i + a_j))
 
 The energy of parity s (+1 even, -1 odd) is the Rayleigh quotient of
-A - s B over N, and the photon number that of Ph over N.  With the parts
-M_d = c1^2 M_11 + c2^2 M_22 and M_x = 2 c1 c2 M_12, the mirror splitting
-E_even(c1, c2) - E_odd(c1, -c2) is 2 [(A_x - B_d) N_d - (A_d - B_x) N_x]
-/ (N_d^2 - N_x^2), free of the cancellation between the two energies.
+A - s B over N, and the photon number that of Ph over N.  M splits into
+the parts M_d = sum_j c_j^2 M_jj and M_x = sum_{i<j} 2 c_i c_j M_ij.  For
+two packets the mirror splitting E_even(c1, c2) - E_odd(c1, -c2) is
+2 [(A_x - B_d) N_d - (A_d - B_x) N_x] / (N_d^2 - N_x^2), free of the
+cancellation between the two energies.
 
-All closed forms in this module are validated against explicit Fock-space
-construction of the same states (the oracle in :mod:`rabivar.states`); the
-oracle is authoritative.
+:func:`energy`, :func:`mean_photon` and :func:`norm2` read these matrices
+for any number of packets, and :func:`state_vectors` builds the same state
+in a truncated number basis.  ``rabivar verify`` checks the former against
+the latter (the Fock oracle of :mod:`rabivar.states`, which is
+authoritative) and the gradients of :func:`objective` against central
+differences; the tests tie :func:`objective`'s energies to :func:`energy`.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -56,26 +62,30 @@ _PENCIL_FLOOR = 1e-4  # least 1 - O+^2 of the projected two-packet energy
 
 
 @dataclass(frozen=True)
-class Ansatz1Params:
-    """Single-packet parameters; xi = 0 gives the plain displaced packet."""
+class PacketParams:
+    """Trial-state parameters: coefficients c, the -x packets' positions a, shared xi.
 
-    beta: float
+    c and a are tuples of one entry per packet; xi = 0 gives plain
+    displaced packets.
+    """
+
+    c: tuple
+    a: tuple
     xi: float = 0.0
 
+    @property
+    def beta(self) -> float:
+        """The displacement a[0] of a one-packet state; ValueError for more packets."""
+        (beta,) = self.a
+        return beta
 
-@dataclass(frozen=True)
-class Ansatz2Params:
-    """Two-packet parameters: raw coefficients c1, c2, displacements, shared xi."""
-
-    c1: float
-    c2: float
-    beta1: float
-    beta2: float
-    xi: float = 0.0
-
-    def relabeled(self) -> "Ansatz2Params":
-        """The equivalent parameter set with the branches swapped."""
-        return Ansatz2Params(self.c2, self.c1, -self.beta2, -self.beta1, self.xi)
+    def canonical(self) -> "PacketParams":
+        """The same state, its packets sorted by (position, c^2), descending, and its first nonzero c positive."""
+        order = sorted(range(len(self.a)), key=lambda j: (self.a[j], self.c[j] ** 2), reverse=True)
+        c = [self.c[j] for j in order]
+        if next((v for v in c if v != 0.0), 0.0) < 0.0:
+            c = [-v for v in c]
+        return PacketParams(tuple(c), tuple(self.a[j] for j in order), self.xi)
 
 
 class AnsatzKind(Enum):
@@ -107,19 +117,8 @@ def _pair_overlap(eta: float, d: float) -> float:
     return math.exp(-0.5 * t * t)
 
 
-def energy_1css(params: ModelParams, a: Ansatz1Params) -> float:
-    """Energy of the single-packet trial state; xi = 0 gives the unsqueezed case."""
-    return objective(params, AnsatzKind.CSS1)([a.beta, a.xi])[0]
-
-
-def mean_photon_1css(a: Ansatz1Params) -> float:
-    """Mode occupation sinh^2(2 xi) + beta^2 of the single-packet state."""
-    sh = math.sinh(2.0 * a.xi)
-    return sh * sh + a.beta**2
-
-
-def stationarity_residuals_iso(params: ModelParams, a: Ansatz1Params):
-    """Stationarity residuals (r_xi, r_beta) of the isotropic single-packet energy.
+def stationarity_residuals_iso(params: ModelParams, p: PacketParams):
+    """Stationarity residuals (r_xi, r_beta) of the isotropic one-packet energy at p.
 
     r_xi  = omega (e^{4xi} - e^{-4xi}) - 4 delta beta^2 e^{-4xi} e^{-2 beta^2 eta^2}
     r_beta = (omega beta - g) + delta beta e^{-4xi} e^{-2 beta^2 eta^2}
@@ -129,11 +128,11 @@ def stationarity_residuals_iso(params: ModelParams, a: Ansatz1Params):
     """
     if params.tau != 1.0:
         raise NotIsotropic(f"stationarity residuals require tau == 1, got {params.tau}")
-    eta = math.exp(-2.0 * a.xi)
+    eta = math.exp(-2.0 * p.xi)
     em4 = eta * eta
-    o2 = _pair_overlap(eta, 2.0 * a.beta)
-    r_xi = params.omega * (math.exp(4.0 * a.xi) - em4) - 4.0 * params.delta * a.beta**2 * em4 * o2
-    r_beta = (params.omega * a.beta - params.g) + params.delta * a.beta * em4 * o2
+    o2 = _pair_overlap(eta, 2.0 * p.beta)
+    r_xi = params.omega * (math.exp(4.0 * p.xi) - em4) - 4.0 * params.delta * p.beta**2 * em4 * o2
+    r_beta = (params.omega * p.beta - params.g) + params.delta * p.beta * em4 * o2
     return r_xi, r_beta
 
 
@@ -150,25 +149,27 @@ def asymptotic_params(params: ModelParams):
     return beta, xi
 
 
-def _pair_parts(params, a: Ansatz2Params):
+def _pair_parts(params, p: PacketParams):
     """The parts ([N_d, N_x], [Ph_d, Ph_x], [A_d, A_x], [B_d, B_x]) of the pair matrices.
 
-    See the module docstring; params supplies delta, omega, alpha and gamma.
+    Each part is summed over the diagonal pairs in packet order, then over
+    the cross pairs (i, j), i < j, in order.  See the module docstring;
+    params supplies delta, omega, alpha and gamma.
     """
-    c, pos = (a.c1, a.c2), (a.beta1, -a.beta2)
-    sh = math.sinh(2.0 * a.xi)
-    shch = sh * math.cosh(2.0 * a.xi)
-    eta = math.exp(-2.0 * a.xi)
+    c, pos = p.c, p.a
+    sh = math.sinh(2.0 * p.xi)
+    shch = sh * math.cosh(2.0 * p.xi)
+    eta = math.exp(-2.0 * p.xi)
     u = eta * eta
     n, ph, h_a, h_b = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
-    for i, j in ((0, 0), (1, 1), (0, 1)):
+    for i, j in [(i, i) for i in range(len(pos))] + list(combinations(range(len(pos)), 2)):
         k, w = (0, c[i] * c[j]) if i == j else (1, 2.0 * c[i] * c[j])
         d, sm = pos[i] - pos[j], pos[i] + pos[j]
         o = _pair_overlap(eta, d)
-        p = o * (sh * sh + pos[i] * pos[j] + shch * u * d * d)
+        pij = o * (sh * sh + pos[i] * pos[j] + shch * u * d * d)
         n[k] += w * o
-        ph[k] += w * p
-        h_a[k] += w * (params.omega * p - params.alpha * sm * o)
+        ph[k] += w * pij
+        h_a[k] += w * (params.omega * pij - params.alpha * sm * o)
         h_b[k] += w * _pair_overlap(eta, sm) * (0.5 * params.delta + params.gamma * u * sm)
     return n, ph, h_a, h_b
 
@@ -329,68 +330,68 @@ def objective(params: ModelParams, kind: AnsatzKind, parity: str = "even"):
     return projected
 
 
-def norm2_2css(a: Ansatz2Params) -> float:
-    """Squared norm of the two-packet state, 2(c1^2 + c2^2 + 2 c1 c2 O+)."""
-    n = _pair_parts(_NO_COUPLING, a)[0]
+def norm2(p: PacketParams) -> float:
+    """Squared norm 2 c^T N c of the trial state."""
+    n = _pair_parts(_NO_COUPLING, p)[0]
     return 2.0 * (n[0] + n[1])
 
 
-def energy_2css(params: ModelParams, a: Ansatz2Params, parity: str = "even") -> float:
-    """Rayleigh quotient of the two-packet trial state, either parity.
+def energy(params: ModelParams, p: PacketParams, parity: str = "even") -> float:
+    """Rayleigh quotient of the trial state, either parity.
 
-    Reduces exactly to :func:`energy_1css` at c2 = 0, c1 = 1/sqrt(2),
-    beta1 = beta.  Raises DegenerateAnsatz when the squared norm falls
-    below 1e-12 (near-cancelling superposition).
+    Raises DegenerateAnsatz when the squared norm falls below 1e-12
+    (near-cancelling superposition).
     """
     s = _check_parity(parity)
-    n, _, h_a, h_b = _pair_parts(params, a)
+    n, _, h_a, h_b = _pair_parts(params, p)
     return _quotient(h_a[0] + h_a[1] - s * (h_b[0] + h_b[1]), n)
 
 
-def mean_photon_2css(a: Ansatz2Params) -> float:
-    """Mode occupation of the two-packet state (parity independent)."""
-    n, ph, _, _ = _pair_parts(_NO_COUPLING, a)
+def mean_photon(p: PacketParams) -> float:
+    """Mode occupation of the trial state (parity independent)."""
+    n, ph, _, _ = _pair_parts(_NO_COUPLING, p)
     return _quotient(ph[0] + ph[1], n)
 
 
-def parity_splitting_2css(params: ModelParams, a: Ansatz2Params) -> float:
-    """E_even(c1, c2, ...) - E_odd(c1, -c2, ...), evaluated in closed form.
+def parity_splitting_2css(params: ModelParams, p: PacketParams) -> float:
+    """E_even(c1, c2, ...) - E_odd(c1, -c2, ...) of a two-packet state, evaluated in closed form.
 
     The two parity optima mirror each other through c2 -> -c2 up to terms
     suppressed by the inter-packet overlaps, so this difference at the even
     optimum tracks the level splitting without the catastrophic cancellation
     of subtracting two separately minimized energies (module docstring).
     """
-    n, _, h_a, h_b = _pair_parts(params, a)
+    if len(p.a) != 2:
+        raise ValueError(f"the mirror splitting takes two packets, got {len(p.a)}")
+    n, _, h_a, h_b = _pair_parts(params, p)
     denom = n[0] * n[0] - n[1] * n[1]
     if 4.0 * denom < _NORM_FLOOR**2:  # the floor is on the squared norms 2 c^T N c
         raise DegenerateAnsatz(f"norm product {4.0 * denom:.3e} below {_NORM_FLOOR**2:.0e}")
     return 2.0 * ((h_a[1] - h_b[0]) * n[0] - (h_a[0] - h_b[1]) * n[1]) / denom
 
 
-def ansatz2_state_vectors(a: Ansatz2Params, trunc: Truncation):
-    """Explicit spin x Fock vectors (even, odd) of the two-packet state (Fock oracle input).
+def superpose(p: PacketParams, side: float, packet):
+    """sum_j c_j packet(side * a_j), summed in packet order: the -x component for side 1, the +x one for -1."""
+    terms = [c * packet(side * b) for c, b in zip(p.c, p.a)]
+    return sum(terms[1:], terms[0])
+
+
+def state_vectors(p: PacketParams, trunc: Truncation):
+    """Explicit spin x Fock vectors (even, odd) of the trial state (Fock oracle input).
 
     Spin-major flat layout matching :mod:`rabivar.fock`; the vectors are not
-    normalized (each squared norm approaches :func:`norm2_2css` as the
-    truncation grows).  Each packet is built once for both parities, and
-    the +-beta1 packets serve as the +-beta2 ones when beta2 == beta1.
+    normalized (each squared norm approaches :func:`norm2` as the
+    truncation grows).  Each distinct packet position is built once, for
+    both projections and parities.
     """
-    minus1 = displaced_squeezed_amplitudes(-a.beta1, a.xi, trunc)
-    plus1 = displaced_squeezed_amplitudes(+a.beta1, a.xi, trunc)
-    if a.beta2 == a.beta1:
-        plus2, minus2 = plus1, minus1
-    else:
-        plus2 = displaced_squeezed_amplitudes(+a.beta2, a.xi, trunc)
-        minus2 = displaced_squeezed_amplitudes(-a.beta2, a.xi, trunc)
-    u = a.c1 * minus1 + a.c2 * plus2  # +x projection
-    v = a.c1 * plus1 + a.c2 * minus2  # -x projection, before the parity sign
+    packets = {}
+
+    def packet(b):
+        if b not in packets:
+            packets[b] = displaced_squeezed_amplitudes(b, p.xi, trunc)
+        return packets[b]
+
+    u, v = superpose(p, -1.0, packet), superpose(p, 1.0, packet)  # v before the parity sign
     rt = 1.0 / math.sqrt(2.0)
     diff, tot = rt * (u - v), rt * (u + v)
     return np.concatenate([diff, tot]), np.concatenate([tot, diff])
-
-
-def ansatz1_state_vector(a: Ansatz1Params, trunc: Truncation) -> np.ndarray:
-    """Explicit spin x Fock vector of the single-packet (parity-even) state."""
-    two = Ansatz2Params(1.0 / math.sqrt(2.0), 0.0, a.beta, a.beta, a.xi)
-    return ansatz2_state_vectors(two, trunc)[0]

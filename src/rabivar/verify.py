@@ -1,10 +1,24 @@
-"""Self-verification: closed forms against the Fock oracle, bounds, stationarity.
+"""Self-verification: closed forms against the Fock oracle, bounds, gradients.
 
-Every closed-form overlap, energy and photon number in
-:mod:`rabivar.variational` is re-evaluated here on packets built explicitly
-in a truncated number basis (:mod:`rabivar.states`); the report lists one
-line per check with the largest deviation seen.  All randomness is drawn
-from a fixed seed, so repeated runs produce identical reports.
+The report lists one line per check with the largest deviation seen:
+
+* oracle_checks: packet overlaps, the squeezed vacuum, packet photon
+  numbers, and the energy (both parities) and photon number of random one-
+  and two-packet trial states from :func:`rabivar.variational.energy` and
+  :func:`~rabivar.variational.mean_photon`, each against the same state
+  built explicitly in a truncated number basis (:mod:`rabivar.states`);
+* structure_checks: the two assembly forms of the Hamiltonian, its
+  symmetry and its parity commutation;
+* physics_checks: solved energies against the ED lower bound, the family
+  nesting, and the stationarity residuals of isotropic CSS1 optima;
+* objective_checks: the gradient of every kind's
+  :func:`~rabivar.variational.objective`, the kernel the optimizer
+  minimizes, against central differences of its energy.
+
+Not checked here: objective's energies against the Fock oracle (the tests
+tie them to :func:`~rabivar.variational.energy`), and the stationarity of
+two-packet optima.  Random sets are drawn from a fixed seed and the
+gradient points are fixed, so repeated runs produce identical reports.
 """
 
 from __future__ import annotations
@@ -21,22 +35,22 @@ from .model import ModelParams, Truncation
 from .optimize import solve_ansatz
 from .states import displaced_squeezed_amplitudes
 from .variational import (
-    Ansatz1Params,
-    Ansatz2Params,
     AnsatzKind,
+    PacketParams,
     _pair_overlap,
-    ansatz1_state_vector,
-    ansatz2_state_vectors,
-    energy_1css,
-    energy_2css,
-    mean_photon_1css,
-    mean_photon_2css,
+    energy,
+    mean_photon,
+    objective,
+    state_vectors,
     stationarity_residuals_iso,
 )
 
 DEFAULT_SEED = 20250809
 _ORACLE_TOL = 1e-8
 _N_TR_ORACLE = 160
+# objective's variables (beta1, beta2, xi) at fixed points away from the
+# pencil floor; one-packet kinds take (beta1, xi), unsqueezed kinds drop xi.
+_GRADIENT_POINTS = [(3.0, 2.5, 0.1), (0.4, 0.9, -0.2), (5.0, -1.0, 0.3), (1.2, 0.3, 0.05)]
 
 
 @dataclass
@@ -119,18 +133,19 @@ def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20):
             tau=float(rng.choice([0.5, 1.0, 1.5])),
         )
         h = build_hamiltonian(mp, tr)
-        a1 = Ansatz1Params(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 0.3))
-        psi1 = ansatz1_state_vector(a1, tr)
-        dev_e1 = max(dev_e1, abs(_rayleigh(h, psi1) - energy_1css(mp, a1)))
-        dev_n1 = max(dev_n1, abs(_mean_photon_vec(psi1, dim) - mean_photon_1css(a1)))
+        a1 = PacketParams((1.0 / math.sqrt(2.0),), (rng.uniform(-2.0, 2.0),), rng.uniform(0.0, 0.3))
+        psi1 = state_vectors(a1, tr)[0]
+        dev_e1 = max(dev_e1, abs(_rayleigh(h, psi1) - energy(mp, a1)))
+        dev_n1 = max(dev_n1, abs(_mean_photon_vec(psi1, dim) - mean_photon(a1)))
 
         c1 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         c2 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
-        a2 = Ansatz2Params(c1, c2, rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.3))
-        psi_e, psi_o = ansatz2_state_vectors(a2, tr)
-        dev_e2_even = max(dev_e2_even, abs(_rayleigh(h, psi_e) - energy_2css(mp, a2, "even")))
-        dev_e2_odd = max(dev_e2_odd, abs(_rayleigh(h, psi_o) - energy_2css(mp, a2, "odd")))
-        dev_n2 = max(dev_n2, abs(_mean_photon_vec(psi_e, dim) - mean_photon_2css(a2)))
+        beta1, beta2, xi = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.3)
+        a2 = PacketParams((c1, c2), (beta1, -beta2), xi)
+        psi_e, psi_o = state_vectors(a2, tr)
+        dev_e2_even = max(dev_e2_even, abs(_rayleigh(h, psi_e) - energy(mp, a2, "even")))
+        dev_e2_odd = max(dev_e2_odd, abs(_rayleigh(h, psi_o) - energy(mp, a2, "odd")))
+        dev_n2 = max(dev_n2, abs(_mean_photon_vec(psi_e, dim) - mean_photon(a2)))
 
     return [
         CheckResult("overlap-vs-fock", dev_overlap, _ORACLE_TOL),
@@ -210,11 +225,37 @@ def physics_checks(seed: int = DEFAULT_SEED):
     ]
 
 
+def objective_checks():
+    """Gradients of every objective kind against central differences, in both parities.
+
+    The model is delta 10, g 1.3 at tau 0.5, 1 and 1.5; the deviation is
+    |g - fd| / max(1, |fd|) with step 1e-6.
+    """
+    h = 1e-6
+    dev = 0.0
+    for tau in (0.5, 1.0, 1.5):
+        mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
+        for kind in AnsatzKind:
+            for parity in ("even", "odd"):
+                fg = objective(mp, kind, parity)
+                for b1, b2, xi in _GRADIENT_POINTS:
+                    x = ([b1, b2] if kind.two_branch else [b1]) + ([xi] if kind.squeezed else [])
+                    grad = fg(x)[1]
+                    for i in range(len(x)):
+                        up, down = list(x), list(x)
+                        up[i] += h
+                        down[i] -= h
+                        fd = (fg(up)[0] - fg(down)[0]) / (2.0 * h)
+                        dev = max(dev, abs(grad[i] - fd) / max(1.0, abs(fd)))
+    return [CheckResult("objective-gradient", dev, 1e-6)]
+
+
 def run_all(seed: int = DEFAULT_SEED):
     results = []
     results += oracle_checks(seed)
     results += structure_checks(seed)
     results += physics_checks(seed)
+    results += objective_checks()
     return results
 
 

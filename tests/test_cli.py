@@ -34,7 +34,7 @@ from rabivar.scan import (
     run_wavefunction,
     write_table,
 )
-from rabivar.variational import Ansatz2Params, AnsatzKind, _pair_parts
+from rabivar.variational import AnsatzKind, PacketParams
 from rabivar.verify import format_json, oracle_checks, run_all
 
 SMALL_SCAN = dict(
@@ -487,6 +487,7 @@ def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, 
         ("scan", [], {"delta": "abc"}, "delta must be a number, got 'abc'"),
         ("levels", [], {"tau": True}, "tau must be a number, got True"),
         ("wavefunction", [], {"n_tr": False}, "n_tr must be a number, got False"),
+        ("verify", ["--seed", "-1"], None, "seed must be non-negative, got -1"),
     ],
 )
 def test_cli_rejects_malformed_input_before_writing(tmp_path, capsys, command, flags, config, message):
@@ -838,7 +839,7 @@ def test_levels_css2_failure_keeps_best_so_far_energies(tmp_path, monkeypatch):
     def no_convergence(params, kind, parity="even", **kwargs):
         if parity == "odd":
             raise NoConvergence("odd budget exhausted", best=None)
-        best = OptResult(kind, parity, -4.25, Ansatz2Params(1.0, 0.0, 1.0, 1.0, 0.0), 0, 1.0, False)
+        best = OptResult(kind, parity, -4.25, PacketParams((1.0, 0.0), (1.0, -1.0), 0.0), 0, 1.0, False)
         raise NoConvergence("even budget exhausted", best=best)
 
     monkeypatch.setattr(scan, "solve_ansatz", no_convergence)
@@ -957,8 +958,8 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
     lines = text.splitlines()
     assert [c["name"] for c in doc["checks"]] == [line.split()[1] for line in lines[:-1]]
     assert all(c["passed"] and c["max_dev"] <= c["tol"] for c in doc["checks"])
-    assert (doc["passed"], doc["failed"], doc["total"]) == (14, 0, 14)
-    assert lines[-1] == "14/14 checks passed"
+    assert (doc["passed"], doc["failed"], doc["total"]) == (15, 0, 15)
+    assert lines[-1] == "15/15 checks passed"
     for check, line in zip(doc["checks"], lines):
         assert f"max_dev={check['max_dev']:.3e} tol={check['tol']:.1e}" in line
 
@@ -979,20 +980,21 @@ def test_oracle_builds_each_packet_once(monkeypatch):
     assert len(calls) == 191
 
 
-def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch):
-    def flipped_energy_2css(params, a, parity="even"):
-        # energy_2css with the antisymmetric-coupling term's sign flipped (gamma enters B only)
-        s = +1.0 if parity == "even" else -1.0
-        flipped = SimpleNamespace(delta=params.delta, omega=params.omega, alpha=params.alpha, gamma=-params.gamma)
-        n, _, h_a, h_b = _pair_parts(flipped, a)
-        return (h_a[0] + h_a[1] - s * (h_b[0] + h_b[1])) / (n[0] + n[1])
+@pytest.mark.parametrize("packets", [2, 1])
+def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch, packets):
+    def flipped_energy(params, p, parity="even"):
+        # the energy of states with this many packets with the antisymmetric-coupling
+        # term's sign flipped (gamma enters B only)
+        if len(p.a) == packets:
+            params = SimpleNamespace(delta=params.delta, omega=params.omega, alpha=params.alpha, gamma=-params.gamma)
+        return variational.energy(params, p, parity)
 
-    monkeypatch.setattr(verify, "energy_2css", flipped_energy_2css)
+    monkeypatch.setattr(verify, "energy", flipped_energy)
     results = oracle_checks(n_sets=6)
     by_name = {r.name: r for r in results}
-    assert not by_name["energy-two-packet-even-vs-fock"].passed
-    assert not by_name["energy-two-packet-odd-vs-fock"].passed
-    assert by_name["energy-single-packet-vs-fock"].passed
+    assert by_name["energy-two-packet-even-vs-fock"].passed == (packets == 1)
+    assert by_name["energy-two-packet-odd-vs-fock"].passed == (packets == 1)
+    assert by_name["energy-single-packet-vs-fock"].passed == (packets == 2)
     assert by_name["overlap-vs-fock"].passed
 
 

@@ -226,13 +226,13 @@ def test_mean_photon_fock_states():
 
 
 def test_mean_photon_matches_packet_estimate():
-    from rabivar import AnsatzKind, mean_photon_2css, solve_ansatz
+    from rabivar import AnsatzKind, mean_photon, solve_ansatz
 
     mp = ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0)
     res = solve_lowest(mp, Truncation(256))
     n_ed = mean_photon_ed(res.vectors[0])
     fit = solve_ansatz(mp, AnsatzKind.CSS2)
-    assert abs(mean_photon_2css(fit.params) - n_ed) <= 0.1 * n_ed
+    assert abs(mean_photon(fit.params) - n_ed) <= 0.1 * n_ed
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rabivar import (
@@ -12,8 +13,8 @@ from rabivar import (
     stationarity_residuals_iso,
 )
 import rabivar.optimize as optimize
-from rabivar.optimize import bfgs, canonicalize_2css
-from rabivar.variational import Ansatz2Params, objective
+from rabivar.optimize import bfgs
+from rabivar.variational import PacketParams, objective
 
 
 def _rosenbrock(x):
@@ -67,7 +68,7 @@ def test_decoupled_limit(kind):
     mp = ModelParams(delta=3.0, omega=1.0, g=0.0, tau=1.0)
     r = solve_ansatz(mp, kind)
     assert r.energy == pytest.approx(-1.5, abs=1e-9)
-    beta = r.params.beta if not kind.two_branch else r.params.beta1
+    beta = r.params.a[0]
     assert abs(beta) <= 1e-5
 
 
@@ -104,20 +105,51 @@ def test_odd_parity_needs_two_packets():
 
 def test_structure_selection_below_and_above_threshold():
     below = solve_ansatz(ModelParams.from_lambda(100.0, 0.8, 1.0, 1.0), AnsatzKind.CSS2)
-    assert below.reduced and below.params.c2 == 0.0 and below.params.beta1 == below.params.beta2
+    p = below.params
+    assert below.reduced and p.c == (1.0, 0.0) and p.a[0] == -p.a[1]  # c2 = 0, beta2 = beta1
     above = solve_ansatz(ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0), AnsatzKind.CSS2)
-    assert not above.reduced and above.params.c2 > 0.1
-    assert above.params.beta1 >= above.params.beta2 > 0.0
+    p = above.params
+    assert not above.reduced and p.c[1] > 0.1
+    assert p.a[0] >= -p.a[1] > 0.0  # beta1 >= beta2 > 0
 
 
 def test_canonical_representative_is_gauge_fixed():
-    a = Ansatz2Params(math.cos(0.4), math.sin(0.4), 3.0, 2.5, 0.1)
-    assert canonicalize_2css(a) == canonicalize_2css(a.relabeled())
-    neg = Ansatz2Params(-a.c1, -a.c2, a.beta1, a.beta2, a.xi)
-    assert canonicalize_2css(a) == canonicalize_2css(neg)
-    c = canonicalize_2css(a)
-    assert c.beta1 + c.beta2 >= 0.0
-    assert c.c1 > 0.0
+    a = PacketParams((math.cos(0.4), math.sin(0.4)), (3.0, -2.5), 0.1)
+    relabeled = PacketParams(a.c[::-1], a.a[::-1], a.xi)
+    assert a.canonical() == relabeled.canonical()
+    neg = PacketParams((-a.c[0], -a.c[1]), a.a, a.xi)
+    assert a.canonical() == neg.canonical()
+    c = a.canonical()
+    assert c.a[0] - c.a[1] >= 0.0  # beta1 + beta2 >= 0
+    assert c.c[0] > 0.0
+
+
+def reference_canonicalize_2css(c1, c2, beta1, beta2):
+    """The gauge-fixed (c1, c2, beta1, beta2) as it was chosen for a two-packet parameter type.
+
+    Picks between the set and its exact relabeling (c2, c1, -beta2, -beta1)
+    the one with the larger displacement sum (majority packet first), then
+    normalizes the overall coefficient sign (c1 > 0, or c2 > 0 when c1 = 0).
+    """
+    cand = (c1, c2, beta1, beta2)
+    alt = (c2, c1, -beta2, -beta1)
+    if (alt[2] + alt[3], alt[0] ** 2 - alt[1] ** 2) > (cand[2] + cand[3], cand[0] ** 2 - cand[1] ** 2):
+        cand = alt
+    if cand[0] < 0.0 or (cand[0] == 0.0 and cand[1] < 0.0):
+        cand = (-cand[0], -cand[1], cand[2], cand[3])
+    return cand
+
+
+def test_canonical_form_is_the_two_packet_choice_exactly():
+    rng = np.random.default_rng(11)
+    sets = [tuple(rng.uniform(-2.0, 2.0, 4)) for _ in range(20000)]
+    pick = [0.0, -0.0, 0.5, -0.5, 1.0]  # ties in the positions and in c^2, signed zeros
+    sets += [tuple(rng.choice(pick, 4)) for _ in range(2000)]
+    for c1, c2, beta1, beta2 in sets:
+        c1, c2, beta1, beta2 = (float(v) for v in (c1, c2, beta1, beta2))
+        got = PacketParams((c1, c2), (beta1, -beta2), 0.1).canonical()
+        expected = reference_canonicalize_2css(c1, c2, beta1, beta2)
+        assert repr((*got.c, got.a[0], -got.a[1])) == repr(expected), (c1, c2, beta1, beta2)
 
 
 def test_string_kind_accepted():

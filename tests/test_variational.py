@@ -1,37 +1,56 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from rabivar import (
-    Ansatz1Params,
-    Ansatz2Params,
     DegenerateAnsatz,
     ModelParams,
     NotIsotropic,
+    PacketParams,
     Truncation,
     build_hamiltonian,
-    energy_1css,
-    energy_2css,
-    mean_photon_1css,
-    mean_photon_2css,
+    energy,
+    mean_photon,
     parity_splitting_2css,
     asymptotic_params,
     stationarity_residuals_iso,
 )
+import rabivar.variational as variational
 from rabivar.states import displaced_squeezed_amplitudes
 from rabivar.variational import (
+    _NO_COUPLING,
+    _NORM_FLOOR,
     _PENCIL_FLOOR,
     AnsatzKind,
     _check_parity,
-    ansatz1_state_vector,
-    ansatz2_state_vectors,
-    norm2_2css,
+    _pair_overlap,
+    _pair_parts,
+    _quotient,
+    norm2,
     objective,
+    state_vectors,
 )
 
 TR = Truncation(160, 1e-9)
+
+
+def one(beta, xi=0.0, c=1.0):
+    """The one-packet state at beta."""
+    return PacketParams((c,), (beta,), xi)
+
+
+def two(c1, c2, beta1, beta2, xi=0.0):
+    """The two-packet state in the row columns' terms: positions a = (beta1, -beta2)."""
+    return PacketParams((c1, c2), (beta1, -beta2), xi)
+
+
+def reversed_packets(p):
+    """The same state with the packet list reversed: for two packets, the branch relabeling."""
+    return PacketParams(p.c[::-1], p.a[::-1], p.xi)
 
 
 def rayleigh(mp, psi, trunc=TR):
@@ -172,22 +191,141 @@ def reference_fg(energy_grad, mp, n, parity):
     return fg
 
 
+# The two-packet closed forms as they were written for a two-packet
+# parameter type (c1, c2, beta1, beta2, xi), before one packet-list kernel
+# served every packet count; at two packets the packet-list forms must
+# reproduce them bit for bit.
+
+
+class TwoPacketParams(NamedTuple):
+    c1: float
+    c2: float
+    beta1: float
+    beta2: float
+    xi: float = 0.0
+
+
+def reference_pair_parts(params, a: TwoPacketParams):
+    """The parts ([N_d, N_x], [Ph_d, Ph_x], [A_d, A_x], [B_d, B_x]) of the pair matrices.
+
+    See the module docstring; params supplies delta, omega, alpha and gamma.
+    """
+    c, pos = (a.c1, a.c2), (a.beta1, -a.beta2)
+    sh = math.sinh(2.0 * a.xi)
+    shch = sh * math.cosh(2.0 * a.xi)
+    eta = math.exp(-2.0 * a.xi)
+    u = eta * eta
+    n, ph, h_a, h_b = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    for i, j in ((0, 0), (1, 1), (0, 1)):
+        k, w = (0, c[i] * c[j]) if i == j else (1, 2.0 * c[i] * c[j])
+        d, sm = pos[i] - pos[j], pos[i] + pos[j]
+        o = _pair_overlap(eta, d)
+        p = o * (sh * sh + pos[i] * pos[j] + shch * u * d * d)
+        n[k] += w * o
+        ph[k] += w * p
+        h_a[k] += w * (params.omega * p - params.alpha * sm * o)
+        h_b[k] += w * _pair_overlap(eta, sm) * (0.5 * params.delta + params.gamma * u * sm)
+    return n, ph, h_a, h_b
+
+
+def reference_energy_2css(params: ModelParams, a: TwoPacketParams, parity: str = "even") -> float:
+    """Rayleigh quotient of the two-packet trial state, either parity.
+
+    Reduces exactly to :func:`energy_1css` at c2 = 0, c1 = 1/sqrt(2),
+    beta1 = beta.  Raises DegenerateAnsatz when the squared norm falls
+    below 1e-12 (near-cancelling superposition).
+    """
+    s = _check_parity(parity)
+    n, _, h_a, h_b = reference_pair_parts(params, a)
+    return _quotient(h_a[0] + h_a[1] - s * (h_b[0] + h_b[1]), n)
+
+
+def reference_mean_photon_2css(a: TwoPacketParams) -> float:
+    """Mode occupation of the two-packet state (parity independent)."""
+    n, ph, _, _ = reference_pair_parts(_NO_COUPLING, a)
+    return _quotient(ph[0] + ph[1], n)
+
+
+def reference_norm2_2css(a: TwoPacketParams) -> float:
+    """Squared norm of the two-packet state, 2(c1^2 + c2^2 + 2 c1 c2 O+)."""
+    n = reference_pair_parts(_NO_COUPLING, a)[0]
+    return 2.0 * (n[0] + n[1])
+
+
+def reference_parity_splitting_2css(params: ModelParams, a: TwoPacketParams) -> float:
+    """E_even(c1, c2, ...) - E_odd(c1, -c2, ...), evaluated in closed form.
+
+    The two parity optima mirror each other through c2 -> -c2 up to terms
+    suppressed by the inter-packet overlaps, so this difference at the even
+    optimum tracks the level splitting without the catastrophic cancellation
+    of subtracting two separately minimized energies (module docstring).
+    """
+    n, _, h_a, h_b = reference_pair_parts(params, a)
+    denom = n[0] * n[0] - n[1] * n[1]
+    if 4.0 * denom < _NORM_FLOOR**2:  # the floor is on the squared norms 2 c^T N c
+        raise DegenerateAnsatz(f"norm product {4.0 * denom:.3e} below {_NORM_FLOOR**2:.0e}")
+    return 2.0 * ((h_a[1] - h_b[0]) * n[0] - (h_a[0] - h_b[1]) * n[1]) / denom
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or the name of the exception it raised."""
+    try:
+        return repr(f(*args))
+    except (DegenerateAnsatz, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def _random_two_packet_sets(rng, count):
+    """Two-packet sets over the working range and past it: zero and tied entries, degenerate norms."""
+    sets = []
+    for _ in range(count):
+        c1, c2 = rng.uniform(-1.0, 1.0, 2)
+        b1, b2 = rng.uniform(-4.0, 4.0, 2)
+        xi = rng.uniform(-0.5, 0.5)
+        sets.append(TwoPacketParams(c1, c2, b1, b2, xi))
+    sets += [
+        TwoPacketParams(1.0, 0.0, 1.3, 1.3, 0.1),  # the single-packet reduction
+        TwoPacketParams(0.5, 0.5, 0.0, -0.0, 0.0),
+        TwoPacketParams(-0.0, 0.7, 2.0, -2.0, 0.2),
+        TwoPacketParams(1 / math.sqrt(2), -1 / math.sqrt(2), 0.3, -0.3, 0.0),  # degenerate
+        TwoPacketParams(0.6, 0.8, 1e200, 0.5, 0.0),
+        TwoPacketParams(0.6, 0.8, 1.0, 0.5, 400.0),
+    ]
+    return sets
+
+
+@pytest.mark.parametrize("mp", [
+    ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0),
+    ModelParams.from_lambda(10.0, 0.4, 1.0, 0.5),
+    ModelParams(delta=8.0, omega=1.3, g=2.1, tau=1.5),
+])
+def test_packet_list_forms_equal_two_packet_references_bit_for_bit(mp):
+    for a in _random_two_packet_sets(np.random.default_rng(17), 2000):
+        p = two(*a)
+        assert _outcome(_pair_parts, mp, p) == _outcome(reference_pair_parts, mp, a), a
+        for parity in ("even", "odd"):
+            assert _outcome(energy, mp, p, parity) == _outcome(reference_energy_2css, mp, a, parity), a
+        assert _outcome(mean_photon, p) == _outcome(reference_mean_photon_2css, a), a
+        assert _outcome(norm2, p) == _outcome(reference_norm2_2css, a), a
+        assert _outcome(parity_splitting_2css, mp, p) == _outcome(reference_parity_splitting_2css, mp, a), a
+
+
 def test_vacuum_energy():
     mp = ModelParams(delta=3.0, omega=1.0, g=0.7, tau=1.2)
-    assert energy_1css(mp, Ansatz1Params(0.0, 0.0)) == pytest.approx(-1.5, abs=1e-15)
+    assert energy(mp, one(0.0, 0.0)) == pytest.approx(-1.5, abs=1e-15)
 
 
 def test_squeezed_undisplaced_energy():
     mp = ModelParams(delta=3.0, omega=1.0, g=0.7, tau=1.0)
     expected = math.sinh(0.6) ** 2 - 1.5
-    assert energy_1css(mp, Ansatz1Params(0.0, 0.3)) == pytest.approx(expected, abs=1e-14)
+    assert energy(mp, one(0.0, 0.3)) == pytest.approx(expected, abs=1e-14)
 
 
 def test_single_packet_energy_against_fock():
     mp = ModelParams(delta=7.0, omega=1.0, g=1.2, tau=1.5)
-    a = Ansatz1Params(0.8, 0.1)
-    psi = ansatz1_state_vector(a, TR)
-    assert abs(rayleigh(mp, psi) - energy_1css(mp, a)) <= 1e-9
+    a = one(0.8, 0.1)
+    psi = state_vectors(a, TR)[0]
+    assert abs(rayleigh(mp, psi) - energy(mp, a)) <= 1e-9
 
 
 def test_single_packet_energy_fock_random():
@@ -198,29 +336,43 @@ def test_single_packet_energy_fock_random():
             delta=rng.uniform(0.5, 15.0), omega=1.0, g=rng.uniform(0.0, 2.0),
             tau=float(rng.choice([0.4, 1.0, 1.7])),
         )
-        a = Ansatz1Params(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 0.3))
-        worst = max(worst, abs(rayleigh(mp, ansatz1_state_vector(a, TR)) - energy_1css(mp, a)))
+        a = one(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 0.3))
+        worst = max(worst, abs(rayleigh(mp, state_vectors(a, TR)[0]) - energy(mp, a)))
     assert worst <= 1e-9
 
 
 def test_mean_photon_single_packet():
-    assert mean_photon_1css(Ansatz1Params(0.0, 0.0)) == 0.0
-    assert mean_photon_1css(Ansatz1Params(2.0, 0.0)) == 4.0
-    a = Ansatz1Params(1.0, 0.1)
+    assert mean_photon(one(0.0, 0.0)) == 0.0
+    assert mean_photon(one(2.0, 0.0)) == 4.0
+    a = one(1.0, 0.1)
     expected = 1.0 + math.sinh(0.2) ** 2
-    assert mean_photon_1css(a) == pytest.approx(expected, abs=1e-14)
-    assert photon_of(ansatz1_state_vector(a, TR)) == pytest.approx(expected, abs=1e-9)
+    assert mean_photon(a) == pytest.approx(expected, abs=1e-14)
+    assert photon_of(state_vectors(a, TR)[0]) == pytest.approx(expected, abs=1e-9)
+
+
+def test_one_packet_photon_number_within_one_ulp_of_closed_form():
+    # The pair loop forms sh * sh + beta * beta, which may differ in the
+    # last place from another rounding of sinh^2(2 xi) + beta^2 (beta**2,
+    # say); it stays within one ulp of the correctly rounded value.
+    rng = np.random.default_rng(5)
+    for _ in range(20000):
+        beta, xi = rng.uniform(-8.0, 8.0), rng.uniform(-0.5, 0.5)
+        sh = math.sinh(2.0 * xi)
+        got = mean_photon(one(beta, xi))
+        assert got == sh * sh + beta * beta
+        closed = float(Fraction(sh) ** 2 + Fraction(beta) ** 2)
+        assert abs(got - closed) <= math.ulp(closed), (beta, xi)
 
 
 def test_stationarity_trivial_point():
     mp = ModelParams(delta=2.0, omega=1.0, g=0.0, tau=1.0)
-    assert stationarity_residuals_iso(mp, Ansatz1Params(0.0, 0.0)) == (0.0, 0.0)
+    assert stationarity_residuals_iso(mp, one(0.0, 0.0)) == (0.0, 0.0)
 
 
 def test_stationarity_requires_isotropy():
     mp = ModelParams(delta=2.0, omega=1.0, g=0.4, tau=1.2)
     with pytest.raises(NotIsotropic):
-        stationarity_residuals_iso(mp, Ansatz1Params(0.1, 0.0))
+        stationarity_residuals_iso(mp, one(0.1, 0.0))
 
 
 def test_residuals_reconstruct_gradient():
@@ -230,15 +382,9 @@ def test_residuals_reconstruct_gradient():
     h = 1e-6
     for _ in range(6):
         beta, xi = rng.uniform(0.05, 1.5), rng.uniform(0.01, 0.3)
-        r_xi, r_beta = stationarity_residuals_iso(mp, Ansatz1Params(beta, xi))
-        de_dxi = (
-            energy_1css(mp, Ansatz1Params(beta, xi + h))
-            - energy_1css(mp, Ansatz1Params(beta, xi - h))
-        ) / (2 * h)
-        de_dbeta = (
-            energy_1css(mp, Ansatz1Params(beta + h, xi))
-            - energy_1css(mp, Ansatz1Params(beta - h, xi))
-        ) / (2 * h)
+        r_xi, r_beta = stationarity_residuals_iso(mp, one(beta, xi))
+        de_dxi = (energy(mp, one(beta, xi + h)) - energy(mp, one(beta, xi - h))) / (2 * h)
+        de_dbeta = (energy(mp, one(beta + h, xi)) - energy(mp, one(beta - h, xi))) / (2 * h)
         assert de_dxi == pytest.approx(r_xi, rel=1e-6, abs=1e-8)
         assert de_dbeta == pytest.approx(2.0 * r_beta, rel=1e-6, abs=1e-8)
 
@@ -252,27 +398,24 @@ def test_asymptotic_estimates():
 
 def test_two_packet_reduces_to_single():
     mp = ModelParams(delta=7.0, omega=1.0, g=1.2, tau=1.5)
-    a2 = Ansatz2Params(1 / math.sqrt(2), 0.0, 0.8, 0.8, 0.1)
-    assert energy_2css(mp, a2, "even") == pytest.approx(
-        energy_1css(mp, Ansatz1Params(0.8, 0.1)), abs=1e-12
-    )
-    b2 = Ansatz2Params(0.6, 0.0, 1.1, 0.4, 0.1)  # beta2 idle when c2 = 0
-    assert energy_2css(mp, b2, "even") == pytest.approx(
-        energy_1css(mp, Ansatz1Params(1.1, 0.1)), abs=1e-12
-    )
+    a2 = two(1 / math.sqrt(2), 0.0, 0.8, 0.8, 0.1)
+    assert energy(mp, a2, "even") == pytest.approx(energy(mp, one(0.8, 0.1)), abs=1e-12)
+    b2 = two(0.6, 0.0, 1.1, 0.4, 0.1)  # beta2 idle when c2 = 0
+    assert energy(mp, b2, "even") == pytest.approx(energy(mp, one(1.1, 0.1)), abs=1e-12)
+    assert energy(mp, one(1.1, 0.1)) == pytest.approx(objective(mp, AnsatzKind.CSS1)([1.1, 0.1])[0], abs=1e-12)
 
 
 def test_odd_packet_at_origin():
     mp = ModelParams(delta=7.0, omega=1.0, g=1.2, tau=1.5)
-    a = Ansatz2Params(0.7, 0.7, 0.0, 0.0, 0.0)
-    assert energy_2css(mp, a, "odd") == pytest.approx(mp.delta / 2.0, abs=1e-13)
+    a = two(0.7, 0.7, 0.0, 0.0, 0.0)
+    assert energy(mp, a, "odd") == pytest.approx(mp.delta / 2.0, abs=1e-13)
 
 
 def test_two_packet_energies_against_fock():
     mp = ModelParams.from_lambda(100.0, 1.05, 1.0, 1.0)
-    a = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
-    for parity, psi in zip(("even", "odd"), ansatz2_state_vectors(a, TR)):
-        assert abs(rayleigh(mp, psi) - energy_2css(mp, a, parity)) <= 1e-8
+    a = two(0.6, 0.3, 2.0, 0.5, 0.12)
+    for parity, psi in zip(("even", "odd"), state_vectors(a, TR)):
+        assert abs(rayleigh(mp, psi) - energy(mp, a, parity)) <= 1e-8
 
 
 def test_two_packet_energies_fock_random():
@@ -283,72 +426,97 @@ def test_two_packet_energies_fock_random():
             delta=rng.uniform(0.5, 20.0), omega=1.0, g=rng.uniform(0.0, 2.5),
             tau=float(rng.choice([0.3, 1.0, 1.6])),
         )
-        a = Ansatz2Params(
+        a = two(
             rng.uniform(0.2, 1.0), rng.uniform(-1.0, 1.0),
             rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.3),
         )
-        for parity, psi in zip(("even", "odd"), ansatz2_state_vectors(a, TR)):
-            worst = max(worst, abs(rayleigh(mp, psi) - energy_2css(mp, a, parity)))
+        for parity, psi in zip(("even", "odd"), state_vectors(a, TR)):
+            worst = max(worst, abs(rayleigh(mp, psi) - energy(mp, a, parity)))
+    assert worst <= 1e-8
+
+
+def test_three_packet_energies_and_photon_number_against_fock():
+    # The pair loop is not limited to two packets.
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for _ in range(4):
+        mp = ModelParams(delta=rng.uniform(0.5, 20.0), omega=1.0, g=rng.uniform(0.0, 2.5), tau=0.5)
+        p = PacketParams(tuple(rng.uniform(-1.0, 1.0, 3)), tuple(rng.uniform(-2.5, 2.5, 3)), rng.uniform(0.0, 0.3))
+        even, odd = state_vectors(p, TR)
+        worst = max(
+            worst,
+            abs(rayleigh(mp, even) - energy(mp, p, "even")),
+            abs(rayleigh(mp, odd) - energy(mp, p, "odd")),
+            abs(photon_of(even) - mean_photon(p)),
+            abs(float(even @ even) - norm2(p)),
+        )
     assert worst <= 1e-8
 
 
 def test_two_packet_photon_number():
-    a = Ansatz2Params(1 / math.sqrt(2), 0.0, 1.0, 1.0, 0.1)
-    assert mean_photon_2css(a) == pytest.approx(1.0 + math.sinh(0.2) ** 2, abs=1e-13)
-    assert mean_photon_2css(Ansatz2Params(0.5, 0.5, 0.0, 0.0, 0.0)) == 0.0
-    b = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
-    psi = ansatz2_state_vectors(b, TR)[0]
-    assert abs(photon_of(psi) - mean_photon_2css(b)) <= 1e-8
+    a = two(1 / math.sqrt(2), 0.0, 1.0, 1.0, 0.1)
+    assert mean_photon(a) == pytest.approx(1.0 + math.sinh(0.2) ** 2, abs=1e-13)
+    assert mean_photon(two(0.5, 0.5, 0.0, 0.0, 0.0)) == 0.0
+    b = two(0.6, 0.3, 2.0, 0.5, 0.12)
+    psi = state_vectors(b, TR)[0]
+    assert abs(photon_of(psi) - mean_photon(b)) <= 1e-8
 
 
 def test_branch_relabeling_invariance():
     mp = ModelParams(delta=7.0, omega=1.0, g=1.2, tau=1.5)
-    a = Ansatz2Params(0.6, -0.3, 1.1, -0.4, 0.2)
+    a = two(0.6, -0.3, 1.1, -0.4, 0.2)
+    relabeled = reversed_packets(a)
+    assert relabeled == two(-0.3, 0.6, 0.4, -1.1, 0.2)  # (c2, c1, -beta2, -beta1)
     for parity in ("even", "odd"):
-        assert energy_2css(mp, a, parity) == pytest.approx(
-            energy_2css(mp, a.relabeled(), parity), abs=1e-12
-        )
-    flip = Ansatz2Params(-a.c1, -a.c2, a.beta1, a.beta2, a.xi)
-    assert energy_2css(mp, a, "even") == energy_2css(mp, flip, "even")
+        assert energy(mp, a, parity) == pytest.approx(energy(mp, relabeled, parity), abs=1e-12)
+    flip = PacketParams((-a.c[0], -a.c[1]), a.a, a.xi)
+    assert energy(mp, a, "even") == energy(mp, flip, "even")
 
 
 def test_relabeled_state_is_identical():
-    a = Ansatz2Params(0.6, -0.3, 1.1, -0.4, 0.2)
-    psi = ansatz2_state_vectors(a, TR)[0]
-    psi_rel = ansatz2_state_vectors(a.relabeled(), TR)[0]
+    a = two(0.6, -0.3, 1.1, -0.4, 0.2)
+    psi = state_vectors(a, TR)[0]
+    psi_rel = state_vectors(reversed_packets(a), TR)[0]
     assert np.max(np.abs(psi - psi_rel)) <= 1e-12
 
 
 def test_degenerate_superposition_rejected():
     mp = ModelParams(delta=7.0, omega=1.0, g=1.2, tau=1.5)
-    a = Ansatz2Params(1 / math.sqrt(2), -1 / math.sqrt(2), 0.3, -0.3, 0.0)
+    a = two(1 / math.sqrt(2), -1 / math.sqrt(2), 0.3, -0.3, 0.0)
     with pytest.raises(DegenerateAnsatz):
-        energy_2css(mp, a, "even")
+        energy(mp, a, "even")
     with pytest.raises(DegenerateAnsatz):
-        mean_photon_2css(a)
+        mean_photon(a)
 
 
 def test_parity_choice_validated():
     mp = ModelParams(delta=1.0)
     with pytest.raises(ValueError):
-        energy_2css(mp, Ansatz2Params(1.0, 0.0, 0.1, 0.1, 0.0), "sideways")
+        energy(mp, two(1.0, 0.0, 0.1, 0.1, 0.0), "sideways")
 
 
 def test_parity_splitting_matches_direct_difference():
     # At resolvable overlaps the closed-form splitting equals the plain
     # difference of the two parity quotients with the coefficient flipped.
     mp = ModelParams(delta=7.0, omega=1.0, g=1.2, tau=0.6)
-    a = Ansatz2Params(0.8, 0.35, 0.9, 0.7, 0.12)
-    a_flip = Ansatz2Params(0.8, -0.35, 0.9, 0.7, 0.12)
-    direct = energy_2css(mp, a, "even") - energy_2css(mp, a_flip, "odd")
+    a = two(0.8, 0.35, 0.9, 0.7, 0.12)
+    a_flip = two(0.8, -0.35, 0.9, 0.7, 0.12)
+    direct = energy(mp, a, "even") - energy(mp, a_flip, "odd")
     assert parity_splitting_2css(mp, a) == pytest.approx(direct, abs=1e-12)
+
+
+def test_parity_splitting_takes_two_packets():
+    mp = ModelParams(delta=7.0, omega=1.0, g=1.2, tau=0.6)
+    for p in (one(0.9, 0.1), PacketParams((0.8, 0.35, 0.2), (0.9, -0.7, 0.1), 0.12)):
+        with pytest.raises(ValueError, match="two packets"):
+            parity_splitting_2css(mp, p)
 
 
 def test_parity_splitting_stable_in_deep_regime():
     # Both quotients agree to machine precision there, yet the closed form
     # still resolves the exponentially small difference with a clean sign.
     mp = ModelParams(delta=100.0, omega=1.0, g=0.95 * ModelParams(delta=100.0, tau=0.5, g=1).g_c1, tau=0.5)
-    a = Ansatz2Params(0.98, 0.17, 7.6, 7.3, 0.004)
+    a = two(0.98, 0.17, 7.6, 7.3, 0.004)
     s = parity_splitting_2css(mp, a)
     assert 0.0 < abs(s) < 1e-30
 
@@ -357,7 +525,7 @@ def _decimal_splitting(mp, a, digits=60):
     """The mirror splitting of the two-packet state, expanded term by term in decimal arithmetic."""
     with localcontext() as ctx:
         ctx.prec = digits
-        c1, c2, b1, b2, xi = (Decimal(v) for v in (a.c1, a.c2, a.beta1, a.beta2, a.xi))
+        c1, c2, b1, b2, xi = (Decimal(v) for v in (*a.c, a.a[0], -a.a[1], a.xi))
         delta, omega, alpha, gamma = (Decimal(v) for v in (mp.delta, mp.omega, mp.alpha, mp.gamma))
         e2 = (2 * xi).exp()
         sh, ch, u = (e2 - 1 / e2) / 2, (e2 + 1 / e2) / 2, 1 / (e2 * e2)
@@ -378,12 +546,12 @@ def _decimal_splitting(mp, a, digits=60):
 @pytest.mark.parametrize(
     "ratio, a",
     [  # the even CSS2 optima of the README levels run (delta 100, tau 0.5)
-        (0.95, Ansatz2Params(0.9821477420553091, 0.18811117132073285, 7.645227281661268, 7.638411316328461,
-                             0.003615076230230788)),
-        (0.99, Ansatz2Params(0.9849820500568243, 0.17265677242974234, 8.062523282747886, 8.061212420776783,
-                             0.0006427571456392415)),
-        (1.05, Ansatz2Params(0.988238356963176, 0.15292138446509843, 8.667829874705003, 8.674060062937974,
-                             -0.0027368292851261584)),
+        (0.95, two(0.9821477420553091, 0.18811117132073285, 7.645227281661268, 7.638411316328461,
+                   0.003615076230230788)),
+        (0.99, two(0.9849820500568243, 0.17265677242974234, 8.062523282747886, 8.061212420776783,
+                   0.0006427571456392415)),
+        (1.05, two(0.988238356963176, 0.15292138446509843, 8.667829874705003, 8.674060062937974,
+                   -0.0027368292851261584)),
     ],
 )
 def test_tiny_parity_splitting_matches_decimal_expansion(ratio, a):
@@ -398,18 +566,19 @@ def test_tiny_parity_splitting_matches_decimal_expansion(ratio, a):
 
 
 def test_state_vector_norm_matches_closed_form():
-    a = Ansatz2Params(0.6, 0.3, 2.0, 0.5, 0.12)
-    psi = ansatz2_state_vectors(a, TR)[0]
-    assert float(psi @ psi) == pytest.approx(norm2_2css(a), abs=1e-10)
+    a = two(0.6, 0.3, 2.0, 0.5, 0.12)
+    psi = state_vectors(a, TR)[0]
+    assert float(psi @ psi) == pytest.approx(norm2(a), abs=1e-10)
 
 
 def four_packet_vector(a, parity, trunc=TR):
-    """The two-packet state of the module docstring, each of its four packets built on its own."""
+    """The trial state of the module docstring, each of its packets (four for two) built on its own."""
     s = +1 if parity == "even" else -1
-    u = a.c1 * displaced_squeezed_amplitudes(-a.beta1, a.xi, trunc)
-    u = u + a.c2 * displaced_squeezed_amplitudes(+a.beta2, a.xi, trunc)
-    v = a.c1 * displaced_squeezed_amplitudes(+a.beta1, a.xi, trunc)
-    v = v + a.c2 * displaced_squeezed_amplitudes(-a.beta2, a.xi, trunc)
+    u = a.c[0] * displaced_squeezed_amplitudes(-a.a[0], a.xi, trunc)
+    v = a.c[0] * displaced_squeezed_amplitudes(+a.a[0], a.xi, trunc)
+    for c, b in zip(a.c[1:], a.a[1:]):
+        u = u + c * displaced_squeezed_amplitudes(-b, a.xi, trunc)
+        v = v + c * displaced_squeezed_amplitudes(+b, a.xi, trunc)
     rt = 1.0 / math.sqrt(2.0)
     return np.concatenate([rt * (u - s * v), rt * (u + s * v)])
 
@@ -417,24 +586,60 @@ def four_packet_vector(a, parity, trunc=TR):
 @pytest.mark.parametrize(
     "a",
     [
-        Ansatz2Params(0.6, -0.3, 1.1, -0.4, 0.2),
-        Ansatz2Params(-0.8, 0.45, 2.3, 2.3, 0.15),  # beta2 == beta1: packets shared
-        Ansatz2Params(0.7, 0.0, -1.6, 0.9, 0.1),  # c2 = 0
-        Ansatz2Params(0.5, 0.5, 0.0, -0.0, 0.0),  # +0.0 == -0.0: shared
-        Ansatz2Params(0.4, -0.9, -0.0, 0.0, 0.25),
-        Ansatz2Params(0.3, 0.6, -0.0, 1.4, 0.0),
+        two(0.6, -0.3, 1.1, -0.4, 0.2),
+        two(-0.8, 0.45, 2.3, 2.3, 0.15),  # beta2 == beta1: packets shared
+        two(0.7, 0.0, -1.6, 0.9, 0.1),  # c2 = 0
+        two(0.5, 0.5, 0.0, -0.0, 0.0),  # +0.0 == -0.0: shared
+        two(0.4, -0.9, -0.0, 0.0, 0.25),
+        two(0.3, 0.6, -0.0, 1.4, 0.0),
     ],
 )
 def test_state_vectors_bit_equal_four_packet_formula(a):
-    even, odd = ansatz2_state_vectors(a, TR)
+    even, odd = state_vectors(a, TR)
     assert even.tobytes() == four_packet_vector(a, "even").tobytes()
     assert odd.tobytes() == four_packet_vector(a, "odd").tobytes()
 
 
 @pytest.mark.parametrize("beta, xi", [(0.8, 0.1), (-1.9, 0.0), (0.0, 0.2), (-0.0, 0.2)])
 def test_single_packet_vector_bit_equal_four_packet_formula(beta, xi):
-    two = Ansatz2Params(1.0 / math.sqrt(2.0), 0.0, beta, beta, xi)
-    assert ansatz1_state_vector(Ansatz1Params(beta, xi), TR).tobytes() == four_packet_vector(two, "even").tobytes()
+    rt = 1.0 / math.sqrt(2.0)
+    for parity, vector in zip(("even", "odd"), state_vectors(one(beta, xi, rt), TR)):
+        assert vector.tobytes() == four_packet_vector(one(beta, xi, rt), parity).tobytes()
+        # The two-packet form with c2 = 0 adds 0 * f(+beta): the same values,
+        # except that a -0.0 amplitude there becomes +0.0.
+        assert np.array_equal(vector, four_packet_vector(two(rt, 0.0, beta, beta, xi), parity))
+
+
+def test_state_vectors_build_each_distinct_position_once(monkeypatch):
+    built = []
+    original = variational.displaced_squeezed_amplitudes
+
+    def counted(b, *rest):
+        built.append(b)
+        return original(b, *rest)
+
+    monkeypatch.setattr(variational, "displaced_squeezed_amplitudes", counted)
+    for p, count in [
+        (one(0.8, 0.1), 2),
+        (two(0.6, -0.3, 1.1, -0.4, 0.2), 4),
+        (two(-0.8, 0.45, 2.3, 2.3, 0.15), 2),  # beta2 == beta1
+        (two(0.7, 0.2, 1.6, -1.6, 0.1), 2),  # beta2 == -beta1: both packets at 1.6
+        (two(0.5, 0.5, 0.0, -0.0, 0.0), 1),
+        (PacketParams((0.4, 0.3, 0.2), (1.0, -1.0, 0.5), 0.0), 4),
+    ]:
+        built.clear()
+        state_vectors(p, TR)
+        assert len(built) == count, p
+
+
+def test_one_packet_beta_and_canonical_form():
+    assert one(0.7, 0.1).beta == 0.7
+    with pytest.raises(ValueError):
+        two(0.6, 0.3, 2.0, 0.5).beta
+    # Sorted by (position, c^2), descending; the first nonzero c made positive.
+    p = PacketParams((0.2, -0.5, 0.5, -0.3), (1.0, 2.0, 1.0, -0.5), 0.1)
+    assert p.canonical() == PacketParams((0.5, -0.5, -0.2, 0.3), (2.0, 1.0, 1.0, -0.5), 0.1)
+    assert PacketParams((-0.0, -0.4), (1.0, 0.0)).canonical() == PacketParams((0.0, 0.4), (1.0, 0.0))
 
 
 PROJECTED_POINTS = [(3.0, 2.5, 0.1), (0.4, 0.9, -0.2), (5.0, -1.0, 0.3), (1.2, 0.3, 0.05)]
@@ -449,11 +654,11 @@ def test_projected_energy_is_energy_at_its_eigenvector(tau, parity):
         e = fg([b1, b2, xi])[0]
         c1, c2 = fg([b1, b2, xi], True)
         assert c1 * c1 + c2 * c2 == pytest.approx(1.0, abs=1e-15)
-        direct = energy_2css(mp, Ansatz2Params(c1, c2, b1, b2, xi), parity)
+        direct = energy(mp, two(c1, c2, b1, b2, xi), parity)
         assert abs(e - direct) <= 1e-12 * max(1.0, abs(e))
         # The eigenvector minimizes the Rayleigh quotient over (c1, c2).
         for t in np.linspace(0.0, math.pi, 13):
-            other = energy_2css(mp, Ansatz2Params(math.cos(t), math.sin(t), b1, b2, xi), parity)
+            other = energy(mp, two(math.cos(t), math.sin(t), b1, b2, xi), parity)
             assert other >= e - 1e-12 * max(1.0, abs(e))
 
 
@@ -483,7 +688,7 @@ def test_single_packet_gradient(tau, parity):
     h = 1e-6
     for x in [(0.5, 0.1), (3.0, -0.2), (1.1, 0.0)]:
         e, grad = fg(list(x))
-        direct = energy_2css(mp, Ansatz2Params(1.0, 0.0, x[0], x[0], x[1]), parity)
+        direct = energy(mp, one(x[0], x[1]), parity)
         assert abs(e - direct) <= 1e-12 * max(1.0, abs(e))
         for i in range(2):
             up, down = list(x), list(x)
