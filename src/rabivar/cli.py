@@ -10,8 +10,9 @@ source, delta or omega <= 0, tau < 0, a non-finite delta, omega or tau, a
 negative or non-finite lambda_min, g_min or lambdas entry, a grid step
 that is not positive and finite, a grid max below its min or not
 finite, a grid of more than a million points, n_tr not a non-negative
-integer, tail_tol outside (0, 1), a negative verify seed) ends it before
-anything is written, with one line "rabivar: error: ..." on stderr and
+integer, tail_tol outside (0, 1), a negative verify seed, an --out that
+names a file or lies under one) ends it before anything is computed or
+written, with one line "rabivar: error: ..." on stderr and
 exit status 2, as argparse does for malformed flags.
 """
 
@@ -121,7 +122,18 @@ def main(argv=None) -> int:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
+def _check_out(out):
+    """Reject an output path that cannot be a directory: it, or its nearest existing ancestor, is a file."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise InvalidConfig(f"--out must name a directory, but {path!r} exists and is not one")
+
+
 def _run(args) -> int:
+    if args.out:
+        _check_out(args.out)
     if args.command == "scan":
         cfg = _load_config(args, ScanConfig, list_fields=("methods",))
         run_scan(cfg, args.out)

@@ -78,13 +78,17 @@ def position_profile(c_plus, c_minus, xs, omega: float = 1.0):
 
 @lru_cache(maxsize=8)
 def _chain_modes(n_tr: int, generator: str):
-    """Eigenmodes (Lambda, V, diag J) of a truncated packet generator's chain.
+    """Phase-folded eigenmodes (Lambda, V^T J^-1, J V) of a truncated packet generator's chain.
 
     "displace" is a^dag - a on levels 0..n_tr, with links sqrt(m);
     "squeeze" is a^dag^2 - a^2 on the even levels 0, 2, 4, ..., with links
     sqrt((2k+1)(2k+2)).  Either chain L is antisymmetric with positive
     subdiagonal, so L = J (-i T) J^-1 with J = diag(i^k) and T the
-    symmetric chain of the same links, T = V diag(Lambda) V^T.
+    symmetric chain of the same links, T = V diag(Lambda) V^T.  The phases
+    i^k are folded into the real eigenvectors once, exactly (each entry is
+    only permuted between real and imaginary part and maybe negated), so
+    both factors are cached as read-only C-contiguous complex matrices and
+    the real V is not kept.
     """
     if generator == "displace":
         links = np.sqrt(np.arange(1.0, n_tr + 1))
@@ -93,16 +97,21 @@ def _chain_modes(n_tr: int, generator: str):
         links = np.sqrt((2.0 * k + 1.0) * (2.0 * k + 2.0))
     lam, vecs = eigh_tridiagonal(np.zeros(links.size + 1), links)
     phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(links.size + 1) % 4]
-    for arr in (lam, vecs, phases):
+    vt_jinv = np.ascontiguousarray(vecs.T * phases.conj())
+    jv = np.ascontiguousarray(phases[:, None] * vecs)
+    for arr in (lam, vt_jinv, jv):
         arr.setflags(write=False)
-    return lam, vecs, phases
+    return lam, vt_jinv, jv
 
 
 def _exp_chain(modes, c: float, v: np.ndarray) -> np.ndarray:
-    """exp(c L) v = Re[J V exp(-i c Lambda) V^T J^-1 v] for the chain L."""
-    lam, vecs, phases = modes
-    w = np.exp(-1j * c * lam) * (vecs.T @ (v * phases.conj()))
-    return (phases * (vecs @ w)).real
+    """exp(c L) v = Re[(J V) exp(-i c Lambda) (V^T J^-1) v] for the chain L.
+
+    Two complex matrix-vector products on the cached folded factors; no
+    matrix is cast or copied per call.
+    """
+    lam, vt_jinv, jv = modes
+    return (jv @ (np.exp(-1j * c * lam) * (vt_jinv @ v))).real
 
 
 def displaced_squeezed_amplitudes(displacement: float, xi: float, trunc: Truncation) -> np.ndarray:

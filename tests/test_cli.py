@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rabivar
+import rabivar.cli as cli
 import rabivar.optimize as optimize
 import rabivar.scan as scan
 import rabivar.states as states
@@ -488,11 +489,19 @@ def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, 
         ("levels", [], {"tau": True}, "tau must be a number, got True"),
         ("wavefunction", [], {"n_tr": False}, "n_tr must be a number, got False"),
         ("verify", ["--seed", "-1"], None, "seed must be non-negative, got -1"),
+        # {file} is an existing file; the later --out wins
+        ("scan", ["--out", "{file}"], None, "--out must name a directory"),
+        ("levels", ["--out", "{file}"], None, "--out must name a directory"),
+        ("wavefunction", ["--out", "{file}/sub"], None, "--out must name a directory"),
+        ("verify", ["--out", "{file}"], None, "--out must name a directory"),
     ],
 )
-def test_cli_rejects_malformed_input_before_writing(tmp_path, capsys, command, flags, config, message):
+def test_cli_rejects_malformed_input_before_writing(tmp_path, capsys, monkeypatch, command, flags, config, message):
     out = tmp_path / "x"
-    argv = [command, "--out", str(out), *flags]
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    monkeypatch.setattr(cli, "run_all", lambda **kw: pytest.fail("verify ran its checks"))
+    argv = [command, "--out", str(out), *(flag.format(file=existing) for flag in flags)]
     if config is not None:
         cfg_file = tmp_path / "cfg.json"
         if config != "missing":
@@ -500,6 +509,7 @@ def test_cli_rejects_malformed_input_before_writing(tmp_path, capsys, command, f
         argv += ["--config", str(cfg_file)]
     assert message in cli_error(argv, capsys)
     assert not out.exists()
+    assert existing.read_text() == "kept\n"
 
 
 def test_infinite_tail_tol_rejected_before_a_truncated_row_is_written(tmp_path, capsys):
@@ -1004,6 +1014,38 @@ def test_verify_report_deterministic():
     a, b = run_all(), run_all()
     assert format_report(a) == format_report(b)
     assert format_json(a) == format_json(b)
+
+
+def test_verify_report_independent_of_blas_threads():
+    # The oracle's packets come from complex BLAS products, whose summation
+    # order could follow the thread count.
+    script = "from rabivar.verify import format_json, run_all; print(format_json(run_all()), end='')"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["passed"] == 15
+
+
+def test_physics_checks_share_only_single_packet_stages(monkeypatch):
+    # CS2/CSS2 reuse the point's CS1/CSS1 result; CSS2's guard never reads a CS2 result,
+    # and the stationarity loop reuses the CSS1 optimum at lambda 0.5.
+    calls = []
+    solve = verify.solve_ansatz
+
+    def recorded(mp, kind, parity="even", solved=None):
+        calls.append((kind, parity, sorted(solved or {})))
+        return solve(mp, kind, parity, solved)
+
+    monkeypatch.setattr(verify, "solve_ansatz", recorded)
+    assert all(r.passed for r in verify.physics_checks())
+    n = len(verify.PHYSICS_POINTS)
+    assert calls.count((AnsatzKind.CS2, "even", [AnsatzKind.CS1])) == n
+    assert calls.count((AnsatzKind.CSS2, "even", [AnsatzKind.CSS1])) == n
+    assert calls.count((AnsatzKind.CSS2, "odd", [])) == n
+    assert calls.count((AnsatzKind.CSS1, "even", [])) == n + 3
+    assert len(calls) == 5 * n + 3
 
 
 def test_module_entry_point_help():

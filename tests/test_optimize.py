@@ -14,6 +14,7 @@ from rabivar import (
 )
 import rabivar.optimize as optimize
 from rabivar.optimize import bfgs
+from rabivar.verify import PHYSICS_POINTS
 from rabivar.variational import PacketParams, objective
 
 
@@ -333,3 +334,17 @@ def test_css2_guard_reads_the_unreduced_cs2_optimum():
     assert not shared.reduced and not alone.reduced
     assert shared.energy == pytest.approx(alone.energy, rel=1e-13, abs=1e-13)
     assert shared.starts_tried < alone.starts_tried  # only the squeezed two-packet stage ran
+
+
+@pytest.mark.parametrize("delta, tau, lam", PHYSICS_POINTS)
+def test_shared_single_packet_stage_removes_only_work(delta, tau, lam):
+    # A CS1/CSS1 result in solved= is the single-packet stage a standalone CS2/CSS2 solve runs:
+    # the same problem from the same starts, so only the work counts may differ.
+    mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
+    for single, kind in ((AnsatzKind.CS1, AnsatzKind.CS2), (AnsatzKind.CSS1, AnsatzKind.CSS2)):
+        shared = solve_ansatz(mp, kind, solved={single: solve_ansatz(mp, single)})
+        alone = solve_ansatz(mp, kind)
+        for field in ("energy", "params", "grad_norm", "converged", "reduced", "two_packet_energy"):
+            assert repr(getattr(shared, field)) == repr(getattr(alone, field)), (kind, field)
+        assert shared.nfev < alone.nfev
+        assert shared.starts_tried < alone.starts_tried

@@ -14,12 +14,14 @@ from rabivar import (
     spin_x_projection,
 )
 from rabivar.states import (
+    _chain_modes,
     count_peaks,
     displaced_squeezed_amplitudes,
     gaussian_packet_profile,
     oscillator_wavefunctions,
 )
 from rabivar.variational import _pair_overlap
+from rabivar.verify import _squeezed_vacuum_reference
 
 
 def squeezed_vacuum_amplitudes(xi, n_tr):
@@ -110,6 +112,30 @@ def test_displaced_vacuum_is_poisson():
         log_mag = -0.5 * b * b + n * math.log(abs(b)) - 0.5 * gammaln(n + 1)
         expected = np.sign(b) ** n * np.exp(log_mag)
         assert np.max(np.abs(displaced_squeezed_amplitudes(b, 0.0, tr) - expected)) <= 1e-12
+
+
+def test_folded_kernel_at_rounding_level():
+    # The oracle's own cutoff; both references are exact up to a few ulps.
+    tr = Truncation(160, 1e-9)
+    worst_coherent = 0.0
+    for b in np.linspace(-3.5, 3.5, 29):
+        expected = np.empty(tr.dim)
+        expected[0] = math.exp(-0.5 * b * b)
+        for n in range(1, tr.dim):
+            expected[n] = expected[n - 1] * b / math.sqrt(n)
+        amps = displaced_squeezed_amplitudes(b, 0.0, tr)
+        worst_coherent = max(worst_coherent, float(np.max(np.abs(amps - expected))))
+    worst_squeezed = 0.0
+    for xi in np.linspace(0.0, 0.4, 17):
+        amps = displaced_squeezed_amplitudes(0.0, xi, tr)
+        worst_squeezed = max(worst_squeezed, float(np.max(np.abs(amps - _squeezed_vacuum_reference(xi, tr.n_tr)))))
+    assert worst_coherent <= 1e-15
+    assert worst_squeezed <= 1e-15
+    for generator in ("displace", "squeeze"):
+        for arr in _chain_modes(tr.n_tr, generator):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def test_truncation_guard_raises():
