@@ -7,7 +7,9 @@ only as an independent cross-check.  Every returned vector has a definite
 parity and is phase-fixed (largest-magnitude amplitude positive) so
 repeated solves are reproducible.  The even-minus-odd splitting, which in
 the two-packet regime lies far below double precision, comes from
-:func:`sector_splitting`.
+:func:`sector_splitting`, which reads the same cached float chain solves
+(:func:`_chain_lowest`) as the sector solves and certifies the decimal
+roots it returns by Sturm counts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
+from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -82,10 +86,18 @@ def parity_chain(params: ModelParams, n_tr: int, parity: int):
     return diag, link[1:]
 
 
-def _chain_lowest(diag: np.ndarray, link: np.ndarray):
-    """Lowest eigenvalue and its eigenvector (in chain order) of a chain."""
-    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, link, select="i", select_range=(0, 0))
-    return vals[0], vecs[:, 0]
+@lru_cache(maxsize=8)
+def _chain_lowest(params: ModelParams, n_tr: int, parity: int):
+    """Lowest eigenvalue and its read-only eigenvector (in chain order) of :func:`parity_chain`.
+
+    Cached on the chain's inputs, so a levels point's sector solves and the
+    first attempt of :func:`sector_splitting` at the same cutoff share one
+    solve.
+    """
+    vals, vecs = scipy.linalg.eigh_tridiagonal(*parity_chain(params, n_tr, parity), select="i", select_range=(0, 0))
+    v = vecs[:, 0]
+    v.setflags(write=False)
+    return float(vals[0]), v
 
 
 def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:
@@ -107,11 +119,10 @@ def _solve_chains(params: ModelParams, trunc: Truncation, parities) -> SpectrumR
     while True:
         best = None  # (tie-broken energy, energy, parity, chain vector)
         for parity in parities:
-            diag, link = parity_chain(params, n_tr, parity)
-            e, v = _chain_lowest(diag, link)
-            tie = 0.0 if parity == +1 else 10.0 * _EPS * _norm_scale(diag, link, e)
+            e, v = _chain_lowest(params, n_tr, parity)
+            tie = 0.0 if parity == +1 else 10.0 * _EPS * _norm_scale(*parity_chain(params, n_tr, parity), e)
             if best is None or e + tie < best[0]:
-                best = (e + tie, float(e), parity, v)
+                best = (e + tie, e, parity, v)
         _, e, parity, v = best
         tail = Truncation.tail_weight(v)
         if tail <= trunc.tail_tol:
@@ -167,6 +178,7 @@ class SectorSplitting:
 
 
 _NEWTON_STEPS = 12
+_LADDER = (34, 68, 136)  # digits of the passes from a float seed, whose ~17 correct digits each pass doubles
 _CUT_MARGIN = 1e-2  # extrapolated truncation bound sought, relative to the rounding bound
 
 
@@ -198,18 +210,18 @@ def _sturm_count(diag, link2, x) -> int:
     return count
 
 
-def _newton_lowest(diag, link2, seed: float, tol):
-    """Newton on det(T - E) from seed; None if it has not converged to tol.
+def _newton_step(diag, link2, e):
+    """One Newton step on det(T - E) at e, in the current decimal context.
 
     The logarithmic derivative of the determinant is the sum of w_m = q_m'/q_m
     over the pivots q_m of T - E, with w_m from differentiating the pivot
     recurrence, so the determinant itself, which over- and underflows, is
-    never formed.  Convergence is quadratic, so iteration stops once the
-    step is below tol or its square is below tol / 10^6: the step after it
-    would be smaller than tol unless another eigenvalue lay within 10^-6.
+    never formed.  An exactly vanishing pivot makes e a root of a leading
+    block of the chain, and of the chain itself where a zero link cuts it
+    there (a decoupled chain, g = 0); the step is then 0, and the Sturm
+    counts of :func:`_certified` decide whether e is the lowest root.
     """
-    e = Decimal(seed)
-    for _ in range(_NEWTON_STEPS):
+    try:
         q = diag[0] - e
         w = -1 / q
         logder = w
@@ -218,7 +230,26 @@ def _newton_lowest(diag, link2, seed: float, tol):
             q = d - e - r
             w = (r * w - 1) / q
             logder += w
-        step = 1 / logder
+    except ArithmeticError:  # x / 0 or 0 / 0 at the vanishing pivot
+        return Decimal(0)
+    return 1 / logder
+
+
+def _newton_lowest(diag, link2, seed, tol, ladder):
+    """Newton on det(T - E) from seed; None if it has not converged to tol.
+
+    The first passes run at the digits in ladder, below the working
+    precision, then every pass runs at the working precision.  Convergence
+    is quadratic, so iteration stops once a full-digit step is below tol or
+    its square is below tol / 10^6: the step after it would be smaller than
+    tol unless another eigenvalue lay within 10^-6.
+    """
+    e = Decimal(seed)
+    for digits in ladder:
+        with localcontext(Context(prec=digits)):
+            e -= _newton_step(diag, link2, e)
+    for _ in range(_NEWTON_STEPS):
+        step = _newton_step(diag, link2, e)
         e -= step
         if abs(step) <= tol or (step * step).scaleb(6) <= tol:
             return e
@@ -234,13 +265,14 @@ def _truncation_bounds(diag: list, link: list, e: float, peak: int, v_peak: floa
     peak component v_peak by the backward recurrence from site N, which is
     stable from the tail up to the peak because the eigenvector grows along
     it.  At n = N this bounds the chain as given; at n < N the ratios of
-    the longer chain stand in for those of the chain cut at n.
+    the longer chain stand in for those of the chain cut at n.  A zero link
+    (g = 0) cuts the eigenvector off, so the bounds past it are 0.
     """
     n_last = len(diag) - 2
     rho, logs = 0.0, []
     for m in range(n_last, peak, -1):
         rho = link[m - 1] / (e - diag[m] - link[m] * rho)  # v_m / v_{m-1}
-        logs.append(math.log(abs(rho)))
+        logs.append(math.log(abs(rho)) if rho else -math.inf)
     log_v = list(accumulate(reversed(logs), initial=0.0))  # log |v_m / v_peak| from m = peak
     bounds = []
     for n in range(first, n_last + 1):
@@ -250,41 +282,67 @@ def _truncation_bounds(diag: list, link: list, e: float, peak: int, v_peak: floa
     return bounds
 
 
-def _certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int, start=None):
-    """Lowest chain eigenvalue in `digits` digits, with rounding and truncation bounds.
+class _Root(NamedTuple):
+    """One chain's Newton root in one attempt of :func:`sector_splitting`, not yet certified.
 
-    Newton starts from start, the eigenvalue of an earlier attempt at a
-    shorter chain or fewer digits, or else from the float eigenvalue.  It
-    also returns the float eigenvector's tail (float eigenvalue, peak site,
-    peak component) for :func:`_next_cutoff`.  Sturm counts at E -+ r must
-    find no eigenvalue below E - r and one below E + r, where r is ten units
-    of the last digit on the chain's norm scale; this proves E is the lowest
-    root to within 2r, counting the rounding of the counts themselves
-    (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)).  The rounding bound
-    is infinite when the counts fail.
+    e is None when Newton did not converge, and rounding and trunc are then
+    infinite.  rounding is 2r, where r, the radius, is ten units of the last
+    digit on the chain's norm scale; trunc is the chain's truncation bound; tail
+    is (float eigenvalue, peak site, peak component) for
+    :func:`_next_cutoff`; chain is the decimal (diagonal, squared links).
     """
+
+    e: Decimal | None
+    radius: Decimal
+    rounding: float
+    trunc: float
+    tail: tuple
+    chain: tuple
+
+
+def _newton_root(params: ModelParams, n_tr: int, parity: int, digits: int, start=None, near=None) -> _Root:
+    """Lowest chain eigenvalue in `digits` digits by Newton, with a-priori rounding and truncation bounds.
+
+    Newton starts from near, the other chain's root in the same attempt,
+    when it lies within the float resolution (ten units of eps on the
+    chain's norm scale) of this chain's float eigenvalue; else from start,
+    the root of an earlier attempt; else from the float eigenvalue through
+    the digit ladder _LADDER.
+    """
+    seed, v_f = _chain_lowest(params, n_tr, parity)
     diag_f, link_f = parity_chain(params, n_tr + 1, parity)
-    e_f, v_f = _chain_lowest(diag_f[:-1], link_f[:-1])
-    seed = float(e_f)
     peak = int(np.argmax(np.abs(v_f)))
+    tail = (seed, peak, float(v_f[peak]))
     scale = _norm_scale(diag_f, link_f, seed)
+    if near is not None and abs(float(near) - seed) <= 10.0 * _EPS * scale:
+        start = near
+    ladder = () if start is not None else tuple(p for p in _LADDER if p < digits)
     with localcontext(Context(prec=digits)):
         radius = Decimal(10.0 * scale).scaleb(1 - digits)
-        diag, link2 = _exact_chain(params, n_tr, parity)
+        chain = _exact_chain(params, n_tr, parity)
         try:
-            e = _newton_lowest(diag, link2, seed if start is None else start, radius)
-            certified = (
-                e is not None
-                and _sturm_count(diag, link2, e - radius) == 0
-                and _sturm_count(diag, link2, e + radius) >= 1
-            )
-        except ZeroDivisionError:  # an exactly vanishing pivot
-            certified = False
-    tail = (seed, peak, float(v_f[peak]))
-    if not certified:
-        return None, math.inf, math.inf, tail
+            e = _newton_lowest(*chain, seed if start is None else start, radius, ladder)
+        except ZeroDivisionError:  # a vanishing log-derivative
+            e = None
+    if e is None:
+        return _Root(None, radius, math.inf, math.inf, tail, chain)
     trunc = _truncation_bounds(diag_f.tolist(), link_f.tolist(), float(e), peak, tail[2], n_tr)[0]
-    return e, 2.0 * float(radius), trunc, tail
+    return _Root(e, radius, 2.0 * float(radius), trunc, tail, chain)
+
+
+def _certified(root: _Root, digits: int) -> bool:
+    """Whether Sturm counts prove root.e the lowest chain eigenvalue to within 2r.
+
+    The counts at E -+ r must find no eigenvalue below E - r and one below
+    E + r, where r is root.radius; 2r covers the rounding of the counts
+    themselves (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)).
+    """
+    with localcontext(Context(prec=digits)):
+        try:
+            below = _sturm_count(*root.chain, root.e - root.radius)
+            return below == 0 and _sturm_count(*root.chain, root.e + root.radius) >= 1
+        except ArithmeticError:  # an exactly vanishing pivot
+            return False
 
 
 def _next_cutoff(params: ModelParams, n_tr: int, tails, target: float) -> int:
@@ -307,33 +365,42 @@ def _next_cutoff(params: ModelParams, n_tr: int, tails, target: float) -> int:
 def sector_splitting(params: ModelParams, n_tr: int) -> SectorSplitting:
     """Certified E_even - E_odd of the lowest parity-sector levels in extended precision.
 
-    Both parity chains are solved in SPLITTING_DIGITS decimal digits on Fock
-    levels 0..n_tr.  The difference counts only when its magnitude exceeds
-    the sum of both chains' rounding and truncation bounds.  Otherwise,
-    when truncation dominates the bound, n_tr grows to the cutoff whose
+    Both parity chains are solved by Newton in SPLITTING_DIGITS decimal
+    digits on Fock levels 0..n_tr (:func:`_newton_root`): the even chain
+    from its float eigenvalue through a digit ladder, the odd chain from the
+    even root when the two agree to float resolution.  The difference
+    counts only when its magnitude exceeds the sum of both chains' a-priori
+    rounding bounds and truncation bounds; Sturm counts then certify both
+    roots (:func:`_certified`), and if they fail the attempt counts as
+    unconverged: its rounding bound is infinite and the next attempt starts
+    both chains from their float eigenvalues again.  Otherwise, when
+    truncation dominates the bound, n_tr grows to the cutoff whose
     truncation bound, extrapolated from the float eigenvectors
     (:func:`_next_cutoff`), is a hundredth of the rounding bound, at most
     doubling; when rounding dominates, the digits double.  Each new attempt
-    starts Newton from the previous one's eigenvalues.  Past N_TR_CAP or
+    starts Newton from the previous one's roots.  Past N_TR_CAP or
     SPLITTING_DIGITS_CAP the splitting stays unresolved.
     """
     digits = SPLITTING_DIGITS
-    e_even = e_odd = None
+    starts = (None, None)
     while True:
-        e_even, round_even, trunc_even, tail_even = _certified_lowest(params, n_tr, +1, digits, e_even)
-        e_odd, round_odd, trunc_odd, tail_odd = _certified_lowest(params, n_tr, -1, digits, e_odd)
-        rounding = round_even + round_odd
-        truncation = trunc_even + trunc_odd
-        error = rounding + truncation
+        even = _newton_root(params, n_tr, +1, digits, starts[0])
+        odd = _newton_root(params, n_tr, -1, digits, starts[1], even.e)
+        rounding = even.rounding + odd.rounding
+        truncation = even.trunc + odd.trunc
         if math.isfinite(rounding):
             with localcontext(Context(prec=digits)):
-                split = e_even - e_odd
-            if abs(split) > Decimal(error):
-                return SectorSplitting(float(split), error, digits, n_tr)
+                split = even.e - odd.e
+            if abs(split) > Decimal(rounding + truncation):
+                if _certified(even, digits) and _certified(odd, digits):
+                    return SectorSplitting(float(split), rounding + truncation, digits, n_tr)
+                rounding = math.inf  # the counts failed: an unconverged attempt
+        error = rounding + truncation
+        starts = (even.e, odd.e) if math.isfinite(rounding) else (None, None)
         if truncation > rounding:
             if n_tr >= N_TR_CAP:
                 return SectorSplitting(None, error, digits, n_tr)
-            n_tr = _next_cutoff(params, n_tr, (tail_even, tail_odd), _CUT_MARGIN * rounding)
+            n_tr = _next_cutoff(params, n_tr, (even.tail, odd.tail), _CUT_MARGIN * rounding)
         else:
             if digits >= SPLITTING_DIGITS_CAP:
                 return SectorSplitting(None, error, digits, n_tr)

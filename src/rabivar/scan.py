@@ -577,6 +577,11 @@ def _parity_disagreements(rows, grid) -> list:
     return runs
 
 
+def _ground_photon(split, n_even, n_odd):
+    """The photon number of the parity the splitting puts lowest; None for no splitting or an exact 0."""
+    return None if not split else (n_even if split < 0.0 else n_odd)
+
+
 def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     g = ratio * gc1
     mp = ModelParams(delta=cfg.delta, omega=cfg.omega, g=g, tau=cfg.tau)
@@ -600,7 +605,7 @@ def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     row.update(
         e_even=even.energies[0], e_odd=odd.energies[0], splitting=split,
         mean_photon_even=n_even, mean_photon_odd=n_odd,
-        mean_photon_ground=None if split is None else (n_even if split < 0.0 else n_odd),
+        mean_photon_ground=_ground_photon(split, n_even, n_odd),
         converged=True, n_tr_used=n_tr, split_error=certified.error,
         split_digits=certified.digits, split_n_tr=certified.n_tr,
     )
@@ -633,7 +638,7 @@ def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     row.update(
         e_even=even.energy, e_odd=odd.energy, splitting=split,
         mean_photon_even=n_even, mean_photon_odd=n_odd,
-        mean_photon_ground=n_even if split <= 0.0 else n_odd,
+        mean_photon_ground=_ground_photon(split, n_even, n_odd),
         converged=even.converged and odd.converged,
     )
     return row

@@ -845,6 +845,29 @@ def test_levels_unresolved_splitting_leaves_fields_empty(tmp_path, monkeypatch):
     assert json.loads((out / "meta.json").read_text())["crossing"]["ED"] is None
 
 
+def test_levels_zero_css2_splitting_leaves_ground_photon_empty(tmp_path):
+    # Far past g_c1 the closed-form two-packet splitting underflows to 0.0,
+    # which carries no sign: no ground parity, as in an unresolved ED row.
+    out = tmp_path / "levels"
+    cfg = LevelsConfig(delta=100.0, tau=0.5, g_min=3.0, g_max=3.0, g_step=0.01, methods=("CSS2",))
+    run_levels(cfg, str(out))
+    _, rows = read_table(str(out / "CSS2.tsv"))
+    assert len(rows) == 1 and rows[0]["splitting"] == 0.0 and rows[0]["converged"] == 1.0
+    assert rows[0]["mean_photon_ground"] is None and rows[0]["mean_photon_even"] > 0.0
+    assert json.loads((out / "meta.json").read_text())["crossings"]["CSS2"] == []
+
+
+def test_levels_decoupled_point_is_resolved(tmp_path):
+    out = tmp_path / "levels"
+    assert main(["levels", "--out", str(out), "--delta", "100", "--tau", "0.5",
+                 "--g-min", "0", "--g-max", "0.01", "--g-step", "0.005"]) == 0
+    _, rows = read_table(str(out / "ED.tsv"))
+    assert [row["g_ratio"] for row in rows] == [0.0, 0.005, 0.01]
+    decoupled = rows[0]
+    assert decoupled["splitting"] == -1.0 and decoupled["split_digits"] == 90
+    assert decoupled["split_error"] < 1e-80 and decoupled["mean_photon_ground"] == 0.0
+
+
 def test_levels_css2_failure_keeps_best_so_far_energies(tmp_path, monkeypatch):
     def no_convergence(params, kind, parity="even", **kwargs):
         if parity == "odd":

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Context, Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 
 import rabivar
 import rabivar.exactdiag as ed
+import rabivar.scan as scan
 from rabivar import (
     ModelParams,
     SpinFockVector,
@@ -23,6 +25,7 @@ from rabivar import (
     solve_parity_sector,
     spin_x_projection,
 )
+from rabivar.scan import LevelsConfig
 
 
 def jaynes_cummings_ground(delta, omega, g, n_max=2000):
@@ -316,3 +319,237 @@ def test_unresolved_splitting_has_no_sign(monkeypatch):
     # Identical chains: an exact degeneracy stays unresolved at every precision.
     exact = sector_splitting(ModelParams(delta=0.0, g=0.5, tau=1.0), 32)
     assert exact.splitting is None and exact.digits == ed.SPLITTING_DIGITS_CAP
+
+
+# The certified splitting before the float solves were shared, the odd chain
+# was seeded from the even root, Newton ran a digit ladder and only the
+# returned attempt was Sturm-counted: the reference the current code must
+# match in cutoff, digits, error bound and sign.
+
+
+def _reference_chain_lowest(diag: np.ndarray, link: np.ndarray):
+    """Lowest eigenvalue and its eigenvector (in chain order) of a chain."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(diag, link, select="i", select_range=(0, 0))
+    return vals[0], vecs[:, 0]
+
+
+def _reference_newton_lowest(diag, link2, seed: float, tol):
+    """Newton on det(T - E) from seed; None if it has not converged to tol.
+
+    The logarithmic derivative of the determinant is the sum of w_m = q_m'/q_m
+    over the pivots q_m of T - E, with w_m from differentiating the pivot
+    recurrence, so the determinant itself, which over- and underflows, is
+    never formed.  Convergence is quadratic, so iteration stops once the
+    step is below tol or its square is below tol / 10^6: the step after it
+    would be smaller than tol unless another eigenvalue lay within 10^-6.
+    """
+    e = Decimal(seed)
+    for _ in range(ed._NEWTON_STEPS):
+        q = diag[0] - e
+        w = -1 / q
+        logder = w
+        for d, b2 in zip(diag[1:], link2):
+            r = b2 / q
+            q = d - e - r
+            w = (r * w - 1) / q
+            logder += w
+        step = 1 / logder
+        e -= step
+        if abs(step) <= tol or (step * step).scaleb(6) <= tol:
+            return e
+    return None
+
+
+def _reference_certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int, start=None):
+    """Lowest chain eigenvalue in `digits` digits, with rounding and truncation bounds.
+
+    Newton starts from start, the eigenvalue of an earlier attempt at a
+    shorter chain or fewer digits, or else from the float eigenvalue.  It
+    also returns the float eigenvector's tail (float eigenvalue, peak site,
+    peak component) for :func:`_next_cutoff`.  Sturm counts at E -+ r must
+    find no eigenvalue below E - r and one below E + r, where r is ten units
+    of the last digit on the chain's norm scale; this proves E is the lowest
+    root to within 2r, counting the rounding of the counts themselves
+    (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)).  The rounding bound
+    is infinite when the counts fail.
+    """
+    diag_f, link_f = parity_chain(params, n_tr + 1, parity)
+    e_f, v_f = _reference_chain_lowest(diag_f[:-1], link_f[:-1])
+    seed = float(e_f)
+    peak = int(np.argmax(np.abs(v_f)))
+    scale = ed._norm_scale(diag_f, link_f, seed)
+    with localcontext(Context(prec=digits)):
+        radius = Decimal(10.0 * scale).scaleb(1 - digits)
+        diag, link2 = ed._exact_chain(params, n_tr, parity)
+        try:
+            e = _reference_newton_lowest(diag, link2, seed if start is None else start, radius)
+            certified = (
+                e is not None
+                and ed._sturm_count(diag, link2, e - radius) == 0
+                and ed._sturm_count(diag, link2, e + radius) >= 1
+            )
+        except ZeroDivisionError:  # an exactly vanishing pivot
+            certified = False
+    tail = (seed, peak, float(v_f[peak]))
+    if not certified:
+        return None, math.inf, math.inf, tail
+    trunc = ed._truncation_bounds(diag_f.tolist(), link_f.tolist(), float(e), peak, tail[2], n_tr)[0]
+    return e, 2.0 * float(radius), trunc, tail
+
+
+def reference_sector_splitting(params: ModelParams, n_tr: int) -> ed.SectorSplitting:
+    digits = ed.SPLITTING_DIGITS
+    e_even = e_odd = None
+    while True:
+        e_even, round_even, trunc_even, tail_even = _reference_certified_lowest(params, n_tr, +1, digits, e_even)
+        e_odd, round_odd, trunc_odd, tail_odd = _reference_certified_lowest(params, n_tr, -1, digits, e_odd)
+        rounding = round_even + round_odd
+        truncation = trunc_even + trunc_odd
+        error = rounding + truncation
+        if math.isfinite(rounding):
+            with localcontext(Context(prec=digits)):
+                split = e_even - e_odd
+            if abs(split) > Decimal(error):
+                return ed.SectorSplitting(float(split), error, digits, n_tr)
+        if truncation > rounding:
+            if n_tr >= ed.N_TR_CAP:
+                return ed.SectorSplitting(None, error, digits, n_tr)
+            n_tr = ed._next_cutoff(params, n_tr, (tail_even, tail_odd), ed._CUT_MARGIN * rounding)
+        else:
+            if digits >= ed.SPLITTING_DIGITS_CAP:
+                return ed.SectorSplitting(None, error, digits, n_tr)
+            digits = min(2 * digits, ed.SPLITTING_DIGITS_CAP)
+
+
+def _gc1(cfg):
+    return ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
+
+
+README_LEVELS = LevelsConfig(delta=100.0, tau=0.5, g_min=0.9, g_max=1.1, g_step=0.005)
+
+
+@pytest.mark.parametrize(
+    "cfg", [README_LEVELS, LevelsConfig(delta=8.0, tau=0.5, g_min=0.8, g_max=2.0, g_step=0.05)],
+    ids=["readme", "delta8"],
+)
+def test_sector_splitting_certifies_what_the_reference_does(cfg):
+    gc1 = _gc1(cfg)
+    for ratio in cfg.grid():
+        row = scan._levels_row_ed(cfg, ratio, gc1)
+        mp = ModelParams(delta=cfg.delta, omega=cfg.omega, g=ratio * gc1, tau=cfg.tau)
+        ref = reference_sector_splitting(mp, row["n_tr_used"])
+        assert (row["split_n_tr"], row["split_digits"], row["split_error"]) == (ref.n_tr, ref.digits, ref.error)
+        assert ref.splitting is not None and row["splitting"] is not None
+        assert (row["splitting"] < 0.0) == (ref.splitting < 0.0)
+        assert abs(row["splitting"] - ref.splitting) <= ref.error
+
+
+def _counting(monkeypatch, owner, name, counts, key):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        k = key()
+        counts[k] = counts.get(k, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_readme_levels_ed_rows_take_fewer_solves_and_passes(monkeypatch):
+    # One float solve per chain, the odd chain seeded from the even root, a
+    # 34/68-digit ladder from each float seed and Sturm counts only on the
+    # returned attempt.  The work before: 198 float solves, 280 Newton
+    # passes at 90 digits and 232 Sturm counts.
+    counts = {}
+    _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal", counts, lambda: "eigh")
+    _counting(monkeypatch, ed, "_sturm_count", counts, lambda: "sturm")
+    _counting(monkeypatch, ed, "_newton_step", counts, lambda: getcontext().prec)
+    ed._chain_lowest.cache_clear()
+    gc1 = _gc1(README_LEVELS)
+    rows = [scan._levels_row_ed(README_LEVELS, ratio, gc1) for ratio in README_LEVELS.grid()]
+    assert len(rows) == 41 and all(row["split_digits"] == 90 for row in rows)
+    assert counts["eigh"] <= 116
+    assert counts[34] == counts[68] == 41  # one float-seeded run per point: the even chain's first
+    assert counts[90] <= 130
+    assert counts["sturm"] <= 4 * 41
+    assert set(counts) == {"eigh", "sturm", 34, 68, 90}
+
+
+def test_failed_sturm_counts_double_the_digits_and_restart_from_float_seeds(monkeypatch):
+    gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
+    mp = ModelParams(delta=100.0, tau=0.5, g=0.99 * gc1)
+    plain = sector_splitting(mp, 256)
+    assert plain.digits == 90
+    sturm, certify, newton_lowest = ed._sturm_count, ed._certified, ed._newton_lowest
+    failed, runs, verdicts = [], [], []
+
+    def fail_once(diag, link2, x):
+        if not failed:
+            failed.append(x)
+            return 1  # an eigenvalue below E - r: the returned attempt is not certified
+        return sturm(diag, link2, x)
+
+    def newton(diag, link2, seed, tol, ladder):
+        e = newton_lowest(diag, link2, seed, tol, ladder)
+        runs.append((getcontext().prec, seed, ladder, e))
+        return e
+
+    def certified(root, digits):
+        verdicts.append((digits, root.e, certify(root, digits)))
+        return verdicts[-1][2]
+
+    monkeypatch.setattr(ed, "_sturm_count", fail_once)
+    monkeypatch.setattr(ed, "_newton_lowest", newton)
+    monkeypatch.setattr(ed, "_certified", certified)
+    redone = sector_splitting(mp, 256)
+    assert len(failed) == 1 and redone.digits == 180 and redone.n_tr == 256
+    assert [(digits, type(seed), ladder) for digits, seed, ladder, _ in runs] == [
+        (90, float, (34, 68)), (90, Decimal, ()), (180, float, (34, 68, 136)), (180, Decimal, ()),
+    ]
+    assert runs[1][1] == runs[0][3] and runs[3][1] == runs[2][3]  # the odd chain starts from the even root
+    assert runs[2][1] == runs[0][1]  # the float seed again, not the failed attempt's root
+    # Returned only after both roots of the returned attempt passed their real Sturm counts.
+    assert verdicts == [(90, runs[0][3], False), (180, runs[2][3], True), (180, runs[3][3], True)]
+    assert (redone.splitting < 0.0) == (plain.splitting < 0.0)
+    assert abs(redone.splitting - plain.splitting) <= plain.error + redone.error
+
+
+def test_cached_chain_solves_are_read_only():
+    mp = ModelParams(delta=8.0, tau=0.5, g=0.9)
+    e, v = ed._chain_lowest(mp, 32, -1)
+    assert ed._chain_lowest(mp, 32, -1)[1] is v
+    with pytest.raises(ValueError):
+        v[0] = 0.0
+    assert e == solve_parity_sector(mp, Truncation(32, tail_tol=0.5), -1).energies[0]
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.0])
+def test_decoupled_point_splitting_is_certified(tau):
+    # At g = 0 the float seeds -delta/2 and omega - delta/2 are exact roots,
+    # so a pivot vanishes exactly, and the links are all zero.
+    mp = ModelParams(delta=100.0, tau=tau, g=0.0)
+    split = sector_splitting(mp, 256)
+    assert split.digits == 90 and split.n_tr == 256
+    assert abs(split.splitting - -1.0) <= split.error
+    for parity in (+1, -1):
+        diag, link = parity_chain(mp, 257, parity)
+        e, v = ed._chain_lowest(mp, 256, parity)
+        peak = int(np.argmax(np.abs(v)))
+        assert ed._truncation_bounds(diag.tolist(), link.tolist(), e, peak, v[peak], 200) == [0.0] * 57
+
+
+def test_rotating_wave_vacuum_splitting_is_certified():
+    # tau = 0 cuts the even chain's vacuum site off (its float seed -delta/2
+    # is exact) and leaves the odd ground level in one 2 x 2 block.
+    delta, g = 100.0, 0.01
+    split = sector_splitting(ModelParams(delta=delta, tau=0.0, g=g), 256)
+    odd = 0.5 - math.sqrt(0.25 * (delta - 1.0) ** 2 + g * g)
+    assert split.digits == 90
+    assert split.splitting == pytest.approx(-0.5 * delta - odd, rel=1e-14)
+
+
+def test_decoupled_levels_row_has_its_splitting(tmp_path):
+    cfg = LevelsConfig(delta=100.0, tau=0.5, g_min=0.0, g_max=0.01, g_step=0.005, methods=("ED",))
+    row = scan._levels_row_ed(cfg, 0.0, _gc1(cfg))
+    assert row["splitting"] == -1.0 and row["split_digits"] == 90
+    assert row["mean_photon_ground"] == row["mean_photon_even"] == 0.0
