@@ -4,16 +4,17 @@ Configuration comes from an optional JSON file (--config) whose keys match
 the dataclass fields in :mod:`rabivar.scan`; command-line flags override
 file values.  All physical inputs are in units of omega.  Input a command
 rejects (a --config file that cannot be read or holds no JSON object, an
-unknown config key or method, a numeric value that is not a number, a
-bool included, odd parity with CS1/CSS1, tau >= 1 for levels, an unknown
-source, delta or omega <= 0, tau < 0, a non-finite delta, omega or tau, a
-negative or non-finite lambda_min, g_min or lambdas entry, a grid step
-that is not positive and finite, a grid max below its min or not
-finite, a grid of more than a million points, n_tr not a non-negative
-integer, tail_tol outside (0, 1), a negative verify seed, an --out that
-names a file or lies under one) ends it before anything is computed or
-written, with one line "rabivar: error: ..." on stderr and
-exit status 2, as argparse does for malformed flags.
+unknown config key or method, an empty or repeated methods or lambdas
+list, a numeric value that is not a number, a bool included, odd parity
+with CS1/CSS1, tau >= 1 for levels, an unknown source, delta or
+omega <= 0, tau < 0, a non-finite delta, omega or tau, a negative or
+non-finite lambda_min, g_min or lambdas entry, a grid step that is not
+positive and finite, a grid max below its min or not finite, a grid of
+more than a million points, n_tr not a non-negative integer, tail_tol
+outside (0, 1), a negative verify seed, an --out that names a file or
+lies under one) ends it before anything is computed or written, with one
+line "rabivar: error: ..." on stderr and exit status 2, as argparse does
+for malformed flags.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ linear coefficients (c1, c2) are projected out: for fixed packets the
 energy is a Rayleigh quotient in them, so the objective is the lowest root
 of the 2x2 pencil with, by the Hellmann-Feynman theorem, its gradient in
 (beta1, beta2[, xi]).  A solve depends only on its model parameters, kind
-and parity (and on the results of the same point it reuses, below): every
-stage starts from fixed seeds, never from another point.  A BFGS with Armijo
+and parity: every stage starts from fixed seeds or from another stage of
+the same solve (below), never from another point.  A BFGS with Armijo
 backtracking runs from each start.  No trial state has more than three
 free variables, so :func:`bfgs` is a fixed three-slot kernel on Python
 float locals (fewer variables ride in frozen slots), and identical inputs
@@ -36,13 +36,16 @@ The unsqueezed two-packet optimum of the second rule (the guard) is read
 for the squeezed kind only when the first rule holds, since no other result
 reads it.
 
-The families nest, so their stages are shared: the single-packet stage of
-CS2/CSS2 is the CS1/CSS1 solve, and the guard is CS2's two-packet stage.
-solve_ansatz takes the results of kinds already solved at the same point
-and parity (a scan point's earlier rows) and reuses these stages from them,
-reading CS2's unreduced optimum (OptResult.two_packet_energy), never its
-reported energy; a stage with no converged result to reuse is solved in
-the call.  OptResult.starts_tried and .nfev count the stages the call ran.
+The families nest, and a solve is built from stages, each the minimum of
+one kind's objective over its starts.  A single-packet stage starts from
+fixed seeds; a two-packet stage starts from the optimum of the
+single-packet stage of the same squeezing; the guard is the CS2 stage.  A
+stage is the same problem in every solve that runs it, so solve_ansatz
+takes an optional dict of stages, keyed by (params, kind, parity), that
+it reads and fills: solves that share one (a scan point's rows, the
+checks of rabivar verify) run each stage once and get the results each
+would get alone.  OptResult.starts_tried and .nfev count the stages the
+call ran.
 
 Energies of reduced results are exact restricted optima, not truncations
 of the full ones.
@@ -75,7 +78,6 @@ class OptResult:
     converged: bool
     reduced: bool = False  # two-packet kinds: True if the single-packet reduction is reported
     nfev: int = 0  # objective evaluations over the stages this call ran
-    two_packet_energy: float | None = None  # two-packet kinds: the unreduced two-packet optimum
 
 
 def _three(g, n):
@@ -229,31 +231,29 @@ def _two_starts(params: ModelParams, squeezed: bool, single_x):
     return starts if squeezed else [start[:2] for start in starts]
 
 
-def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", solved=None) -> OptResult:
+def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", stages=None) -> OptResult:
     """Multi-start minimization of the chosen trial-state energy.
 
-    solved optionally maps kinds already solved at these params and parity
-    to their results: a converged CS1/CSS1 result stands in for the
-    single-packet stage of CS2/CSS2, and a CS2 result's two_packet_energy
-    for CSS2's guard.  Odd parity is valid only for two-packet kinds.
-    NoConvergence propagates with the best-so-far OptResult of the failing
-    stage attached; the guard runs, and so can fail, only for a reduction
-    candidate.  Two-packet results may report the single-packet reduction;
-    see the module docstring for the selection rule.
+    stages optionally maps (params, stage kind, parity) to the stage's
+    optimum (x, f, grad_norm); a stage found there is read, and every stage
+    the call solves is added to it.  Odd parity is valid only for
+    two-packet kinds.  NoConvergence propagates with the best-so-far
+    OptResult of the failing stage attached; the guard runs, and so can
+    fail, only for a reduction candidate.  Two-packet results may report
+    the single-packet reduction; see the module docstring for the selection
+    rule.
     """
     if isinstance(kind, str):
         kind = AnsatzKind(kind)
     if parity == "odd" and not kind.two_branch:
         raise ValueError("odd parity requires a two-packet trial state")
-    solved = solved or {}
+    stages = {} if stages is None else stages
     count = [0, 0]  # starts tried, objective evaluations
     single_kind = AnsatzKind.CSS1 if kind.squeezed else AnsatzKind.CS1
 
-    def report(f, packed, grad_norm, converged=True, reduced=False, two_packet_energy=None):
+    def report(f, packed, grad_norm, converged=True, reduced=False):
         converged = converged and grad_norm < GRAD_TOL and math.isfinite(f)
-        return OptResult(
-            kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1], two_packet_energy
-        )
+        return OptResult(kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1])
 
     def pack(stage, x):
         """The parameters of this kind's trial state at the stage's optimum x."""
@@ -285,28 +285,32 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", so
                 "no start stopped within the iteration cap",
                 best=report(f, pack(stage, x), grad_norm, converged=False) if math.isfinite(f) else None,
             )
-        return x, f, grad_norm
+        return tuple(x), f, grad_norm
 
-    prior = solved.get(single_kind) if kind.two_branch else None
-    if prior is not None and prior.converged:  # the CS1/CSS1 solve is this single-packet stage
-        p = prior.params
-        xs, fs, g1 = ([p.beta, p.xi] if kind.squeezed else [p.beta]), prior.energy, prior.grad_norm
-    else:
-        xs, fs, g1 = minimize(single_kind, _single_starts(params, kind.squeezed))
+    def solved(stage):
+        """The stage's (x, f, grad_norm), read from stages or minimized from its starts and stored."""
+        key = (params, stage, parity)
+        if key not in stages:
+            if stage.two_branch:
+                single = solved(AnsatzKind.CSS1 if stage.squeezed else AnsatzKind.CS1)
+                starts = _two_starts(params, stage.squeezed, single[0])
+            else:
+                starts = _single_starts(params, stage.squeezed)
+            stages[key] = minimize(stage, starts)
+        return stages[key]
+
+    xs, fs, g1 = solved(single_kind)
     single = pack(single_kind, xs)
     if not kind.two_branch:
         return report(fs, single, g1)
-    xf, ff, gf = minimize(kind, _two_starts(params, kind.squeezed, xs))
+    xf, ff, gf = solved(kind)
     if fs - ff <= STRUCT_RTOL * max(1.0, abs(ff)):
         if not kind.squeezed:  # reducing the top of the ordering chain is always safe
-            return report(fs, single, g1, reduced=True, two_packet_energy=ff)
+            return report(fs, single, g1, reduced=True)
         # Raising the squeezed two-packet report to its restricted optimum
-        # must not lift it above the unsqueezed two-packet optimum, or the
-        # family ordering would be disturbed.  A CS2 result at this point
-        # gives that optimum; otherwise the stage runs here.
-        fc = getattr(solved.get(AnsatzKind.CS2), "two_packet_energy", None)
-        if fc is None:
-            fc = minimize(AnsatzKind.CS2, _two_starts(params, False, xs))[1]
+        # must not lift it above the unsqueezed two-packet optimum (the
+        # CS2 stage), or the family ordering would be disturbed.
+        fc = solved(AnsatzKind.CS2)[1]
         if fs <= fc + 1e-10 * max(1.0, abs(fc)):
-            return report(fs, single, g1, reduced=True, two_packet_energy=ff)
-    return report(ff, pack(kind, xf), gf, two_packet_energy=ff)
+            return report(fs, single, g1, reduced=True)
+    return report(ff, pack(kind, xf), gf)

@@ -7,13 +7,13 @@ package version (never timestamps or absolute paths).  Scans and level
 runs share one grid driver.  A row depends only on the config and its grid
 point, so the driver shares the grid points among the calling process and
 one worker process per further available CPU; the files are the same as
-from one process.  Within a scan point the CS2/CSS2 rows take their
-single-packet stage from the CS1/CSS1 row, stored or computed, and CSS2
-its guard from the CS2 row computed at the same point (see solve_ansatz).
+from one process.  The rows computed at one scan point share one dict of
+optimizer stages (see solve_ansatz), so each stage runs once per point.
 Runs are restartable: when the stored meta.json has the same physics
 config (every field but the grid bounds, step and methods), existing rows
 are kept and only missing (grid point, method) combinations are
-recomputed; otherwise every row is recomputed.  Each computed row is
+recomputed; otherwise every row is recomputed.  A recomputed CS2/CSS2 row
+solves the stages it shares with stored rows again.  Each computed row is
 appended to combined.tsv as soon as it is finished, so an interrupted run
 keeps its finished rows for the next one.
 """
@@ -37,9 +37,9 @@ from .exactdiag import (
     spin_x_projection,
 )
 from .model import ModelParams, Truncation
-from .optimize import OptResult, solve_ansatz
+from .optimize import solve_ansatz
 from .states import count_peaks, gaussian_packet_profile, position_profile
-from .variational import AnsatzKind, PacketParams, mean_photon, norm2, objective, parity_splitting_2css, superpose
+from .variational import AnsatzKind, mean_photon, norm2, parity_splitting_2css, superpose
 
 METHODS = ("ED", "CS1", "CSS1", "CS2", "CSS2")
 
@@ -283,12 +283,20 @@ def _check_model(cfg) -> None:
         raise InvalidConfig(f"{step_name} {step} gives more than {GRID_POINTS_MAX} grid points from {lo} to {hi}")
 
 
+def _check_list(name: str, values) -> None:
+    """Reject an empty list (no series to write) or one holding a value twice (a series written twice)."""
+    if not values:
+        raise InvalidConfig(f"{name} must not be empty")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise InvalidConfig(f"{name} must not repeat a value, got {repeated[0]!r} twice")
+
+
 def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=None) -> list:
     """Rows over cfg.methods x grid, computed point by point and written out.
 
-    rows_at(value, methods, stored) yields the rows of the methods (in
-    METHODS order) missing at a grid value; stored maps each method with a
-    reusable row there to that row.  The points with missing rows are
+    rows_at(value, methods) yields the rows of the methods (in METHODS
+    order) missing at a grid value.  The points with missing rows are
     computed through _mapped_rows.
 
     Stored rows of an equal physics config are reused.  combined.tsv is
@@ -303,12 +311,10 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     config = asdict(cfg) | {"methods": list(cfg.methods)}
     stored = _stored_rows(out_dir, command, config, axis, cfg.grid_fields, columns)
     methods = [m for m in METHODS if m in cfg.methods]
-    tasks, reused = [], []
-    for value in cfg.grid():
-        at = {m: stored[m, _fmt(value)] for m in methods if (m, _fmt(value)) in stored}
-        reused += at.values()
-        if len(at) < len(methods):
-            tasks.append((value, [m for m in methods if m not in at], at))
+    grid = cfg.grid()
+    reused = [stored[m, _fmt(v)] for v in grid for m in methods if (m, _fmt(v)) in stored]
+    missing = [(v, [m for m in methods if (m, _fmt(v)) not in stored]) for v in grid]
+    tasks = [(v, ms) for v, ms in missing if ms]
     combined = os.path.join(out_dir, "combined.tsv")
     write_table(combined, columns, reused)
     _write_meta(out_dir, command, config)
@@ -455,36 +461,15 @@ def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
     return row
 
 
-def _restored_result(cfg: ScanConfig, lam: float, row) -> OptResult | None:
-    """A stored CS1/CSS1 row as the OptResult CS2/CSS2 reuse at its point.
-
-    Rows round-trip exactly, so one objective evaluation at the stored
-    optimum restores the gradient norm the solve reported.  Rows of other
-    methods, and unconverged rows, give None.
-    """
-    kind = AnsatzKind(row["method"])
-    if kind.two_branch or not row.get("converged"):
-        return None
-    mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
-    p = PacketParams((1.0,), (row["beta1"],), row["xi"])
-    _, grad = objective(mp, kind)([p.beta, p.xi] if kind.squeezed else [p.beta])
-    return OptResult(kind, "even", row["energy"], p, 0, max(map(abs, grad)), True)
-
-
-def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, solved: dict) -> dict:
-    """One trial-state row.
-
-    solved maps the kinds already solved at this point to their results
-    (see solve_ansatz); this row's result is added to it.
-    """
+def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, stages: dict) -> dict:
+    """One trial-state row; stages holds the optimizer stages of its point (see solve_ansatz)."""
     mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
     kind = AnsatzKind(method)
     row = {"lambda": lam, "g": mp.g, "method": method, "parity": cfg.parity}
     try:
-        res = solve_ansatz(mp, kind, cfg.parity, solved=solved)
+        res = solve_ansatz(mp, kind, cfg.parity, stages)
     except NoConvergence as exc:
         res = exc.best
-    solved[kind] = res
     if res is None:
         row["converged"] = False
         return row
@@ -509,9 +494,9 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     lambda: the solves start from fixed seeds, never from a neighboring
     point, so the points are shared among this process and one worker
     process per further available CPU (see _mapped_rows).  Unknown
-    methods, an unknown parity and single-packet methods with odd parity
-    raise InvalidConfig before anything is written, as does any input
-    _check_model rejects.
+    methods, an empty or repeated method list, an unknown parity and
+    single-packet methods with odd parity raise InvalidConfig before
+    anything is written, as does any input _check_model rejects.
     """
     _check_model(cfg)
     if cfg.parity not in ("even", "odd"):
@@ -519,14 +504,15 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     unknown = [m for m in cfg.methods if m not in METHODS]
     if unknown:
         raise InvalidConfig(f"scan methods must come from {', '.join(METHODS)}, got {unknown}")
+    _check_list("methods", cfg.methods)
     single = [m for m in cfg.methods if m != "ED" and not AnsatzKind(m).two_branch]
     if cfg.parity == "odd" and single:
         raise InvalidConfig(f"odd parity needs two-packet methods or ED, got {single}")
 
-    def rows_at(lam, methods, stored):
-        solved = {AnsatzKind(m): _restored_result(cfg, lam, row) for m, row in stored.items() if m != "ED"}
+    def rows_at(lam, methods):
+        stages = {}
         for method in methods:
-            yield _scan_row_ed(cfg, lam) if method == "ED" else _scan_row_ansatz(cfg, lam, method, solved)
+            yield _scan_row_ed(cfg, lam) if method == "ED" else _scan_row_ansatz(cfg, lam, method, stages)
 
     panels = [
         ("E / (delta*omega)", [(f"{m}.tsv", "energy_scaled", "lines", m) for m in cfg.methods]),
@@ -660,9 +646,10 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
     unknown = [m for m in cfg.methods if m not in ("ED", "CSS2")]
     if unknown:
         raise InvalidConfig(f"levels methods must come from ED, CSS2, got {unknown}")
+    _check_list("methods", cfg.methods)
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
 
-    def rows_at(ratio, methods, stored):
+    def rows_at(ratio, methods):
         for method in methods:
             yield _levels_row_ed(cfg, ratio, gc1) if method == "ED" else _levels_row_css2(cfg, ratio, gc1)
 
@@ -699,6 +686,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     _check_model(cfg)
     if cfg.source not in ("ED", "CSS2"):
         raise InvalidConfig(f"source must be ED or CSS2, got {cfg.source!r}")
+    _check_list("lambdas", cfg.lambdas)
     os.makedirs(out_dir, exist_ok=True)
     xs = cfg.xs()
     summary = []

@@ -10,17 +10,16 @@ The report lists one line per check with the largest deviation seen:
 * structure_checks: the two assembly forms of the Hamiltonian, its
   symmetry and its parity commutation;
 * physics_checks: solved energies against the ED lower bound, the family
-  nesting, and the stationarity residuals of isotropic CSS1 optima; each
-  point's CS1/CSS1 result is CS2/CSS2's single-packet stage, while CSS2's
-  guard stays its own solve;
+  nesting, the stationarity residuals of isotropic CSS1 optima, and the
+  objective's gradient at CSS2 optima in both parities;
 * objective_checks: the gradient of every kind's
   :func:`~rabivar.variational.objective`, the kernel the optimizer
   minimizes, against central differences of its energy.
 
 Not checked here: objective's energies against the Fock oracle (the tests
-tie them to :func:`~rabivar.variational.energy`), and the stationarity of
-two-packet optima.  Random sets are drawn from a fixed seed and the
-gradient points are fixed, so repeated runs produce identical reports.
+tie them to :func:`~rabivar.variational.energy`).  Random sets are drawn
+from a fixed seed and the gradient points are fixed, so repeated runs
+produce identical reports.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 from .exactdiag import solve_parity_sector
 from .fock import build_hamiltonian, parity_diag
 from .model import ModelParams, Truncation
-from .optimize import solve_ansatz
+from .optimize import GRAD_TOL, solve_ansatz
 from .states import displaced_squeezed_amplitudes
 from .variational import (
     AnsatzKind,
@@ -190,26 +189,35 @@ def structure_checks(seed: int = DEFAULT_SEED):
     ]
 
 
+def _solved_gradient_norm(mp: ModelParams, result) -> float:
+    """Max-norm of objective's gradient at a CSS2 result's params, in the variables its solve ran in.
+
+    Those are (beta, xi) of CSS1 for a reduced result and (beta1, beta2, xi)
+    otherwise.
+    """
+    p = result.params
+    if result.reduced:
+        kind, x = AnsatzKind.CSS1, [p.a[0], p.xi]
+    else:
+        kind, x = AnsatzKind.CSS2, [p.a[0], -p.a[1], p.xi]
+    return max(map(abs, objective(mp, kind, result.parity)(x)[1]))
+
+
 def physics_checks(seed: int = DEFAULT_SEED):
     """Variational bounds, family nesting and stationarity on sample points.
 
-    At each point the CS1 and CSS1 results stand in for the single-packet
-    stages of CS2 and CSS2, and the CSS1 result at a stationarity
-    coupling is reused there: the same problem from the same starts, so
-    every energy is the one a standalone solve gives.  No CS2 result is
-    passed to CSS2, so CSS2's guard stays its own solve and the nesting
-    check compares independent optima.
+    Every solve of the call shares one dict of optimizer stages (see
+    solve_ansatz): CS2/CSS2 reuse the CS1/CSS1 stages, CSS2's guard the CS2
+    stage, and the stationarity loop the CSS1 stage at lambda 0.5.  Each
+    result is the one a standalone solve gives.
     """
     tr = Truncation(256)
-    dev_bound = dev_nest = 0.0
-    css1 = {}
+    dev_bound = dev_nest = dev_grad = 0.0
+    stages = {}
     for delta, tau, lam in PHYSICS_POINTS:
         mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
         ed_even = solve_parity_sector(mp, tr, +1).energies[0]
-        results = {}
-        for single, kind in ((AnsatzKind.CS1, AnsatzKind.CS2), (AnsatzKind.CSS1, AnsatzKind.CSS2)):
-            results[single] = solve_ansatz(mp, single)
-            results[kind] = solve_ansatz(mp, kind, solved={single: results[single]})
+        results = {kind: solve_ansatz(mp, kind, "even", stages) for kind in AnsatzKind}
         energies = {kind: r.energy for kind, r in results.items()}
         dev_bound = max(dev_bound, *(ed_even - e for e in energies.values()))
         dev_nest = max(
@@ -218,24 +226,25 @@ def physics_checks(seed: int = DEFAULT_SEED):
             energies[AnsatzKind.CSS1] - energies[AnsatzKind.CS1],
             energies[AnsatzKind.CSS2] - energies[AnsatzKind.CS2],
         )
-        css1[delta, tau, lam] = results[AnsatzKind.CSS1]
         ed_odd = solve_parity_sector(mp, tr, -1).energies[0]
-        odd = solve_ansatz(mp, AnsatzKind.CSS2, "odd")
+        odd = solve_ansatz(mp, AnsatzKind.CSS2, "odd", stages)
         dev_bound = max(dev_bound, ed_odd - odd.energy)
+        for result in (results[AnsatzKind.CSS2], odd):
+            dev_grad = max(dev_grad, _solved_gradient_norm(mp, result))
     dev_bound = max(dev_bound, 0.0)
     dev_nest = max(dev_nest, 0.0)
 
     dev_stat = 0.0
     for lam in (0.2, 0.5, 0.9, 1.2):
         mp = ModelParams.from_lambda(100.0, lam, 1.0, 1.0)
-        r = css1.get((100.0, 1.0, lam)) or solve_ansatz(mp, AnsatzKind.CSS1)
-        rx, rb = stationarity_residuals_iso(mp, r.params)
+        rx, rb = stationarity_residuals_iso(mp, solve_ansatz(mp, AnsatzKind.CSS1, "even", stages).params)
         dev_stat = max(dev_stat, abs(rx), abs(rb))
 
     return [
         CheckResult("variational-lower-bound", dev_bound, 1e-6),
         CheckResult("ansatz-family-nesting", dev_nest, 1e-8 * 100.0),
         CheckResult("stationarity-residuals", dev_stat, 1e-6),
+        CheckResult("stationarity-two-packet", dev_grad, GRAD_TOL),
     ]
 
 

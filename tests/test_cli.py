@@ -170,20 +170,6 @@ def test_interrupted_scan_keeps_finished_rows_and_resumes(tmp_path, monkeypatch)
     assert_trees_identical(str(fresh), str(out))
 
 
-def test_stored_single_packet_row_restores_its_result(tmp_path):
-    # A resumed CS2/CSS2 row rebuilds the CS1/CSS1 stage from the stored row,
-    # exactly as the solve reported it.
-    cfg = ScanConfig(**SMALL_SCAN)
-    solved = {}
-    for method in ("CS1", "CSS1"):
-        path = str(tmp_path / f"{method}.tsv")
-        write_table(path, scan.SCAN_COLUMNS, [scan._scan_row_ansatz(cfg, 0.9, method, solved)])
-        live, restored = solved[AnsatzKind(method)], scan._restored_result(cfg, 0.9, read_table(path)[1][0])
-        for field in ("energy", "params", "grad_norm"):
-            assert getattr(restored, field) == getattr(live, field), field
-        assert restored.converged and restored.parity == "even"
-
-
 def record_stages(monkeypatch):
     """[(row method, stage kind)] of every objective the solves bind, in call order."""
     stages, current = [], [None]
@@ -194,25 +180,50 @@ def record_stages(monkeypatch):
         stages.append((current[0], kind.value))
         return bind(params, kind, parity)
 
-    def labelled(cfg, lam, method, solved):
+    def labelled(cfg, lam, method, stages):
         current[0] = method
-        return row_ansatz(cfg, lam, method, solved)
+        return row_ansatz(cfg, lam, method, stages)
 
     monkeypatch.setattr(optimize, "objective", recorded)
     monkeypatch.setattr(scan, "_scan_row_ansatz", labelled)
     return stages
 
 
-def test_resumed_scan_reuses_stored_single_packet_rows(tmp_path, monkeypatch):
-    cfg = ScanConfig(**(SMALL_SCAN | {"methods": scan.METHODS}))
+# delta 10, tau 1.5: CSS2 reports its reduction at lambda 0 and 0.6, where
+# its guard, the CS2 stage, allows it, and not at 0.15 and 0.3.
+GUARD_SCAN = dict(delta=10.0, tau=1.5, lambda_min=0.0, lambda_max=0.6, lambda_step=0.15, methods=scan.METHODS,
+                  n_tr=128)
+
+
+@pytest.mark.parametrize("stored", [
+    lambda method, i: method in ("ED", "CS1", "CSS1"),
+    lambda method, i: method in ("CS2", "CSS2"),
+    lambda method, i: (scan.METHODS.index(method) + i) % 2 == 0,
+    lambda method, i: i != 2,
+    lambda method, i: False,
+], ids=["single-packet", "two-packet", "checkerboard", "all-but-one-point", "none"])
+def test_resume_with_any_rows_stored_gives_the_fresh_tree(tmp_path, monkeypatch, stored):
+    # A recomputed CS2/CSS2 row solves the stages its stored CS1/CSS1/CS2 rows came from again.
+    cfg = ScanConfig(**GUARD_SCAN)
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     run_scan(cfg, str(fresh))
-    run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED", "CS1", "CSS1")})), str(out))
+    header, rows = read_table(str(fresh / "combined.tsv"))
+    grid = cfg.grid()
+    out.mkdir()
+    (out / "meta.json").write_bytes((fresh / "meta.json").read_bytes())
+    write_table(str(out / "combined.tsv"), header, [r for r in rows if stored(r["method"], grid.index(r["lambda"]))])
     one_cpu(monkeypatch)
-    stages = record_stages(monkeypatch)
     run_scan(cfg, str(out))
-    assert stages and {kind for _, kind in stages} <= {"CS2", "CSS2"}  # single-packet stages came from rows
     assert_trees_identical(str(fresh), str(out))
+
+
+@pytest.mark.parametrize("methods", [("CSS2",), ("CS2", "CSS2")])
+def test_two_packet_rows_do_not_depend_on_the_other_methods(tmp_path, methods):
+    everything = tmp_path / "all"
+    run_scan(ScanConfig(**GUARD_SCAN), str(everything))
+    run_scan(ScanConfig(**(GUARD_SCAN | {"methods": methods})), str(tmp_path / "some"))
+    for method in methods:
+        assert (tmp_path / "some" / f"{method}.tsv").read_bytes() == (everything / f"{method}.tsv").read_bytes()
 
 
 def test_read_table_drops_cut_off_last_line(tmp_path):
@@ -299,10 +310,23 @@ def test_scan_solves_each_stage_once_per_point(tmp_path, monkeypatch):
     assert any(r["method"] == "CSS2" and r["c2"] == 0.0 for r in rows)  # the guard was read
     assert {m for m, kind in stages if kind in ("CS1", "CSS1")} == {"CS1", "CSS1"}
     assert {m for m, kind in stages if kind == "CS2"} == {"CS2"}
-    first = list(stages)
-    stages.clear()
-    run_scan(cfg, str(tmp_path / "b"))  # no state survives the call
-    assert stages == first
+
+
+@pytest.mark.parametrize("call", ["scan", "physics_checks"])
+def test_no_stage_outlives_a_call(tmp_path, monkeypatch, call):
+    # Two identical calls in one process bind the same objectives: a stage
+    # memo that outlived its call would let the second skip work.
+    one_cpu(monkeypatch)
+    stages = record_stages(monkeypatch)
+    bound = []
+    for out in ("a", "b"):
+        stages.clear()
+        if call == "scan":
+            run_scan(ScanConfig(**SMALL_SCAN), str(tmp_path / out))
+        else:
+            verify.physics_checks()
+        bound.append(list(stages))
+    assert bound[0] and bound[1] == bound[0]
 
 
 @pytest.mark.parametrize("other", [
@@ -482,6 +506,14 @@ def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, 
         ("wavefunction", ["--lambdas", "a,b"], None, "lambdas must be a comma list of numbers"),
         ("wavefunction", [], {"lambdas": ["a"]}, "lambdas must be a number"),
         ("scan", [], {"methods": 5}, "methods must be a comma list or a JSON list"),
+        ("scan", ["--methods", ","], None, "methods must not be empty"),
+        ("scan", [], {"methods": []}, "methods must not be empty"),
+        ("scan", ["--methods", "CS1,CS1"], None, "methods must not repeat a value, got 'CS1' twice"),
+        ("levels", ["--methods", ","], None, "methods must not be empty"),
+        ("levels", ["--methods", "ED,CSS2,ED"], None, "methods must not repeat a value, got 'ED' twice"),
+        ("wavefunction", ["--lambdas", ","], None, "lambdas must not be empty"),
+        ("wavefunction", [], {"lambdas": []}, "lambdas must not be empty"),
+        ("wavefunction", ["--lambdas", "0.9,1.1,0.90"], None, "lambdas must not repeat a value, got 0.9 twice"),
         ("scan", [], "missing", "cannot read config"),
         ("scan", [], "{delta: 1}", "cannot read config"),
         ("scan", [], [1, 2], "must hold a JSON object, got list"),
@@ -691,10 +723,10 @@ from rabivar.scan import ScanConfig, run_scan
 
 row_ansatz = scan._scan_row_ansatz
 
-def interrupt_at(cfg, lam, method, solved):
+def interrupt_at(cfg, lam, method, stages):
     if (lam, method) == (0.6, "CSS1"):
         raise KeyboardInterrupt
-    return row_ansatz(cfg, lam, method, solved)
+    return row_ansatz(cfg, lam, method, stages)
 
 scan._scan_row_ansatz = interrupt_at
 run_scan(ScanConfig(**json.loads(sys.argv[2])), sys.argv[1])
@@ -991,8 +1023,8 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
     lines = text.splitlines()
     assert [c["name"] for c in doc["checks"]] == [line.split()[1] for line in lines[:-1]]
     assert all(c["passed"] and c["max_dev"] <= c["tol"] for c in doc["checks"])
-    assert (doc["passed"], doc["failed"], doc["total"]) == (15, 0, 15)
-    assert lines[-1] == "15/15 checks passed"
+    assert (doc["passed"], doc["failed"], doc["total"]) == (16, 0, 16)
+    assert lines[-1] == "16/16 checks passed"
     for check, line in zip(doc["checks"], lines):
         assert f"max_dev={check['max_dev']:.3e} tol={check['tol']:.1e}" in line
 
@@ -1048,27 +1080,29 @@ def test_verify_report_independent_of_blas_threads():
         env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                       capture_output=True, text=True).stdout)
-    assert outputs[0] == outputs[1] and json.loads(outputs[0])["passed"] == 15
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["passed"] == 16
 
 
-def test_physics_checks_share_only_single_packet_stages(monkeypatch):
-    # CS2/CSS2 reuse the point's CS1/CSS1 result; CSS2's guard never reads a CS2 result,
-    # and the stationarity loop reuses the CSS1 optimum at lambda 0.5.
+def test_physics_checks_run_each_stage_once(monkeypatch):
+    # Every solve reads and fills one stages dict, so the starts tried over
+    # all solves are the starts of the distinct stages: 3 for CS1, 4 for
+    # every other kind.
     calls = []
     solve = verify.solve_ansatz
 
-    def recorded(mp, kind, parity="even", solved=None):
-        calls.append((kind, parity, sorted(solved or {})))
-        return solve(mp, kind, parity, solved)
+    def recorded(mp, kind, parity="even", stages=None):
+        result = solve(mp, kind, parity, stages)
+        calls.append((stages, result.starts_tried))
+        return result
 
     monkeypatch.setattr(verify, "solve_ansatz", recorded)
     assert all(r.passed for r in verify.physics_checks())
+    stages = calls[0][0]
+    assert all(shared is stages for shared, _ in calls)
+    assert sum(starts for _, starts in calls) == sum(3 if kind == AnsatzKind.CS1 else 4 for _, kind, _ in stages)
     n = len(verify.PHYSICS_POINTS)
-    assert calls.count((AnsatzKind.CS2, "even", [AnsatzKind.CS1])) == n
-    assert calls.count((AnsatzKind.CSS2, "even", [AnsatzKind.CSS1])) == n
-    assert calls.count((AnsatzKind.CSS2, "odd", [])) == n
-    assert calls.count((AnsatzKind.CSS1, "even", [])) == n + 3
-    assert len(calls) == 5 * n + 3
+    assert len(calls) == 5 * n + 4
+    assert len([key for key in stages if key[2] == "even"]) == 4 * n + 3  # plus CSS1 at three stationarity points
 
 
 def test_module_entry_point_help():

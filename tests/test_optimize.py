@@ -14,7 +14,6 @@ from rabivar import (
 )
 import rabivar.optimize as optimize
 from rabivar.optimize import bfgs
-from rabivar.verify import PHYSICS_POINTS
 from rabivar.variational import PacketParams, objective
 
 
@@ -318,33 +317,36 @@ def test_guard_stage_runs_only_for_reduction_candidates(monkeypatch):
     assert reduced.starts_tried > two_packet.starts_tried
 
 
-def test_css2_guard_reads_the_unreduced_cs2_optimum():
-    # At delta 10, tau 1.5, lambda 0.15 CS2 reports its single-packet
-    # reduction, ~1.8e-5 above its two-packet optimum, and the CSS1 optimum
-    # lies between the two, so comparing with CS2's reported energy would
-    # wrongly let CSS2 reduce.
-    mp = ModelParams.from_lambda(10.0, 0.15, 1.0, 1.5)
-    solved = {}
-    for kind in (AnsatzKind.CS1, AnsatzKind.CSS1, AnsatzKind.CS2):
-        solved[kind] = solve_ansatz(mp, kind, solved=solved)
-    cs2 = solved[AnsatzKind.CS2]
-    assert cs2.reduced and cs2.energy == solved[AnsatzKind.CS1].energy
-    assert cs2.two_packet_energy < cs2.energy
-    shared, alone = solve_ansatz(mp, AnsatzKind.CSS2, solved=solved), solve_ansatz(mp, AnsatzKind.CSS2)
-    assert not shared.reduced and not alone.reduced
-    assert shared.energy == pytest.approx(alone.energy, rel=1e-13, abs=1e-13)
-    assert shared.starts_tried < alone.starts_tried  # only the squeezed two-packet stage ran
+def test_one_stage_dict_gives_every_solve_its_standalone_result():
+    # One dict across two points and both parities: a key that dropped the
+    # point or the parity would hand a solve another problem's stage.  At
+    # delta 10, tau 1.5, lambda 0.15 CS2 reports its single-packet reduction,
+    # ~1.8e-5 above its two-packet optimum, and the CSS1 optimum lies between
+    # the two, so a guard that read CS2's reported energy would wrongly let
+    # CSS2 reduce.  The second point solves its kinds in reverse order.
+    points = [ModelParams.from_lambda(10.0, 0.15, 1.0, 1.5), ModelParams.from_lambda(100.0, 0.8, 1.0, 1.0)]
+    stages = {}
+    for mp, kinds in zip(points, (list(AnsatzKind), list(AnsatzKind)[::-1])):
+        for parity in ("even", "odd"):
+            for kind in (k for k in kinds if parity == "even" or k.two_branch):
+                shared, alone = solve_ansatz(mp, kind, parity, stages), solve_ansatz(mp, kind, parity)
+                for field in ("energy", "params", "grad_norm", "converged", "reduced"):
+                    assert repr(getattr(shared, field)) == repr(getattr(alone, field)), (mp, kind, parity, field)
+    assert len(stages) == 2 * 2 * len(AnsatzKind)  # every kind's stage at each point in each parity
+    cs1, cs2, css2 = (solve_ansatz(points[0], kind) for kind in (AnsatzKind.CS1, AnsatzKind.CS2, AnsatzKind.CSS2))
+    assert cs2.reduced and cs2.energy == cs1.energy
+    assert stages[points[0], AnsatzKind.CS2, "even"][1] < cs2.energy  # the guard reads the unreduced optimum
+    assert not css2.reduced
 
 
-@pytest.mark.parametrize("delta, tau, lam", PHYSICS_POINTS)
-def test_shared_single_packet_stage_removes_only_work(delta, tau, lam):
-    # A CS1/CSS1 result in solved= is the single-packet stage a standalone CS2/CSS2 solve runs:
-    # the same problem from the same starts, so only the work counts may differ.
-    mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
-    for single, kind in ((AnsatzKind.CS1, AnsatzKind.CS2), (AnsatzKind.CSS1, AnsatzKind.CSS2)):
-        shared = solve_ansatz(mp, kind, solved={single: solve_ansatz(mp, single)})
-        alone = solve_ansatz(mp, kind)
-        for field in ("energy", "params", "grad_norm", "converged", "reduced", "two_packet_energy"):
-            assert repr(getattr(shared, field)) == repr(getattr(alone, field)), (kind, field)
-        assert shared.nfev < alone.nfev
-        assert shared.starts_tried < alone.starts_tried
+def test_work_counts_cover_only_the_stages_a_call_ran():
+    # At delta 100, tau 1, lambda 0.8 CSS2 reports its reduction, so its guard, the CS2 stage, runs.
+    mp = ModelParams.from_lambda(100.0, 0.8, 1.0, 1.0)
+    alone = solve_ansatz(mp, AnsatzKind.CSS2)
+    assert alone.reduced and alone.starts_tried == 4 + 4 + 3 + 4  # the CSS1, CSS2, CS1 and CS2 stages
+    stages = {}
+    parts = [solve_ansatz(mp, kind, stages=stages) for kind in (AnsatzKind.CSS1, AnsatzKind.CS2, AnsatzKind.CSS2)]
+    assert [r.starts_tried for r in parts] == [4, 3 + 4, 4]
+    assert sum(r.nfev for r in parts) == alone.nfev
+    again = solve_ansatz(mp, AnsatzKind.CSS2, stages=stages)
+    assert (again.starts_tried, again.nfev) == (0, 0) and again.energy == alone.energy
