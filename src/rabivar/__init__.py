@@ -6,7 +6,6 @@ from .errors import (
     DegenerateAnsatz,
     InvalidConfig,
     InvalidTau,
-    NoConvergence,
     NotIsotropic,
     TruncationNotConverged,
 )

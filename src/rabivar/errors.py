@@ -10,17 +10,6 @@ class TruncationNotConverged(RuntimeError):
         self.tail_weight = tail_weight
 
 
-class NoConvergence(RuntimeError):
-    """Minimizer exhausted its evaluation budget before meeting tolerance.
-
-    The best point found so far is attached as ``best`` (may be None).
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class NotIsotropic(ValueError):
     """Operation is defined only for the isotropic case tau == 1."""
 

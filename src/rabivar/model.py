@@ -68,11 +68,6 @@ class ModelParams:
         return (1.0 + self.tau) * self.g / math.sqrt(self.delta * self.omega)
 
     @property
-    def g_c(self) -> float:
-        """Coupling where lam == 1: sqrt(delta omega) / (1+tau)."""
-        return math.sqrt(self.delta * self.omega) / (1.0 + self.tau)
-
-    @property
     def g_c1(self) -> float:
         """Level-crossing coupling sqrt(delta omega / (1 - tau^2)); requires tau < 1."""
         if self.tau >= 1.0:

@@ -47,6 +47,11 @@ checks of rabivar verify) run each stage once and get the results each
 would get alone.  OptResult.starts_tried and .nfev count the stages the
 call ran.
 
+A solve reports failure one way, OptResult.converged = False: its
+gradient is not below GRAD_TOL, or a stage it read did not stop within
+bfgs's iteration cap.  It raises nothing for either; the result holds the
+best state found, so a caller reads one flag.
+
 Energies of reduced results are exact restricted optima, not truncations
 of the full ones.
 """
@@ -56,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoConvergence
 from .model import ModelParams
 from .variational import AnsatzKind, PacketParams, asymptotic_params, objective
 
@@ -72,7 +76,7 @@ class OptResult:
     kind: AnsatzKind
     parity: str
     energy: float
-    params: PacketParams
+    params: PacketParams | None  # None when no start reached a finite energy
     starts_tried: int
     grad_norm: float
     converged: bool
@@ -105,10 +109,10 @@ def bfgs(fg, x0, max_iter=500):
     zero gradient, which adds only exact zeros to every sum, so the result
     is the same bit for bit as the textbook update on n-vectors.
 
-    Returns (x, f, gradient, nfev); a rejected x0 returns at once with
-    f = inf.  Raises NoConvergence with that tuple at the best point
-    attached when max_iter iterations pass without stopping, and ValueError
-    unless x0 has one to three entries.
+    Returns (x, f, gradient, nfev, stopped), at the best point found:
+    stopped is False when max_iter iterations pass without stopping.  A
+    rejected x0 returns at once with f = inf.  Raises ValueError unless x0
+    has one to three entries.
     """
     n = len(x0)
     if not 1 <= n <= 3:
@@ -193,8 +197,8 @@ def bfgs(fg, x0, max_iter=500):
             h21 = h21 + cs2 * s1 - q12
             h22 = h22 + cs2 * s2 - (hy2 * s2 + s2 * hy2) / sy
     else:
-        raise NoConvergence(f"BFGS did not stop within {max_iter} iterations", best=(x, f, g, nfev))
-    return x, f, g, nfev
+        return x, f, g, nfev, False
+    return x, f, g, nfev, True
 
 
 def _seed_values(params: ModelParams):
@@ -235,25 +239,21 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", st
     """Multi-start minimization of the chosen trial-state energy.
 
     stages optionally maps (params, stage kind, parity) to the stage's
-    optimum (x, f, grad_norm); a stage found there is read, and every stage
-    the call solves is added to it.  Odd parity is valid only for
-    two-packet kinds.  NoConvergence propagates with the best-so-far
-    OptResult of the failing stage attached; the guard runs, and so can
-    fail, only for a reduction candidate.  Two-packet results may report
-    the single-packet reduction; see the module docstring for the selection
-    rule.
+    optimum (x, f, grad_norm, stopped), stopped False when no start of the
+    stage stopped within bfgs's iteration cap; a stage found there is read,
+    and every stage the call solves is added to it.  Odd parity is valid
+    only for two-packet kinds.  The result is converged when its gradient
+    is below GRAD_TOL and every stage it read stopped; the guard is read
+    only for a reduction candidate.  An unconverged result still holds the
+    best state found, and its params is None only when no start reached a
+    finite energy.  Two-packet results may report the single-packet
+    reduction; see the module docstring for the selection rule.
     """
-    if isinstance(kind, str):
-        kind = AnsatzKind(kind)
     if parity == "odd" and not kind.two_branch:
         raise ValueError("odd parity requires a two-packet trial state")
     stages = {} if stages is None else stages
     count = [0, 0]  # starts tried, objective evaluations
     single_kind = AnsatzKind.CSS1 if kind.squeezed else AnsatzKind.CS1
-
-    def report(f, packed, grad_norm, converged=True, reduced=False):
-        converged = converged and grad_norm < GRAD_TOL and math.isfinite(f)
-        return OptResult(kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1])
 
     def pack(stage, x):
         """The parameters of this kind's trial state at the stage's optimum x."""
@@ -264,31 +264,22 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", st
             return PacketParams((1.0, 0.0), (x[0], -x[0]), xi)
         return PacketParams((1.0,), (x[0],), xi)
 
+    def report(stage, x, f, grad_norm, stopped, reduced=False):
+        packed = pack(stage, x) if math.isfinite(f) else None
+        converged = stopped and grad_norm < GRAD_TOL  # grad_norm is inf at a non-finite f
+        return OptResult(kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1])
+
     def minimize(stage, starts):
-        """Lowest BFGS run of the stage kind's objective over the starts: (x, f, grad_norm)."""
+        """Lowest BFGS run of the stage kind's objective over the starts: (x, f, grad_norm, stopped)."""
         fg = objective(params, stage, parity)
-        best, stopped = None, False
-        for start in starts:
-            try:
-                x, f, g, nfev = bfgs(fg, start)
-                stopped = True
-            except NoConvergence as exc:
-                x, f, g, nfev = exc.best
-            count[1] += nfev
-            if best is None or f < best[1]:
-                best = (x, f, g)
-        count[0] += len(starts)
-        x, f, g = best
-        grad_norm = max(map(abs, g)) if math.isfinite(f) else math.inf
-        if not stopped:
-            raise NoConvergence(
-                "no start stopped within the iteration cap",
-                best=report(f, pack(stage, x), grad_norm, converged=False) if math.isfinite(f) else None,
-            )
-        return tuple(x), f, grad_norm
+        runs = [bfgs(fg, start) for start in starts]
+        count[0] += len(runs)
+        count[1] += sum(run[3] for run in runs)
+        x, f, g, _, _ = min(runs, key=lambda run: run[1])  # the first of equal minima
+        return tuple(x), f, max(map(abs, g)) if math.isfinite(f) else math.inf, any(run[4] for run in runs)
 
     def solved(stage):
-        """The stage's (x, f, grad_norm), read from stages or minimized from its starts and stored."""
+        """The stage's (x, f, grad_norm, stopped), read from stages or minimized from its starts and stored."""
         key = (params, stage, parity)
         if key not in stages:
             if stage.two_branch:
@@ -299,18 +290,19 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", st
             stages[key] = minimize(stage, starts)
         return stages[key]
 
-    xs, fs, g1 = solved(single_kind)
-    single = pack(single_kind, xs)
+    xs, fs, g1, stopped = solved(single_kind)
     if not kind.two_branch:
-        return report(fs, single, g1)
-    xf, ff, gf = solved(kind)
+        return report(single_kind, xs, fs, g1, stopped)
+    xf, ff, gf, full_stopped = solved(kind)
+    stopped = stopped and full_stopped
     if fs - ff <= STRUCT_RTOL * max(1.0, abs(ff)):
         if not kind.squeezed:  # reducing the top of the ordering chain is always safe
-            return report(fs, single, g1, reduced=True)
+            return report(single_kind, xs, fs, g1, stopped, reduced=True)
         # Raising the squeezed two-packet report to its restricted optimum
         # must not lift it above the unsqueezed two-packet optimum (the
         # CS2 stage), or the family ordering would be disturbed.
-        fc = solved(AnsatzKind.CS2)[1]
+        _, fc, _, guard_stopped = solved(AnsatzKind.CS2)
+        stopped = stopped and guard_stopped
         if fs <= fc + 1e-10 * max(1.0, abs(fc)):
-            return report(fs, single, g1, reduced=True)
-    return report(ff, pack(kind, xf), gf)
+            return report(single_kind, xs, fs, g1, stopped, reduced=True)
+    return report(kind, xf, ff, gf, stopped)

@@ -15,7 +15,10 @@ are kept and only missing (grid point, method) combinations are
 recomputed; otherwise every row is recomputed.  A recomputed CS2/CSS2 row
 solves the stages it shares with stored rows again.  Each computed row is
 appended to combined.tsv as soon as it is finished, so an interrupted run
-keeps its finished rows for the next one.
+keeps its finished rows for the next one.  A row of an unconverged
+trial-state solve (OptResult.converged False) is written with converged=0
+and only the fields that solve can vouch for: a scan row its best-so-far
+state, a levels CSS2 row its best-so-far energies.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateAnsatz, InvalidConfig, InvalidTau, NoConvergence, TruncationNotConverged
+from .errors import DegenerateAnsatz, InvalidConfig, InvalidTau, TruncationNotConverged
 from .exactdiag import (
+    N_TR_CAP,
     mean_photon_ed,
     sector_splitting,
     solve_lowest,
@@ -256,7 +260,10 @@ def _check_model(cfg) -> None:
     ModelParams and Truncation.  Every coupling (lambda_min, g_min, each of
     lambdas) must be non-negative and finite.  The grid named by
     cfg.grid_fields needs finite bounds, max >= min, a finite positive
-    step and at most GRID_POINTS_MAX points.
+    step and at most GRID_POINTS_MAX points.  The largest coupling g
+    (lambda_max, g_max * g_c1 or the largest of lambdas) must keep
+    (g max(1, tau))^2 N_TR_CAP finite: beyond it the squared chain links of
+    the sector solves and the trial-state seeds overflow.
     """
     numeric = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if type(f.default) in (int, float)]
     for name, value in numeric + [("lambdas", lam) for lam in getattr(cfg, "lambdas", ())]:
@@ -281,6 +288,15 @@ def _check_model(cfg) -> None:
         raise InvalidConfig(f"{lo_name} and {hi_name} must be finite with {hi_name} >= {lo_name}, got {lo}, {hi}")
     if not (hi - lo) / step < GRID_POINTS_MAX - 1:
         raise InvalidConfig(f"{step_name} {step} gives more than {GRID_POINTS_MAX} grid points from {lo} to {hi}")
+    if isinstance(cfg, LevelsConfig):  # levels rejects tau >= 1, where g_c1 is undefined, on its own
+        g = cfg.g_max * math.sqrt(cfg.delta * cfg.omega / (1.0 - cfg.tau**2)) if cfg.tau < 1.0 else 0.0
+    else:
+        lam = max(cfg.lambdas, default=0.0) if isinstance(cfg, WavefunctionConfig) else cfg.lambda_max
+        g = lam * math.sqrt(cfg.delta * cfg.omega) / (1.0 + cfg.tau)
+    link = g * max(1.0, cfg.tau)
+    if not math.isfinite(link * link * N_TR_CAP):
+        raise InvalidConfig(f"coupling g {g:.6g} is too large: the squared chain link (g max(1, tau))^2 n "
+                            f"overflows at the cutoff cap n = {N_TR_CAP}")
 
 
 def _check_list(name: str, values) -> None:
@@ -462,21 +478,20 @@ def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
 
 
 def _scan_row_ansatz(cfg: ScanConfig, lam: float, method: str, stages: dict) -> dict:
-    """One trial-state row; stages holds the optimizer stages of its point (see solve_ansatz)."""
+    """One trial-state row; stages holds the optimizer stages of its point (see solve_ansatz).
+
+    An unconverged solve gives a converged=0 row with its best-so-far
+    state, or with only the grid fields when it reached no finite energy.
+    """
     mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
     kind = AnsatzKind(method)
-    row = {"lambda": lam, "g": mp.g, "method": method, "parity": cfg.parity}
-    try:
-        res = solve_ansatz(mp, kind, cfg.parity, stages)
-    except NoConvergence as exc:
-        res = exc.best
-    if res is None:
-        row["converged"] = False
-        return row
+    res = solve_ansatz(mp, kind, cfg.parity, stages)
+    row = {"lambda": lam, "g": mp.g, "method": method, "parity": cfg.parity, "converged": res.converged}
     p = res.params
+    if p is None:
+        return row
     row["energy"] = res.energy
     row["energy_scaled"] = res.energy / (cfg.delta * cfg.omega)
-    row["converged"] = res.converged
     row.update(beta1=p.a[0], xi=p.xi)
     if kind.two_branch:  # one-packet rows leave beta2, c1 and c2 empty
         row.update(beta2=-p.a[1], c1=p.c[0], c2=p.c[1])
@@ -601,20 +616,14 @@ def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
 def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     g = ratio * gc1
     mp = ModelParams(delta=cfg.delta, omega=cfg.omega, g=g, tau=cfg.tau)
+    even, odd = (solve_ansatz(mp, AnsatzKind.CSS2, parity) for parity in ("even", "odd"))
     row = {"g_ratio": ratio, "g": g, "lambda": mp.lam, "method": "CSS2"}
-    fits = {}
-    for parity in ("even", "odd"):
-        try:
-            fits[parity] = solve_ansatz(mp, AnsatzKind.CSS2, parity)
-        except NoConvergence as exc:
-            row["converged"] = False
-            fits[parity] = exc.best
-    if row.get("converged") is False:
-        # Each parity's best-so-far energy, but no splitting: an unconverged
-        # row never enters the crossing.
-        row.update({f"e_{parity}": fit.energy for parity, fit in fits.items() if fit is not None})
+    row["converged"] = even.converged and odd.converged
+    if not row["converged"]:
+        # Each parity's best-so-far energy, but no splitting or photon
+        # numbers: an unconverged row never enters the crossing.
+        row.update({f"e_{fit.parity}": fit.energy for fit in (even, odd) if fit.params is not None})
         return row
-    even, odd = fits["even"], fits["odd"]
     # The two parity optima coincide up to overlap-suppressed terms, so the
     # splitting is evaluated in closed form at the even optimum instead of
     # subtracting two nearly equal minima.
@@ -625,7 +634,6 @@ def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
         e_even=even.energy, e_odd=odd.energy, splitting=split,
         mean_photon_even=n_even, mean_photon_odd=n_odd,
         mean_photon_ground=_ground_photon(split, n_even, n_odd),
-        converged=even.converged and odd.converged,
     )
     return row
 
@@ -681,13 +689,23 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
 
     Each coupling is solved on its own, as a scan row is.  A CSS2 solve
     that does not converge is profiled at its best-so-far state, and
-    meta.json lists such couplings under unconverged_lambdas.
+    meta.json lists such couplings under unconverged_lambdas; one that
+    reaches no finite energy raises RuntimeError naming its coupling.
+    Before the first profile is written, the wf_*.tsv profiles, summary.tsv
+    and plot.gp of an earlier run in out_dir are deleted and meta.json
+    records the new config, so no file sits under a config it was not
+    computed for, even after an interrupted run.
     """
     _check_model(cfg)
     if cfg.source not in ("ED", "CSS2"):
         raise InvalidConfig(f"source must be ED or CSS2, got {cfg.source!r}")
     _check_list("lambdas", cfg.lambdas)
     os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):
+        if name in ("summary.tsv", "plot.gp") or (name.startswith("wf_") and name.endswith(".tsv")):
+            os.remove(os.path.join(out_dir, name))
+    config = asdict(cfg) | {"lambdas": list(cfg.lambdas)}
+    _write_meta(out_dir, "wavefunction", config)
     xs = cfg.xs()
     summary = []
     unconverged = []
@@ -697,12 +715,11 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
             res = solve_lowest(mp, Truncation(cfg.n_tr, cfg.tail_tol))
             phi_p, phi_m = position_profile(*spin_x_projection(res.vectors[0]), xs, cfg.omega)
         else:
-            try:
-                p = solve_ansatz(mp, AnsatzKind.CSS2, "even").params
-            except NoConvergence as exc:
-                if exc.best is None:
-                    raise
-                p = exc.best.params
+            res = solve_ansatz(mp, AnsatzKind.CSS2, "even")
+            p = res.params
+            if p is None:
+                raise RuntimeError(f"the CSS2 solve at lambda {lam} reached no finite energy")
+            if not res.converged:
                 unconverged.append(lam)
             scale = 1.0 / math.sqrt(norm2(p))
 
@@ -727,7 +744,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
         summary,
     )
     extra = {"unconverged_lambdas": unconverged} if unconverged else None
-    _write_meta(out_dir, "wavefunction", asdict(cfg) | {"lambdas": list(cfg.lambdas)}, extra)
+    _write_meta(out_dir, "wavefunction", config, extra)
     series = [
         (s["file"], column, style, f"{s['file'][3:-4]} {phi}")
         for s in summary

@@ -46,10 +46,13 @@ def oscillator_wavefunctions(n_max: int, x, omega: float = 1.0) -> np.ndarray:
     return out
 
 
-def count_peaks(density: np.ndarray, floor_frac: float = 0.02) -> int:
-    """Strict local maxima of a sampled density above floor_frac of its max.
+PEAK_FLOOR = 0.02  # fraction of a density's max below which count_peaks counts no peak
 
-    The default floor separates genuine secondary packets (tens of percent
+
+def count_peaks(density: np.ndarray) -> int:
+    """Strict local maxima of a sampled density at or above PEAK_FLOOR of its max.
+
+    The floor separates genuine secondary packets (tens of percent
     of the main peak in the delocalized regime) from the percent-level
     remnant the main packet leaves behind once it has split off, as well as
     from grid-scale ripple.
@@ -60,7 +63,7 @@ def count_peaks(density: np.ndarray, floor_frac: float = 0.02) -> int:
     if top <= 0.0:
         return 0
     inner = density[1:-1]
-    hits = (inner > density[:-2]) & (inner > density[2:]) & (inner >= floor_frac * top)
+    hits = (inner > density[:-2]) & (inner > density[2:]) & (inner >= PEAK_FLOOR * top)
     return int(np.count_nonzero(hits))
 
 

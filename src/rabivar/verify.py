@@ -209,15 +209,24 @@ def physics_checks(seed: int = DEFAULT_SEED):
     Every solve of the call shares one dict of optimizer stages (see
     solve_ansatz): CS2/CSS2 reuse the CS1/CSS1 stages, CSS2's guard the CS2
     stage, and the stationarity loop the CSS1 stage at lambda 0.5.  Each
-    result is the one a standalone solve gives.
+    result is the one a standalone solve gives.  A solve that does not
+    converge raises RuntimeError naming its point, kind and parity: its
+    energy bounds and nests nothing.
     """
     tr = Truncation(256)
     dev_bound = dev_nest = dev_grad = 0.0
     stages = {}
+
+    def solved(mp, kind, parity="even"):
+        result = solve_ansatz(mp, kind, parity, stages)
+        if not result.converged:
+            raise RuntimeError(f"the {kind.value} {parity} solve at {mp} did not converge")
+        return result
+
     for delta, tau, lam in PHYSICS_POINTS:
         mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
         ed_even = solve_parity_sector(mp, tr, +1).energies[0]
-        results = {kind: solve_ansatz(mp, kind, "even", stages) for kind in AnsatzKind}
+        results = {kind: solved(mp, kind) for kind in AnsatzKind}
         energies = {kind: r.energy for kind, r in results.items()}
         dev_bound = max(dev_bound, *(ed_even - e for e in energies.values()))
         dev_nest = max(
@@ -227,7 +236,7 @@ def physics_checks(seed: int = DEFAULT_SEED):
             energies[AnsatzKind.CSS2] - energies[AnsatzKind.CS2],
         )
         ed_odd = solve_parity_sector(mp, tr, -1).energies[0]
-        odd = solve_ansatz(mp, AnsatzKind.CSS2, "odd", stages)
+        odd = solved(mp, AnsatzKind.CSS2, "odd")
         dev_bound = max(dev_bound, ed_odd - odd.energy)
         for result in (results[AnsatzKind.CSS2], odd):
             dev_grad = max(dev_grad, _solved_gradient_norm(mp, result))
@@ -237,7 +246,7 @@ def physics_checks(seed: int = DEFAULT_SEED):
     dev_stat = 0.0
     for lam in (0.2, 0.5, 0.9, 1.2):
         mp = ModelParams.from_lambda(100.0, lam, 1.0, 1.0)
-        rx, rb = stationarity_residuals_iso(mp, solve_ansatz(mp, AnsatzKind.CSS1, "even", stages).params)
+        rx, rb = stationarity_residuals_iso(mp, solved(mp, AnsatzKind.CSS1).params)
         dev_stat = max(dev_stat, abs(rx), abs(rb))
 
     return [

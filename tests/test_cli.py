@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ import rabivar.states as states
 import rabivar.variational as variational
 import rabivar.verify as verify
 from rabivar.cli import main
-from rabivar.errors import InvalidTau, NoConvergence
+from rabivar.errors import InvalidTau
 from rabivar.exactdiag import SectorSplitting, solve_parity_sector
 from rabivar.model import ModelParams, Truncation
 from rabivar.optimize import OptResult
@@ -111,6 +112,19 @@ def test_scan_missing_fields_empty_not_zero(tmp_path):
     for row in rows:
         assert row["beta1"] is not None and row["xi"] is not None
         assert row["c1"] is None and row["beta2"] is None
+
+
+def test_scan_row_of_a_solve_with_no_finite_energy_is_unconverged_and_empty(tmp_path, monkeypatch):
+    # An objective that rejects every point: no start reaches a finite energy, so the solves have no params.
+    monkeypatch.setattr(optimize, "objective", lambda params, kind, parity="even": lambda x: (math.inf, None))
+    rows = run_scan(ScanConfig(**(SMALL_SCAN | {"lambda_max": 0.3, "methods": ("ED", "CS1", "CSS2")})), str(tmp_path))
+    assert len(rows) == 6
+    for row in read_table(str(tmp_path / "combined.tsv"))[1]:
+        filled = {column for column, value in row.items() if value is not None}
+        if row["method"] == "ED":
+            assert row["converged"] == 1 and row["energy"] is not None
+        else:
+            assert filled == {"lambda", "g", "method", "parity", "converged"} and row["converged"] == 0
 
 
 def test_scan_deterministic_across_fresh_dirs(tmp_path):
@@ -483,21 +497,36 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         (["{low}", "-0.1"], "must be non-negative and finite"),
         (["{low}", "nan"], "must be non-negative and finite"),
         (["{low}", "inf"], "must be non-negative and finite"),
+        # the ED chain solve raised LinAlgError here, CS1 OverflowError at 1e160
+        (["{low}", "1e152", "{high}", "1e152"], "is too large"),
+        (["{low}", "1e160", "{high}", "1e160"], "is too large"),
+        (["--delta", "1e306"], "is too large"),  # the default couplings, at g ~ 1e153
     ],
 )
 def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, flags, message):
     out = tmp_path / "x"
     axis = {"scan": "lambda", "levels": "g", "wavefunction": "x"}[command]
     low = {"scan": "--lambda-min", "levels": "--g-min", "wavefunction": "--lambdas"}[command]  # lowest coupling
+    high = {"scan": "--lambda-max", "levels": "--g-max", "wavefunction": "--lambdas"}[command]  # highest coupling
     argv = [command, "--out", str(out), "--tau", "0.5"]
     for flag, value in zip(flags[::2], flags[1::2]):
         if flag == "--config":  # n_tr and tail_tol values the flags cannot carry
             key, text = value.split("=")
             (tmp_path / "cfg.json").write_text(json.dumps({key: float(text)}))
             value = str(tmp_path / "cfg.json")
-        argv += [flag.format(axis=axis, low=low), value]
+        argv += [flag.format(axis=axis, low=low, high=high), value]
     assert message in cli_error(argv, capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", [2e151, 4e151])
+def test_largest_couplings_that_run_stay_accepted(lam):
+    # At delta 100, tau 1 these couplings run: their squared chain links stay finite.
+    scan._check_model(ScanConfig(lambda_min=lam, lambda_max=lam))
+    scan._check_model(WavefunctionConfig(lambdas=(lam,)))
+    gc1 = ModelParams(delta=100.0, g=1.0, tau=0.5).g_c1
+    g_ratio = ModelParams.from_lambda(100.0, lam).g / gc1
+    scan._check_model(LevelsConfig(g_min=g_ratio, g_max=g_ratio))
 
 
 @pytest.mark.parametrize(
@@ -675,17 +704,23 @@ run_levels(LevelsConfig(**json.loads(sys.argv[2])), sys.argv[1])
 ])
 def test_dead_worker_ends_the_scan_with_its_point(tmp_path, death, code):
     # A worker that died mid-point used to leave the parent waiting for that
-    # point forever.  Here the first point a worker takes kills it.
+    # point forever.  Here the first point a worker takes kills it.  The
+    # caller's first point waits, at most 30 s, until a worker has taken a
+    # point, so a worker slow to start cannot find every point taken.
     script = f"""
-import json, multiprocessing, os, signal, sys
+import json, multiprocessing, os, signal, sys, time
 import rabivar.scan as scan
 from rabivar.scan import ScanConfig, run_scan
 
-caller, row_ed = os.getpid(), scan._scan_row_ed
+caller, row_ed, taken = os.getpid(), scan._scan_row_ed, sys.argv[3]
 
 def die_in_worker(cfg, lam):
     if os.getpid() != caller:
+        open(taken, "w").close()
         {death}
+    deadline = time.monotonic() + 30
+    while not os.path.exists(taken) and time.monotonic() < deadline:
+        time.sleep(0.01)
     return row_ed(cfg, lam)
 
 scan._scan_row_ed = die_in_worker
@@ -697,7 +732,7 @@ finally:
     cfg = ScanConfig(**SMALL_SCAN)
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     run_scan(cfg, str(fresh))
-    status, err = run_script(script, out, json.dumps(SMALL_SCAN))
+    status, err = run_script(script, out, json.dumps(SMALL_SCAN), tmp_path / "taken")
     assert status == 1, err
     found = re.fullmatch(rf"RuntimeError: worker process \d+ ended with exit code {code} "
                          r"while computing grid point (\S+)", err.splitlines()[-1])
@@ -901,13 +936,13 @@ def test_levels_decoupled_point_is_resolved(tmp_path):
 
 
 def test_levels_css2_failure_keeps_best_so_far_energies(tmp_path, monkeypatch):
-    def no_convergence(params, kind, parity="even", **kwargs):
+    # The even solve ends unconverged at a best-so-far state, the odd one reaches no finite energy.
+    def unconverged(params, kind, parity="even", stages=None):
         if parity == "odd":
-            raise NoConvergence("odd budget exhausted", best=None)
-        best = OptResult(kind, parity, -4.25, PacketParams((1.0, 0.0), (1.0, -1.0), 0.0), 0, 1.0, False)
-        raise NoConvergence("even budget exhausted", best=best)
+            return OptResult(kind, parity, math.inf, None, 8, math.inf, False)
+        return OptResult(kind, parity, -4.25, PacketParams((1.0, 0.0), (1.0, -1.0), 0.0), 8, 1.0, False)
 
-    monkeypatch.setattr(scan, "solve_ansatz", no_convergence)
+    monkeypatch.setattr(scan, "solve_ansatz", unconverged)
     out = tmp_path / "levels"
     cfg = LevelsConfig(delta=8.0, tau=0.5, g_min=1.0, g_max=1.0, g_step=0.01, methods=("CSS2",))
     run_levels(cfg, str(out))
@@ -916,6 +951,24 @@ def test_levels_css2_failure_keeps_best_so_far_energies(tmp_path, monkeypatch):
     assert rows[0]["e_even"] == -4.25 and rows[0]["e_odd"] is None
     assert rows[0]["converged"] == 0.0 and rows[0]["splitting"] is None
     assert json.loads((out / "meta.json").read_text())["crossing"]["CSS2"] is None
+
+
+def test_levels_gradient_unconverged_css2_row_enters_no_crossing(tmp_path):
+    # At delta 100, tau 0.5, g/g_c1 0.12 the odd CSS2 solve stops at gradient
+    # 3.2e-5, above GRAD_TOL.  Its row used to write the splitting -99.98 of
+    # that unconverged pair, and the crossing search read it.
+    out = tmp_path / "levels"
+    cfg = LevelsConfig(delta=100.0, tau=0.5, g_min=0.11, g_max=0.13, g_step=0.01, methods=("CSS2",))
+    run_levels(cfg, str(out))
+    rows = {row["g_ratio"]: row for row in read_table(str(out / "CSS2.tsv"))[1]}
+    assert [rows[r]["converged"] for r in (0.11, 0.12, 0.13)] == [1, 0, 1]
+    row = rows[0.12]
+    assert row["e_even"] == pytest.approx(-50.0048, abs=1e-4) and row["e_odd"] == pytest.approx(-49.0292, abs=1e-4)
+    for column in ("splitting", "mean_photon_even", "mean_photon_odd", "mean_photon_ground"):
+        assert row[column] is None, column
+    assert all(rows[r]["splitting"] is not None for r in (0.11, 0.13))
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["crossings"]["CSS2"] == [] and meta["crossing"]["CSS2"] is None
 
 
 def test_levels_requires_tau_below_one(tmp_path):
@@ -950,9 +1003,7 @@ def test_wavefunction_css2_failure_profiles_best_so_far(tmp_path, monkeypatch):
     def fail_at_first_lambda(params, kind, parity="even"):
         calls.append(params)
         res = solve(params, kind, parity)
-        if len(calls) == 1:
-            raise NoConvergence("budget exhausted", best=res)
-        return res
+        return replace(res, converged=False) if len(calls) == 1 else res
 
     monkeypatch.setattr(scan, "solve_ansatz", fail_at_first_lambda)
     cfg = WavefunctionConfig(delta=8.0, lambdas=(1.2, 1.5), x_min=-8.0, x_max=8.0, x_step=0.05, source="CSS2")
@@ -968,6 +1019,52 @@ def test_wavefunction_css2_failure_profiles_best_so_far(tmp_path, monkeypatch):
     monkeypatch.setattr(scan, "solve_ansatz", solve)
     run_wavefunction(cfg, str(tmp_path / "ok"))
     assert "unconverged_lambdas" not in json.loads((tmp_path / "ok" / "meta.json").read_text())
+
+
+def test_wavefunction_lists_gradient_unconverged_coupling(tmp_path, monkeypatch):
+    # At delta 8 the CSS2 optimum's gradient is ~1e-11 at lambda 1.1 and
+    # below 1e-15 at 1.2: with the tolerance between the two, only the solve
+    # at 1.1 stops unconverged.
+    monkeypatch.setattr(optimize, "GRAD_TOL", 1e-12)
+    cfg = WavefunctionConfig(delta=8.0, lambdas=(1.1, 1.2), x_min=-8.0, x_max=8.0, x_step=0.05, source="CSS2")
+    summary = run_wavefunction(cfg, str(tmp_path))
+    assert json.loads((tmp_path / "meta.json").read_text())["unconverged_lambdas"] == [1.1]
+    assert all(row["norm"] == pytest.approx(1.0, abs=1e-3) for row in summary)
+
+
+WF_ED = dict(delta=100.0, tau=1.0, lambdas=(0.9, 1.1), x_min=-8.0, x_max=8.0, x_step=0.5, source="ED", n_tr=96)
+
+
+def test_wavefunction_rerun_leaves_no_file_of_another_config(tmp_path):
+    # A rerun with other couplings and source used to leave the earlier
+    # run's profiles beside the new meta.json.
+    run_wavefunction(WavefunctionConfig(**WF_ED), str(tmp_path / "out"))
+    cfg = WavefunctionConfig(**(WF_ED | {"delta": 10.0, "lambdas": (0.5,), "source": "CSS2"}))
+    run_wavefunction(cfg, str(tmp_path / "out"))
+    run_wavefunction(cfg, str(tmp_path / "fresh"))
+    assert_trees_identical(str(tmp_path / "fresh"), str(tmp_path / "out"))
+
+
+def test_interrupted_wavefunction_rerun_leaves_only_its_own_profiles(tmp_path, monkeypatch):
+    # A rerun with the same couplings, interrupted after its first profile,
+    # used to leave old and new profiles under the old meta.json.
+    out = tmp_path / "out"
+    run_wavefunction(WavefunctionConfig(**WF_ED), str(out))
+    cfg = WavefunctionConfig(**(WF_ED | {"delta": 10.0}))
+    run_wavefunction(cfg, str(tmp_path / "fresh"))
+    solve = scan.solve_lowest
+
+    def interrupt_at_second(params, trunc):
+        if params.lam > 1.0:
+            raise KeyboardInterrupt
+        return solve(params, trunc)
+
+    monkeypatch.setattr(scan, "solve_lowest", interrupt_at_second)
+    with pytest.raises(KeyboardInterrupt):
+        run_wavefunction(cfg, str(out))
+    assert sorted(os.listdir(out)) == ["meta.json", "wf_ED_lam0.9.tsv"]
+    assert json.loads((out / "meta.json").read_text())["config"]["delta"] == 10.0
+    assert (out / "wf_ED_lam0.9.tsv").read_text() == (tmp_path / "fresh" / "wf_ED_lam0.9.tsv").read_text()
 
 
 def test_wavefunction_profiles(tmp_path):
@@ -1011,6 +1108,28 @@ def test_plot_script_names_written_files_and_columns(tmp_path, command, cfg):
         assert (tmp_path / name).is_file(), name
         header = (tmp_path / name).read_text().split("\n", 1)[0].split("\t")
         assert 1 <= int(x) <= len(header) and 1 <= int(y) <= len(header), (name, x, y)
+
+
+def test_verify_exits_nonzero_on_an_unconverged_solve(tmp_path):
+    code = """
+import dataclasses, sys
+import rabivar.verify as verify
+from rabivar.cli import main
+
+solve = verify.solve_ansatz
+
+def odd_unconverged(mp, kind, parity="even", stages=None):
+    result = solve(mp, kind, parity, stages)
+    return dataclasses.replace(result, converged=False) if parity == "odd" else result
+
+verify.solve_ansatz = odd_unconverged
+sys.exit(main(["verify", "--out", sys.argv[1]]))
+"""
+    status, err = run_script(code, tmp_path / "v")
+    assert status == 1, err
+    point = "ModelParams(delta=100.0, omega=1.0, g=2.5, tau=1.0)"  # lambda 0.5, the first physics point
+    assert err.splitlines()[-1] == f"RuntimeError: the CSS2 odd solve at {point} did not converge"
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):

@@ -150,7 +150,6 @@ def test_derived_couplings():
     assert mp.alpha == pytest.approx(0.75)
     assert mp.gamma == pytest.approx(0.15)
     assert mp.lam == pytest.approx(2.5 * 0.6 / 2.0)
-    assert mp.g_c == pytest.approx(2.0 / 2.5)
     assert ModelParams.from_lambda(4.0, mp.lam, 1.0, 1.5).g == pytest.approx(0.6)
 
 
