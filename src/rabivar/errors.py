@@ -24,3 +24,7 @@ class InvalidConfig(ValueError):
 
 class InvalidTau(InvalidConfig):
     """Anisotropy ratio outside the valid range for this operation."""
+
+
+class LapackUnavailable(ImportError):
+    """The LAPACK extension rabivar loads from scipy, or a routine it needs, is missing; .path names the file."""

@@ -1,7 +1,8 @@
 """Exact diagonalization on the tridiagonal parity chains, with adaptive truncation.
 
 Each parity sector of the Hamiltonian is a tridiagonal chain (see
-:func:`parity_chain`), solved by a tridiagonal eigensolver; the dense
+:func:`parity_chain`), solved by LAPACK's bisection and inverse iteration
+(``dstebz``/``dstein``, through :mod:`rabivar._lapack`); the dense
 spin x Fock matrix of :mod:`rabivar.fock` is never formed here and serves
 only as an independent cross-check.  Every returned vector has a definite
 parity and is phase-fixed (largest-magnitude amplitude positive) so
@@ -22,8 +23,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .errors import TruncationNotConverged
 from .model import ModelParams, Truncation
 
@@ -90,14 +91,15 @@ def parity_chain(params: ModelParams, n_tr: int, parity: int):
 def _chain_lowest(params: ModelParams, n_tr: int, parity: int):
     """Lowest eigenvalue and its read-only eigenvector (in chain order) of :func:`parity_chain`.
 
-    Cached on the chain's inputs, so a levels point's sector solves and the
-    first attempt of :func:`sector_splitting` at the same cutoff share one
-    solve.
+    Solved by :func:`rabivar._lapack.lowest_eigenpair`, bit for bit what
+    ``scipy.linalg.eigh_tridiagonal(..., select="i", select_range=(0, 0))``
+    returns.  Cached on the chain's inputs, so a levels point's sector
+    solves and the first attempt of :func:`sector_splitting` at the same
+    cutoff share one solve.
     """
-    vals, vecs = scipy.linalg.eigh_tridiagonal(*parity_chain(params, n_tr, parity), select="i", select_range=(0, 0))
-    v = vecs[:, 0]
+    e, v = _lapack.lowest_eigenpair(*parity_chain(params, n_tr, parity))
     v.setflags(write=False)
-    return float(vals[0]), v
+    return e, v
 
 
 def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:

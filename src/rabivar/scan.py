@@ -316,11 +316,12 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     computed through _mapped_rows.
 
     Stored rows of an equal physics config are reused.  combined.tsv is
-    first rewritten with only those rows, before meta.json records the new
-    config, so a stored row never sits under a config it was not computed
-    for; each computed row is then appended as soon as it is kept.  The
-    finished run rewrites combined.tsv sorted by method, in METHODS order,
-    then grid value, next to one <method>.tsv per method, meta.json (with
+    first rewritten with only those rows, and the <method>.tsv of every
+    method the run does not compute is deleted, before meta.json records
+    the new config, so no row sits under a config it was not computed for;
+    each computed row is then appended as soon as it is kept.  The finished
+    run rewrites combined.tsv sorted by method, in METHODS order, then grid
+    value, next to one <method>.tsv per method, meta.json (with
     summary(rows) added) and plot.gp.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -333,6 +334,10 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     tasks = [(v, ms) for v, ms in missing if ms]
     combined = os.path.join(out_dir, "combined.tsv")
     write_table(combined, columns, reused)
+    for method in METHODS:
+        stale = os.path.join(out_dir, f"{method}.tsv")
+        if method not in cfg.methods and os.path.exists(stale):
+            os.remove(stale)
     _write_meta(out_dir, command, config)
 
     with open(combined, "a") as fh:
@@ -626,8 +631,11 @@ def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
         return row
     # The two parity optima coincide up to overlap-suppressed terms, so the
     # splitting is evaluated in closed form at the even optimum instead of
-    # subtracting two nearly equal minima.
-    split = parity_splitting_2css(mp, even.params)
+    # subtracting two nearly equal minima.  A reduced even optimum is one
+    # packet, whose mirror is not the odd optimum: there, below the
+    # delocalization threshold, the minima lie apart (by omega at g = 0)
+    # and their difference is the splitting.
+    split = even.energy - odd.energy if even.reduced else parity_splitting_2css(mp, even.params)
     n_even = mean_photon(even.params)
     n_odd = mean_photon(odd.params)
     row.update(

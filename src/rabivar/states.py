@@ -23,8 +23,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from . import _lapack
 from .errors import TruncationNotConverged
 from .model import Truncation
 
@@ -87,7 +87,8 @@ def _chain_modes(n_tr: int, generator: str):
     "squeeze" is a^dag^2 - a^2 on the even levels 0, 2, 4, ..., with links
     sqrt((2k+1)(2k+2)).  Either chain L is antisymmetric with positive
     subdiagonal, so L = J (-i T) J^-1 with J = diag(i^k) and T the
-    symmetric chain of the same links, T = V diag(Lambda) V^T.  The phases
+    symmetric chain of the same links, T = V diag(Lambda) V^T, from LAPACK
+    ``dstevd`` (:func:`rabivar._lapack.eigenpairs`).  The phases
     i^k are folded into the real eigenvectors once, exactly (each entry is
     only permuted between real and imaginary part and maybe negated), so
     both factors are cached as read-only C-contiguous complex matrices and
@@ -98,7 +99,7 @@ def _chain_modes(n_tr: int, generator: str):
     else:
         k = np.arange(n_tr // 2, dtype=float)
         links = np.sqrt((2.0 * k + 1.0) * (2.0 * k + 2.0))
-    lam, vecs = eigh_tridiagonal(np.zeros(links.size + 1), links)
+    lam, vecs = _lapack.eigenpairs(np.zeros(links.size + 1), links)
     phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(links.size + 1) % 4]
     vt_jinv = np.ascontiguousarray(vecs.T * phases.conj())
     jv = np.ascontiguousarray(phases[:, None] * vecs)

@@ -23,7 +23,7 @@ import rabivar.variational as variational
 import rabivar.verify as verify
 from rabivar.cli import main
 from rabivar.errors import InvalidTau
-from rabivar.exactdiag import SectorSplitting, solve_parity_sector
+from rabivar.exactdiag import SectorSplitting, sector_splitting, solve_parity_sector
 from rabivar.model import ModelParams, Truncation
 from rabivar.optimize import OptResult
 from rabivar.scan import (
@@ -278,6 +278,18 @@ def test_rerun_reuses_rows_across_grid_and_methods(tmp_path, monkeypatch):
     monkeypatch.setattr(scan, "solve_parity_sector", recompute)
     rows = run_scan(ScanConfig(**(SMALL_SCAN | {"methods": ("ED",), "lambda_max": 0.6})), str(out))
     assert [r["lambda"] for r in rows] == [0.0, 0.3, 0.6]
+
+
+def test_scan_rerun_with_fewer_methods_leaves_no_stale_method_table(tmp_path):
+    # A <method>.tsv of the earlier run's config must not sit beside the new meta.json.
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    grid = ["--lambda-min", "0", "--lambda-max", "0.3", "--lambda-step", "0.3", "--ntr", "64"]
+    assert main(["scan", "--out", str(reused), "--delta", "20", "--methods", "ED,CS1", *grid]) == 0
+    assert (reused / "CS1.tsv").exists()
+    assert main(["scan", "--out", str(reused), "--delta", "30", "--methods", "ED", *grid]) == 0
+    assert not (reused / "CS1.tsv").exists()
+    assert main(["scan", "--out", str(fresh), "--delta", "30", "--methods", "ED", *grid]) == 0
+    assert_trees_identical(str(fresh), str(reused))
 
 
 @pytest.mark.parametrize("parity, sign", [("even", +1), ("odd", -1)])
@@ -924,6 +936,20 @@ def test_levels_zero_css2_splitting_leaves_ground_photon_empty(tmp_path):
     assert json.loads((out / "meta.json").read_text())["crossings"]["CSS2"] == []
 
 
+@pytest.mark.parametrize("ratio", [0.05, 0.2, 0.3, 0.5])
+def test_levels_css2_splitting_at_a_reduced_even_optimum_is_the_energy_difference(ratio):
+    # Below the delocalization threshold the even CSS2 optimum is the
+    # single-packet reduction; the two-packet mirror formula there gives
+    # about -delta, not the splitting.
+    cfg = LevelsConfig(delta=100.0, tau=0.5, methods=("CSS2",))
+    gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
+    mp = ModelParams(delta=100.0, tau=0.5, g=ratio * gc1)
+    assert optimize.solve_ansatz(mp, AnsatzKind.CSS2, "even").reduced
+    row = scan._levels_row_css2(cfg, ratio, gc1)
+    assert row["converged"] and row["splitting"] == row["e_even"] - row["e_odd"]
+    assert row["splitting"] == pytest.approx(sector_splitting(mp, 256).splitting, rel=1e-3)
+
+
 def test_levels_decoupled_point_is_resolved(tmp_path):
     out = tmp_path / "levels"
     assert main(["levels", "--out", str(out), "--delta", "100", "--tau", "0.5",
@@ -1242,13 +1268,15 @@ def test_module_entry_point_help():
 def test_imports_leave_scipy_optimize_unloaded():
     # Importing scipy.optimize costs ~0.3 s of start-up and ~19 MB of peak
     # RSS, past the benchmark's set-up and memory bounds; scipy.special
-    # costs 50-80 ms and ~2 MB.  multiprocessing is loaded only by a scan
+    # costs 50-80 ms and ~2 MB.  The package init of scipy.linalg (with
+    # scipy._lib) costs another ~0.3 s and ~20 MB: rabivar._lapack loads
+    # only its LAPACK extension.  multiprocessing is loaded only by a scan
     # or levels run that computes grid points in worker processes.
     code = (
         "import json, resource, sys, time\n"
         "t = time.perf_counter()\n"
         "import rabivar, rabivar.scan, rabivar.verify, rabivar.cli\n"
-        "unloaded = ('scipy.optimize', 'scipy.special', 'multiprocessing')\n"
+        "unloaded = ('scipy.optimize', 'scipy.special', 'scipy.linalg', 'scipy._lib', 'multiprocessing')\n"
         "print(json.dumps({'loaded': [m for m in unloaded if m in sys.modules],"
         " 'import_s': time.perf_counter() - t,"
         " 'peak_rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"

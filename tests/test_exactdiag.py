@@ -461,7 +461,7 @@ def test_readme_levels_ed_rows_take_fewer_solves_and_passes(monkeypatch):
     # returned attempt.  The work before: 198 float solves, 280 Newton
     # passes at 90 digits and 232 Sturm counts.
     counts = {}
-    _counting(monkeypatch, scipy.linalg, "eigh_tridiagonal", counts, lambda: "eigh")
+    _counting(monkeypatch, ed._lapack, "lowest_eigenpair", counts, lambda: "eigh")
     _counting(monkeypatch, ed, "_sturm_count", counts, lambda: "sturm")
     _counting(monkeypatch, ed, "_newton_step", counts, lambda: getcontext().prec)
     ed._chain_lowest.cache_clear()
