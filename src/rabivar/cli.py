@@ -21,6 +21,13 @@ An unconverged trial-state solve is not an input error: scan and levels
 write it as a converged=0 row, wavefunction lists its coupling under
 unconverged_lambdas, and verify ends with the RuntimeError physics_checks
 raises for it, exit status 1.
+
+Every command follows the output rule of :mod:`rabivar.scan`: it deletes
+the files it derives from an earlier run in --out before it computes
+anything, and writes each file whole.  verify --out derives verify.txt and
+verify.json and touches no other file, since the directory may also hold
+another command's outputs; a verify that fails leaves neither report, and
+creates no directory.
 """
 
 from __future__ import annotations
@@ -35,9 +42,11 @@ from .scan import (
     LevelsConfig,
     ScanConfig,
     WavefunctionConfig,
+    clear_derived,
     run_levels,
     run_scan,
     run_wavefunction,
+    write_whole,
 )
 from .verify import DEFAULT_SEED, format_json, format_report, run_all
 
@@ -165,15 +174,15 @@ def _run(args) -> int:
     if args.command == "verify":
         if args.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {args.seed}")
+        if args.out:
+            clear_derived(args.out, ("verify.txt", "verify.json"))
         results = run_all(seed=args.seed)
         report = format_report(results)
         sys.stdout.write(report)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "verify.txt"), "w") as fh:
-                fh.write(report)
-            with open(os.path.join(args.out, "verify.json"), "w") as fh:
-                fh.write(format_json(results))
+            write_whole(os.path.join(args.out, "verify.txt"), report)
+            write_whole(os.path.join(args.out, "verify.json"), format_json(results))
         return 0 if all(r.passed for r in results) else 1
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -52,10 +52,10 @@ class SpinFockVector:
 
 @dataclass
 class SpectrumResult:
-    """Ground level (one-entry energies and vectors lists) plus the truncation actually used."""
+    """Ground level (its energy and vector) plus the truncation actually used."""
 
-    energies: list
-    vectors: list
+    energy: float
+    vector: SpinFockVector
     n_tr_used: int
     tail_weight: float
 
@@ -130,7 +130,7 @@ def _solve_chains(params: ModelParams, trunc: Truncation, parities) -> SpectrumR
         if tail <= trunc.tail_tol:
             full = np.zeros(2 * (n_tr + 1))
             full[np.where(_down_sites(n_tr, parity), n_tr + 1, 0) + np.arange(n_tr + 1)] = v
-            return SpectrumResult([e], [SpinFockVector(_phase_fix(full), n_tr)], n_tr, tail)
+            return SpectrumResult(e, SpinFockVector(_phase_fix(full), n_tr), n_tr, tail)
         if n_tr >= N_TR_CAP:
             raise TruncationNotConverged(
                 f"tail weight {tail:.3e} > {trunc.tail_tol:.3e} at n_tr={n_tr}",

@@ -3,11 +3,16 @@
 All data files are tab-separated text with a header row; floats are written
 with shortest-roundtrip repr so files parse back bit-exactly and repeated
 runs are byte-identical.  A JSON sidecar records the full configuration and
-package version (never timestamps or absolute paths).  Scans and level
-runs share one grid driver.  A row depends only on the config and its grid
-point, so the driver shares the grid points among the calling process and
-one worker process per further available CPU; the files are the same as
-from one process.  The rows computed at one scan point share one dict of
+package version (never timestamps or absolute paths).  One output rule
+holds for every command, verify's report included: before it computes
+anything, it deletes every file it derives that an earlier run left in its
+output directory (clear_derived), and it writes each file whole through a
+temporary file (write_whole).  The one exception is combined.tsv, the
+journal a scan or levels run appends its rows to as it goes.  Scans and
+level runs share one grid driver.  A row depends only on the config and its
+grid point, so the driver shares the grid points among the calling process
+and one worker process per further available CPU; the files are the same
+as from one process.  The rows computed at one scan point share one dict of
 optimizer stages (see solve_ansatz), so each stage runs once per point.
 Runs are restartable: when the stored meta.json has the same physics
 config (every field but the grid bounds, step and methods), existing rows
@@ -23,6 +28,7 @@ state, a levels CSS2 row its best-so-far energies.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import math
 import os
@@ -118,7 +124,7 @@ def _line(columns, row) -> str:
     return "\t".join(_fmt(row.get(c)) for c in columns) + "\n"
 
 
-def _replace(path: str, text: str) -> None:
+def write_whole(path: str, text: str) -> None:
     """Write text to path through a temporary file, so path is never half written."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -126,8 +132,21 @@ def _replace(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def clear_derived(out_dir: str, patterns) -> None:
+    """Delete the files in out_dir whose names match one of the fnmatch patterns.
+
+    Every command calls it before it computes anything, on the names of
+    all the files it derives, so no file of an earlier run sits beside the
+    new one's outputs, even when the new run is interrupted or fails.  A
+    missing out_dir is left missing.
+    """
+    for name in os.listdir(out_dir) if os.path.isdir(out_dir) else ():
+        if any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns):
+            os.remove(os.path.join(out_dir, name))
+
+
 def write_table(path: str, columns, rows) -> None:
-    _replace(path, "\t".join(columns) + "\n" + "".join(_line(columns, row) for row in rows))
+    write_whole(path, "\t".join(columns) + "\n" + "".join(_line(columns, row) for row in rows))
 
 
 def read_table(path: str):
@@ -150,7 +169,7 @@ def _write_meta(out_dir: str, command: str, config: dict, extra: dict | None = N
     meta = {"command": command, "config": config, "version": __version__}
     if extra:
         meta.update(extra)
-    _replace(os.path.join(out_dir, "meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_whole(os.path.join(out_dir, "meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _stored_rows(out_dir: str, command: str, config: dict, axis: str, grid_fields, columns) -> dict:
@@ -315,14 +334,15 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     order) missing at a grid value.  The points with missing rows are
     computed through _mapped_rows.
 
-    Stored rows of an equal physics config are reused.  combined.tsv is
-    first rewritten with only those rows, and the <method>.tsv of every
-    method the run does not compute is deleted, before meta.json records
-    the new config, so no row sits under a config it was not computed for;
-    each computed row is then appended as soon as it is kept.  The finished
-    run rewrites combined.tsv sorted by method, in METHODS order, then grid
-    value, next to one <method>.tsv per method, meta.json (with
-    summary(rows) added) and plot.gp.
+    Stored rows of an equal physics config are reused.  Before any row is
+    computed, the derived files of an earlier run (every <method>.tsv and
+    plot.gp, see clear_derived) are deleted and combined.tsv is rewritten
+    with only the reused rows; then meta.json records the new config, so
+    no row sits under a config it was not computed for, even after an
+    interrupted run.  Each computed row is then appended to combined.tsv as
+    soon as it is kept.  The finished run rewrites combined.tsv sorted by
+    method, in METHODS order, then grid value, next to one <method>.tsv per
+    method, meta.json (with summary(rows) added) and plot.gp.
     """
     os.makedirs(out_dir, exist_ok=True)
     config = asdict(cfg) | {"methods": list(cfg.methods)}
@@ -333,11 +353,8 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     missing = [(v, [m for m in methods if (m, _fmt(v)) not in stored]) for v in grid]
     tasks = [(v, ms) for v, ms in missing if ms]
     combined = os.path.join(out_dir, "combined.tsv")
+    clear_derived(out_dir, [f"{m}.tsv" for m in METHODS] + ["plot.gp"])
     write_table(combined, columns, reused)
-    for method in METHODS:
-        stale = os.path.join(out_dir, f"{method}.tsv")
-        if method not in cfg.methods and os.path.exists(stale):
-            os.remove(stale)
     _write_meta(out_dir, command, config)
 
     with open(combined, "a") as fh:
@@ -473,9 +490,9 @@ def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
     row = {"lambda": lam, "g": mp.g, "method": "ED", "parity": cfg.parity}
     try:
         res = solve_parity_sector(mp, Truncation(cfg.n_tr, cfg.tail_tol), +1 if cfg.parity == "even" else -1)
-        row["energy"] = res.energies[0]
-        row["energy_scaled"] = res.energies[0] / (cfg.delta * cfg.omega)
-        row["mean_photon"] = mean_photon_ed(res.vectors[0])
+        row["energy"] = res.energy
+        row["energy_scaled"] = res.energy / (cfg.delta * cfg.omega)
+        row["mean_photon"] = mean_photon_ed(res.vector)
         row["converged"] = True
     except TruncationNotConverged:
         row["converged"] = False
@@ -607,9 +624,9 @@ def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     n_tr = max(even.n_tr_used, odd.n_tr_used)
     certified = sector_splitting(mp, n_tr)
     split = certified.splitting
-    n_even, n_odd = mean_photon_ed(even.vectors[0]), mean_photon_ed(odd.vectors[0])
+    n_even, n_odd = mean_photon_ed(even.vector), mean_photon_ed(odd.vector)
     row.update(
-        e_even=even.energies[0], e_odd=odd.energies[0], splitting=split,
+        e_even=even.energy, e_odd=odd.energy, splitting=split,
         mean_photon_even=n_even, mean_photon_odd=n_odd,
         mean_photon_ground=_ground_photon(split, n_even, n_odd),
         converged=True, n_tr_used=n_tr, split_error=certified.error,
@@ -699,19 +716,18 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     that does not converge is profiled at its best-so-far state, and
     meta.json lists such couplings under unconverged_lambdas; one that
     reaches no finite energy raises RuntimeError naming its coupling.
-    Before the first profile is written, the wf_*.tsv profiles, summary.tsv
-    and plot.gp of an earlier run in out_dir are deleted and meta.json
-    records the new config, so no file sits under a config it was not
-    computed for, even after an interrupted run.
+    Before the first profile is written, the derived files of an earlier
+    run in out_dir (the wf_*.tsv profiles, summary.tsv and plot.gp, see
+    clear_derived) are deleted and meta.json records the new config, so no
+    file sits under a config it was not computed for, even after an
+    interrupted run.
     """
     _check_model(cfg)
     if cfg.source not in ("ED", "CSS2"):
         raise InvalidConfig(f"source must be ED or CSS2, got {cfg.source!r}")
     _check_list("lambdas", cfg.lambdas)
+    clear_derived(out_dir, ("wf_*.tsv", "summary.tsv", "plot.gp"))
     os.makedirs(out_dir, exist_ok=True)
-    for name in os.listdir(out_dir):
-        if name in ("summary.tsv", "plot.gp") or (name.startswith("wf_") and name.endswith(".tsv")):
-            os.remove(os.path.join(out_dir, name))
     config = asdict(cfg) | {"lambdas": list(cfg.lambdas)}
     _write_meta(out_dir, "wavefunction", config)
     xs = cfg.xs()
@@ -721,7 +737,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
         mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
         if cfg.source == "ED":
             res = solve_lowest(mp, Truncation(cfg.n_tr, cfg.tail_tol))
-            phi_p, phi_m = position_profile(*spin_x_projection(res.vectors[0]), xs, cfg.omega)
+            phi_p, phi_m = position_profile(*spin_x_projection(res.vector), xs, cfg.omega)
         else:
             res = solve_ansatz(mp, AnsatzKind.CSS2, "even")
             p = res.params
@@ -791,4 +807,4 @@ def _emit_plot(out_dir: str, command: str, panels) -> None:
         ))
     if layout:
         lines.append("unset multiplot")
-    _replace(os.path.join(out_dir, "plot.gp"), "\n".join(lines) + "\n")
+    write_whole(os.path.join(out_dir, "plot.gp"), "\n".join(lines) + "\n")

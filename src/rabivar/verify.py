@@ -203,7 +203,7 @@ def _solved_gradient_norm(mp: ModelParams, result) -> float:
     return max(map(abs, objective(mp, kind, result.parity)(x)[1]))
 
 
-def physics_checks(seed: int = DEFAULT_SEED):
+def physics_checks():
     """Variational bounds, family nesting and stationarity on sample points.
 
     Every solve of the call shares one dict of optimizer stages (see
@@ -225,7 +225,7 @@ def physics_checks(seed: int = DEFAULT_SEED):
 
     for delta, tau, lam in PHYSICS_POINTS:
         mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
-        ed_even = solve_parity_sector(mp, tr, +1).energies[0]
+        ed_even = solve_parity_sector(mp, tr, +1).energy
         results = {kind: solved(mp, kind) for kind in AnsatzKind}
         energies = {kind: r.energy for kind, r in results.items()}
         dev_bound = max(dev_bound, *(ed_even - e for e in energies.values()))
@@ -235,7 +235,7 @@ def physics_checks(seed: int = DEFAULT_SEED):
             energies[AnsatzKind.CSS1] - energies[AnsatzKind.CS1],
             energies[AnsatzKind.CSS2] - energies[AnsatzKind.CS2],
         )
-        ed_odd = solve_parity_sector(mp, tr, -1).energies[0]
+        ed_odd = solve_parity_sector(mp, tr, -1).energy
         odd = solved(mp, AnsatzKind.CSS2, "odd")
         dev_bound = max(dev_bound, ed_odd - odd.energy)
         for result in (results[AnsatzKind.CSS2], odd):
@@ -286,7 +286,7 @@ def run_all(seed: int = DEFAULT_SEED):
     results = []
     results += oracle_checks(seed)
     results += structure_checks(seed)
-    results += physics_checks(seed)
+    results += physics_checks()
     results += objective_checks()
     return results
 

@@ -292,6 +292,44 @@ def test_scan_rerun_with_fewer_methods_leaves_no_stale_method_table(tmp_path):
     assert_trees_identical(str(fresh), str(reused))
 
 
+@pytest.mark.parametrize("run, cfg, row_ed", [
+    (run_scan, ScanConfig(delta=20.0, lambda_min=0.0, lambda_max=0.3, lambda_step=0.3, methods=("ED", "CS1"),
+                          n_tr=64), "_scan_row_ed"),
+    (run_levels, LevelsConfig(delta=20.0, tau=0.5, g_min=0.98, g_max=1.02, g_step=0.04, n_tr=96), "_levels_row_ed"),
+], ids=["scan", "levels"])
+def test_interrupted_rerun_with_other_physics_leaves_no_file_of_the_earlier_run(tmp_path, monkeypatch, run, cfg,
+                                                                                row_ed):
+    # A rerun at another detuning, interrupted in its second point, used to
+    # leave the earlier run's <method>.tsv tables and plot.gp beside the new
+    # meta.json.
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    run(cfg, str(out))
+    rerun = replace(cfg, delta=30.0)
+    run(rerun, str(fresh))
+    one_cpu(monkeypatch)
+    compute = getattr(scan, row_ed)
+    calls = []
+
+    def interrupt_second_point(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return compute(*args)
+
+    monkeypatch.setattr(scan, row_ed, interrupt_second_point)
+    with pytest.raises(KeyboardInterrupt):
+        run(rerun, str(out))
+    assert sorted(os.listdir(out)) == ["combined.tsv", "meta.json"]
+    assert json.loads((out / "meta.json").read_text())["config"]["delta"] == 30.0
+    kept = (out / "combined.tsv").read_text().splitlines()
+    assert len(kept) == 1 + 2  # the header and both rows of the first point, as the fresh run wrote them
+    assert set(kept) <= set((fresh / "combined.tsv").read_text().splitlines())
+
+    monkeypatch.setattr(scan, row_ed, compute)
+    run(rerun, str(out))
+    assert_trees_identical(str(fresh), str(out))
+
+
 @pytest.mark.parametrize("parity, sign", [("even", +1), ("odd", -1)])
 @pytest.mark.parametrize("ratio", [0.9, 1.2])
 def test_scan_ed_rows_come_from_the_scanned_parity(tmp_path, parity, sign, ratio):
@@ -304,8 +342,8 @@ def test_scan_ed_rows_come_from_the_scanned_parity(tmp_path, parity, sign, ratio
                      methods=("ED",), parity=parity)
     (row,) = run_scan(cfg, str(tmp_path / parity))
     mp = ModelParams.from_lambda(8.0, row["lambda"], 1.0, 0.5)
-    sector = solve_parity_sector(mp, Truncation(cfg.n_tr), sign).energies[0]
-    other = solve_parity_sector(mp, Truncation(cfg.n_tr), -sign).energies[0]
+    sector = solve_parity_sector(mp, Truncation(cfg.n_tr), sign).energy
+    other = solve_parity_sector(mp, Truncation(cfg.n_tr), -sign).energy
     assert row["parity"] == parity and row["energy"] == sector
     assert abs(sector - other) > 1e-8  # the two sectors are told apart here
 
@@ -595,7 +633,7 @@ def test_infinite_tail_tol_rejected_before_a_truncated_row_is_written(tmp_path, 
     assert "tail_tol" in cli_error(argv, capsys)
     assert not (tmp_path / "x").exists()
     res = solve_parity_sector(ModelParams.from_lambda(100.0, 1.4), Truncation(8), +1)
-    assert res.energies[0] == pytest.approx(-61.826, abs=1e-3)
+    assert res.energy == pytest.approx(-61.826, abs=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -1136,7 +1174,12 @@ def test_plot_script_names_written_files_and_columns(tmp_path, command, cfg):
         assert 1 <= int(x) <= len(header) and 1 <= int(y) <= len(header), (name, x, y)
 
 
-def test_verify_exits_nonzero_on_an_unconverged_solve(tmp_path):
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+def test_verify_exits_nonzero_on_an_unconverged_solve(tmp_path, rerun):
+    out = tmp_path / "v"
+    if rerun:  # over the report of a passing run with another seed, beside another command's file
+        assert main(["verify", "--out", str(out), "--seed", "1"]) == 0
+        (out / "meta.json").write_text("{}\n")
     code = """
 import dataclasses, sys
 import rabivar.verify as verify
@@ -1151,11 +1194,16 @@ def odd_unconverged(mp, kind, parity="even", stages=None):
 verify.solve_ansatz = odd_unconverged
 sys.exit(main(["verify", "--out", sys.argv[1]]))
 """
-    status, err = run_script(code, tmp_path / "v")
+    status, err = run_script(code, out)
     assert status == 1, err
     point = "ModelParams(delta=100.0, omega=1.0, g=2.5, tau=1.0)"  # lambda 0.5, the first physics point
     assert err.splitlines()[-1] == f"RuntimeError: the CSS2 odd solve at {point} did not converge"
-    assert not (tmp_path / "v").exists()
+    # A failed rerun used to leave the earlier run's report in place.
+    if rerun:
+        assert sorted(os.listdir(out)) == ["meta.json"]
+        assert (out / "meta.json").read_text() == "{}\n"
+    else:
+        assert not out.exists()
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):

@@ -44,8 +44,8 @@ def jaynes_cummings_ground(delta, omega, g, n_max=2000):
 
 def test_decoupled_ground_state():
     res = solve_lowest(ModelParams(delta=1.0, g=0.0), Truncation(16))
-    assert res.energies[0] == pytest.approx(-0.5, abs=1e-14)
-    v = res.vectors[0]
+    assert res.energy == pytest.approx(-0.5, abs=1e-14)
+    v = res.vector
     expected = np.zeros(2 * (res.n_tr_used + 1))
     expected[res.n_tr_used + 1] = 1.0  # |down, 0>
     assert np.allclose(v.coeffs, expected, atol=1e-12)
@@ -55,13 +55,13 @@ def test_decoupled_ground_state():
 def test_pure_rotating_wave_matches_closed_form(g):
     mp = ModelParams(delta=1.0, omega=1.0, g=g, tau=0.0)
     res = solve_lowest(mp, Truncation(64))
-    assert res.energies[0] == pytest.approx(jaynes_cummings_ground(1.0, 1.0, g), abs=1e-10)
+    assert res.energy == pytest.approx(jaynes_cummings_ground(1.0, 1.0, g), abs=1e-10)
 
 
 def test_truncation_self_consistency():
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
-    e1 = solve_lowest(mp, Truncation(128)).energies[0]
-    e2 = solve_lowest(mp, Truncation(256)).energies[0]
+    e1 = solve_lowest(mp, Truncation(128)).energy
+    e2 = solve_lowest(mp, Truncation(256)).energy
     assert abs(e1 - e2) <= 1e-10 * abs(e1)
 
 
@@ -99,17 +99,17 @@ def test_sector_union_matches_full_spectrum():
         full = solve_lowest(mp, tr)
         n_tr = full.n_tr_used
         dense, _ = _dense_lowest(mp, n_tr, k)
-        assert full.energies[0] == pytest.approx(dense[0], abs=1e-10)
+        assert full.energy == pytest.approx(dense[0], abs=1e-10)
         even = solve_parity_sector(mp, tr, +1)
         odd = solve_parity_sector(mp, tr, -1)
         assert even.n_tr_used == odd.n_tr_used == n_tr
-        assert min(even.energies[0], odd.energies[0]) == full.energies[0]
+        assert min(even.energy, odd.energy) == full.energy
         chains = [
             scipy.linalg.eigh_tridiagonal(*parity_chain(mp, n_tr, parity), eigvals_only=True,
                                           select="i", select_range=(0, k - 1))
             for parity in (+1, -1)
         ]
-        assert np.allclose([chains[0][0], chains[1][0]], even.energies + odd.energies, atol=1e-12)
+        assert np.allclose([chains[0][0], chains[1][0]], [even.energy, odd.energy], atol=1e-12)
         assert np.allclose(np.sort(np.concatenate(chains))[:k], dense, atol=1e-10)
 
 
@@ -119,7 +119,7 @@ def test_eigenpair_residuals(parity):
     tr = Truncation(48, tail_tol=1e-8)
     res = solve_parity_sector(mp, tr, parity) if parity else solve_lowest(mp, tr)
     h = build_hamiltonian(mp, Truncation(res.n_tr_used))
-    e, v = res.energies[0], res.vectors[0].coeffs
+    e, v = res.energy, res.vector.coeffs
     dense = scipy.linalg.eigvalsh(h)
     assert np.min(np.abs(dense - e)) <= 1e-10
     if not parity:
@@ -139,17 +139,16 @@ def test_isotropic_ground_state_is_even_in_degenerate_pair(lam, n_tr):
     mp = ModelParams.from_lambda(100.0, lam, 1.0, 1.0)
     res = solve_lowest(mp, Truncation(n_tr))
     p = parity_diag(Truncation(res.n_tr_used))
-    assert np.sum(res.vectors[0].coeffs[p < 0] ** 2) == 0.0
-    e_odd = solve_parity_sector(mp, Truncation(n_tr), -1).energies[0]
-    assert abs(res.energies[0] - e_odd) <= 1e-12 * abs(e_odd)
+    assert np.sum(res.vector.coeffs[p < 0] ** 2) == 0.0
+    e_odd = solve_parity_sector(mp, Truncation(n_tr), -1).energy
+    assert abs(res.energy - e_odd) <= 1e-12 * abs(e_odd)
 
 
 def test_solve_lowest_independent_of_blas_threads():
     script = (
         "import numpy as np; from rabivar import ModelParams, Truncation, solve_lowest\n"
         "r = solve_lowest(ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0), Truncation(256))\n"
-        "print(np.array(r.energies).tobytes().hex(), "
-        "np.concatenate([v.coeffs for v in r.vectors]).tobytes().hex())\n"
+        "print(np.array(r.energy).tobytes().hex(), r.vector.coeffs.tobytes().hex())\n"
     )
     outputs = []
     for threads in ("1", "2"):
@@ -163,7 +162,7 @@ def test_solve_lowest_independent_of_blas_threads():
 
 def test_phase_fixing_sign():
     res = solve_lowest(ModelParams(delta=1.0, g=0.4), Truncation(24))
-    v = res.vectors[0].coeffs
+    v = res.vector.coeffs
     assert v[np.argmax(np.abs(v))] > 0
 
 
@@ -177,8 +176,8 @@ def test_decoupled_parity_sectors():
     tr = Truncation(16)
     even = solve_parity_sector(mp, tr, +1)
     odd = solve_parity_sector(mp, tr, -1)
-    assert even.energies[0] == pytest.approx(-0.5, abs=1e-13)
-    assert odd.energies[0] == pytest.approx(min(0.5, 1.3 - 0.5), abs=1e-13)
+    assert even.energy == pytest.approx(-0.5, abs=1e-13)
+    assert odd.energy == pytest.approx(min(0.5, 1.3 - 0.5), abs=1e-13)
 
 
 def test_odd_sector_dives_below_even_beyond_crossing():
@@ -190,7 +189,7 @@ def test_odd_sector_dives_below_even_beyond_crossing():
     tr = Truncation(96)
     even = solve_parity_sector(mp, tr, +1)
     odd = solve_parity_sector(mp, tr, -1)
-    assert odd.energies[0] < even.energies[0]
+    assert odd.energy < even.energy
 
 
 def test_spin_x_projection_basis_change():
@@ -216,7 +215,7 @@ def test_spin_x_projection_preserves_norm():
 def test_even_sector_projection_parity_pattern():
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
     res = solve_parity_sector(mp, Truncation(256), +1)
-    c_plus, c_minus = spin_x_projection(res.vectors[0])
+    c_plus, c_minus = spin_x_projection(res.vector)
     n = np.arange(res.n_tr_used + 1)
     assert np.max(np.abs(c_minus - (-1.0) ** (n + 1) * c_plus)) <= 1e-12
 
@@ -233,7 +232,7 @@ def test_mean_photon_matches_packet_estimate():
 
     mp = ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0)
     res = solve_lowest(mp, Truncation(256))
-    n_ed = mean_photon_ed(res.vectors[0])
+    n_ed = mean_photon_ed(res.vector)
     fit = solve_ansatz(mp, AnsatzKind.CSS2)
     assert abs(mean_photon(fit.params) - n_ed) <= 0.1 * n_ed
 
@@ -259,8 +258,8 @@ def test_certified_splitting_matches_float_where_resolved():
     compared = 0
     for ratio in np.arange(0.9, 1.1001, 0.02):
         mp = ModelParams(delta=8.0, tau=0.5, g=ratio * gc1)
-        e_even = solve_parity_sector(mp, Truncation(96), +1).energies[0]
-        e_odd = solve_parity_sector(mp, Truncation(96), -1).energies[0]
+        e_even = solve_parity_sector(mp, Truncation(96), +1).energy
+        e_odd = solve_parity_sector(mp, Truncation(96), -1).energy
         split = sector_splitting(mp, 96).splitting
         if abs(e_even - e_odd) > 1e-9:
             assert split == pytest.approx(e_even - e_odd, rel=0.0, abs=1e-12 * abs(e_even))
@@ -520,7 +519,7 @@ def test_cached_chain_solves_are_read_only():
     assert ed._chain_lowest(mp, 32, -1)[1] is v
     with pytest.raises(ValueError):
         v[0] = 0.0
-    assert e == solve_parity_sector(mp, Truncation(32, tail_tol=0.5), -1).energies[0]
+    assert e == solve_parity_sector(mp, Truncation(32, tail_tol=0.5), -1).energy
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.0])
