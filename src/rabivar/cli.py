@@ -24,10 +24,12 @@ raises for it, exit status 1.
 
 Every command follows the output rule of :mod:`rabivar.scan`: it deletes
 the files it derives from an earlier run in --out before it computes
-anything, and writes each file whole.  verify --out derives verify.txt and
-verify.json and touches no other file, since the directory may also hold
-another command's outputs; a verify that fails leaves neither report, and
-creates no directory.
+anything, and writes each file whole.  scan, levels and wavefunction
+derive one set of files, so each also deletes the others' tables,
+profiles and plot script.  verify --out derives verify.txt and
+verify.json and touches no other file but their temporary files, since
+the directory may also hold another command's outputs; a verify that
+fails leaves neither report, and creates no directory.
 """
 
 from __future__ import annotations

@@ -1,18 +1,22 @@
 """Multi-start quasi-Newton minimization of the trial-state energies.
 
-Every objective comes with its exact gradient, and each stage binds its
-objective once (:func:`rabivar.variational.objective`).  The one-packet
-energy E_1(beta, xi) is minimized directly.  For two-packet kinds the
-linear coefficients (c1, c2) are projected out: for fixed packets the
-energy is a Rayleigh quotient in them, so the objective is the lowest root
-of the 2x2 pencil with, by the Hellmann-Feynman theorem, its gradient in
-(beta1, beta2[, xi]).  A solve depends only on its model parameters, kind
-and parity: every stage starts from fixed seeds or from another stage of
-the same solve (below), never from another point.  A BFGS with Armijo
-backtracking runs from each start.  No trial state has more than three
-free variables, so :func:`bfgs` is a fixed three-slot kernel on Python
-float locals (fewer variables ride in frozen slots), and identical inputs
-reproduce identical results bit for bit.
+The four kinds are one family in the three variables x = (beta1, beta2,
+xi), each holding some of them fixed: CS1 varies beta1, CSS1 beta1 and xi,
+CS2 beta1 and beta2, CSS2 all three.  Every objective takes that x and
+returns its exact gradient in all three slots, 0.0 in each slot its kind
+does not read, and each stage binds its objective once
+(:func:`rabivar.variational.objective`).  The one-packet energy
+E_1(beta, xi) is minimized directly.  For two-packet kinds the linear
+coefficients (c1, c2) are projected out: for fixed packets the energy is a
+Rayleigh quotient in them, so the objective is the lowest root of the 2x2
+pencil with, by the Hellmann-Feynman theorem, its gradient in (beta1,
+beta2, xi).  A solve depends only on its model parameters, kind and
+parity: every stage starts from fixed seeds or from another stage of the
+same solve (below), never from another point.  A BFGS with Armijo
+backtracking runs from each start.  A start holds 0.0 in each slot its
+kind does not read, and :func:`bfgs`, a fixed three-slot kernel on Python
+float locals, never moves such a slot.  Identical inputs reproduce
+identical results bit for bit.
 
 Every result holds its trial state as a packet list
 (:class:`rabivar.variational.PacketParams`): one packet, c = (1,) and
@@ -65,6 +69,7 @@ from .model import ModelParams
 from .variational import AnsatzKind, PacketParams, asymptotic_params, objective
 
 GRAD_TOL = 1e-5
+MAX_ITER = 500  # iterations of one bfgs run
 STRUCT_RTOL = 1e-4
 _EPS = 2.0**-52
 
@@ -84,48 +89,40 @@ class OptResult:
     nfev: int = 0  # objective evaluations over the stages this call ran
 
 
-def _three(g, n):
-    """The n components of a gradient, padded with frozen zeros to three."""
-    if n == 3:
-        return g
-    return (g[0], g[1], 0.0) if n == 2 else (g[0], 0.0, 0.0)
+def bfgs(fg, x0):
+    """Local minimum from x0 by BFGS with Armijo backtracking, in the three variables (beta1, beta2, xi).
 
-
-def bfgs(fg, x0, max_iter=500):
-    """Local minimum from x0 by BFGS with Armijo backtracking, in one to three variables.
-
-    fg(x) returns (f, gradient) at a list x; f = inf rejects the point.  The
-    inverse-Hessian estimate starts as the identity (steps then capped at
-    unit length), is rescaled by s.y / y.y at its first update and is reset
-    whenever it gives no descent direction.  A step is accepted on Armijo's
-    condition or, where f is flat to its rounding eps * max(1, |f|), when it
-    halves the largest gradient component.  The run stops once an iteration
-    lowers f by no more than that rounding without halving the gradient, or
-    when no step along the steepest descent is accepted.
+    fg(x) returns (f, gradient) at a list x of three entries; f = inf
+    rejects the point.  The inverse-Hessian estimate starts as the identity
+    (steps then capped at unit length), is rescaled by s.y / y.y at its
+    first update and is reset whenever it gives no descent direction.  A
+    step is accepted on Armijo's condition or, where f is flat to its
+    rounding eps * max(1, |f|), when it halves the largest gradient
+    component.  The run stops once an iteration lowers f by no more than
+    that rounding without halving the gradient, or when no step along the
+    steepest descent is accepted.
 
     The iteration lives in float locals: three coordinates, gradients and
-    steps, and the nine inverse-Hessian entries.  A problem with fewer
-    variables rides in the leading slots; the rest stay frozen at zero with
-    zero gradient, which adds only exact zeros to every sum, so the result
-    is the same bit for bit as the textbook update on n-vectors.
+    steps, and the nine inverse-Hessian entries.  A slot fg does not read
+    has an exactly zero gradient, so it stays at its start and adds only
+    exact zeros to every sum: the iterates in the other slots are the same
+    bit for bit as the textbook update on those variables alone.
 
     Returns (x, f, gradient, nfev, stopped), at the best point found:
-    stopped is False when max_iter iterations pass without stopping.  A
+    stopped is False when MAX_ITER iterations pass without stopping.  A
     rejected x0 returns at once with f = inf.  Raises ValueError unless x0
-    has one to three entries.
+    has three entries.
     """
-    n = len(x0)
-    if not 1 <= n <= 3:
-        raise ValueError(f"bfgs takes 1 to 3 variables, got {n}")
-    x = [float(v) for v in x0]
-    x0, x1, x2 = _three(x, n)
-    f, g = fg(x)
+    if len(x0) != 3:
+        raise ValueError(f"bfgs takes 3 variables, got {len(x0)}")
+    x0, x1, x2 = (float(v) for v in x0)
+    f, g = fg([x0, x1, x2])
     nfev = 1
     if math.isfinite(f):
-        g0, g1, g2 = _three(g, n)
+        g0, g1, g2 = g
     ident = True  # the inverse-Hessian estimate is the identity; else it is h00..h22
     h00 = h01 = h02 = h10 = h11 = h12 = h20 = h21 = h22 = 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not math.isfinite(f):
             break
         # Every sum starts from 0.0 and runs in index order, as sum() over a
@@ -147,25 +144,22 @@ def bfgs(fg, x0, max_iter=500):
         gmax = max(abs(g0), abs(g1), abs(g2))
         for _ in range(40):
             xn0, xn1, xn2 = x0 + t * p0, x1 + t * p1, x2 + t * p2
-            xn = [xn0, xn1, xn2] if n == 3 else [xn0, xn1] if n == 2 else [xn0]
-            fn, gn = fg(xn)
+            fn, gn = fg([xn0, xn1, xn2])
             nfev += 1
             if fn <= f + 1e-4 * t * slope:
                 break
-            if fn <= f + noise:
-                gn0, gn1, gn2 = _three(gn, n)
-                if max(abs(gn0), abs(gn1), abs(gn2)) < 0.5 * gmax:
-                    break  # f is flat to rounding here; the exact gradient decides
+            if fn <= f + noise and max(map(abs, gn)) < 0.5 * gmax:
+                break  # f is flat to rounding here; the exact gradient decides
             t *= 0.5
         else:
             if ident:
                 break
             ident = True
             continue
-        gn0, gn1, gn2 = _three(gn, n)
+        gn0, gn1, gn2 = gn
         s0, s1, s2 = xn0 - x0, xn1 - x1, xn2 - x2
         y0, y1, y2 = gn0 - g0, gn1 - g1, gn2 - g2
-        gain, x, f, g = f - fn, xn, fn, gn
+        gain, f, g = f - fn, fn, gn
         x0, x1, x2, g0, g1, g2 = xn0, xn1, xn2, gn0, gn1, gn2
         if gain <= noise and max(abs(g0), abs(g1), abs(g2)) >= 0.5 * gmax:
             break
@@ -197,8 +191,8 @@ def bfgs(fg, x0, max_iter=500):
             h21 = h21 + cs2 * s1 - q12
             h22 = h22 + cs2 * s2 - (hy2 * s2 + s2 * hy2) / sy
     else:
-        return x, f, g, nfev, False
-    return x, f, g, nfev, True
+        return [x0, x1, x2], f, g, nfev, False
+    return [x0, x1, x2], f, g, nfev, True
 
 
 def _seed_values(params: ModelParams):
@@ -219,29 +213,33 @@ def _seed_values(params: ModelParams):
 
 
 def _single_starts(params: ModelParams, squeezed: bool):
+    """Seeded (beta1, beta2, xi) starts; one packet reads no beta2."""
     bs, bm, xa = _seed_values(params)
-    return [(bs, xa), (bm, 0.0), (bm, xa), (bs, 0.0)] if squeezed else [(bs,), (bm,), (0.5 * bm,)]
+    seeds = [(bs, xa), (bm, 0.0), (bm, xa), (bs, 0.0)] if squeezed else [(bs, 0.0), (bm, 0.0), (0.5 * bm, 0.0)]
+    return [(beta, 0.0, xi) for beta, xi in seeds]
 
 
 def _two_starts(params: ModelParams, squeezed: bool, single_x):
     """Three starts on the symmetric line beta1 = beta2 and one off it.
 
-    The start off the line keeps the odd solve at g = 0 from stalling on
-    the stationary point with both packets at the origin.
+    single_x is the optimum of the single-packet stage of the same
+    squeezing, whose xi is 0.0 when unsqueezed.  The start off the line
+    keeps the odd solve at g = 0 from stalling on the stationary point with
+    both packets at the origin.
     """
     bs, bm, xa = _seed_values(params)
-    b1, x1 = single_x[0], single_x[1] if squeezed else 0.0
-    starts = [(b1, b1, x1), (bm, bm, xa if squeezed else 0.0), (bs, bs, 0.0), (b1 + 1.0, b1, x1)]
-    return starts if squeezed else [start[:2] for start in starts]
+    b1, _, x1 = single_x
+    return [(b1, b1, x1), (bm, bm, xa if squeezed else 0.0), (bs, bs, 0.0), (b1 + 1.0, b1, x1)]
 
 
 def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", stages=None) -> OptResult:
     """Multi-start minimization of the chosen trial-state energy.
 
     stages optionally maps (params, stage kind, parity) to the stage's
-    optimum (x, f, grad_norm, stopped), stopped False when no start of the
-    stage stopped within bfgs's iteration cap; a stage found there is read,
-    and every stage the call solves is added to it.  Odd parity is valid
+    optimum (x, f, grad_norm, stopped), x = (beta1, beta2, xi) and stopped
+    False when no start of the stage stopped within bfgs's iteration cap; a
+    stage found there is read, and every stage the call solves is added to
+    it.  Odd parity is valid
     only for two-packet kinds.  The result is converged when its gradient
     is below GRAD_TOL and every stage it read stopped; the guard is read
     only for a reduction candidate.  An unconverged result still holds the
@@ -257,7 +255,7 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", st
 
     def pack(stage, x):
         """The parameters of this kind's trial state at the stage's optimum x."""
-        xi = x[-1] if stage.squeezed else 0.0
+        xi = x[2]  # 0.0 for unsqueezed stages, whose xi slot never moves
         if stage.two_branch:
             return PacketParams(objective(params, stage, parity)(x, True), (x[0], -x[1]), xi).canonical()
         if kind.two_branch:  # the single-packet reduction: c2 = 0, beta2 = beta1

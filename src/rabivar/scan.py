@@ -6,9 +6,13 @@ runs are byte-identical.  A JSON sidecar records the full configuration and
 package version (never timestamps or absolute paths).  One output rule
 holds for every command, verify's report included: before it computes
 anything, it deletes every file it derives that an earlier run left in its
-output directory (clear_derived), and it writes each file whole through a
-temporary file (write_whole).  The one exception is combined.tsv, the
-journal a scan or levels run appends its rows to as it goes.  Scans and
+output directory, with the temporary files of an interrupted write
+(clear_derived), and it writes each file whole through a temporary file
+(write_whole).  The data commands derive one set of files (DERIVED_FILES),
+so none of them leaves another's files beside its own.  The one exception
+is combined.tsv, the journal a scan or levels run appends its rows to as
+it goes: scan and levels rewrite it whole with the rows they reuse, and
+wavefunction deletes it.  Scans and
 level runs share one grid driver.  A row depends only on the config and its
 grid point, so the driver shares the grid points among the calling process
 and one worker process per further available CPU; the files are the same
@@ -54,6 +58,12 @@ from .variational import AnsatzKind, mean_photon, norm2, parity_splitting_2css, 
 METHODS = ("ED", "CS1", "CSS1", "CS2", "CSS2")
 
 GRID_POINTS_MAX = 1_000_000  # points of one grid _check_model accepts
+
+# The files scan, levels and wavefunction derive and write whole, as
+# clear_derived patterns; each command clears all of them, so no command's
+# files sit beside another's.  combined.tsv is not among them: scan and
+# levels rewrite it with the rows they reuse.
+DERIVED_FILES = (*(f"{m}.tsv" for m in METHODS), "wf_*.tsv", "summary.tsv", "plot.gp")
 
 SCAN_COLUMNS = (
     "lambda",
@@ -133,15 +143,16 @@ def write_whole(path: str, text: str) -> None:
 
 
 def clear_derived(out_dir: str, patterns) -> None:
-    """Delete the files in out_dir whose names match one of the fnmatch patterns.
+    """Delete the files in out_dir whose names match one of the fnmatch patterns, and their .tmp files.
 
     Every command calls it before it computes anything, on the names of
-    all the files it derives, so no file of an earlier run sits beside the
-    new one's outputs, even when the new run is interrupted or fails.  A
-    missing out_dir is left missing.
+    all the files it derives (DERIVED_FILES for the data commands), so no
+    file of an earlier run, nor the temporary file an interrupted
+    write_whole left, sits beside the new one's outputs, even when the new
+    run is interrupted or fails.  A missing out_dir is left missing.
     """
     for name in os.listdir(out_dir) if os.path.isdir(out_dir) else ():
-        if any(fnmatch.fnmatchcase(name, pattern) for pattern in patterns):
+        if any(fnmatch.fnmatchcase(name, p) or fnmatch.fnmatchcase(name, p + ".tmp") for p in patterns):
             os.remove(os.path.join(out_dir, name))
 
 
@@ -335,14 +346,15 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     computed through _mapped_rows.
 
     Stored rows of an equal physics config are reused.  Before any row is
-    computed, the derived files of an earlier run (every <method>.tsv and
-    plot.gp, see clear_derived) are deleted and combined.tsv is rewritten
-    with only the reused rows; then meta.json records the new config, so
-    no row sits under a config it was not computed for, even after an
-    interrupted run.  Each computed row is then appended to combined.tsv as
-    soon as it is kept.  The finished run rewrites combined.tsv sorted by
-    method, in METHODS order, then grid value, next to one <method>.tsv per
-    method, meta.json (with summary(rows) added) and plot.gp.
+    computed, the derived files of an earlier run of any data command
+    (DERIVED_FILES, see clear_derived) are deleted and combined.tsv is
+    rewritten with only the reused rows, never deleted first; then
+    meta.json records the new config, so no row sits under a config it was
+    not computed for, even after an interrupted run.  Each computed row is
+    then appended to combined.tsv as soon as it is kept.  The finished run
+    rewrites combined.tsv sorted by method, in METHODS order, then grid
+    value, next to one <method>.tsv per method, meta.json (with
+    summary(rows) added) and plot.gp.
     """
     os.makedirs(out_dir, exist_ok=True)
     config = asdict(cfg) | {"methods": list(cfg.methods)}
@@ -353,7 +365,7 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     missing = [(v, [m for m in methods if (m, _fmt(v)) not in stored]) for v in grid]
     tasks = [(v, ms) for v, ms in missing if ms]
     combined = os.path.join(out_dir, "combined.tsv")
-    clear_derived(out_dir, [f"{m}.tsv" for m in METHODS] + ["plot.gp"])
+    clear_derived(out_dir, DERIVED_FILES)
     write_table(combined, columns, reused)
     _write_meta(out_dir, command, config)
 
@@ -717,7 +729,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     meta.json lists such couplings under unconverged_lambdas; one that
     reaches no finite energy raises RuntimeError naming its coupling.
     Before the first profile is written, the derived files of an earlier
-    run in out_dir (the wf_*.tsv profiles, summary.tsv and plot.gp, see
+    run of any data command in out_dir (DERIVED_FILES and combined.tsv, see
     clear_derived) are deleted and meta.json records the new config, so no
     file sits under a config it was not computed for, even after an
     interrupted run.
@@ -726,7 +738,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     if cfg.source not in ("ED", "CSS2"):
         raise InvalidConfig(f"source must be ED or CSS2, got {cfg.source!r}")
     _check_list("lambdas", cfg.lambdas)
-    clear_derived(out_dir, ("wf_*.tsv", "summary.tsv", "plot.gp"))
+    clear_derived(out_dir, DERIVED_FILES + ("combined.tsv",))
     os.makedirs(out_dir, exist_ok=True)
     config = asdict(cfg) | {"lambdas": list(cfg.lambdas)}
     _write_meta(out_dir, "wavefunction", config)

@@ -185,12 +185,13 @@ def _quotient(num: float, n) -> float:
 def objective(params: ModelParams, kind: AnsatzKind, parity: str = "even"):
     """The energy of kind's trial state in parity as fg(x) -> (E, gradient), bound once.
 
-    x holds the free variables of kind, and the gradient has one entry per
-    variable: [beta] (CS1), [beta, xi] (CSS1), [beta1, beta2] (CS2) or
-    [beta1, beta2, xi] (CSS2); the unsqueezed kinds fix xi = 0.  delta,
-    omega, alpha, gamma and the parity sign s are read at binding.  A point
-    the closed form cannot evaluate gives (inf, None): a degenerate pencil,
-    an overflow or a non-finite energy.
+    Every kind takes the same x = (beta1, beta2, xi) and returns a gradient
+    of three entries.  A kind reads only its own slots: CS1 beta1, CSS1
+    beta1 and xi, CS2 beta1 and beta2, CSS2 all three; the unsqueezed kinds
+    fix xi = 0.  The gradient entry of a slot the kind does not read is
+    exactly 0.0.  delta, omega, alpha, gamma and the parity sign s are read
+    at binding.  A point the closed form cannot evaluate gives (inf, None):
+    a degenerate pencil, an overflow or a non-finite energy.
 
     Single-packet kinds: with u = e^{-4xi}, sh = sinh 2xi,
 
@@ -226,7 +227,7 @@ def objective(params: ModelParams, kind: AnsatzKind, parity: str = "even"):
             beta = x[0]
             try:
                 if squeezed:
-                    xi = x[1]
+                    xi = x[2]
                     sh = math.sinh(2.0 * xi)
                     ch = math.cosh(2.0 * xi)
                     u = math.exp(-4.0 * xi)
@@ -240,11 +241,11 @@ def objective(params: ModelParams, kind: AnsatzKind, parity: str = "even"):
                 de_beta = two_omega * beta - two_alpha - two_s_gamma * u * o2
                 de_beta += 4.0 * u * beta * w
                 if not squeezed:
-                    return e, (de_beta,)
+                    return e, (de_beta, 0.0, 0.0)
                 de_xi = four_omega * sh * ch + eight_s_gamma * beta * u * o2 - 8.0 * u * beta * beta * w
             except OverflowError:
                 return rejected
-            return e, (de_beta, de_xi)
+            return e, (de_beta, 0.0, de_xi)
 
         return single
 
@@ -313,7 +314,7 @@ def objective(params: ModelParams, kind: AnsatzKind, parity: str = "even"):
             g1 = c1 * c1 * h11_b1 + cc * (h12_b1 - e * dop1)
             g2 = c2 * c2 * h22_b2 + cc * (h12_b2 - e * dop1)
             if not squeezed:
-                return e, (g1, g2)
+                return e, (g1, g2, 0.0)
             dop_xi = 2.0 * u * sm * sm * op
             dom_xi = 2.0 * u * df * df * om
             dpp_xi = 4.0 * shch + sm * sm * u * (2.0 * (ch * ch + sh2) - 4.0 * shch)

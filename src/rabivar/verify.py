@@ -14,7 +14,8 @@ The report lists one line per check with the largest deviation seen:
   objective's gradient at CSS2 optima in both parities;
 * objective_checks: the gradient of every kind's
   :func:`~rabivar.variational.objective`, the kernel the optimizer
-  minimizes, against central differences of its energy.
+  minimizes, against central differences of its energy, in all three
+  slots (beta1, beta2, xi).
 
 Not checked here: objective's energies against the Fock oracle (the tests
 tie them to :func:`~rabivar.variational.energy`).  Random sets are drawn
@@ -49,8 +50,9 @@ from .variational import (
 DEFAULT_SEED = 20250809
 _ORACLE_TOL = 1e-8
 _N_TR_ORACLE = 160
+ORACLE_SETS = 20  # random parameter sets of each oracle_checks loop
 # objective's variables (beta1, beta2, xi) at fixed points away from the
-# pencil floor; one-packet kinds take (beta1, xi), unsqueezed kinds drop xi.
+# pencil floor; every kind takes all three and reads its own slots.
 _GRADIENT_POINTS = [(3.0, 2.5, 0.1), (0.4, 0.9, -0.2), (5.0, -1.0, 0.3), (1.2, 0.3, 0.05)]
 # (delta, tau, lambda) of the physics checks' bound and nesting points
 PHYSICS_POINTS = [
@@ -96,14 +98,14 @@ def _mean_photon_vec(psi, dim):
     return float(np.dot(n, psi**2)) / float(psi @ psi)
 
 
-def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20):
-    """Closed forms vs Fock-space construction on random parameter sets."""
+def oracle_checks(seed: int = DEFAULT_SEED):
+    """Closed forms vs Fock-space construction on ORACLE_SETS random parameter sets."""
     rng = np.random.default_rng(seed)
     tr = Truncation(_N_TR_ORACLE, 1e-9)
     dim = tr.dim
 
     dev_overlap = 0.0
-    for _ in range(n_sets):
+    for _ in range(ORACLE_SETS):
         b1, b2 = rng.uniform(-3.0, 3.0, 2)
         xi = rng.uniform(0.0, 0.4)
         eta = math.exp(-2.0 * xi)
@@ -135,7 +137,7 @@ def oracle_checks(seed: int = DEFAULT_SEED, n_sets: int = 20):
 
     dev_e1 = dev_n1 = 0.0
     dev_e2_even = dev_e2_odd = dev_n2 = 0.0
-    for _ in range(n_sets):
+    for _ in range(ORACLE_SETS):
         mp = ModelParams(
             delta=rng.uniform(0.5, 20.0),
             omega=1.0,
@@ -190,17 +192,14 @@ def structure_checks(seed: int = DEFAULT_SEED):
 
 
 def _solved_gradient_norm(mp: ModelParams, result) -> float:
-    """Max-norm of objective's gradient at a CSS2 result's params, in the variables its solve ran in.
+    """Max-norm of objective's gradient at a CSS2 result's params, for the kind its solve ran.
 
-    Those are (beta, xi) of CSS1 for a reduced result and (beta1, beta2, xi)
-    otherwise.
+    That is CSS1 for a reduced result, whose beta2 = beta1 slot CSS1 does
+    not read, and CSS2 otherwise.
     """
     p = result.params
-    if result.reduced:
-        kind, x = AnsatzKind.CSS1, [p.a[0], p.xi]
-    else:
-        kind, x = AnsatzKind.CSS2, [p.a[0], -p.a[1], p.xi]
-    return max(map(abs, objective(mp, kind, result.parity)(x)[1]))
+    kind = AnsatzKind.CSS1 if result.reduced else AnsatzKind.CSS2
+    return max(map(abs, objective(mp, kind, result.parity)([p.a[0], -p.a[1], p.xi])[1]))
 
 
 def physics_checks():
@@ -261,7 +260,8 @@ def objective_checks():
     """Gradients of every objective kind against central differences, in both parities.
 
     The model is delta 10, g 1.3 at tau 0.5, 1 and 1.5; the deviation is
-    |g - fd| / max(1, |fd|) with step 1e-6.
+    |g - fd| / max(1, |fd|) with step 1e-6, in all three slots, so a slot
+    a kind does not read must have gradient 0.
     """
     h = 1e-6
     dev = 0.0
@@ -270,10 +270,9 @@ def objective_checks():
         for kind in AnsatzKind:
             for parity in ("even", "odd"):
                 fg = objective(mp, kind, parity)
-                for b1, b2, xi in _GRADIENT_POINTS:
-                    x = ([b1, b2] if kind.two_branch else [b1]) + ([xi] if kind.squeezed else [])
+                for x in _GRADIENT_POINTS:
                     grad = fg(x)[1]
-                    for i in range(len(x)):
+                    for i in range(3):
                         up, down = list(x), list(x)
                         up[i] += h
                         down[i] -= h

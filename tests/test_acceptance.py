@@ -30,7 +30,7 @@ from rabivar.scan import (
     run_scan,
     run_wavefunction,
 )
-from rabivar.verify import format_report, oracle_checks, run_all
+from rabivar.verify import ORACLE_SETS, format_report, oracle_checks, run_all
 
 
 def _report(criterion, ok, detail):
@@ -64,12 +64,12 @@ def levels_run(tmp_path_factory):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.time()
-    results = oracle_checks(n_sets=20)
+    results = oracle_checks()
     elapsed = time.time() - t0
     energy_checks = [r for r in results if r.tol <= 1e-8]
     worst = max(r.max_dev for r in energy_checks)
     ok = all(r.passed for r in results) and elapsed < 30.0
-    _report("C1 oracle-equivalence", ok, f"max dev {worst:.2e} over 20 sets, {elapsed:.1f}s")
+    _report("C1 oracle-equivalence", ok, f"max dev {worst:.2e} over {ORACLE_SETS} sets, {elapsed:.1f}s")
     assert ok, [r.name for r in results if not r.passed]
 
 

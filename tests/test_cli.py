@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -248,10 +249,34 @@ def test_read_table_drops_cut_off_last_line(tmp_path):
     assert read_table(str(path)) == (["a", "b"], [{"a": 1.0, "b": 2.0}])
 
 
-def test_scan_rerun_with_other_physics_recomputes_every_row(tmp_path):
-    # Stored rows of another detuning must not survive under the new meta.json.
+def cut_off_in_write_whole(monkeypatch, prefix):
+    """Interrupt write_whole of each file named prefix*, after its .tmp is written and before the rename."""
+    rename = os.replace
+
+    def interrupted(src, dst):
+        if os.path.basename(dst).startswith(prefix):
+            raise KeyboardInterrupt
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted)
+
+
+@pytest.mark.parametrize("earlier", ["scan", "wavefunction", "wavefunction-cut-in-write"])
+def test_scan_rerun_with_other_physics_recomputes_every_row(tmp_path, monkeypatch, earlier):
+    # Stored rows of another detuning must not survive under the new
+    # meta.json.  Nor may a wavefunction run's profiles, or the .tmp file of
+    # a profile write it was cut off in, which a scan used to leave.
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
-    run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 10.0})), str(reused))
+    if earlier == "scan":
+        run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 10.0})), str(reused))
+    elif earlier == "wavefunction":
+        run_wavefunction(WavefunctionConfig(**WF_ED), str(reused))
+    else:
+        cut_off_in_write_whole(monkeypatch, "wf_")
+        with pytest.raises(KeyboardInterrupt):
+            run_wavefunction(WavefunctionConfig(**WF_ED), str(reused))
+        monkeypatch.undo()
+        assert sorted(os.listdir(reused)) == ["meta.json", "wf_ED_lam0.9.tsv.tmp"]
     run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 50.0})), str(reused))
     run_scan(ScanConfig(**(SMALL_SCAN | {"delta": 50.0})), str(fresh))
     assert_trees_identical(str(fresh), str(reused))
@@ -1099,10 +1124,24 @@ def test_wavefunction_lists_gradient_unconverged_coupling(tmp_path, monkeypatch)
 WF_ED = dict(delta=100.0, tau=1.0, lambdas=(0.9, 1.1), x_min=-8.0, x_max=8.0, x_step=0.5, source="ED", n_tr=96)
 
 
-def test_wavefunction_rerun_leaves_no_file_of_another_config(tmp_path):
+@pytest.mark.parametrize("earlier", ["wavefunction", "scan", "scan-cut-in-write"])
+def test_wavefunction_rerun_leaves_no_file_of_another_config(tmp_path, monkeypatch, earlier):
     # A rerun with other couplings and source used to leave the earlier
-    # run's profiles beside the new meta.json.
-    run_wavefunction(WavefunctionConfig(**WF_ED), str(tmp_path / "out"))
+    # run's profiles beside the new meta.json, and a run after a scan its
+    # tables and combined.tsv, or the .tmp of a combined.tsv write the scan
+    # was cut off in.
+    if earlier == "wavefunction":
+        run_wavefunction(WavefunctionConfig(**WF_ED), str(tmp_path / "out"))
+    else:
+        scan_cfg = ScanConfig(**(SMALL_SCAN | {"lambda_max": 0.3, "methods": ("ED", "CS1")}))
+        if earlier == "scan-cut-in-write":
+            cut_off_in_write_whole(monkeypatch, "combined.tsv")
+            with pytest.raises(KeyboardInterrupt):
+                run_scan(scan_cfg, str(tmp_path / "out"))
+            monkeypatch.undo()
+            assert sorted(os.listdir(tmp_path / "out")) == ["combined.tsv.tmp"]
+        else:
+            run_scan(scan_cfg, str(tmp_path / "out"))
     cfg = WavefunctionConfig(**(WF_ED | {"delta": 10.0, "lambdas": (0.5,), "source": "CSS2"}))
     run_wavefunction(cfg, str(tmp_path / "out"))
     run_wavefunction(cfg, str(tmp_path / "fresh"))
@@ -1180,6 +1219,7 @@ def test_verify_exits_nonzero_on_an_unconverged_solve(tmp_path, rerun):
     if rerun:  # over the report of a passing run with another seed, beside another command's file
         assert main(["verify", "--out", str(out), "--seed", "1"]) == 0
         (out / "meta.json").write_text("{}\n")
+        (out / "verify.json.tmp").write_text("{")  # as a report write cut off before its rename leaves it
     code = """
 import dataclasses, sys
 import rabivar.verify as verify
@@ -1204,6 +1244,19 @@ sys.exit(main(["verify", "--out", sys.argv[1]]))
         assert (out / "meta.json").read_text() == "{}\n"
     else:
         assert not out.exists()
+
+
+def test_readme_cli_block_parses():
+    # Every command line of the README's CLI block, continuations joined and
+    # comments stripped, must still parse: a renamed or dropped flag fails here.
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in lines if argv[:1] == ["rabivar"]]
+    assert [argv[1] for argv in commands] == ["scan", "levels", "wavefunction", "verify"]
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
@@ -1248,7 +1301,8 @@ def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch, packets):
         return variational.energy(params, p, parity)
 
     monkeypatch.setattr(verify, "energy", flipped_energy)
-    results = oracle_checks(n_sets=6)
+    monkeypatch.setattr(verify, "ORACLE_SETS", 6)
+    results = oracle_checks()
     by_name = {r.name: r for r in results}
     assert by_name["energy-two-packet-even-vs-fock"].passed == (packets == 1)
     assert by_name["energy-two-packet-odd-vs-fock"].passed == (packets == 1)

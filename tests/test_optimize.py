@@ -18,12 +18,12 @@ from rabivar.variational import PacketParams, objective
 
 def _rosenbrock(x):
     f = (x[0] - 1.0) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-    grad = [2.0 * (x[0] - 1.0) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2)]
+    grad = [2.0 * (x[0] - 1.0) - 400.0 * x[0] * (x[1] - x[0] ** 2), 200.0 * (x[1] - x[0] ** 2), 0.0]
     return f, grad
 
 
 def test_quadratic_minimum():
-    x, f, grad, nfev, stopped = bfgs(lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0)]), [0.0])
+    x, f, grad, nfev, stopped = bfgs(lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0), 0.0, 0.0]), [0.0, 0.0, 0.0])
     assert stopped
     assert abs(x[0] - 2.0) <= 1e-8
     assert f <= 1e-15
@@ -32,27 +32,28 @@ def test_quadratic_minimum():
 
 
 def test_rosenbrock_minimum():
-    x, f, grad, _, stopped = bfgs(_rosenbrock, [-1.0, 1.0])
+    x, f, grad, _, stopped = bfgs(_rosenbrock, [-1.0, 1.0, 1.0])  # the unread third slot stays at 1.0
     assert stopped
     assert max(abs(v - 1.0) for v in x) <= 1e-6
     assert max(abs(v) for v in grad) <= 1e-5
 
 
-def test_iteration_cap_returns_best_unstopped():
-    x, f, grad, nfev, stopped = bfgs(_rosenbrock, [-1.5, 2.0], max_iter=3)
+def test_iteration_cap_returns_best_unstopped(monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_ITER", 3)
+    x, f, grad, nfev, stopped = bfgs(_rosenbrock, [-1.5, 2.0, 0.0])
     assert not stopped
-    assert f < _rosenbrock([-1.5, 2.0])[0]
+    assert f < _rosenbrock([-1.5, 2.0, 0.0])[0]
     assert (f, grad) == _rosenbrock(x)
     assert nfev >= 4
 
 
 def test_rejected_points_are_stepped_around():
     def fg(x):  # the quadratic of test_quadratic_minimum, undefined beyond 3
-        return (math.inf, None) if x[0] > 3.0 else ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0)])
+        return (math.inf, None) if x[0] > 3.0 else ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0), 0.0, 0.0])
 
-    x, f, _, _, _ = bfgs(fg, [-30.0])
+    x, f, _, _, _ = bfgs(fg, [-30.0, 0.0, 0.0])
     assert abs(x[0] - 2.0) <= 1e-8
-    assert bfgs(fg, [4.0])[1::3] == (math.inf, True)  # a rejected start stops at once
+    assert bfgs(fg, [4.0, 0.0, 0.0])[1::3] == (math.inf, True)  # a rejected start stops at once
 
 
 def test_end_to_end_squeezed_single_packet():
@@ -241,22 +242,22 @@ def _rejecting_log_cosh(x):  # secant steps overshoot the minimum at 2 into the 
     u = x[0] - 2.0
     if x[0] > 3.0:
         return math.inf, None
-    return math.log(math.cosh(u)) + 0.1 * u * u, [math.tanh(u) + 0.2 * u]
+    return math.log(math.cosh(u)) + 0.1 * u * u, [math.tanh(u) + 0.2 * u, 0.0, 0.0]
 
 
 # (fg, start, whether the run steps onto rejected points)
 _KERNEL_CASES = [
-    (lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0)]), [0.0], False),
-    (_rejecting_log_cosh, [-5.0], True),
-    (_rosenbrock, [-1.0, 1.0], False),
-    (_rosenbrock, [-1.5, 2.0], False),
-    (objective(_MP, AnsatzKind.CS1, "even"), [0.5], False),
-    (objective(_MP, AnsatzKind.CSS1, "even"), [4.0, 0.0], False),
-    (objective(_MP, AnsatzKind.CS2, "even"), [7.0, 5.0], False),
+    (lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0), 0.0, 0.0]), [0.0, 0.0, 0.0], False),
+    (_rejecting_log_cosh, [-5.0, 0.0, 0.0], True),
+    (_rosenbrock, [-1.0, 1.0, 0.0], False),
+    (_rosenbrock, [-1.5, 2.0, 0.0], False),
+    (objective(_MP, AnsatzKind.CS1, "even"), [0.5, 0.0, 0.0], False),
+    (objective(_MP, AnsatzKind.CSS1, "even"), [4.0, 0.0, 0.0], False),
+    (objective(_MP, AnsatzKind.CS2, "even"), [7.0, 5.0, 0.0], False),
     (objective(_MP, AnsatzKind.CSS2, "even"), [7.0, 5.0, 0.1], False),
     (objective(_ANISO, AnsatzKind.CSS2, "even"), [3.0, 2.0, 0.0], False),
     # Odd solves at weak coupling walk into the rejected band 1 - O+^2 < 1e-4 around beta1 + beta2 = 0.
-    (objective(_G0, AnsatzKind.CS2, "odd"), [1.0, 0.0], True),
+    (objective(_G0, AnsatzKind.CS2, "odd"), [1.0, 0.0, 0.0], True),
     (objective(_G0, AnsatzKind.CSS2, "odd"), [2.0, -1.5, 0.0], True),
     (objective(ModelParams(delta=100.0, g=0.3), AnsatzKind.CSS2, "odd"), [2.0, -1.5, 0.0], True),
 ]
@@ -264,19 +265,20 @@ _KERNEL_CASES = [
 
 @pytest.mark.parametrize("fg, x0, rejects", _KERNEL_CASES)
 @pytest.mark.parametrize("max_iter", [500, 2])
-def test_kernel_matches_reference_bit_for_bit(fg, x0, rejects, max_iter):
+def test_kernel_matches_reference_bit_for_bit(monkeypatch, fg, x0, rejects, max_iter):
     expected = _reference_bfgs(fg, x0, max_iter)
     seen = []
-    got = bfgs(lambda x: seen.append(fg(x)[0]) or fg(x), x0, max_iter)
+    monkeypatch.setattr(optimize, "MAX_ITER", max_iter)
+    got = bfgs(lambda x: seen.append(fg(x)[0]) or fg(x), x0)
     assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0 and round-trips every float
     assert expected[-1] == (max_iter == 500)  # stopped, or cut at the cap
     if max_iter == 500:
         assert (math.inf in seen) == rejects
 
 
-@pytest.mark.parametrize("x0", [[], [1.0, 2.0, 3.0, 4.0]])
-def test_kernel_takes_one_to_three_variables(x0):
-    with pytest.raises(ValueError, match="1 to 3"):
+@pytest.mark.parametrize("x0", [[], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+def test_kernel_takes_three_variables(x0):
+    with pytest.raises(ValueError, match="takes 3 variables"):
         bfgs(lambda x: (0.0, [0.0] * len(x)), x0)
 
 
@@ -341,7 +343,7 @@ def test_unstopped_stage_is_stored_and_unconverges_every_solve_that_reads_it(mon
     # result holds its best-so-far state and converged=False, and the
     # stages are stored like stopped ones.
     mp = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
-    monkeypatch.setattr(optimize, "bfgs", lambda fg, x0: bfgs(fg, x0, max_iter=2))
+    monkeypatch.setattr(optimize, "MAX_ITER", 2)
     stages = {}
     capped = solve_ansatz(mp, AnsatzKind.CSS2, stages=stages)
     assert not capped.converged and capped.params is not None and math.isfinite(capped.energy)

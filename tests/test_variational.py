@@ -178,15 +178,15 @@ def projected_energy_2css(params: ModelParams, beta1: float, beta2: float, xi: f
 
 
 
-def reference_fg(energy_grad, mp, n, parity):
-    """A reference energy as the optimizer saw it: n variables, rejected points at (inf, None)."""
+def reference_fg(energy_grad, mp, kind, parity):
+    """A reference energy as the optimizer sees it: rejected points at (inf, None), gradients in three slots."""
 
     def fg(x):
         try:
             e, g = energy_grad(mp, *x, parity=parity)[:2]
         except (DegenerateAnsatz, OverflowError):
             return math.inf, None
-        return (e, tuple(g[:n])) if math.isfinite(e) else (math.inf, None)
+        return (e, tuple(_padded(kind, g[:len(_SLOTS[kind])]))) if math.isfinite(e) else (math.inf, None)
 
     return fg
 
@@ -402,7 +402,7 @@ def test_two_packet_reduces_to_single():
     assert energy(mp, a2, "even") == pytest.approx(energy(mp, one(0.8, 0.1)), abs=1e-12)
     b2 = two(0.6, 0.0, 1.1, 0.4, 0.1)  # beta2 idle when c2 = 0
     assert energy(mp, b2, "even") == pytest.approx(energy(mp, one(1.1, 0.1)), abs=1e-12)
-    assert energy(mp, one(1.1, 0.1)) == pytest.approx(objective(mp, AnsatzKind.CSS1)([1.1, 0.1])[0], abs=1e-12)
+    assert energy(mp, one(1.1, 0.1)) == pytest.approx(objective(mp, AnsatzKind.CSS1)([1.1, 0.0, 0.1])[0], abs=1e-12)
 
 
 def test_odd_packet_at_origin():
@@ -686,11 +686,11 @@ def test_single_packet_gradient(tau, parity):
     mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
     fg = objective(mp, AnsatzKind.CSS1, parity)
     h = 1e-6
-    for x in [(0.5, 0.1), (3.0, -0.2), (1.1, 0.0)]:
+    for x in [(0.5, 0.0, 0.1), (3.0, 0.0, -0.2), (1.1, 0.0, 0.0)]:
         e, grad = fg(list(x))
-        direct = energy(mp, one(x[0], x[1]), parity)
+        direct = energy(mp, one(x[0], x[2]), parity)
         assert abs(e - direct) <= 1e-12 * max(1.0, abs(e))
-        for i in range(2):
+        for i in range(3):
             up, down = list(x), list(x)
             up[i] += h
             down[i] -= h
@@ -707,12 +707,21 @@ def test_projected_energy_rejects_coincident_branches():
         projected_energy_2css(mp, 0.3, -0.295, 0.0, "odd")
 
 
-_NVAR = {AnsatzKind.CS1: 1, AnsatzKind.CSS1: 2, AnsatzKind.CS2: 2, AnsatzKind.CSS2: 3}
+# The slots of (beta1, beta2, xi) each kind reads.
+_SLOTS = {AnsatzKind.CS1: (0,), AnsatzKind.CSS1: (0, 2), AnsatzKind.CS2: (0, 1), AnsatzKind.CSS2: (0, 1, 2)}
+
+
+def _padded(kind, v):
+    """kind's variables v in the slots (beta1, beta2, xi), with 0.0 in each slot kind does not read."""
+    x = [0.0, 0.0, 0.0]
+    for slot, value in zip(_SLOTS[kind], v):
+        x[slot] = value
+    return x
 
 
 def _random_points(rng, kind, count):
     """Points over the working range and past it: rejected pencils, overflows, non-finite energies."""
-    n = _NVAR[kind]
+    n = len(_SLOTS[kind])
     points = [list(rng.uniform(-6.0, 6.0, n)) for _ in range(count)]
     if kind.squeezed:
         for x in points[: count // 4]:
@@ -734,16 +743,15 @@ def _random_points(rng, kind, count):
 ])
 def test_bound_objective_equals_reference_bit_for_bit(kind, parity, mp):
     reference = projected_energy_2css if kind.two_branch else energy_grad_1css
-    n = _NVAR[kind]
-    expected_fg = reference_fg(reference, mp, n, parity)
+    expected_fg = reference_fg(reference, mp, kind, parity)
     fg = objective(mp, kind, parity)
     branches = set()
     for x in _random_points(np.random.default_rng(len(kind.value) + 7 * (parity == "odd")), kind, 1000):
         args = x if kind.squeezed else x + [0.0]  # the unsqueezed kinds fix xi = 0
-        got, expected = fg(x), expected_fg(args)
+        got, expected = fg(_padded(kind, x)), expected_fg(args)
         assert repr(got) == repr(expected), x  # repr tells -0.0 from 0.0 and round-trips every float
         if kind.two_branch and got[1] is not None:
-            assert repr(fg(x, True)) == repr(reference(mp, *args, parity=parity)[2:])
+            assert repr(fg(_padded(kind, x), True)) == repr(reference(mp, *args, parity=parity)[2:])
         try:
             r = reference(mp, *args, parity=parity)
             branches.add("finite" if math.isfinite(r[0]) else "non-finite")
@@ -754,3 +762,22 @@ def test_bound_objective_equals_reference_bit_for_bit(kind, parity, mp):
     assert {"finite", "non-finite"} <= branches
     assert ("degenerate" in branches) == kind.two_branch
     assert ("overflow" in branches) == kind.squeezed
+
+
+@pytest.mark.parametrize("kind", list(AnsatzKind))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("x", PROJECTED_POINTS)
+def test_objective_reads_only_the_slots_of_its_kind(kind, parity, x):
+    # Every kind takes (beta1, beta2, xi); a slot it does not read changes
+    # nothing and has gradient exactly 0.0, so bfgs never moves it.
+    fg = objective(ModelParams(delta=10.0, omega=1.0, g=1.3, tau=0.5), kind, parity)
+    e, grad = fg(list(x))
+    assert math.isfinite(e) and len(grad) == 3
+    for slot in sorted({0, 1, 2} - set(_SLOTS[kind])):
+        assert repr(grad[slot]) == "0.0"
+        for moved in (0.0, -0.0, -1.7, 2.5, 1e300):
+            y = list(x)
+            y[slot] = moved
+            assert repr(fg(y)) == repr((e, grad)), (slot, moved)
+            if kind.two_branch:
+                assert repr(fg(y, True)) == repr(fg(list(x), True))
