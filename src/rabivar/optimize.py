@@ -18,6 +18,17 @@ kind does not read, and :func:`bfgs`, a fixed three-slot kernel on Python
 float locals, never moves such a slot.  Identical inputs reproduce
 identical results bit for bit.
 
+Most starts of a stage end at the optimum its first start found, so a
+stage passes the optima its earlier starts found to each later run, and
+the run ends as a tie once an accepted iterate comes within TIE_RADIUS of
+one of them in max-norm over (beta1, beta2, xi) (the clustering idea of
+multistart global optimization, Rinnooy Kan & Timmer, Math. Programming
+39, 27 (1987)).  A tied run never wins the stage, and counts as neither
+stopped nor capped.  A run's endpoint becomes a known optimum only if the
+run stopped with gradient max-norm below GRAD_TOL**2: a stopped point in a
+flat valley, or at the edge of a rejected band, may lie within the radius
+of a lower optimum that a later start would reach.
+
 Every result holds its trial state as a packet list
 (:class:`rabivar.variational.PacketParams`): one packet, c = (1,) and
 a = (beta,), for CS1/CSS1; two packets for CS2/CSS2, with a = (beta1,
@@ -70,6 +81,8 @@ from .variational import AnsatzKind, PacketParams, asymptotic_params, objective
 
 GRAD_TOL = 1e-5
 MAX_ITER = 500  # iterations of one bfgs run
+TIE_RADIUS = 1e-3  # max-norm distance at which a run ties with a known optimum
+_KNOWN_GRAD = GRAD_TOL**2  # gradient max-norm below which a stopped run's endpoint is a known optimum
 STRUCT_RTOL = 1e-4
 _EPS = 2.0**-52
 
@@ -89,7 +102,7 @@ class OptResult:
     nfev: int = 0  # objective evaluations over the stages this call ran
 
 
-def bfgs(fg, x0):
+def bfgs(fg, x0, known=()):
     """Local minimum from x0 by BFGS with Armijo backtracking, in the three variables (beta1, beta2, xi).
 
     fg(x) returns (f, gradient) at a list x of three entries; f = inf
@@ -108,10 +121,16 @@ def bfgs(fg, x0):
     exact zeros to every sum: the iterates in the other slots are the same
     bit for bit as the textbook update on those variables alone.
 
-    Returns (x, f, gradient, nfev, stopped), at the best point found:
-    stopped is False when MAX_ITER iterations pass without stopping.  A
-    rejected x0 returns at once with f = inf.  Raises ValueError unless x0
-    has three entries.
+    known holds optima found before, each three entries.  The run ends as
+    a tie once an accepted iterate lies within TIE_RADIUS of one of them in
+    max-norm; x0 itself is not tested.  With no known optima the run is the
+    plain BFGS above.
+
+    Returns (x, f, gradient, nfev, end), at the best point found: end is
+    "stopped", "capped" when MAX_ITER iterations pass without stopping, or
+    "tied" at the iterate that tied.  A rejected x0 returns at once,
+    "stopped", with f = inf.  Raises ValueError unless x0 has three
+    entries.
     """
     if len(x0) != 3:
         raise ValueError(f"bfgs takes 3 variables, got {len(x0)}")
@@ -161,6 +180,9 @@ def bfgs(fg, x0):
         y0, y1, y2 = gn0 - g0, gn1 - g1, gn2 - g2
         gain, f, g = f - fn, fn, gn
         x0, x1, x2, g0, g1, g2 = xn0, xn1, xn2, gn0, gn1, gn2
+        for k0, k1, k2 in known:
+            if abs(x0 - k0) <= TIE_RADIUS and abs(x1 - k1) <= TIE_RADIUS and abs(x2 - k2) <= TIE_RADIUS:
+                return [x0, x1, x2], f, g, nfev, "tied"
         if gain <= noise and max(abs(g0), abs(g1), abs(g2)) >= 0.5 * gmax:
             break
         sy = 0.0 + s0 * y0 + s1 * y1 + s2 * y2
@@ -191,8 +213,8 @@ def bfgs(fg, x0):
             h21 = h21 + cs2 * s1 - q12
             h22 = h22 + cs2 * s2 - (hy2 * s2 + s2 * hy2) / sy
     else:
-        return [x0, x1, x2], f, g, nfev, False
-    return [x0, x1, x2], f, g, nfev, True
+        return [x0, x1, x2], f, g, nfev, "capped"
+    return [x0, x1, x2], f, g, nfev, "stopped"
 
 
 def _seed_values(params: ModelParams):
@@ -268,13 +290,27 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", st
         return OptResult(kind, parity, f, packed, count[0], grad_norm, converged, reduced, count[1])
 
     def minimize(stage, starts):
-        """Lowest BFGS run of the stage kind's objective over the starts: (x, f, grad_norm, stopped)."""
+        """Lowest BFGS run of the stage kind's objective over the starts: (x, f, grad_norm, stopped).
+
+        Each run is handed the known optima of the runs before it; a tied
+        run is left out, and stopped is True when any run stopped.
+        """
         fg = objective(params, stage, parity)
-        runs = [bfgs(fg, start) for start in starts]
-        count[0] += len(runs)
-        count[1] += sum(run[3] for run in runs)
-        x, f, g, _, _ = min(runs, key=lambda run: run[1])  # the first of equal minima
-        return tuple(x), f, max(map(abs, g)) if math.isfinite(f) else math.inf, any(run[4] for run in runs)
+        known, best, stopped = [], None, False
+        for start in starts:
+            x, f, g, nfev, end = bfgs(fg, start, known)
+            count[1] += nfev
+            if end == "tied":
+                continue
+            grad_norm = max(map(abs, g)) if math.isfinite(f) else math.inf
+            if end == "stopped":
+                stopped = True
+                if grad_norm < _KNOWN_GRAD:
+                    known.append(x)
+            if best is None or f < best[1]:  # the first of equal minima
+                best = tuple(x), f, grad_norm
+        count[0] += len(starts)
+        return (*best, stopped)
 
     def solved(stage):
         """The stage's (x, f, grad_norm, stopped), read from stages or minimized from its starts and stored."""

@@ -103,6 +103,8 @@ PROFILE_COLUMNS = ("x", "phi_plus", "phi_minus")
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most fields; a float subclass such as np.float64 takes the general path
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -156,8 +158,11 @@ def clear_derived(out_dir: str, patterns) -> None:
             os.remove(os.path.join(out_dir, name))
 
 
-def write_table(path: str, columns, rows) -> None:
-    write_whole(path, "\t".join(columns) + "\n" + "".join(_line(columns, row) for row in rows))
+def write_table(path: str, columns, rows, lines=None) -> None:
+    """Write the rows under a header of the columns; lines, if given, are the rows' lines as _line formats them."""
+    if lines is None:
+        lines = [_line(columns, row) for row in rows]
+    write_whole(path, "\t".join(columns) + "\n" + "".join(lines))
 
 
 def read_table(path: str):
@@ -366,24 +371,26 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     tasks = [(v, ms) for v, ms in missing if ms]
     combined = os.path.join(out_dir, "combined.tsv")
     clear_derived(out_dir, DERIVED_FILES)
-    write_table(combined, columns, reused)
+    kept = [(row, _line(columns, row)) for row in reused]  # each row with its line, formatted once
+    write_table(combined, columns, reused, [line for _, line in kept])
     _write_meta(out_dir, command, config)
 
     with open(combined, "a") as fh:
 
         def keep(row):
-            fh.write(_line(columns, row))
+            line = _line(columns, row)
+            fh.write(line)
             fh.flush()
-            return row
+            return row, line
 
-        rows = reused + _mapped_rows(rows_at, tasks, keep)
+        kept += _mapped_rows(rows_at, tasks, keep)
 
-    rows.sort(key=lambda r: (METHODS.index(r["method"]), r[axis]))
+    kept.sort(key=lambda pair: (METHODS.index(pair[0]["method"]), pair[0][axis]))
     for method in cfg.methods:
-        write_table(
-            os.path.join(out_dir, f"{method}.tsv"), columns, [r for r in rows if r["method"] == method]
-        )
-    write_table(combined, columns, rows)
+        mine = [pair for pair in kept if pair[0]["method"] == method]
+        write_table(os.path.join(out_dir, f"{method}.tsv"), columns, [r for r, _ in mine], [line for _, line in mine])
+    rows = [row for row, _ in kept]
+    write_table(combined, columns, rows, [line for _, line in kept])
     _write_meta(out_dir, command, config, summary(rows) if summary else None)
     _emit_plot(out_dir, command, panels)
     return rows
@@ -576,18 +583,24 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
 
 
 def _interp_crossings(ratios, values) -> list:
-    """Every sign change over the grid, each linearly interpolated.
+    """Every sign change over the grid.
 
-    Every value carries an exact sign (a closed-form or certified
-    splitting); an exact zero has none and is skipped.  Signs are compared
-    directly, since the product of two tiny splittings can underflow.
+    Every nonzero value carries an exact sign (a closed-form or certified
+    splitting).  Signs are compared directly, since the product of two tiny
+    splittings can underflow.  Between neighboring values of opposite sign
+    the crossing is linearly interpolated.  An exact zero between values of
+    opposite sign is the crossing itself, at the zero's grid value (the
+    middle one of a run of zeros, the lower of the two middle ones for an
+    even run).  A zero between values of the same sign, or with no signed
+    value on one side, is no crossing.
     """
-    resolved = [(r, v) for r, v in zip(ratios, values) if v != 0.0]
-    return [
-        r1 + (r2 - r1) * (-v1) / (v2 - v1)
-        for (r1, v1), (r2, v2) in zip(resolved, resolved[1:])
-        if (v1 < 0.0) != (v2 < 0.0)
-    ]
+    signed = [i for i, v in enumerate(values) if v != 0.0]
+    crossings = []
+    for i, j in zip(signed, signed[1:]):
+        (r1, v1), (r2, v2) = (ratios[i], values[i]), (ratios[j], values[j])
+        if (v1 < 0.0) != (v2 < 0.0):
+            crossings.append(r1 + (r2 - r1) * (-v1) / (v2 - v1) if j == i + 1 else ratios[(i + j) // 2])
+    return crossings
 
 
 def _parity_disagreements(rows, grid) -> list:

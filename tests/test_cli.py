@@ -970,6 +970,16 @@ def test_parity_disagreements_need_a_sign_on_both_rows():
     assert scan._parity_disagreements(ed + ed, grid) == []
 
 
+def test_zero_splitting_between_opposite_signs_is_the_crossing():
+    # The two-packet splitting at g = g_c1 may come out exactly 0.0.
+    assert scan._interp_crossings([0.95, 1.0, 1.05], [-6.58e-5, 0.0, 4.0e-6]) == [1.0]
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+    assert scan._interp_crossings(grid, [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 2.0]) == [0.3]  # the middle zero of a run
+    assert scan._interp_crossings(grid, [-1.0, 0.0, 0.0, 1.0, 0.0, -0.0, -1.0]) == [0.2, 0.5]  # even runs: the lower
+    assert scan._interp_crossings(grid[:3], [0.0, -1.0, 0.0]) == []  # a zero at an end has no other side
+    assert scan._interp_crossings(grid[:2], [-1.0, 3.0]) == [pytest.approx(0.125)]
+
+
 def test_levels_unresolved_splitting_leaves_fields_empty(tmp_path, monkeypatch):
     monkeypatch.setattr(
         scan, "sector_splitting", lambda params, n_tr: SectorSplitting(None, math.inf, 240, n_tr)
@@ -1111,13 +1121,13 @@ def test_wavefunction_css2_failure_profiles_best_so_far(tmp_path, monkeypatch):
 
 
 def test_wavefunction_lists_gradient_unconverged_coupling(tmp_path, monkeypatch):
-    # At delta 8 the CSS2 optimum's gradient is ~1e-11 at lambda 1.1 and
-    # below 1e-15 at 1.2: with the tolerance between the two, only the solve
-    # at 1.1 stops unconverged.
+    # At delta 8 the CSS2 optimum's gradient is ~1.7e-9 at lambda 1.4 and
+    # ~1e-15 at 1.5: with the tolerance between the two, only the solve at
+    # 1.4 stops unconverged.
     monkeypatch.setattr(optimize, "GRAD_TOL", 1e-12)
-    cfg = WavefunctionConfig(delta=8.0, lambdas=(1.1, 1.2), x_min=-8.0, x_max=8.0, x_step=0.05, source="CSS2")
+    cfg = WavefunctionConfig(delta=8.0, lambdas=(1.4, 1.5), x_min=-8.0, x_max=8.0, x_step=0.05, source="CSS2")
     summary = run_wavefunction(cfg, str(tmp_path))
-    assert json.loads((tmp_path / "meta.json").read_text())["unconverged_lambdas"] == [1.1]
+    assert json.loads((tmp_path / "meta.json").read_text())["unconverged_lambdas"] == [1.4]
     assert all(row["norm"] == pytest.approx(1.0, abs=1e-3) for row in summary)
 
 

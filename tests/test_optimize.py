@@ -23,8 +23,8 @@ def _rosenbrock(x):
 
 
 def test_quadratic_minimum():
-    x, f, grad, nfev, stopped = bfgs(lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0), 0.0, 0.0]), [0.0, 0.0, 0.0])
-    assert stopped
+    x, f, grad, nfev, end = bfgs(lambda x: ((x[0] - 2.0) ** 2, [2.0 * (x[0] - 2.0), 0.0, 0.0]), [0.0, 0.0, 0.0])
+    assert end == "stopped"
     assert abs(x[0] - 2.0) <= 1e-8
     assert f <= 1e-15
     assert abs(grad[0]) <= 1e-7
@@ -32,16 +32,16 @@ def test_quadratic_minimum():
 
 
 def test_rosenbrock_minimum():
-    x, f, grad, _, stopped = bfgs(_rosenbrock, [-1.0, 1.0, 1.0])  # the unread third slot stays at 1.0
-    assert stopped
+    x, f, grad, _, end = bfgs(_rosenbrock, [-1.0, 1.0, 1.0])  # the unread third slot stays at 1.0
+    assert end == "stopped"
     assert max(abs(v - 1.0) for v in x) <= 1e-6
     assert max(abs(v) for v in grad) <= 1e-5
 
 
 def test_iteration_cap_returns_best_unstopped(monkeypatch):
     monkeypatch.setattr(optimize, "MAX_ITER", 3)
-    x, f, grad, nfev, stopped = bfgs(_rosenbrock, [-1.5, 2.0, 0.0])
-    assert not stopped
+    x, f, grad, nfev, end = bfgs(_rosenbrock, [-1.5, 2.0, 0.0])
+    assert end == "capped"
     assert f < _rosenbrock([-1.5, 2.0, 0.0])[0]
     assert (f, grad) == _rosenbrock(x)
     assert nfev >= 4
@@ -53,7 +53,7 @@ def test_rejected_points_are_stepped_around():
 
     x, f, _, _, _ = bfgs(fg, [-30.0, 0.0, 0.0])
     assert abs(x[0] - 2.0) <= 1e-8
-    assert bfgs(fg, [4.0, 0.0, 0.0])[1::3] == (math.inf, True)  # a rejected start stops at once
+    assert bfgs(fg, [4.0, 0.0, 0.0])[1::3] == (math.inf, "stopped")  # a rejected start stops at once
 
 
 def test_end_to_end_squeezed_single_packet():
@@ -180,8 +180,8 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _reference_bfgs(fg, x0, max_iter=500):
-    """The textbook list-based BFGS that optimize.bfgs must reproduce bit for bit."""
+def _reference_bfgs(fg, x0, max_iter=500, known=()):
+    """The textbook list-based BFGS, with the tie rule, that optimize.bfgs must reproduce bit for bit."""
     x = [float(v) for v in x0]
     f, g = fg(x)
     nfev = 1
@@ -216,6 +216,8 @@ def _reference_bfgs(fg, x0, max_iter=500):
         s = [a - b for a, b in zip(xn, x)]
         y = [a - b for a, b in zip(gn, g)]
         gain, x, f, g = f - fn, xn, fn, gn
+        if any(max(abs(a - b) for a, b in zip(x, k)) <= optimize.TIE_RADIUS for k in known):
+            return x, f, g, nfev, "tied"
         if gain <= noise and max(map(abs, g)) >= 0.5 * gmax:
             break
         sy = _dot(s, y)
@@ -229,8 +231,8 @@ def _reference_bfgs(fg, x0, max_iter=500):
                 for si, hyi, row in zip(s, hy, h)
             ]
     else:
-        return x, f, g, nfev, False
-    return x, f, g, nfev, True
+        return x, f, g, nfev, "capped"
+    return x, f, g, nfev, "stopped"
 
 
 _MP = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
@@ -271,9 +273,82 @@ def test_kernel_matches_reference_bit_for_bit(monkeypatch, fg, x0, rejects, max_
     monkeypatch.setattr(optimize, "MAX_ITER", max_iter)
     got = bfgs(lambda x: seen.append(fg(x)[0]) or fg(x), x0)
     assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0 and round-trips every float
-    assert expected[-1] == (max_iter == 500)  # stopped, or cut at the cap
+    assert expected[-1] == ("stopped" if max_iter == 500 else "capped")
     if max_iter == 500:
         assert (math.inf in seen) == rejects
+
+
+@pytest.mark.parametrize("fg, x0, rejects", _KERNEL_CASES)
+def test_kernel_matches_reference_with_known_optima(fg, x0, rejects):
+    free = _reference_bfgs(fg, x0)
+    far = [v + 1.0 for v in free[0]]  # off the path: the run is the free one
+    assert repr(bfgs(fg, x0, [far])) == repr(_reference_bfgs(fg, x0, known=[far])) == repr(free)
+    # With its own endpoint known, the run ties at the first accepted iterate within reach of it.
+    known = [far, free[0]]
+    got = bfgs(fg, x0, known)
+    assert repr(got) == repr(_reference_bfgs(fg, x0, known=known))
+    assert got[-1] == "tied" and got[3] <= free[3]
+    assert max(abs(a - b) for a, b in zip(got[0], free[0])) <= optimize.TIE_RADIUS
+
+
+def test_start_near_known_optimum_ties_with_fewer_evaluations():
+    fg = objective(_MP, AnsatzKind.CSS2, "even")
+    optimum = bfgs(fg, [7.0, 5.0, 0.1])[0]
+    near = [optimum[0] + 0.3, optimum[1] - 0.2, optimum[2]]
+    free = bfgs(fg, near)
+    tied = bfgs(fg, near, [optimum])
+    assert free[-1] == "stopped" and tied[-1] == "tied"
+    assert tied[3] < free[3]
+
+
+def _stubbed_bfgs(monkeypatch, run):
+    """Replace bfgs in solve_ansatz by run(x0); return the known optima each call was handed."""
+    handed = []
+
+    def stub(fg, x0, known=()):
+        handed.append([list(k) for k in known])
+        return run(list(x0))
+
+    monkeypatch.setattr(optimize, "bfgs", stub)
+    return handed
+
+
+def test_tied_run_never_wins_even_when_lower(monkeypatch):
+    # Every start of the CS1 stage ends at the same point; the later two tie
+    # with f lower than the first's, as rounding could make it.
+    mp = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
+    calls = []
+
+    def run(x0):
+        calls.append(x0)
+        end = "stopped" if len(calls) == 1 else "tied"
+        return [1.0, 0.0, 0.0], 1.0 - 1e-9 * (len(calls) - 1), [0.0, 0.0, 0.0], 5, end
+
+    handed = _stubbed_bfgs(monkeypatch, run)
+    r = solve_ansatz(mp, AnsatzKind.CS1)
+    assert handed == [[], [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]]
+    assert r.energy == 1.0 and r.converged
+    assert (r.starts_tried, r.nfev) == (3, 15)  # tied runs count as starts and evaluations
+
+
+@pytest.mark.parametrize("end, grad, known", [
+    ("stopped", 0.5 * optimize.GRAD_TOL**2, True),
+    ("stopped", optimize.GRAD_TOL**2, False),
+    ("capped", 0.0, False),
+])
+def test_only_a_stopped_run_below_the_squared_tolerance_is_a_known_optimum(monkeypatch, end, grad, known):
+    mp = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
+    handed = _stubbed_bfgs(monkeypatch, lambda x0: (x0, 1.0, [grad, 0.0, 0.0], 1, end))
+    solve_ansatz(mp, AnsatzKind.CS1)
+    starts = optimize._single_starts(mp, False)
+    assert handed == ([[], [list(starts[0])], [list(starts[0]), list(starts[1])]] if known else [[], [], []])
+
+
+def test_tie_rule_work_count():
+    # A drift-free work count of one solve: without the tie rule this solve took 229 evaluations.
+    r = solve_ansatz(ModelParams.from_lambda(8.0, 1.1, 1.0, 1.0), AnsatzKind.CSS2)
+    assert (r.nfev, r.starts_tried) == (179, 8)
+    assert r.converged and not r.reduced
 
 
 @pytest.mark.parametrize("x0", [[], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
