@@ -53,8 +53,12 @@ reads it.
 
 The families nest, and a solve is built from stages, each the minimum of
 one kind's objective over its starts.  A single-packet stage starts from
-fixed seeds; a two-packet stage starts from the optimum of the
-single-packet stage of the same squeezing; the guard is the CS2 stage.  A
+two fixed seeds: the small-displacement seed, carrying the squeezing
+estimate when squeezed, and the unsqueezed mean-field seed.  Three more
+seeds once ran after these and never won a stage over a sweep of more
+than 600 point-parities, so they were retired (see _single_starts).  A
+two-packet stage starts from the optimum of the single-packet stage of
+the same squeezing; the guard is the CS2 stage.  A
 stage is the same problem in every solve that runs it, so solve_ansatz
 takes an optional dict of stages, keyed by (params, kind, parity), that
 it reads and fills: solves that share one (a scan point's rows, the
@@ -235,10 +239,16 @@ def _seed_values(params: ModelParams):
 
 
 def _single_starts(params: ModelParams, squeezed: bool):
-    """Seeded (beta1, beta2, xi) starts; one packet reads no beta2."""
+    """The two seeded (beta1, beta2, xi) starts of a single-packet stage; one packet reads no beta2.
+
+    The small-displacement seed, with the squeezing estimate when squeezed,
+    and the unsqueezed mean-field seed.  The seeds (0.5 beta_mf, 0) of CS1
+    and (beta_mf, xi_seed) and (beta_small, 0) of CSS1 ran after these and
+    never won a stage or were its only stopped run, over more than 600
+    point-parities (tools/seed_audit.py), so they are retired.
+    """
     bs, bm, xa = _seed_values(params)
-    seeds = [(bs, xa), (bm, 0.0), (bm, xa), (bs, 0.0)] if squeezed else [(bs, 0.0), (bm, 0.0), (0.5 * bm, 0.0)]
-    return [(beta, 0.0, xi) for beta, xi in seeds]
+    return [(bs, 0.0, xa if squeezed else 0.0), (bm, 0.0, 0.0)]
 
 
 def _two_starts(params: ModelParams, squeezed: bool, single_x):

@@ -20,7 +20,8 @@ The report lists one line per check with the largest deviation seen:
 Not checked here: objective's energies against the Fock oracle (the tests
 tie them to :func:`~rabivar.variational.energy`).  Random sets are drawn
 from a fixed seed and the gradient points are fixed, so repeated runs
-produce identical reports.
+produce identical reports.  Every deviation is folded through _worst,
+which reads a NaN as inf, so a NaN fails its check.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ def _squeezed_vacuum_reference(xi: float, n_tr: int) -> np.ndarray:
     return amps
 
 
+def _worst(*devs) -> float:
+    """The largest of the deviations, inf if any is NaN: max(0.0, nan) is 0.0, which would pass a check."""
+    return max(math.inf if math.isnan(d) else d for d in devs)
+
+
 def _rayleigh(h, psi):
     return float(psi @ h @ psi) / float(psi @ psi)
 
@@ -112,7 +118,7 @@ def oracle_checks(seed: int = DEFAULT_SEED):
         fk = displaced_squeezed_amplitudes(-b1, xi, tr)
         fkp_plus = displaced_squeezed_amplitudes(-b2, xi, tr)
         fkp_minus = displaced_squeezed_amplitudes(+b2, xi, tr)
-        dev_overlap = max(
+        dev_overlap = _worst(
             dev_overlap,
             abs(float(fk @ fkp_plus) - _pair_overlap(eta, b1 - b2)),
             abs(float(fk @ fkp_minus) - _pair_overlap(eta, b1 + b2)),
@@ -121,7 +127,7 @@ def oracle_checks(seed: int = DEFAULT_SEED):
     dev_sq = 0.0
     for xi in (0.05, 0.2, 0.35):
         v = displaced_squeezed_amplitudes(0.0, xi, tr)
-        dev_sq = max(dev_sq, float(np.max(np.abs(v - _squeezed_vacuum_reference(xi, tr.n_tr)))))
+        dev_sq = _worst(dev_sq, float(np.max(np.abs(v - _squeezed_vacuum_reference(xi, tr.n_tr)))))
 
     dev_ph_state = 0.0
     nvec = np.arange(dim, dtype=float)
@@ -129,7 +135,7 @@ def oracle_checks(seed: int = DEFAULT_SEED):
         beta = rng.uniform(-3.0, 3.0)
         xi = rng.uniform(0.0, 0.4)
         v = displaced_squeezed_amplitudes(-beta, xi, tr)
-        dev_ph_state = max(
+        dev_ph_state = _worst(
             dev_ph_state,
             abs(float(nvec @ v**2) - (math.sinh(2 * xi) ** 2 + beta**2)),
             abs(float(v @ v) - 1.0),
@@ -147,17 +153,17 @@ def oracle_checks(seed: int = DEFAULT_SEED):
         h = build_hamiltonian(mp, tr)
         a1 = PacketParams((1.0 / math.sqrt(2.0),), (rng.uniform(-2.0, 2.0),), rng.uniform(0.0, 0.3))
         psi1 = state_vectors(a1, tr)[0]
-        dev_e1 = max(dev_e1, abs(_rayleigh(h, psi1) - energy(mp, a1)))
-        dev_n1 = max(dev_n1, abs(_mean_photon_vec(psi1, dim) - mean_photon(a1)))
+        dev_e1 = _worst(dev_e1, abs(_rayleigh(h, psi1) - energy(mp, a1)))
+        dev_n1 = _worst(dev_n1, abs(_mean_photon_vec(psi1, dim) - mean_photon(a1)))
 
         c1 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         c2 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         beta1, beta2, xi = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.3)
         a2 = PacketParams((c1, c2), (beta1, -beta2), xi)
         psi_e, psi_o = state_vectors(a2, tr)
-        dev_e2_even = max(dev_e2_even, abs(_rayleigh(h, psi_e) - energy(mp, a2, "even")))
-        dev_e2_odd = max(dev_e2_odd, abs(_rayleigh(h, psi_o) - energy(mp, a2, "odd")))
-        dev_n2 = max(dev_n2, abs(_mean_photon_vec(psi_e, dim) - mean_photon(a2)))
+        dev_e2_even = _worst(dev_e2_even, abs(_rayleigh(h, psi_e) - energy(mp, a2, "even")))
+        dev_e2_odd = _worst(dev_e2_odd, abs(_rayleigh(h, psi_o) - energy(mp, a2, "odd")))
+        dev_n2 = _worst(dev_n2, abs(_mean_photon_vec(psi_e, dim) - mean_photon(a2)))
 
     return [
         CheckResult("overlap-vs-fock", dev_overlap, _ORACLE_TOL),
@@ -181,9 +187,9 @@ def structure_checks(seed: int = DEFAULT_SEED):
         h1 = build_hamiltonian(mp, tr, form="ladder")
         h2 = build_hamiltonian(mp, tr, form="quadrature")
         p = parity_diag(tr)
-        dev_form = max(dev_form, float(np.max(np.abs(h1 - h2))))
-        dev_sym = max(dev_sym, float(np.max(np.abs(h1 - h1.T))))
-        dev_parity = max(dev_parity, float(np.max(np.abs(h1 * p[None, :] - p[:, None] * h1))))
+        dev_form = _worst(dev_form, float(np.max(np.abs(h1 - h2))))
+        dev_sym = _worst(dev_sym, float(np.max(np.abs(h1 - h1.T))))
+        dev_parity = _worst(dev_parity, float(np.max(np.abs(h1 * p[None, :] - p[:, None] * h1))))
     return [
         CheckResult("hamiltonian-form-equivalence", dev_form, 1e-14),
         CheckResult("hamiltonian-symmetry", dev_sym, 0.0),
@@ -199,7 +205,7 @@ def _solved_gradient_norm(mp: ModelParams, result) -> float:
     """
     p = result.params
     kind = AnsatzKind.CSS1 if result.reduced else AnsatzKind.CSS2
-    return max(map(abs, objective(mp, kind, result.parity)([p.a[0], -p.a[1], p.xi])[1]))
+    return _worst(*map(abs, objective(mp, kind, result.parity)([p.a[0], -p.a[1], p.xi])[1]))
 
 
 def physics_checks():
@@ -227,8 +233,8 @@ def physics_checks():
         ed_even = solve_parity_sector(mp, tr, +1).energy
         results = {kind: solved(mp, kind) for kind in AnsatzKind}
         energies = {kind: r.energy for kind, r in results.items()}
-        dev_bound = max(dev_bound, *(ed_even - e for e in energies.values()))
-        dev_nest = max(
+        dev_bound = _worst(dev_bound, *(ed_even - e for e in energies.values()))
+        dev_nest = _worst(
             dev_nest,
             energies[AnsatzKind.CSS2] - energies[AnsatzKind.CSS1],
             energies[AnsatzKind.CSS1] - energies[AnsatzKind.CS1],
@@ -236,17 +242,17 @@ def physics_checks():
         )
         ed_odd = solve_parity_sector(mp, tr, -1).energy
         odd = solved(mp, AnsatzKind.CSS2, "odd")
-        dev_bound = max(dev_bound, ed_odd - odd.energy)
+        dev_bound = _worst(dev_bound, ed_odd - odd.energy)
         for result in (results[AnsatzKind.CSS2], odd):
-            dev_grad = max(dev_grad, _solved_gradient_norm(mp, result))
-    dev_bound = max(dev_bound, 0.0)
-    dev_nest = max(dev_nest, 0.0)
+            dev_grad = _worst(dev_grad, _solved_gradient_norm(mp, result))
+    dev_bound = _worst(dev_bound, 0.0)
+    dev_nest = _worst(dev_nest, 0.0)
 
     dev_stat = 0.0
     for lam in (0.2, 0.5, 0.9, 1.2):
         mp = ModelParams.from_lambda(100.0, lam, 1.0, 1.0)
         rx, rb = stationarity_residuals_iso(mp, solved(mp, AnsatzKind.CSS1).params)
-        dev_stat = max(dev_stat, abs(rx), abs(rb))
+        dev_stat = _worst(dev_stat, abs(rx), abs(rb))
 
     return [
         CheckResult("variational-lower-bound", dev_bound, 1e-6),
@@ -277,7 +283,7 @@ def objective_checks():
                         up[i] += h
                         down[i] -= h
                         fd = (fg(up)[0] - fg(down)[0]) / (2.0 * h)
-                        dev = max(dev, abs(grad[i] - fd) / max(1.0, abs(fd)))
+                        dev = _worst(dev, abs(grad[i] - fd) / max(1.0, abs(fd)))
     return [CheckResult("objective-gradient", dev, 1e-6)]
 
 

@@ -1320,6 +1320,41 @@ def test_verify_flags_corrupted_antisymmetric_sign(monkeypatch, packets):
     assert by_name["overlap-vs-fock"].passed
 
 
+@pytest.mark.parametrize("name, check", [
+    ("energy", "energy-single-packet-vs-fock"),
+    ("mean_photon", "photon-single-packet-vs-fock"),
+])
+def test_verify_fails_a_nan_closed_form(monkeypatch, name, check):
+    # max(0.0, nan) is 0.0: a deviation folded with max alone would pass a NaN.
+    original = getattr(verify, name)
+
+    def nan_for_one_packet(*args):
+        packets = next(a for a in args if isinstance(a, PacketParams))
+        return math.nan if len(packets.a) == 1 else original(*args)
+
+    monkeypatch.setattr(verify, name, nan_for_one_packet)
+    monkeypatch.setattr(verify, "ORACLE_SETS", 6)
+    failed = {r.name: r.max_dev for r in oracle_checks() if not r.passed}
+    assert failed == {check: math.inf}
+
+
+def test_verify_fails_a_nan_objective_gradient(monkeypatch):
+    bind = verify.objective
+
+    def nan_beta2_slot(params, kind, parity="even"):
+        fg = bind(params, kind, parity)
+
+        def patched(x):
+            f, g = fg(x)
+            return f, [g[0], math.nan, g[2]]
+
+        return patched
+
+    monkeypatch.setattr(verify, "objective", nan_beta2_slot)
+    failed = {r.name: r.max_dev for r in verify.physics_checks() + verify.objective_checks() if not r.passed}
+    assert failed == {"stationarity-two-packet": math.inf, "objective-gradient": math.inf}
+
+
 def test_verify_report_deterministic():
     from rabivar.verify import format_report
 
@@ -1342,8 +1377,8 @@ def test_verify_report_independent_of_blas_threads():
 
 def test_physics_checks_run_each_stage_once(monkeypatch):
     # Every solve reads and fills one stages dict, so the starts tried over
-    # all solves are the starts of the distinct stages: 3 for CS1, 4 for
-    # every other kind.
+    # all solves are the starts of the distinct stages: 2 for CS1 and CSS1,
+    # 4 for CS2 and CSS2.
     calls = []
     solve = verify.solve_ansatz
 
@@ -1356,7 +1391,7 @@ def test_physics_checks_run_each_stage_once(monkeypatch):
     assert all(r.passed for r in verify.physics_checks())
     stages = calls[0][0]
     assert all(shared is stages for shared, _ in calls)
-    assert sum(starts for _, starts in calls) == sum(3 if kind == AnsatzKind.CS1 else 4 for _, kind, _ in stages)
+    assert sum(starts for _, starts in calls) == sum(4 if kind.two_branch else 2 for _, kind, _ in stages)
     n = len(verify.PHYSICS_POINTS)
     assert len(calls) == 5 * n + 4
     assert len([key for key in stages if key[2] == "even"]) == 4 * n + 3  # plus CSS1 at three stationarity points

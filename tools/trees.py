@@ -1,0 +1,160 @@
+"""Write rabivar's reference output trees, or compare two sets of them.
+
+    python tools/trees.py OUT              # write every tree under OUT/<name>
+    python tools/trees.py --compare A B    # compare two sets, file by file
+
+The trees are the four commands of the README's CLI block, read from
+README.md as ``test_readme_cli_block_parses`` reads them (``verify`` gains
+``--out``); ``wavefunction --source CSS2`` on the README couplings; the
+delta 10, tau 1.5 scan of the four trial states; and the odd delta 8,
+tau 0.5 scan of CS2 and CSS2.  Each command runs as ``python -m rabivar``
+on the package of this checkout, one after another, with its ``--out``
+set to ``OUT/<name>``.
+
+``--compare`` prints one line per file of either set: ``identical``, or
+``only in A``/``only in B``, or for a table the number of changed rows,
+the largest relative difference |a - b| / max(|a|, |b|) of each numeric
+column that changed (inf where a value appears or disappears), and each
+row whose ``converged`` or ``reduced`` flag changed; for a JSON file the
+top-level keys that differ; for any other file ``differs``.  It exits 0
+only when every file is identical.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shlex
+import subprocess
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+FLAGS = ("converged", "reduced")
+
+
+def readme_commands():
+    """The argv of each rabivar command line of the README's CLI block, continuations joined."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["rabivar"]]
+
+
+def trees():
+    """(name, rabivar argv without --out) of every reference tree."""
+    named = []
+    for argv in readme_commands():
+        if "--out" in argv:
+            i = argv.index("--out")
+            argv = argv[:i] + argv[i + 2:]
+        named.append((argv[0], argv))
+    wavefunction = dict(named)["wavefunction"]
+    i = wavefunction.index("--source")
+    named.append(("wavefunction-css2", wavefunction[:i + 1] + ["CSS2"] + wavefunction[i + 2:]))
+    grid = ["--lambda-min", "0", "--lambda-max", "2", "--lambda-step", "0.01"]
+    named += [
+        ("scan-delta10-tau1.5", ["scan", "--delta", "10", "--tau", "1.5", *grid, "--methods", "CS1,CSS1,CS2,CSS2"]),
+        ("scan-odd-delta8", ["scan", "--delta", "8", "--tau", "0.5", *grid, "--methods", "CS2,CSS2", "--parity=odd"]),
+    ]
+    return named
+
+
+def write(out: str) -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    for name, argv in trees():
+        print(f"{name}: rabivar {shlex.join(argv)}", flush=True)
+        subprocess.run([sys.executable, "-m", "rabivar", *argv, "--out", os.path.join(out, name)], env=env, check=True)
+    return 0
+
+
+def _files(top: str) -> set:
+    return {os.path.relpath(os.path.join(d, f), top) for d, _, names in os.walk(top) for f in names}
+
+
+def _relative(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two fields, 0.0 when they read the same and inf when one is empty."""
+    if a == b:
+        return 0.0
+    if not a or not b:
+        return float("inf")
+    x, y = float(a), float(b)
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def compare_table(a: str, b: str) -> str:
+    rows_a, rows_b = ([line.split("\t") for line in text.splitlines()] for text in (a, b))
+    columns = rows_a[0]
+    if rows_b[0] != columns:
+        return "columns differ"
+    rows_a, rows_b = rows_a[1:], rows_b[1:]
+    changed = sum(ra != rb for ra, rb in zip(rows_a, rows_b)) + abs(len(rows_a) - len(rows_b))
+    parts = [f"{changed} rows changed" + (f" ({len(rows_a)} -> {len(rows_b)})" if len(rows_a) != len(rows_b) else "")]
+    pairs = list(zip(rows_a, rows_b))
+    for j, column in enumerate(columns):
+        fields = [(ra[j], rb[j]) for ra, rb in pairs if ra[j] != rb[j]]
+        if not fields:
+            continue
+        if column in FLAGS:
+            where = [
+                f"{columns[0]}={ra[0]}" + (f" {ra[columns.index('method')]}" if "method" in columns else "")
+                for ra, rb in pairs
+                if ra[j] != rb[j]
+            ]
+            parts.append(f"{column} changed at {', '.join(where)}")
+        elif all(_is_number(x) or not x for pair in fields for x in pair):
+            parts.append(f"{column} {max(_relative(x, y) for x, y in fields):.2g}")
+    return "; ".join(parts)
+
+
+def compare_file(path_a: str, path_b: str) -> str:
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = fa.read(), fb.read()
+    if a == b:
+        return "identical"
+    if path_a.endswith(".tsv"):
+        return compare_table(a, b)
+    if path_a.endswith(".json"):
+        doc_a, doc_b = json.loads(a), json.loads(b)
+        keys = sorted(k for k in doc_a.keys() | doc_b.keys() if doc_a.get(k) != doc_b.get(k))
+        return f"differs in {', '.join(keys)}" if keys else "differs in formatting"
+    return "differs"
+
+
+def compare(top_a: str, top_b: str) -> int:
+    files_a, files_b = _files(top_a), _files(top_b)
+    identical = True
+    for rel in sorted(files_a | files_b):
+        if rel not in files_b:
+            report = "only in A"
+        elif rel not in files_a:
+            report = "only in B"
+        else:
+            report = compare_file(os.path.join(top_a, rel), os.path.join(top_b, rel))
+        identical = identical and report == "identical"
+        print(f"{rel}: {report}")
+    return 0 if identical else 1
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(args[1], args[2])
+    if len(args) == 1 and not args[0].startswith("-"):
+        return write(args[0])
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
