@@ -195,8 +195,7 @@ def _exact_chain(params: ModelParams, n_tr: int, parity: int):
     g2 = Decimal(float(params.g)) ** 2
     g2_tau2 = g2 * Decimal(float(params.tau)) ** 2
     diag, link2 = [], []
-    for m in range(n_tr + 1):
-        down = (m % 2 == 0) == (parity == +1)
+    for m, down in enumerate(_down_sites(n_tr, parity)):
         diag.append(omega * m - half if down else omega * m + half)
         link2.append((g2 if down else g2_tau2) * m)
     return diag, link2[1:]

@@ -55,8 +55,8 @@ The families nest, and a solve is built from stages, each the minimum of
 one kind's objective over its starts.  A single-packet stage starts from
 two fixed seeds: the small-displacement seed, carrying the squeezing
 estimate when squeezed, and the unsqueezed mean-field seed.  Three more
-seeds once ran after these and never won a stage over a sweep of more
-than 600 point-parities, so they were retired (see _single_starts).  A
+seeds once ran after these and never won a stage over a sweep of 880
+point-parities, so they were retired (see _single_starts).  A
 two-packet stage starts from the optimum of the single-packet stage of
 the same squeezing; the guard is the CS2 stage.  A
 stage is the same problem in every solve that runs it, so solve_ansatz
@@ -244,7 +244,7 @@ def _single_starts(params: ModelParams, squeezed: bool):
     The small-displacement seed, with the squeezing estimate when squeezed,
     and the unsqueezed mean-field seed.  The seeds (0.5 beta_mf, 0) of CS1
     and (beta_mf, xi_seed) and (beta_small, 0) of CSS1 ran after these and
-    never won a stage or were its only stopped run, over more than 600
+    never won a stage or were its only stopped run, over 880
     point-parities (tools/seed_audit.py), so they are retired.
     """
     bs, bm, xa = _seed_values(params)

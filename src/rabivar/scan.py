@@ -231,17 +231,23 @@ def _grid(lo: float, hi: float, step: float) -> list:
 
 
 @dataclass
-class ScanConfig:
+class _ModelConfig:
+    """The model and truncation fields every data command reads."""
+
     delta: float = 100.0
     omega: float = 1.0
     tau: float = 1.0
+    n_tr: int = 256
+    tail_tol: float = 1e-12
+
+
+@dataclass
+class ScanConfig(_ModelConfig):
     lambda_min: float = 0.0
     lambda_max: float = 1.5
     lambda_step: float = 0.01
     methods: tuple = METHODS
     parity: str = "even"
-    n_tr: int = 256
-    tail_tol: float = 1e-12
 
     grid_fields = ("lambda_min", "lambda_max", "lambda_step")
 
@@ -250,16 +256,12 @@ class ScanConfig:
 
 
 @dataclass
-class LevelsConfig:
-    delta: float = 100.0
-    omega: float = 1.0
+class LevelsConfig(_ModelConfig):
     tau: float = 0.5
     g_min: float = 0.9  # in units of the crossing coupling
     g_max: float = 1.1
     g_step: float = 0.005
     methods: tuple = ("ED", "CSS2")
-    n_tr: int = 256
-    tail_tol: float = 1e-12
 
     grid_fields = ("g_min", "g_max", "g_step")
 
@@ -268,17 +270,12 @@ class LevelsConfig:
 
 
 @dataclass
-class WavefunctionConfig:
-    delta: float = 100.0
-    omega: float = 1.0
-    tau: float = 1.0
+class WavefunctionConfig(_ModelConfig):
     lambdas: tuple = (0.9, 1.1, 1.5)
     x_min: float = -25.0
     x_max: float = 25.0
     x_step: float = 0.01
     source: str = "ED"
-    n_tr: int = 256
-    tail_tol: float = 1e-12
 
     grid_fields = ("x_min", "x_max", "x_step")
 
@@ -343,6 +340,14 @@ def _check_list(name: str, values) -> None:
         raise InvalidConfig(f"{name} must not repeat a value, got {repeated[0]!r} twice")
 
 
+def _check_methods(command: str, methods, allowed) -> None:
+    """Reject a method not in allowed, and an empty or repeated method list."""
+    unknown = [m for m in methods if m not in allowed]
+    if unknown:
+        raise InvalidConfig(f"{command} methods must come from {', '.join(allowed)}, got {unknown}")
+    _check_list("methods", methods)
+
+
 def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=None) -> list:
     """Rows over cfg.methods x grid, computed point by point and written out.
 
@@ -362,7 +367,7 @@ def _run_grid(command, cfg, out_dir, axis, columns, rows_at, panels, summary=Non
     summary(rows) added) and plot.gp.
     """
     os.makedirs(out_dir, exist_ok=True)
-    config = asdict(cfg) | {"methods": list(cfg.methods)}
+    config = asdict(cfg)
     stored = _stored_rows(out_dir, command, config, axis, cfg.grid_fields, columns)
     methods = [m for m in METHODS if m in cfg.methods]
     grid = cfg.grid()
@@ -557,10 +562,7 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     _check_model(cfg)
     if cfg.parity not in ("even", "odd"):
         raise InvalidConfig(f"parity must be even or odd, got {cfg.parity!r}")
-    unknown = [m for m in cfg.methods if m not in METHODS]
-    if unknown:
-        raise InvalidConfig(f"scan methods must come from {', '.join(METHODS)}, got {unknown}")
-    _check_list("methods", cfg.methods)
+    _check_methods("scan", cfg.methods, METHODS)
     single = [m for m in cfg.methods if m != "ED" and not AnsatzKind(m).two_branch]
     if cfg.parity == "odd" and single:
         raise InvalidConfig(f"odd parity needs two-packet methods or ED, got {single}")
@@ -625,9 +627,16 @@ def _parity_disagreements(rows, grid) -> list:
     return runs
 
 
-def _ground_photon(split, n_even, n_odd):
-    """The photon number of the parity the splitting puts lowest; None for no splitting or an exact 0."""
-    return None if not split else (n_even if split < 0.0 else n_odd)
+def _level_fields(e_even, e_odd, split, n_even, n_odd) -> dict:
+    """The energy, splitting and photon fields of a levels row.
+
+    mean_photon_ground is the photon number of the parity the splitting
+    puts lowest; None for no splitting or an exact 0.
+    """
+    return dict(
+        e_even=e_even, e_odd=e_odd, splitting=split, mean_photon_even=n_even, mean_photon_odd=n_odd,
+        mean_photon_ground=None if not split else (n_even if split < 0.0 else n_odd),
+    )
 
 
 def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
@@ -648,43 +657,42 @@ def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     # solve's error bound, digits and cutoff, resolved or not.
     n_tr = max(even.n_tr_used, odd.n_tr_used)
     certified = sector_splitting(mp, n_tr)
-    split = certified.splitting
-    n_even, n_odd = mean_photon_ed(even.vector), mean_photon_ed(odd.vector)
     row.update(
-        e_even=even.energy, e_odd=odd.energy, splitting=split,
-        mean_photon_even=n_even, mean_photon_odd=n_odd,
-        mean_photon_ground=_ground_photon(split, n_even, n_odd),
+        _level_fields(even.energy, odd.energy, certified.splitting, mean_photon_ed(even.vector),
+                      mean_photon_ed(odd.vector)),
         converged=True, n_tr_used=n_tr, split_error=certified.error,
         split_digits=certified.digits, split_n_tr=certified.n_tr,
     )
     return row
 
 
+def _css2_pair(mp: ModelParams):
+    """The even and odd CSS2 optima and the splitting E_even - E_odd, None unless both converged.
+
+    The two parity optima coincide up to overlap-suppressed terms, so the
+    splitting is evaluated in closed form at the even optimum instead of
+    subtracting two nearly equal minima.  A reduced even optimum is one
+    packet, whose mirror is not the odd optimum: there, below the
+    delocalization threshold, the minima lie apart (by omega at g = 0)
+    and their difference is the splitting.
+    """
+    even, odd = (solve_ansatz(mp, AnsatzKind.CSS2, parity) for parity in ("even", "odd"))
+    if not (even.converged and odd.converged):
+        return even, odd, None
+    return even, odd, even.energy - odd.energy if even.reduced else parity_splitting_2css(mp, even.params)
+
+
 def _levels_row_css2(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
     g = ratio * gc1
     mp = ModelParams(delta=cfg.delta, omega=cfg.omega, g=g, tau=cfg.tau)
-    even, odd = (solve_ansatz(mp, AnsatzKind.CSS2, parity) for parity in ("even", "odd"))
-    row = {"g_ratio": ratio, "g": g, "lambda": mp.lam, "method": "CSS2"}
-    row["converged"] = even.converged and odd.converged
-    if not row["converged"]:
+    even, odd, split = _css2_pair(mp)
+    row = {"g_ratio": ratio, "g": g, "lambda": mp.lam, "method": "CSS2", "converged": split is not None}
+    if split is None:
         # Each parity's best-so-far energy, but no splitting or photon
         # numbers: an unconverged row never enters the crossing.
         row.update({f"e_{fit.parity}": fit.energy for fit in (even, odd) if fit.params is not None})
-        return row
-    # The two parity optima coincide up to overlap-suppressed terms, so the
-    # splitting is evaluated in closed form at the even optimum instead of
-    # subtracting two nearly equal minima.  A reduced even optimum is one
-    # packet, whose mirror is not the odd optimum: there, below the
-    # delocalization threshold, the minima lie apart (by omega at g = 0)
-    # and their difference is the splitting.
-    split = even.energy - odd.energy if even.reduced else parity_splitting_2css(mp, even.params)
-    n_even = mean_photon(even.params)
-    n_odd = mean_photon(odd.params)
-    row.update(
-        e_even=even.energy, e_odd=odd.energy, splitting=split,
-        mean_photon_even=n_even, mean_photon_odd=n_odd,
-        mean_photon_ground=_ground_photon(split, n_even, n_odd),
-    )
+    else:
+        row.update(_level_fields(even.energy, odd.energy, split, mean_photon(even.params), mean_photon(odd.params)))
     return row
 
 
@@ -701,10 +709,7 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
     _check_model(cfg)
     if cfg.tau >= 1.0:
         raise InvalidTau(f"levels requires tau < 1, got {cfg.tau}")
-    unknown = [m for m in cfg.methods if m not in ("ED", "CSS2")]
-    if unknown:
-        raise InvalidConfig(f"levels methods must come from ED, CSS2, got {unknown}")
-    _check_list("methods", cfg.methods)
+    _check_methods("levels", cfg.methods, ("ED", "CSS2"))
     gc1 = ModelParams(delta=cfg.delta, omega=cfg.omega, g=1.0, tau=cfg.tau).g_c1
 
     def rows_at(ratio, methods):
@@ -737,10 +742,14 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
 def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     """Position-space spin-projected profiles per coupling; returns summary rows.
 
-    Each coupling is solved on its own, as a scan row is.  A CSS2 solve
-    that does not converge is profiled at its best-so-far state, and
-    meta.json lists such couplings under unconverged_lambdas; one that
-    reaches no finite energy raises RuntimeError naming its coupling.
+    Each coupling is solved on its own, as a scan row is.  CSS2 profiles
+    the optimum of the parity levels puts lowest (see _css2_pair): the odd
+    one when the splitting is positive, the even one otherwise, also when
+    the splitting is 0 or None; the -x component takes the factor +1 for
+    odd and -1 for even.  A profiled solve that does not converge is
+    profiled at its best-so-far state, and meta.json lists such couplings
+    under unconverged_lambdas; one that reaches no finite energy raises
+    RuntimeError naming its coupling.
     Before the first profile is written, the derived files of an earlier
     run of any data command in out_dir (DERIVED_FILES and combined.tsv, see
     clear_derived) are deleted and meta.json records the new config, so no
@@ -753,7 +762,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     _check_list("lambdas", cfg.lambdas)
     clear_derived(out_dir, DERIVED_FILES + ("combined.tsv",))
     os.makedirs(out_dir, exist_ok=True)
-    config = asdict(cfg) | {"lambdas": list(cfg.lambdas)}
+    config = asdict(cfg)
     _write_meta(out_dir, "wavefunction", config)
     xs = cfg.xs()
     summary = []
@@ -764,7 +773,8 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
             res = solve_lowest(mp, Truncation(cfg.n_tr, cfg.tail_tol))
             phi_p, phi_m = position_profile(*spin_x_projection(res.vector), xs, cfg.omega)
         else:
-            res = solve_ansatz(mp, AnsatzKind.CSS2, "even")
+            even, odd, split = _css2_pair(mp)
+            res, sign = (odd, 1.0) if (split or 0.0) > 0.0 else (even, -1.0)
             p = res.params
             if p is None:
                 raise RuntimeError(f"the CSS2 solve at lambda {lam} reached no finite energy")
@@ -775,7 +785,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
             def profile(b):
                 return gaussian_packet_profile(xs, b, p.xi, cfg.omega)
 
-            phi_p, phi_m = scale * superpose(p, -1.0, profile), -scale * superpose(p, 1.0, profile)
+            phi_p, phi_m = scale * superpose(p, -1.0, profile), sign * scale * superpose(p, 1.0, profile)
         fname = f"wf_{cfg.source}_lam{_fmt(lam)}.tsv"
         write_table(
             os.path.join(out_dir, fname),

@@ -9,7 +9,7 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -1192,6 +1192,35 @@ def test_wavefunction_profiles(tmp_path):
     summary2 = run_wavefunction(cfg2, str(tmp_path / "wf2"))
     assert summary2[0]["peaks_plus"] == 2
     assert summary2[0]["norm"] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_wavefunction_css2_profiles_the_parity_levels_puts_lowest(tmp_path):
+    # At delta 8, tau 0.5 the ground state is odd past g_c1: at lambda 1.9
+    # and 2.2 the CSS2 splittings are +1.95e-6 and +2.3e-8, and the ED
+    # profile has phi_-(x) = +phi_+(-x).  The CSS2 profile used to be the
+    # even optimum's, with phi_-(x) = -phi_+(-x).
+    for source in ("ED", "CSS2"):
+        cfg = WavefunctionConfig(delta=8.0, tau=0.5, lambdas=(1.9, 2.2), x_min=-10.0, x_max=10.0, x_step=0.25,
+                                 source=source)
+        for row in run_wavefunction(cfg, str(tmp_path / source)):
+            _, rows = read_table(str(tmp_path / source / row["file"]))
+            plus, minus = (np.array([r[c] for r in rows]) for c in ("phi_plus", "phi_minus"))
+            assert np.max(np.abs(plus)) > 0.1
+            assert np.max(np.abs(minus - plus[::-1])) <= 1e-12, (source, row["lambda"])
+
+
+def test_config_defaults():
+    model = dict(delta=100.0, omega=1.0, n_tr=256, tail_tol=1e-12)
+    assert asdict(ScanConfig()) == model | dict(
+        tau=1.0, lambda_min=0.0, lambda_max=1.5, lambda_step=0.01,
+        methods=("ED", "CS1", "CSS1", "CS2", "CSS2"), parity="even",
+    )
+    assert asdict(LevelsConfig()) == model | dict(
+        tau=0.5, g_min=0.9, g_max=1.1, g_step=0.005, methods=("ED", "CSS2"),
+    )
+    assert asdict(WavefunctionConfig()) == model | dict(
+        tau=1.0, lambdas=(0.9, 1.1, 1.5), x_min=-25.0, x_max=25.0, x_step=0.01, source="ED",
+    )
 
 
 def test_wavefunction_source_validated(tmp_path):

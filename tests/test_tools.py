@@ -83,3 +83,60 @@ def test_trees_compare_reports_each_file(tmp_path):
         "verify.txt: differs",
     ])
     assert _compare(b, a)[1][0] == "extra.tsv: only in A"
+
+
+def test_trees_compare_reports_inside_levels_meta_and_verify_json(tmp_path):
+    meta = {
+        "command": "levels",
+        "crossing": {"ED": 1.0, "CSS2": 1.0},
+        "crossings": {"ED": [1.0, 1.03], "CSS2": [1.0]},
+        "g_c1": 11.5,
+        "parity_disagreements": [[1.035, 1.06]],
+    }
+    checks = [
+        {"name": "overlap-vs-fock", "max_dev": 1e-16, "tol": 1e-8, "passed": True},
+        {"name": "c2-stationarity", "max_dev": 1e-9, "tol": 1e-6, "passed": True},
+        {"name": "nesting", "max_dev": 0.0, "tol": 1e-9, "passed": True},
+    ]
+    a, b = tmp_path / "a", tmp_path / "b"
+    for top in (a, b):
+        (top / "levels").mkdir(parents=True)
+        (top / "verify").mkdir()
+    (a / "levels" / "meta.json").write_text(json.dumps(meta))
+    (a / "verify" / "verify.json").write_text(json.dumps({"checks": checks, "passed": 3, "failed": 0}))
+    meta["crossings"] = {"ED": [1.0, 1.04], "CSS2": [1.0]}  # only ED's later crossing moved
+    (b / "levels" / "meta.json").write_text(json.dumps(meta))
+    checks[1] = checks[1] | {"max_dev": 2e-6, "passed": False}
+    checks[2] = checks[2] | {"max_dev": 1e-12}
+    (b / "verify" / "verify.json").write_text(json.dumps({"checks": checks, "passed": 2, "failed": 1}))
+    assert _compare(a, b) == (1, [
+        "levels/meta.json: differs in crossings; crossings changed for ED; parity_disagreements unchanged",
+        "verify/verify.json: differs in checks, failed, passed; max_dev changed in c2-stationarity, nesting; "
+        "passed changed in c2-stationarity",
+    ])
+
+    meta["crossing"] = {"ED": 1.0, "CSS2": 0.99}
+    meta["parity_disagreements"] = []
+    (b / "levels" / "meta.json").write_text(json.dumps(meta))
+    assert _compare(a, b)[1][0] == (
+        "levels/meta.json: differs in crossing, crossings, parity_disagreements; crossing changed for CSS2; "
+        "crossings changed for ED; parity_disagreements changed"
+    )
+
+
+def test_code_lines_prints_each_module_then_the_total(tmp_path):
+    def run(*args):
+        proc = subprocess.run([sys.executable, os.path.join(TOOLS, "code_lines.py"), *args],
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.splitlines()
+
+    lines = run()
+    modules = [line.split(" ") for line in lines[:-1]]
+    assert {"cli.py", "scan.py"} <= {name for name, _ in modules}
+    assert all(name.endswith(".py") for name, _ in modules)
+    assert sum(int(count) for _, count in modules) == int(lines[-1])
+
+    (tmp_path / "a.py").write_text('"""Doc."""\n\nimport os  # one\n\n\ndef f():\n    """Doc."""\n    return os\n')
+    (tmp_path / "b.py").write_text("# comment\nx = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert run(str(tmp_path)) == ["a.py 3", "b.py 1", "4"]

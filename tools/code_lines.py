@@ -1,8 +1,9 @@
 """Count the code lines of the rabivar package.
 
 A code line is a non-blank line of ``src/rabivar/*.py`` that is neither a
-comment nor part of a module, class or function docstring.  Run from any
-directory:
+comment nor part of a module, class or function docstring.  It prints one
+``<module>.py <lines>`` line per module, then the total alone on the last
+line.  Run from any directory:
 
     python tools/code_lines.py          # src/rabivar of this checkout
     python tools/code_lines.py DIR      # the *.py files of DIR, e.g. another checkout's package
@@ -38,7 +39,9 @@ def main(argv=None) -> int:
     for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
             with open(os.path.join(directory, name)) as fh:
-                total += code_lines(fh.read())
+                lines = code_lines(fh.read())
+            print(name, lines)
+            total += lines
     print(total)
     return 0
 

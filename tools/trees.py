@@ -16,8 +16,11 @@ set to ``OUT/<name>``.
 the largest relative difference |a - b| / max(|a|, |b|) of each numeric
 column that changed (inf where a value appears or disappears), and each
 row whose ``converged`` or ``reduced`` flag changed; for a JSON file the
-top-level keys that differ; for any other file ``differs``.  It exits 0
-only when every file is identical.
+top-level keys that differ, and in a levels ``meta.json`` each method whose
+``crossing`` or ``crossings`` changed and whether ``parity_disagreements``
+changed, in ``verify.json`` each check whose ``max_dev`` or ``passed``
+changed; for any other file ``differs``.  It exits 0 only when every file
+is identical.
 """
 
 from __future__ import annotations
@@ -125,10 +128,32 @@ def compare_file(path_a: str, path_b: str) -> str:
     if path_a.endswith(".tsv"):
         return compare_table(a, b)
     if path_a.endswith(".json"):
-        doc_a, doc_b = json.loads(a), json.loads(b)
-        keys = sorted(k for k in doc_a.keys() | doc_b.keys() if doc_a.get(k) != doc_b.get(k))
-        return f"differs in {', '.join(keys)}" if keys else "differs in formatting"
+        return compare_json(os.path.basename(path_a), json.loads(a), json.loads(b))
     return "differs"
+
+
+def _changed(a: dict, b: dict) -> list:
+    """The keys of either dict whose values differ, in order of first appearance."""
+    return [k for k in {**a, **b} if a.get(k) != b.get(k)]
+
+
+def compare_json(name: str, doc_a: dict, doc_b: dict) -> str:
+    keys = sorted(_changed(doc_a, doc_b))
+    if not keys:
+        return "differs in formatting"
+    parts = [f"differs in {', '.join(keys)}"]
+    if name == "meta.json":
+        for key in ("crossing", "crossings"):
+            if key in keys and isinstance(doc_a.get(key), dict) and isinstance(doc_b.get(key), dict):
+                parts.append(f"{key} changed for {', '.join(_changed(doc_a[key], doc_b[key]))}")
+        if "parity_disagreements" in doc_a.keys() | doc_b.keys():
+            parts.append("parity_disagreements " + ("changed" if "parity_disagreements" in keys else "unchanged"))
+    elif name == "verify.json":
+        for field in ("max_dev", "passed"):
+            checks_a, checks_b = ({c["name"]: c.get(field) for c in doc.get("checks", ())} for doc in (doc_a, doc_b))
+            if names := _changed(checks_a, checks_b):
+                parts.append(f"{field} changed in {', '.join(names)}")
+    return "; ".join(parts)
 
 
 def compare(top_a: str, top_b: str) -> int:
