@@ -18,7 +18,6 @@ from .exactdiag import (
     mean_photon_ed,
     parity_chain,
     sector_splitting,
-    solve_lowest,
     solve_parity_sector,
     spin_x_projection,
 )

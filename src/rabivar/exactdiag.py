@@ -6,11 +6,13 @@ Each parity sector of the Hamiltonian is a tridiagonal chain (see
 spin x Fock matrix of :mod:`rabivar.fock` is never formed here and serves
 only as an independent cross-check.  Every returned vector has a definite
 parity and is phase-fixed (largest-magnitude amplitude positive) so
-repeated solves are reproducible.  The even-minus-odd splitting, which in
-the two-packet regime lies far below double precision, comes from
-:func:`sector_splitting`, which reads the same cached float chain solves
-(:func:`_chain_lowest`) as the sector solves and certifies the decimal
-roots it returns by Sturm counts.
+repeated solves are reproducible.  The module solves one sector at a time
+(:func:`solve_parity_sector`) and never compares the float sector
+energies: which parity is lowest is the sign of the even-minus-odd
+splitting, which in the two-packet regime lies far below double
+precision.  It comes from :func:`sector_splitting`, which reads the same
+cached float chain solves (:func:`_chain_lowest`) as the sector solves
+and certifies the decimal roots it returns by Sturm counts.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class SpinFockVector:
 
 @dataclass
 class SpectrumResult:
-    """Ground level (its energy and vector) plus the truncation actually used."""
+    """Ground level of one parity sector (its energy and vector) plus the truncation actually used."""
 
     energy: float
     vector: SpinFockVector
@@ -107,25 +109,24 @@ def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:
     return float(np.max(np.abs(diag)) + abs(e) + 2.0 * np.max(link, initial=0.0))
 
 
-def _solve_chains(params: ModelParams, trunc: Truncation, parities) -> SpectrumResult:
-    """Ground level over the given parity sectors, with adaptive truncation.
+def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int) -> SpectrumResult:
+    """Ground level of the parity = +-1 sector, with adaptive truncation.
 
-    An odd level is the ground level only if it lies below the even one by
-    more than the eigensolver's rounding, ten units of eps on the chain's
-    norm scale, so inside an even/odd pair degenerate below double
-    precision the even member is the ground level.  n_tr doubles (up to
-    N_TR_CAP) until the ground vector's tail weight (Truncation.tail_weight)
-    is at most tail_tol; its top Fock levels are its last chain sites.
+    n_tr doubles (up to N_TR_CAP) until the ground vector's tail weight
+    (Truncation.tail_weight) is at most tail_tol; its top Fock levels are
+    its last chain sites.  Raises TruncationNotConverged if the cap is
+    insufficient.  The returned vector lives on the full spin x Fock basis
+    with zeros outside the sector, so downstream projections apply
+    unchanged.  Which sector holds the ground state is not decided from
+    the float energies: past the delocalization threshold they agree to
+    far below double precision, and only the sign of
+    :func:`sector_splitting` tells them apart.
     """
+    if parity not in (+1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
     n_tr = trunc.n_tr
     while True:
-        best = None  # (tie-broken energy, energy, parity, chain vector)
-        for parity in parities:
-            e, v = _chain_lowest(params, n_tr, parity)
-            tie = 0.0 if parity == +1 else 10.0 * _EPS * _norm_scale(*parity_chain(params, n_tr, parity), e)
-            if best is None or e + tie < best[0]:
-                best = (e + tie, e, parity, v)
-        _, e, parity, v = best
+        e, v = _chain_lowest(params, n_tr, parity)
         tail = Truncation.tail_weight(v)
         if tail <= trunc.tail_tol:
             full = np.zeros(2 * (n_tr + 1))
@@ -138,29 +139,6 @@ def _solve_chains(params: ModelParams, trunc: Truncation, parities) -> SpectrumR
                 tail_weight=tail,
             )
         n_tr = min(2 * n_tr if n_tr > 0 else 1, N_TR_CAP)
-
-
-def solve_lowest(params: ModelParams, trunc: Truncation) -> SpectrumResult:
-    """Ground level of the truncated Hamiltonian, the lower of the two parity chains' ones.
-
-    Doubles n_tr (up to 4096) until the ground vector's tail weight is at
-    most tail_tol; raises TruncationNotConverged if the cap is
-    insufficient.  The vector lies in one parity sector; in an even/odd
-    pair degenerate to below double precision the even member is the
-    ground state.
-    """
-    return _solve_chains(params, trunc, (+1, -1))
-
-
-def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int) -> SpectrumResult:
-    """Ground level of the parity = +-1 subspace.
-
-    The returned vector lives on the full spin x Fock basis with zeros
-    outside the sector, so downstream projections apply unchanged.
-    """
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
-    return _solve_chains(params, trunc, (parity,))
 
 
 @dataclass

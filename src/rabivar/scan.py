@@ -46,7 +46,6 @@ from .exactdiag import (
     N_TR_CAP,
     mean_photon_ed,
     sector_splitting,
-    solve_lowest,
     solve_parity_sector,
     spin_x_projection,
 )
@@ -627,40 +626,60 @@ def _parity_disagreements(rows, grid) -> list:
     return runs
 
 
+def _lowest(split, even, odd):
+    """The one of even and odd that the splitting E_even - E_odd puts lowest.
+
+    Odd when the splitting is positive, even when it is negative, and None
+    when it carries no sign (an exact 0, or None for an unresolved or
+    unconverged pair).  Every reading of a ground parity goes through it:
+    the levels rows and both wavefunction sources.
+    """
+    return None if not split else (even if split < 0.0 else odd)
+
+
 def _level_fields(e_even, e_odd, split, n_even, n_odd) -> dict:
     """The energy, splitting and photon fields of a levels row.
 
     mean_photon_ground is the photon number of the parity the splitting
-    puts lowest; None for no splitting or an exact 0.
+    puts lowest (see _lowest); None for no splitting or an exact 0.
     """
     return dict(
         e_even=e_even, e_odd=e_odd, splitting=split, mean_photon_even=n_even, mean_photon_odd=n_odd,
-        mean_photon_ground=None if not split else (n_even if split < 0.0 else n_odd),
+        mean_photon_ground=_lowest(split, n_even, n_odd),
     )
 
 
+def _ed_pair(mp: ModelParams, trunc: Truncation):
+    """The even and odd ED sector ground levels and their certified splitting (a SectorSplitting).
+
+    The float sector energies differ by noise once the splitting drops
+    below eps * |E|, so the splitting comes from the certified
+    extended-precision solve (sector_splitting), started at the larger of
+    the two cutoffs the float solves needed; an unresolved splitting is
+    None.  TruncationNotConverged from a sector solve propagates.
+    """
+    even, odd = (solve_parity_sector(mp, trunc, parity) for parity in (+1, -1))
+    return even, odd, sector_splitting(mp, max(even.n_tr_used, odd.n_tr_used))
+
+
 def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
+    """One ED levels row (see _ed_pair).
+
+    It records the cutoff the float sector solves needed and the certified
+    solve's error bound, digits and cutoff, resolved or not.
+    """
     g = ratio * gc1
     mp = ModelParams(delta=cfg.delta, omega=cfg.omega, g=g, tau=cfg.tau)
     row = {"g_ratio": ratio, "g": g, "lambda": mp.lam, "method": "ED"}
     try:
-        tr = Truncation(cfg.n_tr, cfg.tail_tol)
-        even = solve_parity_sector(mp, tr, +1)
-        odd = solve_parity_sector(mp, tr, -1)
+        even, odd, certified = _ed_pair(mp, Truncation(cfg.n_tr, cfg.tail_tol))
     except TruncationNotConverged:
         row["converged"] = False
         return row
-    # The float sector energies differ by noise once the splitting drops
-    # below eps * |E|, so the splitting and the ground branch come from the
-    # certified extended-precision solve; unresolved leaves both empty.  The
-    # row records the cutoff the float solves needed and the certified
-    # solve's error bound, digits and cutoff, resolved or not.
-    n_tr = max(even.n_tr_used, odd.n_tr_used)
-    certified = sector_splitting(mp, n_tr)
     row.update(
         _level_fields(even.energy, odd.energy, certified.splitting, mean_photon_ed(even.vector),
                       mean_photon_ed(odd.vector)),
-        converged=True, n_tr_used=n_tr, split_error=certified.error,
+        converged=True, n_tr_used=max(even.n_tr_used, odd.n_tr_used), split_error=certified.error,
         split_digits=certified.digits, split_n_tr=certified.n_tr,
     )
     return row
@@ -742,14 +761,17 @@ def run_levels(cfg: LevelsConfig, out_dir: str) -> list:
 def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     """Position-space spin-projected profiles per coupling; returns summary rows.
 
-    Each coupling is solved on its own, as a scan row is.  CSS2 profiles
-    the optimum of the parity levels puts lowest (see _css2_pair): the odd
-    one when the splitting is positive, the even one otherwise, also when
-    the splitting is 0 or None; the -x component takes the factor +1 for
-    odd and -1 for even.  A profiled solve that does not converge is
-    profiled at its best-so-far state, and meta.json lists such couplings
-    under unconverged_lambdas; one that reaches no finite energy raises
-    RuntimeError naming its coupling.
+    Each coupling is solved on its own, as a scan row is.  Both sources
+    profile the parity their levels splitting puts lowest (see _lowest):
+    ED the sector ground level of _ed_pair, CSS2 the optimum of
+    _css2_pair.  That is the odd one when the splitting is positive and
+    the even one otherwise, also when the splitting is 0 or None; a CSS2
+    profile's -x component takes the factor +1 for odd and -1 for even.
+    TruncationNotConverged from an ED sector solve propagates.  A profiled
+    CSS2 solve that does not converge is profiled at its best-so-far
+    state, and meta.json lists such couplings under unconverged_lambdas;
+    one that reaches no finite energy raises RuntimeError naming its
+    coupling.
     Before the first profile is written, the derived files of an earlier
     run of any data command in out_dir (DERIVED_FILES and combined.tsv, see
     clear_derived) are deleted and meta.json records the new config, so no
@@ -770,11 +792,12 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
     for lam in cfg.lambdas:
         mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
         if cfg.source == "ED":
-            res = solve_lowest(mp, Truncation(cfg.n_tr, cfg.tail_tol))
+            even, odd, certified = _ed_pair(mp, Truncation(cfg.n_tr, cfg.tail_tol))
+            res = _lowest(certified.splitting, even, odd) or even
             phi_p, phi_m = position_profile(*spin_x_projection(res.vector), xs, cfg.omega)
         else:
             even, odd, split = _css2_pair(mp)
-            res, sign = (odd, 1.0) if (split or 0.0) > 0.0 else (even, -1.0)
+            res, sign = _lowest(split, (even, -1.0), (odd, 1.0)) or (even, -1.0)
             p = res.params
             if p is None:
                 raise RuntimeError(f"the CSS2 solve at lambda {lam} reached no finite energy")

@@ -1,8 +1,10 @@
 import filecmp
+import importlib
 import json
 import math
 import multiprocessing
 import os
+import pkgutil
 import re
 import shlex
 import signal
@@ -1165,14 +1167,14 @@ def test_interrupted_wavefunction_rerun_leaves_only_its_own_profiles(tmp_path, m
     run_wavefunction(WavefunctionConfig(**WF_ED), str(out))
     cfg = WavefunctionConfig(**(WF_ED | {"delta": 10.0}))
     run_wavefunction(cfg, str(tmp_path / "fresh"))
-    solve = scan.solve_lowest
+    solve = scan.solve_parity_sector
 
-    def interrupt_at_second(params, trunc):
+    def interrupt_at_second(params, trunc, parity):
         if params.lam > 1.0:
             raise KeyboardInterrupt
-        return solve(params, trunc)
+        return solve(params, trunc, parity)
 
-    monkeypatch.setattr(scan, "solve_lowest", interrupt_at_second)
+    monkeypatch.setattr(scan, "solve_parity_sector", interrupt_at_second)
     with pytest.raises(KeyboardInterrupt):
         run_wavefunction(cfg, str(out))
     assert sorted(os.listdir(out)) == ["meta.json", "wf_ED_lam0.9.tsv"]
@@ -1194,19 +1196,26 @@ def test_wavefunction_profiles(tmp_path):
     assert summary2[0]["norm"] == pytest.approx(1.0, abs=1e-3)
 
 
-def test_wavefunction_css2_profiles_the_parity_levels_puts_lowest(tmp_path):
-    # At delta 8, tau 0.5 the ground state is odd past g_c1: at lambda 1.9
-    # and 2.2 the CSS2 splittings are +1.95e-6 and +2.3e-8, and the ED
-    # profile has phi_-(x) = +phi_+(-x).  The CSS2 profile used to be the
-    # even optimum's, with phi_-(x) = -phi_+(-x).
-    for source in ("ED", "CSS2"):
-        cfg = WavefunctionConfig(delta=8.0, tau=0.5, lambdas=(1.9, 2.2), x_min=-10.0, x_max=10.0, x_step=0.25,
-                                 source=source)
-        for row in run_wavefunction(cfg, str(tmp_path / source)):
-            _, rows = read_table(str(tmp_path / source / row["file"]))
-            plus, minus = (np.array([r[c] for r in rows]) for c in ("phi_plus", "phi_minus"))
-            assert np.max(np.abs(plus)) > 0.1
-            assert np.max(np.abs(minus - plus[::-1])) <= 1e-12, (source, row["lambda"])
+@pytest.mark.parametrize(
+    "source, delta, lambdas",
+    [("CSS2", 8.0, (1.9, 2.2)), ("ED", 8.0, (1.9, 2.2, 3.5)), ("ED", 100.0, (2.0,))],
+    ids=["CSS2-delta8", "ED-delta8", "ED-delta100"],
+)
+def test_wavefunction_css2_profiles_the_parity_levels_puts_lowest(tmp_path, source, delta, lambdas):
+    # At tau 0.5 the ground state is odd past g_c1, and an odd profile has
+    # phi_-(x) = +phi_+(-x).  At delta 8, lambda 1.9 and 2.2 the CSS2
+    # splittings are +1.95e-6 and +2.3e-8; the CSS2 profile used to be the
+    # even optimum's, with phi_-(x) = -phi_+(-x).  The certified ED
+    # splittings are +1.34e-23 at delta 8, lambda 3.5 and +1.9e-88 at
+    # delta 100, lambda 2.0, far below the float sector energies'
+    # resolution; the ED profile used to be the even state there.
+    cfg = WavefunctionConfig(delta=delta, tau=0.5, lambdas=lambdas, x_min=-25.0, x_max=25.0, x_step=0.25,
+                             source=source)
+    for row in run_wavefunction(cfg, str(tmp_path)):
+        _, rows = read_table(str(tmp_path / row["file"]))
+        plus, minus = (np.array([r[c] for r in rows]) for c in ("phi_plus", "phi_minus"))
+        assert np.max(np.abs(plus)) > 0.1
+        assert np.max(np.abs(minus - plus[::-1])) <= 1e-12, row["lambda"]
 
 
 def test_config_defaults():
@@ -1296,6 +1305,31 @@ def test_readme_cli_block_parses():
     assert [argv[1] for argv in commands] == ["scan", "levels", "wavefunction", "verify"]
     for argv in commands:
         assert cli.build_parser().parse_args(argv[1:]).command == argv[1]
+
+
+def test_readme_dotted_names_resolve():
+    # Every backticked dotted name of the README that starts with rabivar, a
+    # module of the package or a name rabivar exports (optimize.bfgs,
+    # rabivar.exactdiag.sector_splitting, PacketParams.canonical) must still
+    # resolve by import and getattr: a renamed or dropped name fails here.
+    # File names such as verify.json are not dotted names.
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as fh:
+        names = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", fh.read()))
+    modules = {m.name for m in pkgutil.iter_modules(rabivar.__path__)}
+    checked = 0
+    for name in sorted(names):
+        first, *rest = name.split(".")
+        if name.rsplit(".", 1)[1] in ("json", "txt", "tsv", "gp", "png", "toml", "md", "py"):
+            continue
+        if first != "rabivar" and first not in modules and not hasattr(rabivar, first):
+            continue
+        path, obj = "rabivar", rabivar
+        for part in rest if first == "rabivar" else [first, *rest]:
+            path += "." + part
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
+        checked += 1
+    assert checked >= 10
 
 
 def test_verify_suite_passes_and_writes_report(tmp_path, capsys):

@@ -21,11 +21,10 @@ from rabivar import (
     parity_chain,
     parity_diag,
     sector_splitting,
-    solve_lowest,
     solve_parity_sector,
     spin_x_projection,
 )
-from rabivar.scan import LevelsConfig
+from rabivar.scan import LevelsConfig, WavefunctionConfig, read_table, run_wavefunction
 
 
 def jaynes_cummings_ground(delta, omega, g, n_max=2000):
@@ -42,8 +41,14 @@ def jaynes_cummings_ground(delta, omega, g, n_max=2000):
     return best
 
 
+def _ground(mp, tr):
+    """The sector ground level the certified splitting puts lowest, the even one when it has no sign."""
+    even, odd, certified = scan._ed_pair(mp, tr)
+    return scan._lowest(certified.splitting, even, odd) or even
+
+
 def test_decoupled_ground_state():
-    res = solve_lowest(ModelParams(delta=1.0, g=0.0), Truncation(16))
+    res = _ground(ModelParams(delta=1.0, g=0.0), Truncation(16))
     assert res.energy == pytest.approx(-0.5, abs=1e-14)
     v = res.vector
     expected = np.zeros(2 * (res.n_tr_used + 1))
@@ -54,29 +59,31 @@ def test_decoupled_ground_state():
 @pytest.mark.parametrize("g", [0.2, 0.7, 1.2])
 def test_pure_rotating_wave_matches_closed_form(g):
     mp = ModelParams(delta=1.0, omega=1.0, g=g, tau=0.0)
-    res = solve_lowest(mp, Truncation(64))
+    res = _ground(mp, Truncation(64))
     assert res.energy == pytest.approx(jaynes_cummings_ground(1.0, 1.0, g), abs=1e-10)
 
 
 def test_truncation_self_consistency():
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
-    e1 = solve_lowest(mp, Truncation(128)).energy
-    e2 = solve_lowest(mp, Truncation(256)).energy
+    e1 = _ground(mp, Truncation(128)).energy
+    e2 = _ground(mp, Truncation(256)).energy
     assert abs(e1 - e2) <= 1e-10 * abs(e1)
 
 
-def test_adaptive_truncation_grows():
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_adaptive_truncation_grows(parity):
     mp = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
-    res = solve_lowest(mp, Truncation(8))
+    res = solve_parity_sector(mp, Truncation(8), parity)
     assert res.n_tr_used > 8
     assert res.tail_weight <= 1e-12
 
 
-def test_truncation_cap_raises(monkeypatch):
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_truncation_cap_raises(monkeypatch, parity):
     monkeypatch.setattr(ed, "N_TR_CAP", 32)
     mp = ModelParams.from_lambda(100.0, 1.4, 1.0, 1.0)
     with pytest.raises(TruncationNotConverged):
-        solve_lowest(mp, Truncation(8))
+        solve_parity_sector(mp, Truncation(8), parity)
 
 
 def _dense_lowest(mp, n_tr, k):
@@ -96,14 +103,13 @@ def test_sector_union_matches_full_spectrum():
             tau=float(rng.choice([0.5, 1.0, 1.5])),
         )
         tr = Truncation(40, tail_tol=1e-6)
-        full = solve_lowest(mp, tr)
-        n_tr = full.n_tr_used
-        dense, _ = _dense_lowest(mp, n_tr, k)
-        assert full.energy == pytest.approx(dense[0], abs=1e-10)
         even = solve_parity_sector(mp, tr, +1)
         odd = solve_parity_sector(mp, tr, -1)
-        assert even.n_tr_used == odd.n_tr_used == n_tr
-        assert min(even.energy, odd.energy) == full.energy
+        n_tr = even.n_tr_used
+        assert odd.n_tr_used == n_tr
+        dense, _ = _dense_lowest(mp, n_tr, k)
+        assert min(even.energy, odd.energy) == pytest.approx(dense[0], abs=1e-10)
+        assert _ground(mp, tr).energy == min(even.energy, odd.energy)
         chains = [
             scipy.linalg.eigh_tridiagonal(*parity_chain(mp, n_tr, parity), eigvals_only=True,
                                           select="i", select_range=(0, k - 1))
@@ -117,7 +123,7 @@ def test_sector_union_matches_full_spectrum():
 def test_eigenpair_residuals(parity):
     mp = ModelParams(delta=2.0, omega=1.0, g=0.8, tau=1.5)
     tr = Truncation(48, tail_tol=1e-8)
-    res = solve_parity_sector(mp, tr, parity) if parity else solve_lowest(mp, tr)
+    res = solve_parity_sector(mp, tr, parity) if parity else _ground(mp, tr)
     h = build_hamiltonian(mp, Truncation(res.n_tr_used))
     e, v = res.energy, res.vector.coeffs
     dense = scipy.linalg.eigvalsh(h)
@@ -132,23 +138,31 @@ def test_eigenpair_residuals(parity):
 
 @pytest.mark.parametrize("lam", [1.3, 1.5])
 @pytest.mark.parametrize("n_tr", [256, 300])
-def test_isotropic_ground_state_is_even_in_degenerate_pair(lam, n_tr):
+def test_isotropic_ground_state_is_even_in_degenerate_pair(lam, n_tr, tmp_path):
     # Past the delocalization threshold the even and odd ground levels agree
-    # to far below double precision; the ground vector is the even one, not
-    # a mixture that depends on the cutoff or the solver.
+    # to far below double precision, so only the certified splitting's sign
+    # tells which is lower; it is negative, and the ED profile is the even
+    # state's, phi_-(x) = -phi_+(-x), not a mixture that depends on the
+    # cutoff or the solver.
     mp = ModelParams.from_lambda(100.0, lam, 1.0, 1.0)
-    res = solve_lowest(mp, Truncation(n_tr))
-    p = parity_diag(Truncation(res.n_tr_used))
-    assert np.sum(res.vector.coeffs[p < 0] ** 2) == 0.0
-    e_odd = solve_parity_sector(mp, Truncation(n_tr), -1).energy
-    assert abs(res.energy - e_odd) <= 1e-12 * abs(e_odd)
+    even, odd, certified = scan._ed_pair(mp, Truncation(n_tr))
+    assert abs(even.energy - odd.energy) <= 1e-12 * abs(odd.energy)
+    assert certified.splitting < 0.0
+    cfg = WavefunctionConfig(delta=100.0, tau=1.0, lambdas=(lam,), x_min=-25.0, x_max=25.0, x_step=0.25,
+                             n_tr=n_tr, source="ED")
+    (row,) = run_wavefunction(cfg, str(tmp_path))
+    _, rows = read_table(str(tmp_path / row["file"]))
+    plus, minus = (np.array([r[c] for r in rows]) for c in ("phi_plus", "phi_minus"))
+    assert np.max(np.abs(plus)) > 0.1
+    assert np.max(np.abs(minus + plus[::-1])) <= 1e-12
 
 
-def test_solve_lowest_independent_of_blas_threads():
+def test_sector_pair_independent_of_blas_threads():
     script = (
-        "import numpy as np; from rabivar import ModelParams, Truncation, solve_lowest\n"
-        "r = solve_lowest(ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0), Truncation(256))\n"
-        "print(np.array(r.energy).tobytes().hex(), r.vector.coeffs.tobytes().hex())\n"
+        "import numpy as np; from rabivar import ModelParams, Truncation; from rabivar.scan import _ed_pair\n"
+        "even, odd, c = _ed_pair(ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0), Truncation(256))\n"
+        "print(*(np.array(r.energy).tobytes().hex() + r.vector.coeffs.tobytes().hex() for r in (even, odd)),\n"
+        "      repr(c.splitting))\n"
     )
     outputs = []
     for threads in ("1", "2"):
@@ -160,8 +174,9 @@ def test_solve_lowest_independent_of_blas_threads():
     assert outputs[0] == outputs[1] and outputs[0]
 
 
-def test_phase_fixing_sign():
-    res = solve_lowest(ModelParams(delta=1.0, g=0.4), Truncation(24))
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_phase_fixing_sign(parity):
+    res = solve_parity_sector(ModelParams(delta=1.0, g=0.4), Truncation(24), parity)
     v = res.vector.coeffs
     assert v[np.argmax(np.abs(v))] > 0
 
@@ -231,7 +246,7 @@ def test_mean_photon_matches_packet_estimate():
     from rabivar import AnsatzKind, mean_photon, solve_ansatz
 
     mp = ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0)
-    res = solve_lowest(mp, Truncation(256))
+    res = solve_parity_sector(mp, Truncation(256), +1)
     n_ed = mean_photon_ed(res.vector)
     fit = solve_ansatz(mp, AnsatzKind.CSS2)
     assert abs(mean_photon(fit.params) - n_ed) <= 0.1 * n_ed

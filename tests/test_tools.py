@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import rabivar.cli as cli
 from rabivar import AnsatzKind, ModelParams, solve_ansatz
 
 TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools")
@@ -42,6 +43,16 @@ def test_retired_single_packet_seeds_change_no_result(delta, tau, lam, parity):
         assert old.starts_tried > now.starts_tried
         for field in ("energy", "params", "converged", "reduced", "grad_norm"):
             assert repr(getattr(old, field)) == repr(getattr(now, field)), (kind, field)
+
+
+def test_trees_name_every_reference_tree_and_parse():
+    named = _tool("trees").trees()
+    assert [name for name, _ in named] == [
+        "scan", "levels", "wavefunction", "verify",
+        "wavefunction-css2", "wavefunction-delta8", "scan-delta10-tau1.5", "scan-odd-delta8",
+    ]
+    for name, argv in named:
+        assert cli.build_parser().parse_args([*argv, "--out", name]).command == argv[0], name
 
 
 def _compare(a, b):

@@ -5,9 +5,12 @@
 
 The trees are the four commands of the README's CLI block, read from
 README.md as ``test_readme_cli_block_parses`` reads them (``verify`` gains
-``--out``); ``wavefunction --source CSS2`` on the README couplings; the
-delta 10, tau 1.5 scan of the four trial states; and the odd delta 8,
-tau 0.5 scan of CS2 and CSS2.  Each command runs as ``python -m rabivar``
+``--out``); ``wavefunction --source CSS2`` on the README couplings;
+``wavefunction --source ED`` at delta 8, tau 0.5, lambda 1.9, 2.2 and 3.5,
+where the certified splitting puts the odd state lowest (+1.34e-23 at
+lambda 3.5, below the float energies' resolution); the delta 10, tau 1.5
+scan of the four trial states; and the odd delta 8, tau 0.5 scan of CS2
+and CSS2.  Each command runs as ``python -m rabivar``
 on the package of this checkout, one after another, with its ``--out``
 set to ``OUT/<name>``.
 
@@ -56,6 +59,8 @@ def trees():
     named.append(("wavefunction-css2", wavefunction[:i + 1] + ["CSS2"] + wavefunction[i + 2:]))
     grid = ["--lambda-min", "0", "--lambda-max", "2", "--lambda-step", "0.01"]
     named += [
+        ("wavefunction-delta8", ["wavefunction", "--delta", "8", "--tau", "0.5", "--lambdas", "1.9,2.2,3.5",
+                                 "--source", "ED"]),
         ("scan-delta10-tau1.5", ["scan", "--delta", "10", "--tau", "1.5", *grid, "--methods", "CS1,CSS1,CS2,CSS2"]),
         ("scan-odd-delta8", ["scan", "--delta", "8", "--tau", "0.5", *grid, "--methods", "CS2,CSS2", "--parity=odd"]),
     ]
