@@ -14,7 +14,6 @@ from .fock import build_hamiltonian, parity_diag
 from .exactdiag import (
     SectorSplitting,
     SpectrumResult,
-    SpinFockVector,
     mean_photon_ed,
     parity_chain,
     sector_splitting,

@@ -9,13 +9,13 @@ list, a numeric value that is not a number, a bool included, odd parity
 with CS1/CSS1, tau >= 1 for levels, an unknown source, delta or
 omega <= 0, tau < 0, a non-finite delta, omega or tau, a negative or
 non-finite lambda_min, g_min or lambdas entry, a coupling g whose squared
-chain link (g max(1, tau))^2 N_TR_CAP overflows, a grid step that is not
-positive and finite, a grid max below its min or not finite, a grid of
-more than a million points, n_tr not a non-negative integer, tail_tol
-outside (0, 1), a negative verify seed, an --out that names a file or
-lies under one) ends it before anything is computed or written, with one
-line "rabivar: error: ..." on stderr and exit status 2, as argparse does
-for malformed flags.
+chain link (g max(1, tau))^2 n overflows at n the larger of n_tr and
+N_TR_CAP, a grid step that is not positive and finite, a grid max below
+its min or not finite, a grid of more than a million points, n_tr not a
+non-negative integer, tail_tol outside (0, 1), a negative verify seed,
+an --out that names a file or lies under one) ends it before anything
+is computed or written, with one line "rabivar: error: ..." on stderr
+and exit status 2, as argparse does for malformed flags.
 
 An unconverged trial-state solve is not an input error: scan and levels
 write it as a converged=0 row, wavefunction lists its coupling under

@@ -4,9 +4,11 @@ Each parity sector of the Hamiltonian is a tridiagonal chain (see
 :func:`parity_chain`), solved by LAPACK's bisection and inverse iteration
 (``dstebz``/``dstein``, through :mod:`rabivar._lapack`); the dense
 spin x Fock matrix of :mod:`rabivar.fock` is never formed here and serves
-only as an independent cross-check.  Every returned vector has a definite
-parity and is phase-fixed (largest-magnitude amplitude positive) so
-repeated solves are reproducible.  The module solves one sector at a time
+only as an independent cross-check.  A sector solve returns the vector
+of the chain it solved, one amplitude per Fock level with the spin the
+parity fixes, not the oracle's spin-major layout; it is phase-fixed
+(largest-magnitude amplitude positive) so repeated solves are
+reproducible.  The module solves one sector at a time
 (:func:`solve_parity_sector`) and never compares the float sector
 energies: which parity is lowest is the sign of the even-minus-odd
 splitting, which in the two-packet regime lies far below double
@@ -37,27 +39,19 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass
-class SpinFockVector:
-    """Real state vector on the spin x Fock basis, spin-major ordering."""
-
-    coeffs: np.ndarray
-    n_tr: int
-
-    @property
-    def up(self) -> np.ndarray:
-        return self.coeffs[: self.n_tr + 1]
-
-    @property
-    def down(self) -> np.ndarray:
-        return self.coeffs[self.n_tr + 1 :]
-
-
-@dataclass
 class SpectrumResult:
-    """Ground level of one parity sector (its energy and vector) plus the truncation actually used."""
+    """Ground level of one parity sector: its energy, chain vector and parity, plus the truncation actually used.
+
+    vector is the phase-fixed eigenvector of :func:`parity_chain` on levels
+    0..n_tr_used, in chain order: site m is Fock level m, with spin down
+    where ``_down_sites(n_tr_used, parity)`` is true and spin up elsewhere.
+    When phase fixing keeps its sign it is the read-only array
+    :func:`_chain_lowest` caches, so no reader may write to it.
+    """
 
     energy: float
-    vector: SpinFockVector
+    vector: np.ndarray
+    parity: int
     n_tr_used: int
     tail_weight: float
 
@@ -115,12 +109,11 @@ def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int) -> 
     n_tr doubles (up to N_TR_CAP) until the ground vector's tail weight
     (Truncation.tail_weight) is at most tail_tol; its top Fock levels are
     its last chain sites.  Raises TruncationNotConverged if the cap is
-    insufficient.  The returned vector lives on the full spin x Fock basis
-    with zeros outside the sector, so downstream projections apply
-    unchanged.  Which sector holds the ground state is not decided from
-    the float energies: past the delocalization threshold they agree to
-    far below double precision, and only the sign of
-    :func:`sector_splitting` tells them apart.
+    insufficient.  The returned vector is the chain's, one amplitude per
+    Fock level (see :class:`SpectrumResult`).  Which sector holds the
+    ground state is not decided from the float energies: past the
+    delocalization threshold they agree to far below double precision,
+    and only the sign of :func:`sector_splitting` tells them apart.
     """
     if parity not in (+1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
@@ -129,9 +122,7 @@ def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int) -> 
         e, v = _chain_lowest(params, n_tr, parity)
         tail = Truncation.tail_weight(v)
         if tail <= trunc.tail_tol:
-            full = np.zeros(2 * (n_tr + 1))
-            full[np.where(_down_sites(n_tr, parity), n_tr + 1, 0) + np.arange(n_tr + 1)] = v
-            return SpectrumResult(e, SpinFockVector(_phase_fix(full), n_tr), n_tr, tail)
+            return SpectrumResult(e, _phase_fix(v), parity, n_tr, tail)
         if n_tr >= N_TR_CAP:
             raise TruncationNotConverged(
                 f"tail weight {tail:.3e} > {trunc.tail_tol:.3e} at n_tr={n_tr}",
@@ -386,16 +377,24 @@ def sector_splitting(params: ModelParams, n_tr: int) -> SectorSplitting:
             digits = min(2 * digits, SPLITTING_DIGITS_CAP)
 
 
-def spin_x_projection(v: SpinFockVector):
-    """Coefficient lists (c_plus, c_minus) in the sigma_x eigenbasis.
+def spin_x_projection(res: SpectrumResult):
+    """Coefficient lists (c_plus, c_minus) of a sector's vector in the sigma_x eigenbasis.
 
-    c_{n,+-} = (c_up(n) +- c_down(n)) / sqrt(2).
+    c_{n,+-} = (c_up(n) +- c_down(n)) / sqrt(2); level n carries one spin in
+    the chain, so c_plus is the chain vector over sqrt(2) and c_minus is
+    -c_plus on the spin-down sites, +c_plus elsewhere.
     """
-    s = 1.0 / np.sqrt(2.0)
-    return s * (v.up + v.down), s * (v.up - v.down)
+    c_plus = (1.0 / np.sqrt(2.0)) * res.vector
+    return c_plus, np.where(_down_sites(res.n_tr_used, res.parity), -c_plus, c_plus)
 
 
-def mean_photon_ed(v: SpinFockVector) -> float:
-    """Mode-occupation expectation sum_n n (c_up(n)^2 + c_down(n)^2)."""
-    n = np.arange(v.n_tr + 1)
-    return float(np.dot(n, v.up**2) + np.dot(n, v.down**2))
+def mean_photon_ed(res: SpectrumResult) -> float:
+    """Mode-occupation expectation sum_n n (c_up(n)^2 + c_down(n)^2) of a sector's vector.
+
+    The two spins' sums are taken apart, each over the chain vector with
+    the other spin's sites zeroed, so the value is bit for bit that of the
+    two blocks of the spin x Fock vector.
+    """
+    n = np.arange(res.n_tr_used + 1)
+    down, v = _down_sites(res.n_tr_used, res.parity), res.vector
+    return float(np.dot(n, np.where(down, 0.0, v) ** 2) + np.dot(n, np.where(down, v, 0.0) ** 2))

@@ -293,7 +293,8 @@ def _check_model(cfg) -> None:
     cfg.grid_fields needs finite bounds, max >= min, a finite positive
     step and at most GRID_POINTS_MAX points.  The largest coupling g
     (lambda_max, g_max * g_c1 or the largest of lambdas) must keep
-    (g max(1, tau))^2 N_TR_CAP finite: beyond it the squared chain links of
+    (g max(1, tau))^2 n finite at n = max(n_tr, N_TR_CAP), the largest
+    cutoff a sector solve may reach: beyond it the squared chain links of
     the sector solves and the trial-state seeds overflow.
     """
     numeric = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if type(f.default) in (int, float)]
@@ -325,9 +326,10 @@ def _check_model(cfg) -> None:
         lam = max(cfg.lambdas, default=0.0) if isinstance(cfg, WavefunctionConfig) else cfg.lambda_max
         g = lam * math.sqrt(cfg.delta * cfg.omega) / (1.0 + cfg.tau)
     link = g * max(1.0, cfg.tau)
-    if not math.isfinite(link * link * N_TR_CAP):
+    n = max(cfg.n_tr, N_TR_CAP)
+    if not math.isfinite(link * link * n):
         raise InvalidConfig(f"coupling g {g:.6g} is too large: the squared chain link (g max(1, tau))^2 n "
-                            f"overflows at the cutoff cap n = {N_TR_CAP}")
+                            f"overflows at the largest cutoff n = {n}")
 
 
 def _check_list(name: str, values) -> None:
@@ -515,7 +517,7 @@ def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
         res = solve_parity_sector(mp, Truncation(cfg.n_tr, cfg.tail_tol), +1 if cfg.parity == "even" else -1)
         row["energy"] = res.energy
         row["energy_scaled"] = res.energy / (cfg.delta * cfg.omega)
-        row["mean_photon"] = mean_photon_ed(res.vector)
+        row["mean_photon"] = mean_photon_ed(res)
         row["converged"] = True
     except TruncationNotConverged:
         row["converged"] = False
@@ -677,8 +679,7 @@ def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:
         row["converged"] = False
         return row
     row.update(
-        _level_fields(even.energy, odd.energy, certified.splitting, mean_photon_ed(even.vector),
-                      mean_photon_ed(odd.vector)),
+        _level_fields(even.energy, odd.energy, certified.splitting, mean_photon_ed(even), mean_photon_ed(odd)),
         converged=True, n_tr_used=max(even.n_tr_used, odd.n_tr_used), split_error=certified.error,
         split_digits=certified.digits, split_n_tr=certified.n_tr,
     )
@@ -794,7 +795,7 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
         if cfg.source == "ED":
             even, odd, certified = _ed_pair(mp, Truncation(cfg.n_tr, cfg.tail_tol))
             res = _lowest(certified.splitting, even, odd) or even
-            phi_p, phi_m = position_profile(*spin_x_projection(res.vector), xs, cfg.omega)
+            phi_p, phi_m = position_profile(*spin_x_projection(res), xs, cfg.omega)
         else:
             even, odd, split = _css2_pair(mp)
             res, sign = _lowest(split, (even, -1.0), (odd, 1.0)) or (even, -1.0)

@@ -25,7 +25,7 @@ import rabivar.states as states
 import rabivar.variational as variational
 import rabivar.verify as verify
 from rabivar.cli import main
-from rabivar.errors import InvalidTau
+from rabivar.errors import InvalidConfig, InvalidTau
 from rabivar.exactdiag import SectorSplitting, sector_splitting, solve_parity_sector
 from rabivar.model import ModelParams, Truncation
 from rabivar.optimize import OptResult
@@ -596,14 +596,31 @@ def test_cli_rejects_unphysical_model_before_writing(tmp_path, capsys, command, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lam", [2e151, 4e151])
-def test_largest_couplings_that_run_stay_accepted(lam):
-    # At delta 100, tau 1 these couplings run: their squared chain links stay finite.
-    scan._check_model(ScanConfig(lambda_min=lam, lambda_max=lam))
-    scan._check_model(WavefunctionConfig(lambdas=(lam,)))
+@pytest.mark.parametrize(
+    "lam, n_tr, accepted",
+    [(2e151, 256, True), (4e151, 256, True), (2e151, 8192, True), (4e151, 8192, False)],
+)
+def test_largest_couplings_that_run_depend_on_the_cutoff(lam, n_tr, accepted):
+    # At delta 100, tau 1 the squared chain links must stay finite at the larger
+    # of n_tr and the cutoff cap 4096: 4e151 overflows them at 8192 only.
     gc1 = ModelParams(delta=100.0, g=1.0, tau=0.5).g_c1
     g_ratio = ModelParams.from_lambda(100.0, lam).g / gc1
-    scan._check_model(LevelsConfig(g_min=g_ratio, g_max=g_ratio))
+    for cfg in (ScanConfig(lambda_min=lam, lambda_max=lam, n_tr=n_tr), WavefunctionConfig(lambdas=(lam,), n_tr=n_tr),
+                LevelsConfig(g_min=g_ratio, g_max=g_ratio, n_tr=n_tr)):
+        if accepted:
+            scan._check_model(cfg)
+        else:
+            with pytest.raises(InvalidConfig, match=f"is too large.*n = {n_tr}"):
+                scan._check_model(cfg)
+
+
+def test_cli_rejects_coupling_that_overflows_above_the_cutoff_cap(tmp_path, capsys):
+    # A start cutoff above the cap is never lowered, so its chain links must stay finite too.
+    out = tmp_path / "x"
+    argv = ["scan", "--out", str(out), "--delta", "100", "--tau", "1", "--lambda-min", "4e151",
+            "--lambda-max", "4e151", "--lambda-step", "1", "--methods", "ED", "--ntr", "8192"]
+    assert "is too large" in cli_error(argv, capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

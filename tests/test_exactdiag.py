@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Context, Decimal, getcontext, localcontext
 
 import numpy as np
@@ -13,7 +15,7 @@ import rabivar.exactdiag as ed
 import rabivar.scan as scan
 from rabivar import (
     ModelParams,
-    SpinFockVector,
+    SpectrumResult,
     Truncation,
     TruncationNotConverged,
     build_hamiltonian,
@@ -47,13 +49,21 @@ def _ground(mp, tr):
     return scan._lowest(certified.splitting, even, odd) or even
 
 
+def _spin_major(res):
+    """The sector vector scattered to the dense oracle's spin-major basis, zero outside the sector."""
+    n = res.n_tr_used + 1
+    full = np.zeros(2 * n)
+    full[np.where(ed._down_sites(res.n_tr_used, res.parity), n, 0) + np.arange(n)] = res.vector
+    return full
+
+
 def test_decoupled_ground_state():
     res = _ground(ModelParams(delta=1.0, g=0.0), Truncation(16))
     assert res.energy == pytest.approx(-0.5, abs=1e-14)
-    v = res.vector
-    expected = np.zeros(2 * (res.n_tr_used + 1))
-    expected[res.n_tr_used + 1] = 1.0  # |down, 0>
-    assert np.allclose(v.coeffs, expected, atol=1e-12)
+    assert res.parity == +1 and len(res.vector) == res.n_tr_used + 1
+    expected = np.zeros(res.n_tr_used + 1)
+    expected[0] = 1.0  # site 0 of the even chain, |down, 0>
+    assert np.allclose(res.vector, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("g", [0.2, 0.7, 1.2])
@@ -125,7 +135,7 @@ def test_eigenpair_residuals(parity):
     tr = Truncation(48, tail_tol=1e-8)
     res = solve_parity_sector(mp, tr, parity) if parity else _ground(mp, tr)
     h = build_hamiltonian(mp, Truncation(res.n_tr_used))
-    e, v = res.energy, res.vector.coeffs
+    e, v = res.energy, _spin_major(res)
     dense = scipy.linalg.eigvalsh(h)
     assert np.min(np.abs(dense - e)) <= 1e-10
     if not parity:
@@ -161,7 +171,7 @@ def test_sector_pair_independent_of_blas_threads():
     script = (
         "import numpy as np; from rabivar import ModelParams, Truncation; from rabivar.scan import _ed_pair\n"
         "even, odd, c = _ed_pair(ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0), Truncation(256))\n"
-        "print(*(np.array(r.energy).tobytes().hex() + r.vector.coeffs.tobytes().hex() for r in (even, odd)),\n"
+        "print(*(np.array(r.energy).tobytes().hex() + r.vector.tobytes().hex() for r in (even, odd)),\n"
         "      repr(c.splitting))\n"
     )
     outputs = []
@@ -177,7 +187,7 @@ def test_sector_pair_independent_of_blas_threads():
 @pytest.mark.parametrize("parity", [+1, -1])
 def test_phase_fixing_sign(parity):
     res = solve_parity_sector(ModelParams(delta=1.0, g=0.4), Truncation(24), parity)
-    v = res.vector.coeffs
+    v = res.vector
     assert v[np.argmax(np.abs(v))] > 0
 
 
@@ -207,39 +217,70 @@ def test_odd_sector_dives_below_even_beyond_crossing():
     assert odd.energy < even.energy
 
 
+def _fock_state(vector, parity):
+    """A hand-built sector result holding the chain vector `vector` of the given parity."""
+    vector = np.asarray(vector, dtype=float)
+    return SpectrumResult(0.0, vector, parity, len(vector) - 1, 0.0)
+
+
 def test_spin_x_projection_basis_change():
-    v = SpinFockVector(np.array([0.0, 0.0, 1.0, 0.0]), 1)  # |down, 0>
-    c_plus, c_minus = spin_x_projection(v)
-    assert c_plus[0] == pytest.approx(1 / math.sqrt(2))
-    assert c_minus[0] == pytest.approx(-1 / math.sqrt(2))
     s = 1 / math.sqrt(2)
-    v2 = SpinFockVector(np.array([s, 0.0, s, 0.0]), 1)  # |+x> (x) |0>
-    c_plus, c_minus = spin_x_projection(v2)
-    assert c_plus[0] == pytest.approx(1.0)
-    assert abs(c_minus[0]) <= 1e-15
+    c_plus, c_minus = spin_x_projection(_fock_state([1.0, 0.0], +1))  # |down, 0>
+    assert c_plus[0] == pytest.approx(s)
+    assert c_minus[0] == pytest.approx(-s)
+    c_plus, c_minus = spin_x_projection(_fock_state([0.0, 1.0], +1))  # |up, 1>
+    assert c_plus[1] == pytest.approx(s) and c_minus[1] == pytest.approx(s)
+    c_plus, c_minus = spin_x_projection(_fock_state([s, s], -1))  # (|up, 0> + |down, 1>) / sqrt(2)
+    assert np.allclose(c_plus, [0.5, 0.5]) and np.allclose(c_minus, [0.5, -0.5])
 
 
-def test_spin_x_projection_preserves_norm():
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_spin_x_projection_preserves_norm(parity):
     rng = np.random.default_rng(5)
-    v = rng.normal(size=18)
+    v = rng.normal(size=9)
     v /= np.linalg.norm(v)
-    c_plus, c_minus = spin_x_projection(SpinFockVector(v, 8))
+    c_plus, c_minus = spin_x_projection(_fock_state(v, parity))
     assert np.sum(c_plus**2) + np.sum(c_minus**2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_even_sector_projection_parity_pattern():
+@pytest.mark.parametrize("parity", [+1, -1])
+def test_sector_projection_parity_pattern(parity):
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
-    res = solve_parity_sector(mp, Truncation(256), +1)
-    c_plus, c_minus = spin_x_projection(res.vector)
+    res = solve_parity_sector(mp, Truncation(256), parity)
+    c_plus, c_minus = spin_x_projection(res)
     n = np.arange(res.n_tr_used + 1)
-    assert np.max(np.abs(c_minus - (-1.0) ** (n + 1) * c_plus)) <= 1e-12
+    assert np.max(np.abs(c_plus)) > 0.1
+    assert np.max(np.abs(c_minus + parity * (-1.0) ** n * c_plus)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1.0, 8.0, 100.0])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 1.5])
+def test_chain_readers_match_the_spin_major_layout(delta, tau):
+    # The reference reads the dense oracle's spin-major layout: the chain vector
+    # scattered into a zero-padded spin x Fock vector and phase-fixed there,
+    # projected as s (up +- down) and counted as two block dots.  tau 0 at
+    # delta 1 is the resonant rotating-wave case, where the phase fixing's
+    # largest magnitude ties between |up, n-1> and |down, n> with opposite
+    # signs.  The readers must give the same bits, up to the sign of a zero.
+    s = 1.0 / np.sqrt(2.0)
+    for lam, n_tr, parity in itertools.product((0.3, 1.0, 2.0, 3.0), (8, 64, 256), (+1, -1)):
+        mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
+        res = solve_parity_sector(mp, Truncation(n_tr), parity)
+        assert len(res.vector) == res.n_tr_used + 1
+        n = np.arange(res.n_tr_used + 1)
+        full = _spin_major(replace(res, vector=ed._chain_lowest(mp, res.n_tr_used, parity)[1]))
+        full *= np.sign(full[np.argmax(np.abs(full))])
+        up, down = full[: len(n)], full[len(n) :]
+        assert np.array_equal(_spin_major(res), full)
+        assert mean_photon_ed(res) == float(np.dot(n, up**2) + np.dot(n, down**2))
+        c_plus, c_minus = spin_x_projection(res)
+        assert np.array_equal(c_plus, s * (up + down)) and np.array_equal(c_minus, s * (up - down))
 
 
 def test_mean_photon_fock_states():
-    v0 = SpinFockVector(np.array([0.0, 0, 0, 0, 1.0, 0, 0, 0]), 3)  # |down, 0>
-    assert mean_photon_ed(v0) == 0.0
-    v3 = SpinFockVector(np.array([0.0, 0, 0, 0, 0, 0, 0, 1.0]), 3)  # |down, 3>
-    assert mean_photon_ed(v3) == 3.0
+    assert mean_photon_ed(_fock_state([1.0, 0, 0, 0], +1)) == 0.0  # |down, 0>
+    assert mean_photon_ed(_fock_state([0.0, 0, 0, 1.0], -1)) == 3.0  # |down, 3>
+    assert mean_photon_ed(_fock_state([0.0, 0, 0, 1.0], +1)) == 3.0  # |up, 3>
 
 
 def test_mean_photon_matches_packet_estimate():
@@ -247,7 +288,7 @@ def test_mean_photon_matches_packet_estimate():
 
     mp = ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0)
     res = solve_parity_sector(mp, Truncation(256), +1)
-    n_ed = mean_photon_ed(res.vector)
+    n_ed = mean_photon_ed(res)
     fit = solve_ansatz(mp, AnsatzKind.CSS2)
     assert abs(mean_photon(fit.params) - n_ed) <= 0.1 * n_ed
 
