@@ -5,17 +5,20 @@ the dataclass fields in :mod:`rabivar.scan`; command-line flags override
 file values.  All physical inputs are in units of omega.  Input a command
 rejects (a --config file that cannot be read or holds no JSON object, an
 unknown config key or method, an empty or repeated methods or lambdas
-list, a numeric value that is not a number, a bool included, odd parity
-with CS1/CSS1, tau >= 1 for levels, an unknown source, delta or
-omega <= 0, tau < 0, a non-finite delta, omega or tau, a negative or
-non-finite lambda_min, g_min or lambdas entry, a coupling g whose squared
-chain link (g max(1, tau))^2 n overflows at n the larger of n_tr and
-N_TR_CAP, a grid step that is not positive and finite, a grid max below
-its min or not finite, a grid of more than a million points, n_tr not a
-non-negative integer, tail_tol outside (0, 1), a negative verify seed,
-an --out that names a file or lies under one) ends it before anything
-is computed or written, with one line "rabivar: error: ..." on stderr
-and exit status 2, as argparse does for malformed flags.
+list, a numeric value that is not a number, a bool included, a parity
+other than even or odd, odd parity with CS1/CSS1, tau >= 1 for levels, a
+source other than ED or CSS2, delta or omega <= 0, tau < 0, a non-finite
+delta, omega or tau, a negative or non-finite lambda_min, g_min or
+lambdas entry, a coupling g whose squared chain link (g max(1, tau))^2 n
+overflows at n the larger of n_tr and N_TR_CAP, a grid step that is not
+positive and finite, a grid max below its min or not finite, a grid of
+more than a million points, n_tr not an integer from 0 to 8192
+(model.N_TR_MAX), tail_tol outside (0, 1), a negative verify seed, an
+--out that names a file or lies under one) ends it before anything is
+computed or written, with one line "rabivar: error: ..." on stderr and
+exit status 2, as argparse does for malformed flags.  --parity and
+--source are checked there too, not by argparse, so a flag and a config
+file value get the same one line.
 
 An unconverged trial-state solve is not an input error: scan and levels
 write it as a converged=0 row, wavefunction lists its coupling under
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float, dest="lambda_max")
     p.add_argument("--lambda-step", type=float, dest="lambda_step")
     p.add_argument("--methods", help="comma list from ED,CS1,CSS1,CS2,CSS2")
-    p.add_argument("--parity", choices=["even", "odd"])
+    p.add_argument("--parity", help="even (default) or odd")
 
     p = sub.add_parser("levels", help="even/odd levels around the crossing coupling")
     _add_common(p)
@@ -91,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", type=float, dest="x_min")
     p.add_argument("--x-max", type=float, dest="x_max")
     p.add_argument("--x-step", type=float, dest="x_step")
-    p.add_argument("--source", choices=["ED", "CSS2"])
+    p.add_argument("--source", help="ED (default) or CSS2")
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument("--out", help="optional directory for verify.txt and verify.json")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _lapack
 from .errors import TruncationNotConverged
-from .model import ModelParams, Truncation
+from .model import PARITIES, ModelParams, Truncation, parity_sign
 
 N_TR_CAP = 4096
 SPLITTING_DIGITS = 90  # first precision of sector_splitting
@@ -42,16 +42,17 @@ _EPS = float(np.finfo(float).eps)
 class SpectrumResult:
     """Ground level of one parity sector: its energy, chain vector and parity, plus the truncation actually used.
 
-    vector is the phase-fixed eigenvector of :func:`parity_chain` on levels
-    0..n_tr_used, in chain order: site m is Fock level m, with spin down
-    where ``_down_sites(n_tr_used, parity)`` is true and spin up elsewhere.
+    parity is the sector's name, "even" or "odd".  vector is the
+    phase-fixed eigenvector of :func:`parity_chain` on levels 0..n_tr_used,
+    in chain order: site m is Fock level m, with spin down where
+    ``_down_sites(n_tr_used, parity)`` is true and spin up elsewhere.
     When phase fixing keeps its sign it is the read-only array
     :func:`_chain_lowest` caches, so no reader may write to it.
     """
 
     energy: float
     vector: np.ndarray
-    parity: int
+    parity: str
     n_tr_used: int
     tail_weight: float
 
@@ -61,20 +62,26 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v if v[i] > 0 else -v
 
 
-def _down_sites(n_tr: int, parity: int) -> np.ndarray:
-    """Mask of the chain sites 0..n_tr that carry spin down: (-1)^m equals the parity."""
-    return (np.arange(n_tr + 1) % 2 == 0) == (parity == +1)
+def _down_sites(n_tr: int, parity: str) -> np.ndarray:
+    """Mask of the chain sites 0..n_tr that carry spin down: (-1)^m equals the sign of parity.
+
+    parity is "even" or "odd"; it goes through
+    :func:`rabivar.model.parity_sign`, so every chain reader built on this
+    mask rejects any other value with ValueError.
+    """
+    return (np.arange(n_tr + 1) % 2 == 0) == (parity_sign(parity) == +1)
 
 
-def parity_chain(params: ModelParams, n_tr: int, parity: int):
-    """Tridiagonal form (diagonal, links) of one parity sector on levels 0..n_tr.
+def parity_chain(params: ModelParams, n_tr: int, parity: str):
+    """Tridiagonal form (diagonal, links) of the "even" or "odd" parity sector on levels 0..n_tr.
 
     Chain site m is Fock level m with the spin that puts it in the sector:
-    spin down when (-1)^m equals the parity, spin up otherwise.  The diagonal
-    is -+delta/2 + omega m; the link into site m is g sqrt(m) when site m is
-    spin down and g tau sqrt(m) when it is spin up, so the two chains
-    alternate the two couplings in opposite order (the parity basis of
-    Braak, PRL 107, 100401 (2011)).
+    spin down when (-1)^m equals the parity's sign (+1 even, -1 odd), spin
+    up otherwise.  The diagonal is -+delta/2 + omega m, so the even chain
+    starts at -delta/2 and the odd one at +delta/2; the link into site m
+    is g sqrt(m) when site m is spin down and g tau sqrt(m) when it is
+    spin up, so the two chains alternate the two couplings in opposite
+    order (the parity basis of Braak, PRL 107, 100401 (2011)).
     """
     m = np.arange(n_tr + 1)
     down = _down_sites(n_tr, parity)
@@ -84,7 +91,7 @@ def parity_chain(params: ModelParams, n_tr: int, parity: int):
 
 
 @lru_cache(maxsize=8)
-def _chain_lowest(params: ModelParams, n_tr: int, parity: int):
+def _chain_lowest(params: ModelParams, n_tr: int, parity: str):
     """Lowest eigenvalue and its read-only eigenvector (in chain order) of :func:`parity_chain`.
 
     Solved by :func:`rabivar._lapack.lowest_eigenpair`, bit for bit what
@@ -103,8 +110,8 @@ def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:
     return float(np.max(np.abs(diag)) + abs(e) + 2.0 * np.max(link, initial=0.0))
 
 
-def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int) -> SpectrumResult:
-    """Ground level of the parity = +-1 sector, with adaptive truncation.
+def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: str) -> SpectrumResult:
+    """Ground level of the "even" or "odd" parity sector, with adaptive truncation.
 
     n_tr doubles (up to N_TR_CAP) until the ground vector's tail weight
     (Truncation.tail_weight) is at most tail_tol; its top Fock levels are
@@ -115,8 +122,6 @@ def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: int) -> 
     delocalization threshold they agree to far below double precision,
     and only the sign of :func:`sector_splitting` tells them apart.
     """
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
     n_tr = trunc.n_tr
     while True:
         e, v = _chain_lowest(params, n_tr, parity)
@@ -153,7 +158,7 @@ _LADDER = (34, 68, 136)  # digits of the passes from a float seed, whose ~17 cor
 _CUT_MARGIN = 1e-2  # extrapolated truncation bound sought, relative to the rounding bound
 
 
-def _exact_chain(params: ModelParams, n_tr: int, parity: int):
+def _exact_chain(params: ModelParams, n_tr: int, parity: str):
     """Diagonal and squared links of :func:`parity_chain` in the current decimal context.
 
     The squared links g^2 m and g^2 tau^2 m are built from the exact decimal
@@ -270,7 +275,7 @@ class _Root(NamedTuple):
     chain: tuple
 
 
-def _newton_root(params: ModelParams, n_tr: int, parity: int, digits: int, start=None, near=None) -> _Root:
+def _newton_root(params: ModelParams, n_tr: int, parity: str, digits: int, start=None, near=None) -> _Root:
     """Lowest chain eigenvalue in `digits` digits by Newton, with a-priori rounding and truncation bounds.
 
     Newton starts from near, the other chain's root in the same attempt,
@@ -325,7 +330,7 @@ def _next_cutoff(params: ModelParams, n_tr: int, tails, target: float) -> int:
     """
     n_far = min(max(2 * n_tr, 1), N_TR_CAP)
     total = [0.0] * (n_far - n_tr)
-    for parity, (e, peak, v_peak) in zip((+1, -1), tails):
+    for parity, (e, peak, v_peak) in zip(PARITIES, tails):
         diag, link = parity_chain(params, n_far + 1, parity)
         bounds = _truncation_bounds(diag.tolist(), link.tolist(), e, peak, v_peak, n_tr + 1)
         total = [a + b for a, b in zip(total, bounds)]
@@ -354,8 +359,8 @@ def sector_splitting(params: ModelParams, n_tr: int) -> SectorSplitting:
     digits = SPLITTING_DIGITS
     starts = (None, None)
     while True:
-        even = _newton_root(params, n_tr, +1, digits, starts[0])
-        odd = _newton_root(params, n_tr, -1, digits, starts[1], even.e)
+        even = _newton_root(params, n_tr, "even", digits, starts[0])
+        odd = _newton_root(params, n_tr, "odd", digits, starts[1], even.e)
         rounding = even.rounding + odd.rounding
         truncation = even.trunc + odd.trunc
         if math.isfinite(rounding):

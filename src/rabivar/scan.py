@@ -49,7 +49,7 @@ from .exactdiag import (
     solve_parity_sector,
     spin_x_projection,
 )
-from .model import ModelParams, Truncation
+from .model import PARITIES, ModelParams, Truncation, parity_sign
 from .optimize import solve_ansatz
 from .states import count_peaks, gaussian_packet_profile, position_profile
 from .variational import AnsatzKind, mean_photon, norm2, parity_splitting_2css, superpose
@@ -514,7 +514,7 @@ def _scan_row_ed(cfg: ScanConfig, lam: float) -> dict:
     mp = ModelParams.from_lambda(cfg.delta, lam, cfg.omega, cfg.tau)
     row = {"lambda": lam, "g": mp.g, "method": "ED", "parity": cfg.parity}
     try:
-        res = solve_parity_sector(mp, Truncation(cfg.n_tr, cfg.tail_tol), +1 if cfg.parity == "even" else -1)
+        res = solve_parity_sector(mp, Truncation(cfg.n_tr, cfg.tail_tol), cfg.parity)
         row["energy"] = res.energy
         row["energy_scaled"] = res.energy / (cfg.delta * cfg.omega)
         row["mean_photon"] = mean_photon_ed(res)
@@ -561,7 +561,7 @@ def run_scan(cfg: ScanConfig, out_dir: str) -> list:
     anything is written, as does any input _check_model rejects.
     """
     _check_model(cfg)
-    if cfg.parity not in ("even", "odd"):
+    if cfg.parity not in PARITIES:
         raise InvalidConfig(f"parity must be even or odd, got {cfg.parity!r}")
     _check_methods("scan", cfg.methods, METHODS)
     single = [m for m in cfg.methods if m != "ED" and not AnsatzKind(m).two_branch]
@@ -660,7 +660,7 @@ def _ed_pair(mp: ModelParams, trunc: Truncation):
     the two cutoffs the float solves needed; an unresolved splitting is
     None.  TruncationNotConverged from a sector solve propagates.
     """
-    even, odd = (solve_parity_sector(mp, trunc, parity) for parity in (+1, -1))
+    even, odd = (solve_parity_sector(mp, trunc, parity) for parity in PARITIES)
     return even, odd, sector_splitting(mp, max(even.n_tr_used, odd.n_tr_used))
 
 
@@ -696,7 +696,7 @@ def _css2_pair(mp: ModelParams):
     delocalization threshold, the minima lie apart (by omega at g = 0)
     and their difference is the splitting.
     """
-    even, odd = (solve_ansatz(mp, AnsatzKind.CSS2, parity) for parity in ("even", "odd"))
+    even, odd = (solve_ansatz(mp, AnsatzKind.CSS2, parity) for parity in PARITIES)
     if not (even.converged and odd.converged):
         return even, odd, None
     return even, odd, even.energy - odd.energy if even.reduced else parity_splitting_2css(mp, even.params)
@@ -798,8 +798,8 @@ def run_wavefunction(cfg: WavefunctionConfig, out_dir: str) -> list:
             phi_p, phi_m = position_profile(*spin_x_projection(res), xs, cfg.omega)
         else:
             even, odd, split = _css2_pair(mp)
-            res, sign = _lowest(split, (even, -1.0), (odd, 1.0)) or (even, -1.0)
-            p = res.params
+            res = _lowest(split, even, odd) or even
+            p, sign = res.params, -parity_sign(res.parity)
             if p is None:
                 raise RuntimeError(f"the CSS2 solve at lambda {lam} reached no finite energy")
             if not res.converged:

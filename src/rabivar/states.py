@@ -70,13 +70,15 @@ def count_peaks(density: np.ndarray) -> int:
 def position_profile(c_plus, c_minus, xs, omega: float = 1.0):
     """Sampled (phi_{+x}, phi_{-x}) from sigma_x-basis Fock coefficients.
 
-    phi_{+-x}(x) = sum_n c_{n,+-} <x|n>.
+    phi_{+-x}(x) = sum_n c_{n,+-} <x|n>, summed by numpy's own einsum loop
+    rather than a BLAS product, whose summation order follows the BLAS
+    thread count, so the profile is the same bit for bit on any count.
     """
     c_plus = np.asarray(c_plus, dtype=float)
     c_minus = np.asarray(c_minus, dtype=float)
     n_max = max(c_plus.size, c_minus.size) - 1
     basis = oscillator_wavefunctions(n_max, xs, omega)
-    return c_plus @ basis[: c_plus.size], c_minus @ basis[: c_minus.size]
+    return tuple(np.einsum("i,ij->j", c, basis[: c.size]) for c in (c_plus, c_minus))
 
 
 @lru_cache(maxsize=8)

@@ -53,7 +53,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateAnsatz, NotIsotropic
-from .model import ModelParams, Truncation
+from .model import ModelParams, Truncation, parity_sign
 from .states import displaced_squeezed_amplitudes
 
 _NORM_FLOOR = 1e-12
@@ -101,14 +101,6 @@ class AnsatzKind(Enum):
     @property
     def squeezed(self) -> bool:
         return self in (AnsatzKind.CSS1, AnsatzKind.CSS2)
-
-
-def _check_parity(parity: str) -> int:
-    if parity == "even":
-        return +1
-    if parity == "odd":
-        return -1
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 def _pair_overlap(eta: float, d: float) -> float:
@@ -214,7 +206,7 @@ def objective(params: ModelParams, kind: AnsatzKind, parity: str = "even"):
     beta1 + beta2 -> 0 both branches tend to the same state, the pencil
     tends to 0/0 and the closed form loses the digits it divides out.
     """
-    s = _check_parity(parity)
+    s = parity_sign(parity)
     delta, omega, alpha, gamma = params.delta, params.omega, params.alpha, params.gamma
     squeezed = kind.squeezed
     rejected = (math.inf, None)
@@ -343,7 +335,7 @@ def energy(params: ModelParams, p: PacketParams, parity: str = "even") -> float:
     Raises DegenerateAnsatz when the squared norm falls below 1e-12
     (near-cancelling superposition).
     """
-    s = _check_parity(parity)
+    s = parity_sign(parity)
     n, _, h_a, h_b = _pair_parts(params, p)
     return _quotient(h_a[0] + h_a[1] - s * (h_b[0] + h_b[1]), n)
 

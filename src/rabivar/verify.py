@@ -34,7 +34,7 @@ import numpy as np
 
 from .exactdiag import solve_parity_sector
 from .fock import build_hamiltonian, parity_diag
-from .model import ModelParams, Truncation
+from .model import PARITIES, ModelParams, Truncation
 from .optimize import GRAD_TOL, solve_ansatz
 from .states import displaced_squeezed_amplitudes
 from .variational import (
@@ -230,7 +230,7 @@ def physics_checks():
 
     for delta, tau, lam in PHYSICS_POINTS:
         mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
-        ed_even = solve_parity_sector(mp, tr, +1).energy
+        ed_even = solve_parity_sector(mp, tr, "even").energy
         results = {kind: solved(mp, kind) for kind in AnsatzKind}
         energies = {kind: r.energy for kind, r in results.items()}
         dev_bound = _worst(dev_bound, *(ed_even - e for e in energies.values()))
@@ -240,7 +240,7 @@ def physics_checks():
             energies[AnsatzKind.CSS1] - energies[AnsatzKind.CS1],
             energies[AnsatzKind.CSS2] - energies[AnsatzKind.CS2],
         )
-        ed_odd = solve_parity_sector(mp, tr, -1).energy
+        ed_odd = solve_parity_sector(mp, tr, "odd").energy
         odd = solved(mp, AnsatzKind.CSS2, "odd")
         dev_bound = _worst(dev_bound, ed_odd - odd.energy)
         for result in (results[AnsatzKind.CSS2], odd):
@@ -274,7 +274,7 @@ def objective_checks():
     for tau in (0.5, 1.0, 1.5):
         mp = ModelParams(delta=10.0, omega=1.0, g=1.3, tau=tau)
         for kind in AnsatzKind:
-            for parity in ("even", "odd"):
+            for parity in PARITIES:
                 fg = objective(mp, kind, parity)
                 for x in _GRADIENT_POINTS:
                     grad = fg(x)[1]

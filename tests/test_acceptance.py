@@ -84,7 +84,7 @@ def test_criterion_2_bounds_and_nesting():
     worst = 0.0
     for delta, tau, lam in points:
         mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
-        e_ed = solve_parity_sector(mp, Truncation(256), +1).energy
+        e_ed = solve_parity_sector(mp, Truncation(256), "even").energy
         e = {k: solve_ansatz(mp, k).energy for k in AnsatzKind}
         slack = 1e-8 * max(1.0, abs(e_ed))
         chain = [

@@ -27,7 +27,7 @@ import rabivar.verify as verify
 from rabivar.cli import main
 from rabivar.errors import InvalidConfig, InvalidTau
 from rabivar.exactdiag import SectorSplitting, sector_splitting, solve_parity_sector
-from rabivar.model import ModelParams, Truncation
+from rabivar.model import N_TR_MAX, ModelParams, Truncation
 from rabivar.optimize import OptResult
 from rabivar.scan import (
     LevelsConfig,
@@ -357,9 +357,9 @@ def test_interrupted_rerun_with_other_physics_leaves_no_file_of_the_earlier_run(
     assert_trees_identical(str(fresh), str(out))
 
 
-@pytest.mark.parametrize("parity, sign", [("even", +1), ("odd", -1)])
+@pytest.mark.parametrize("parity, other_parity", [("even", "odd"), ("odd", "even")])
 @pytest.mark.parametrize("ratio", [0.9, 1.2])
-def test_scan_ed_rows_come_from_the_scanned_parity(tmp_path, parity, sign, ratio):
+def test_scan_ed_rows_come_from_the_scanned_parity(tmp_path, parity, other_parity, ratio):
     # At delta 8, tau 0.5 the even level lies lowest at 0.9 g_c1 and the odd
     # one at 1.2 g_c1, so at one of the two the lowest level of both sectors
     # has the other parity.
@@ -369,8 +369,8 @@ def test_scan_ed_rows_come_from_the_scanned_parity(tmp_path, parity, sign, ratio
                      methods=("ED",), parity=parity)
     (row,) = run_scan(cfg, str(tmp_path / parity))
     mp = ModelParams.from_lambda(8.0, row["lambda"], 1.0, 0.5)
-    sector = solve_parity_sector(mp, Truncation(cfg.n_tr), sign).energy
-    other = solve_parity_sector(mp, Truncation(cfg.n_tr), -sign).energy
+    sector = solve_parity_sector(mp, Truncation(cfg.n_tr), parity).energy
+    other = solve_parity_sector(mp, Truncation(cfg.n_tr), other_parity).energy
     assert row["parity"] == parity and row["energy"] == sector
     assert abs(sector - other) > 1e-8  # the two sectors are told apart here
 
@@ -614,6 +614,32 @@ def test_largest_couplings_that_run_depend_on_the_cutoff(lam, n_tr, accepted):
                 scan._check_model(cfg)
 
 
+@pytest.mark.parametrize("n_tr, accepted", [(N_TR_MAX, True), (N_TR_MAX + 1, False)])
+def test_cutoff_bound_is_checked_before_the_coupling(n_tr, accepted):
+    # At lambda 0 no coupling can overflow, so only the cutoff bound decides.
+    for cfg in (ScanConfig(lambda_min=0.0, lambda_max=0.0, n_tr=n_tr), WavefunctionConfig(lambdas=(0.0,), n_tr=n_tr),
+                LevelsConfig(g_min=0.0, g_max=0.0, n_tr=n_tr)):
+        if accepted:
+            scan._check_model(cfg)
+        else:
+            with pytest.raises(InvalidConfig, match=f"n_tr must be a non-negative integer at most {N_TR_MAX}"):
+                scan._check_model(cfg)
+
+
+@pytest.mark.parametrize("n_tr", [10**300, 10**400], ids=["1e300", "1e400"])
+def test_cli_rejects_a_cutoff_above_the_bound_before_writing(tmp_path, capsys, n_tr):
+    # 10**400 ended in an OverflowError traceback from the coupling check;
+    # 10**300 passed it, wrote meta.json and combined.tsv, then failed to
+    # allocate its chain.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n_tr": n_tr}))
+    out = tmp_path / "x"
+    argv = ["scan", "--config", str(cfg_file), "--out", str(out), "--delta", "8", "--lambda-min", "0",
+            "--lambda-max", "0", "--methods", "ED"]
+    assert f"n_tr must be a non-negative integer at most {N_TR_MAX}" in cli_error(argv, capsys)
+    assert not out.exists()
+
+
 def test_cli_rejects_coupling_that_overflows_above_the_cutoff_cap(tmp_path, capsys):
     # A start cutoff above the cap is never lowered, so its chain links must stay finite too.
     out = tmp_path / "x"
@@ -644,6 +670,9 @@ def test_cli_rejects_coupling_that_overflows_above_the_cutoff_cap(tmp_path, caps
         ("levels", [], {"tau": True}, "tau must be a number, got True"),
         ("wavefunction", [], {"n_tr": False}, "n_tr must be a number, got False"),
         ("verify", ["--seed", "-1"], None, "seed must be non-negative, got -1"),
+        # argparse choices used to reject these flags with a usage block
+        ("scan", ["--parity", "up"], None, "parity must be even or odd, got 'up'"),
+        ("wavefunction", ["--source", "XX"], None, "source must be ED or CSS2, got 'XX'"),
         # {file} is an existing file; the later --out wins
         ("scan", ["--out", "{file}"], None, "--out must name a directory"),
         ("levels", ["--out", "{file}"], None, "--out must name a directory"),
@@ -676,7 +705,7 @@ def test_infinite_tail_tol_rejected_before_a_truncated_row_is_written(tmp_path, 
             "--lambda-min", "1.4", "--lambda-max", "1.4", "--methods", "ED,CSS2"]
     assert "tail_tol" in cli_error(argv, capsys)
     assert not (tmp_path / "x").exists()
-    res = solve_parity_sector(ModelParams.from_lambda(100.0, 1.4), Truncation(8), +1)
+    res = solve_parity_sector(ModelParams.from_lambda(100.0, 1.4), Truncation(8), "even")
     assert res.energy == pytest.approx(-61.826, abs=1e-3)
 
 
@@ -1453,6 +1482,21 @@ def test_verify_report_independent_of_blas_threads():
         outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                       capture_output=True, text=True).stdout)
     assert outputs[0] == outputs[1] and json.loads(outputs[0])["passed"] == 16
+
+
+def test_ed_profiles_independent_of_blas_threads(tmp_path):
+    # A profile sums a 257-level vector against 5,001 oscillator samples
+    # (the README x grid); as a BLAS product its summation order followed
+    # the thread count.
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(_env_with_src(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "rabivar", "wavefunction", "--delta", "100", "--tau", "1",
+                        "--lambdas", "1.1", "--source", "ED", "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in ("wf_ED_lam1.1.tsv", "summary.tsv")])
+    assert outputs[0] == outputs[1] and outputs[0][0].count(b"\n") == 5002
 
 
 def test_physics_checks_run_each_stage_once(monkeypatch):

@@ -26,6 +26,8 @@ from rabivar import (
     solve_parity_sector,
     spin_x_projection,
 )
+from rabivar.model import parity_sign
+from rabivar.variational import AnsatzKind, PacketParams, energy, objective
 from rabivar.scan import LevelsConfig, WavefunctionConfig, read_table, run_wavefunction
 
 
@@ -60,7 +62,7 @@ def _spin_major(res):
 def test_decoupled_ground_state():
     res = _ground(ModelParams(delta=1.0, g=0.0), Truncation(16))
     assert res.energy == pytest.approx(-0.5, abs=1e-14)
-    assert res.parity == +1 and len(res.vector) == res.n_tr_used + 1
+    assert res.parity == "even" and len(res.vector) == res.n_tr_used + 1
     expected = np.zeros(res.n_tr_used + 1)
     expected[0] = 1.0  # site 0 of the even chain, |down, 0>
     assert np.allclose(res.vector, expected, atol=1e-12)
@@ -80,7 +82,7 @@ def test_truncation_self_consistency():
     assert abs(e1 - e2) <= 1e-10 * abs(e1)
 
 
-@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_adaptive_truncation_grows(parity):
     mp = ModelParams.from_lambda(100.0, 1.2, 1.0, 1.0)
     res = solve_parity_sector(mp, Truncation(8), parity)
@@ -88,7 +90,7 @@ def test_adaptive_truncation_grows(parity):
     assert res.tail_weight <= 1e-12
 
 
-@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_truncation_cap_raises(monkeypatch, parity):
     monkeypatch.setattr(ed, "N_TR_CAP", 32)
     mp = ModelParams.from_lambda(100.0, 1.4, 1.0, 1.0)
@@ -113,8 +115,8 @@ def test_sector_union_matches_full_spectrum():
             tau=float(rng.choice([0.5, 1.0, 1.5])),
         )
         tr = Truncation(40, tail_tol=1e-6)
-        even = solve_parity_sector(mp, tr, +1)
-        odd = solve_parity_sector(mp, tr, -1)
+        even = solve_parity_sector(mp, tr, "even")
+        odd = solve_parity_sector(mp, tr, "odd")
         n_tr = even.n_tr_used
         assert odd.n_tr_used == n_tr
         dense, _ = _dense_lowest(mp, n_tr, k)
@@ -123,13 +125,13 @@ def test_sector_union_matches_full_spectrum():
         chains = [
             scipy.linalg.eigh_tridiagonal(*parity_chain(mp, n_tr, parity), eigvals_only=True,
                                           select="i", select_range=(0, k - 1))
-            for parity in (+1, -1)
+            for parity in ("even", "odd")
         ]
         assert np.allclose([chains[0][0], chains[1][0]], [even.energy, odd.energy], atol=1e-12)
         assert np.allclose(np.sort(np.concatenate(chains))[:k], dense, atol=1e-10)
 
 
-@pytest.mark.parametrize("parity", [0, -1], ids=["both", "odd"])
+@pytest.mark.parametrize("parity", [None, "odd"], ids=["both", "odd"])
 def test_eigenpair_residuals(parity):
     mp = ModelParams(delta=2.0, omega=1.0, g=0.8, tau=1.5)
     tr = Truncation(48, tail_tol=1e-8)
@@ -184,7 +186,7 @@ def test_sector_pair_independent_of_blas_threads():
     assert outputs[0] == outputs[1] and outputs[0]
 
 
-@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_phase_fixing_sign(parity):
     res = solve_parity_sector(ModelParams(delta=1.0, g=0.4), Truncation(24), parity)
     v = res.vector
@@ -196,11 +198,43 @@ def test_parity_validation():
         solve_parity_sector(ModelParams(delta=1.0), Truncation(4), parity=0)
 
 
+@pytest.mark.parametrize("parity", [+1, -1, 2, "Even"])
+@pytest.mark.parametrize("reader", [
+    lambda mp, parity: parity_chain(mp, 3, parity),
+    lambda mp, parity: solve_parity_sector(mp, Truncation(8), parity),
+    lambda mp, parity: objective(mp, AnsatzKind.CSS2, parity),
+    lambda mp, parity: energy(mp, PacketParams((1.0, 0.5), (1.0, -1.0)), parity),
+    lambda mp, parity: spin_x_projection(_fock_state([1.0, 0.0], parity)),
+    lambda mp, parity: mean_photon_ed(_fock_state([1.0, 0.0], parity)),
+], ids=["parity_chain", "solve_parity_sector", "objective", "energy", "spin_x_projection", "mean_photon_ed"])
+def test_every_parity_reader_rejects_a_value_other_than_even_or_odd(reader, parity):
+    # A sign, or a name spelled otherwise, must not pass for a sector: the
+    # chain readers used to take any value but +1 for the odd chain.
+    with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
+        reader(ModelParams(delta=8.0, g=1.0, tau=0.5), parity)
+
+
+def test_even_chain_is_the_even_sector():
+    # The even chain starts at |down, 0>, diagonal -delta/2; it used to be
+    # returned for +1 only, and "even" silently gave the odd chain, which
+    # starts at |up, 0>, +delta/2.
+    mp = ModelParams(delta=8.0, g=1.0, tau=0.5)
+    assert parity_chain(mp, 3, "even")[0][0] == -4.0 and parity_chain(mp, 3, "odd")[0][0] == 4.0
+    res = solve_parity_sector(mp, Truncation(64), "even")
+    diag, link = parity_chain(mp, res.n_tr_used, "even")
+    e, v = scipy.linalg.eigh_tridiagonal(diag, link, select="i", select_range=(0, 0))
+    assert res.energy == e[0] and np.array_equal(np.abs(res.vector), np.abs(v[:, 0]))
+    t = Truncation(res.n_tr_used)
+    even = np.flatnonzero(parity_diag(t) == +1)
+    sector = build_hamiltonian(mp, t)[np.ix_(even, even)]
+    assert res.energy == pytest.approx(scipy.linalg.eigvalsh(sector)[0], abs=1e-10)
+
+
 def test_decoupled_parity_sectors():
     mp = ModelParams(delta=1.0, omega=1.3, g=0.0)
     tr = Truncation(16)
-    even = solve_parity_sector(mp, tr, +1)
-    odd = solve_parity_sector(mp, tr, -1)
+    even = solve_parity_sector(mp, tr, "even")
+    odd = solve_parity_sector(mp, tr, "odd")
     assert even.energy == pytest.approx(-0.5, abs=1e-13)
     assert odd.energy == pytest.approx(min(0.5, 1.3 - 0.5), abs=1e-13)
 
@@ -212,8 +246,8 @@ def test_odd_sector_dives_below_even_beyond_crossing():
     g = 1.05 * mp0.g_c1
     mp = ModelParams(delta=8.0, tau=0.5, g=g)
     tr = Truncation(96)
-    even = solve_parity_sector(mp, tr, +1)
-    odd = solve_parity_sector(mp, tr, -1)
+    even = solve_parity_sector(mp, tr, "even")
+    odd = solve_parity_sector(mp, tr, "odd")
     assert odd.energy < even.energy
 
 
@@ -225,16 +259,16 @@ def _fock_state(vector, parity):
 
 def test_spin_x_projection_basis_change():
     s = 1 / math.sqrt(2)
-    c_plus, c_minus = spin_x_projection(_fock_state([1.0, 0.0], +1))  # |down, 0>
+    c_plus, c_minus = spin_x_projection(_fock_state([1.0, 0.0], "even"))  # |down, 0>
     assert c_plus[0] == pytest.approx(s)
     assert c_minus[0] == pytest.approx(-s)
-    c_plus, c_minus = spin_x_projection(_fock_state([0.0, 1.0], +1))  # |up, 1>
+    c_plus, c_minus = spin_x_projection(_fock_state([0.0, 1.0], "even"))  # |up, 1>
     assert c_plus[1] == pytest.approx(s) and c_minus[1] == pytest.approx(s)
-    c_plus, c_minus = spin_x_projection(_fock_state([s, s], -1))  # (|up, 0> + |down, 1>) / sqrt(2)
+    c_plus, c_minus = spin_x_projection(_fock_state([s, s], "odd"))  # (|up, 0> + |down, 1>) / sqrt(2)
     assert np.allclose(c_plus, [0.5, 0.5]) and np.allclose(c_minus, [0.5, -0.5])
 
 
-@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_spin_x_projection_preserves_norm(parity):
     rng = np.random.default_rng(5)
     v = rng.normal(size=9)
@@ -243,14 +277,14 @@ def test_spin_x_projection_preserves_norm(parity):
     assert np.sum(c_plus**2) + np.sum(c_minus**2) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_sector_projection_parity_pattern(parity):
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
     res = solve_parity_sector(mp, Truncation(256), parity)
     c_plus, c_minus = spin_x_projection(res)
     n = np.arange(res.n_tr_used + 1)
     assert np.max(np.abs(c_plus)) > 0.1
-    assert np.max(np.abs(c_minus + parity * (-1.0) ** n * c_plus)) <= 1e-12
+    assert np.max(np.abs(c_minus + parity_sign(parity) * (-1.0) ** n * c_plus)) <= 1e-12
 
 
 @pytest.mark.parametrize("delta", [1.0, 8.0, 100.0])
@@ -263,7 +297,7 @@ def test_chain_readers_match_the_spin_major_layout(delta, tau):
     # largest magnitude ties between |up, n-1> and |down, n> with opposite
     # signs.  The readers must give the same bits, up to the sign of a zero.
     s = 1.0 / np.sqrt(2.0)
-    for lam, n_tr, parity in itertools.product((0.3, 1.0, 2.0, 3.0), (8, 64, 256), (+1, -1)):
+    for lam, n_tr, parity in itertools.product((0.3, 1.0, 2.0, 3.0), (8, 64, 256), ("even", "odd")):
         mp = ModelParams.from_lambda(delta, lam, 1.0, tau)
         res = solve_parity_sector(mp, Truncation(n_tr), parity)
         assert len(res.vector) == res.n_tr_used + 1
@@ -278,31 +312,31 @@ def test_chain_readers_match_the_spin_major_layout(delta, tau):
 
 
 def test_mean_photon_fock_states():
-    assert mean_photon_ed(_fock_state([1.0, 0, 0, 0], +1)) == 0.0  # |down, 0>
-    assert mean_photon_ed(_fock_state([0.0, 0, 0, 1.0], -1)) == 3.0  # |down, 3>
-    assert mean_photon_ed(_fock_state([0.0, 0, 0, 1.0], +1)) == 3.0  # |up, 3>
+    assert mean_photon_ed(_fock_state([1.0, 0, 0, 0], "even")) == 0.0  # |down, 0>
+    assert mean_photon_ed(_fock_state([0.0, 0, 0, 1.0], "odd")) == 3.0  # |down, 3>
+    assert mean_photon_ed(_fock_state([0.0, 0, 0, 1.0], "even")) == 3.0  # |up, 3>
 
 
 def test_mean_photon_matches_packet_estimate():
     from rabivar import AnsatzKind, mean_photon, solve_ansatz
 
     mp = ModelParams.from_lambda(100.0, 1.5, 1.0, 1.0)
-    res = solve_parity_sector(mp, Truncation(256), +1)
+    res = solve_parity_sector(mp, Truncation(256), "even")
     n_ed = mean_photon_ed(res)
     fit = solve_ansatz(mp, AnsatzKind.CSS2)
     assert abs(mean_photon(fit.params) - n_ed) <= 0.1 * n_ed
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("parity", [+1, -1])
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_parity_chain_matches_dense_sector(tau, parity):
     mp = ModelParams(delta=3.0, omega=1.3, g=0.7, tau=tau)
     n_tr = 12
     t = Truncation(n_tr)
     m = np.arange(n_tr + 1)
-    down = (m % 2 == 0) == (parity == +1)
+    down = (m % 2 == 0) == (parity == "even")
     order = np.where(down, n_tr + 1, 0) + m  # full-basis index of chain site m
-    assert np.array_equal(np.sort(order), np.flatnonzero(parity_diag(t) == parity))
+    assert np.array_equal(np.sort(order), np.flatnonzero(parity_diag(t) == parity_sign(parity)))
     diag, link = parity_chain(mp, n_tr, parity)
     chain = np.diag(diag) + np.diag(link, 1) + np.diag(link, -1)
     sector = build_hamiltonian(mp, t)[np.ix_(order, order)]
@@ -314,8 +348,8 @@ def test_certified_splitting_matches_float_where_resolved():
     compared = 0
     for ratio in np.arange(0.9, 1.1001, 0.02):
         mp = ModelParams(delta=8.0, tau=0.5, g=ratio * gc1)
-        e_even = solve_parity_sector(mp, Truncation(96), +1).energy
-        e_odd = solve_parity_sector(mp, Truncation(96), -1).energy
+        e_even = solve_parity_sector(mp, Truncation(96), "even").energy
+        e_odd = solve_parity_sector(mp, Truncation(96), "odd").energy
         split = sector_splitting(mp, 96).splitting
         if abs(e_even - e_odd) > 1e-9:
             assert split == pytest.approx(e_even - e_odd, rel=0.0, abs=1e-12 * abs(e_even))
@@ -415,7 +449,7 @@ def _reference_newton_lowest(diag, link2, seed: float, tol):
     return None
 
 
-def _reference_certified_lowest(params: ModelParams, n_tr: int, parity: int, digits: int, start=None):
+def _reference_certified_lowest(params: ModelParams, n_tr: int, parity: str, digits: int, start=None):
     """Lowest chain eigenvalue in `digits` digits, with rounding and truncation bounds.
 
     Newton starts from start, the eigenvalue of an earlier attempt at a
@@ -456,8 +490,8 @@ def reference_sector_splitting(params: ModelParams, n_tr: int) -> ed.SectorSplit
     digits = ed.SPLITTING_DIGITS
     e_even = e_odd = None
     while True:
-        e_even, round_even, trunc_even, tail_even = _reference_certified_lowest(params, n_tr, +1, digits, e_even)
-        e_odd, round_odd, trunc_odd, tail_odd = _reference_certified_lowest(params, n_tr, -1, digits, e_odd)
+        e_even, round_even, trunc_even, tail_even = _reference_certified_lowest(params, n_tr, "even", digits, e_even)
+        e_odd, round_odd, trunc_odd, tail_odd = _reference_certified_lowest(params, n_tr, "odd", digits, e_odd)
         rounding = round_even + round_odd
         truncation = trunc_even + trunc_odd
         error = rounding + truncation
@@ -571,11 +605,11 @@ def test_failed_sturm_counts_double_the_digits_and_restart_from_float_seeds(monk
 
 def test_cached_chain_solves_are_read_only():
     mp = ModelParams(delta=8.0, tau=0.5, g=0.9)
-    e, v = ed._chain_lowest(mp, 32, -1)
-    assert ed._chain_lowest(mp, 32, -1)[1] is v
+    e, v = ed._chain_lowest(mp, 32, "odd")
+    assert ed._chain_lowest(mp, 32, "odd")[1] is v
     with pytest.raises(ValueError):
         v[0] = 0.0
-    assert e == solve_parity_sector(mp, Truncation(32, tail_tol=0.5), -1).energy
+    assert e == solve_parity_sector(mp, Truncation(32, tail_tol=0.5), "odd").energy
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.0])
@@ -586,7 +620,7 @@ def test_decoupled_point_splitting_is_certified(tau):
     split = sector_splitting(mp, 256)
     assert split.digits == 90 and split.n_tr == 256
     assert abs(split.splitting - -1.0) <= split.error
-    for parity in (+1, -1):
+    for parity in ("even", "odd"):
         diag, link = parity_chain(mp, 257, parity)
         e, v = ed._chain_lowest(mp, 256, parity)
         peak = int(np.argmax(np.abs(v)))

@@ -13,7 +13,7 @@ from rabivar.errors import LapackUnavailable
 GRID = [
     (delta, tau, lam, n_tr, parity)
     for delta, tau, lam, n_tr, parity in itertools.product(
-        (1.0, 8.0, 100.0), (0.0, 0.5, 1.0, 1.5), (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5), (40, 160, 256), (+1, -1)
+        (1.0, 8.0, 100.0), (0.0, 0.5, 1.0, 1.5), (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5), (40, 160, 256), ("even", "odd")
     )
 ]
 
@@ -101,7 +101,7 @@ def _stub(monkeypatch, name, info):
     [("dstebz", lapack.lowest_eigenpair), ("dstein", lapack.lowest_eigenpair), ("dstevd", lapack.eigenpairs)],
 )
 def test_nonzero_lapack_info_raises(monkeypatch, routine, solve):
-    d, e = parity_chain(ModelParams(delta=8.0, g=1.0, tau=0.5), 40, +1)
+    d, e = parity_chain(ModelParams(delta=8.0, g=1.0, tau=0.5), 40, "even")
     _stub(monkeypatch, routine, 2)
     with pytest.raises(np.linalg.LinAlgError, match=routine):
         solve(d, e)
@@ -113,7 +113,7 @@ def test_nonzero_lapack_info_raises(monkeypatch, routine, solve):
 def test_dstein_failure_reports_unconverged_eigenvectors(monkeypatch):
     _stub(monkeypatch, "dstein", 1)
     with pytest.raises(np.linalg.LinAlgError, match="1 eigenvectors failed to converge"):
-        lapack.lowest_eigenpair(*parity_chain(ModelParams(delta=8.0, g=1.0), 40, -1))
+        lapack.lowest_eigenpair(*parity_chain(ModelParams(delta=8.0, g=1.0), 40, "odd"))
 
 
 def test_missing_extension_raises_naming_the_file(monkeypatch):

@@ -160,7 +160,7 @@ def test_weak_coupling_odd_stays_above_exact(delta, g):
     # where the projected closed form loses precision unless such points are
     # rejected.  At g = 0 the solve must also leave the +delta/2 saddle.
     mp = ModelParams(delta=delta, omega=1.0, g=g, tau=1.0)
-    ed = solve_parity_sector(mp, Truncation(64), -1).energy
+    ed = solve_parity_sector(mp, Truncation(64), "odd").energy
     for kind in (AnsatzKind.CS2, AnsatzKind.CSS2):
         r = solve_ansatz(mp, kind, "odd")
         assert r.energy >= ed - 1e-8 * max(1.0, abs(ed))

@@ -209,7 +209,7 @@ def test_count_peaks_floor_discrimination():
 def test_profile_norm_from_normalized_state():
     xs = np.arange(-25.0, 25.0 + 1e-9, 0.01)
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
-    res = solve_parity_sector(mp, Truncation(256), +1)
+    res = solve_parity_sector(mp, Truncation(256), "even")
     c_plus, c_minus = spin_x_projection(res)
     phi_plus, phi_minus = position_profile(c_plus, c_minus, xs)
     assert np.trapezoid(phi_plus**2 + phi_minus**2, xs) == pytest.approx(1.0, abs=1e-3)
@@ -217,7 +217,7 @@ def test_profile_norm_from_normalized_state():
 
 def test_peak_counts_stable_under_grid_refinement():
     mp = ModelParams.from_lambda(100.0, 1.1, 1.0, 1.0)
-    res = solve_parity_sector(mp, Truncation(256), +1)
+    res = solve_parity_sector(mp, Truncation(256), "even")
     c_plus, c_minus = spin_x_projection(res)
     counts = []
     for step in (0.02, 0.01):

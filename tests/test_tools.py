@@ -55,6 +55,16 @@ def test_trees_name_every_reference_tree_and_parse():
         assert cli.build_parser().parse_args([*argv, "--out", name]).command == argv[0], name
 
 
+def test_trees_threads_mode_finds_no_thread_dependence(tmp_path, capsys):
+    # One small tree: the ED profile at one README coupling, whose rows
+    # followed the BLAS thread count before the profile product left BLAS.
+    tree = ("wavefunction", ["wavefunction", "--delta", "100", "--tau", "1", "--lambdas", "1.1", "--source", "ED"])
+    assert _tool("trees").write_threads(str(tmp_path), [tree]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["1", "2"]
+    reports = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wavefunction/")]
+    assert len(reports) == 4 and all(line.endswith(": identical") for line in reports), reports
+
+
 def _compare(a, b):
     proc = subprocess.run(
         [sys.executable, os.path.join(TOOLS, "trees.py"), "--compare", str(a), str(b)],

@@ -20,13 +20,13 @@ from rabivar import (
     stationarity_residuals_iso,
 )
 import rabivar.variational as variational
+from rabivar.model import parity_sign
 from rabivar.states import displaced_squeezed_amplitudes
 from rabivar.variational import (
     _NO_COUPLING,
     _NORM_FLOOR,
     _PENCIL_FLOOR,
     AnsatzKind,
-    _check_parity,
     _pair_overlap,
     _pair_parts,
     _quotient,
@@ -78,7 +78,7 @@ def energy_grad_1css(params: ModelParams, beta: float, xi: float = 0.0, parity: 
 
     the single-packet trial state's energy for s = +1.
     """
-    s = _check_parity(parity)
+    s = parity_sign(parity)
     sh = math.sinh(2.0 * xi)
     ch = math.cosh(2.0 * xi)
     u = math.exp(-4.0 * xi)
@@ -108,7 +108,7 @@ def projected_energy_2css(params: ModelParams, beta1: float, beta2: float, xi: f
     beta1 + beta2 -> 0 both branches tend to the same state, the pencil
     tends to 0/0 and the closed form loses the digits it divides out.
     """
-    s = _check_parity(parity)
+    s = parity_sign(parity)
     delta, omega, alpha, gamma = params.delta, params.omega, params.alpha, params.gamma
     b1, b2 = beta1, beta2
     sm, df = b1 + b2, b1 - b2
@@ -235,7 +235,7 @@ def reference_energy_2css(params: ModelParams, a: TwoPacketParams, parity: str =
     beta1 = beta.  Raises DegenerateAnsatz when the squared norm falls
     below 1e-12 (near-cancelling superposition).
     """
-    s = _check_parity(parity)
+    s = parity_sign(parity)
     n, _, h_a, h_b = reference_pair_parts(params, a)
     return _quotient(h_a[0] + h_a[1] - s * (h_b[0] + h_b[1]), n)
 

@@ -2,6 +2,7 @@
 
     python tools/trees.py OUT              # write every tree under OUT/<name>
     python tools/trees.py --compare A B    # compare two sets, file by file
+    python tools/trees.py --threads OUT    # write every tree under OUT/1 and OUT/2, then compare them
 
 The trees are the four commands of the README's CLI block, read from
 README.md as ``test_readme_cli_block_parses`` reads them (``verify`` gains
@@ -24,6 +25,13 @@ top-level keys that differ, and in a levels ``meta.json`` each method whose
 changed, in ``verify.json`` each check whose ``max_dev`` or ``passed``
 changed; for any other file ``differs``.  It exits 0 only when every file
 is identical.
+
+``--threads`` writes every tree twice: each command runs with
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to 1 in its own
+environment for ``OUT/1``, and to 2 for ``OUT/2``; no other process's
+setting changes.  It then compares ``OUT/1`` with ``OUT/2`` as
+``--compare`` does and exits 0 only when every file is identical, that is
+when no output depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -67,13 +75,26 @@ def trees():
     return named
 
 
-def write(out: str) -> int:
+def write(out: str, named=None, threads=None) -> int:
+    """Write each (name, argv) of named, every tree by default, under out/<name>.
+
+    threads, when given, is the BLAS thread count of each command's process.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    for name, argv in trees():
+    if threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    for name, argv in named or trees():
         print(f"{name}: rabivar {shlex.join(argv)}", flush=True)
         subprocess.run([sys.executable, "-m", "rabivar", *argv, "--out", os.path.join(out, name)], env=env, check=True)
     return 0
+
+
+def write_threads(out: str, named=None) -> int:
+    """Write the trees with one BLAS thread under out/1 and with two under out/2, and compare the two sets."""
+    for threads in ("1", "2"):
+        write(os.path.join(out, threads), named, threads)
+    return compare(os.path.join(out, "1"), os.path.join(out, "2"))
 
 
 def _files(top: str) -> set:
@@ -180,6 +201,8 @@ def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 3 and args[0] == "--compare":
         return compare(args[1], args[2])
+    if len(args) == 2 and args[0] == "--threads":
+        return write_threads(args[1])
     if len(args) == 1 and not args[0].startswith("-"):
         return write(args[0])
     print(__doc__.split("\n\n")[1], file=sys.stderr)
