@@ -14,7 +14,10 @@ eta^{-2} while the displaced-state overlap narrows as
 
 The Fock amplitudes built here, by exact exponentials of the truncated
 generators, are the numerical oracle against which every closed form in
-:mod:`rabivar.variational` is checked.
+:mod:`rabivar.variational` is checked.  They come in families
+(:class:`PacketFamily`): one squeezed vacuum per xi and truncation, each
+distinct |b| displaced once, and f(-b, xi) = P f(|b|, xi) with P the
+photon parity (-1)^n.
 """
 
 from __future__ import annotations
@@ -120,33 +123,68 @@ def _exp_chain(modes, c: float, v: np.ndarray) -> np.ndarray:
     return (jv @ (np.exp(-1j * c * lam) * (vt_jinv @ v))).real
 
 
-def displaced_squeezed_amplitudes(displacement: float, xi: float, trunc: Truncation) -> np.ndarray:
-    """Normalized Fock amplitudes of exp(b(a^dag-a)) exp(xi(a^dag^2-a^2)) |0>.
+class PacketFamily:
+    """The packets f(b) = exp(b(a^dag-a)) exp(xi(a^dag^2-a^2)) |0> of one xi and truncation, by position b.
 
     Both exponentials are exact for the truncated generators: each acts
-    through the cached eigenmodes of its chain (:func:`_chain_modes`), the
-    squeeze on the even levels only, so a squeezed vacuum keeps its odd
-    levels exactly empty.  Truncation inadequacy shows up either as a norm
-    deficit or, because the truncated generators stay antisymmetric and
-    their exponentials orthogonal, as weight piled against the cutoff; both
-    diagnostics are held below trunc.tail_tol or TruncationNotConverged is
-    raised.
+    through the cached eigenmodes of its chain (:func:`_chain_modes`).  The
+    family squeezes the vacuum once, on the even levels only (so its odd
+    levels stay exactly empty), and keeps the squeezed vacuum's
+    displacement-mode coefficients w = (V^T J^-1) s.  Each distinct |b| then
+    costs one complex matrix-vector product (J V) e^{-i|b| Lambda} w and one
+    tail check, and f(-b) is the parity image P f(|b|): the odd levels'
+    signs flipped.  The image is exact, since P (a^dag-a) P = -(a^dag-a) on
+    the truncated levels and the squeezed vacuum is even; b = -0.0 is b = 0.
+
+    Truncation inadequacy shows up either as a norm deficit or, because the
+    truncated generators stay antisymmetric and their exponentials
+    orthogonal, as weight piled against the cutoff; both diagnostics are
+    held below trunc.tail_tol or TruncationNotConverged is raised, by the
+    call for a position whose |b| fails.  The normalized packets are kept,
+    read-only, for the family's lifetime only: nothing outlives the family.
     """
-    v = np.zeros(trunc.dim)
-    v[0] = 1.0
-    if xi != 0.0:
-        v[0::2] = _exp_chain(_chain_modes(trunc.n_tr, "squeeze"), xi, v[0::2])
-    if displacement != 0.0:
-        v = _exp_chain(_chain_modes(trunc.n_tr, "displace"), displacement, v)
-    nrm = float(np.linalg.norm(v))
-    deficit = max(abs(1.0 - nrm), Truncation.tail_weight(v) / nrm**2)
-    if deficit > trunc.tail_tol:
-        raise TruncationNotConverged(
-            f"tail weight {deficit:.3e} > {trunc.tail_tol:.3e} at n_tr={trunc.n_tr}",
-            n_tr=trunc.n_tr,
-            tail_weight=deficit,
-        )
-    return v / nrm
+
+    def __init__(self, xi: float, trunc: Truncation):
+        self.trunc = trunc
+        s = np.zeros(trunc.dim)
+        s[0] = 1.0
+        if xi != 0.0:
+            s[0::2] = _exp_chain(_chain_modes(trunc.n_tr, "squeeze"), xi, s[0::2])
+        lam, vt_jinv, jv = _chain_modes(trunc.n_tr, "displace")
+        self._vacuum, self._modes = s, (lam, vt_jinv @ s, jv)
+        self._packets = {}
+
+    def __call__(self, b: float) -> np.ndarray:
+        if b not in self._packets:
+            if b < 0.0:
+                v = self(-b).copy()
+                v[1::2] = 0.0 - v[1::2]  # not -v: an exact zero stays +0.0, as the direct build leaves it
+            else:
+                v = self._displaced(b)
+            v.setflags(write=False)
+            self._packets[b] = v
+        return self._packets[b]
+
+    def _displaced(self, b: float) -> np.ndarray:
+        """The normalized f(b) for b >= 0, after its tail check."""
+        v = self._vacuum
+        if b != 0.0:
+            lam, w, jv = self._modes
+            v = (jv @ (np.exp(-1j * b * lam) * w)).real
+        nrm = float(np.linalg.norm(v))
+        deficit = max(abs(1.0 - nrm), Truncation.tail_weight(v) / nrm**2)
+        if deficit > self.trunc.tail_tol:
+            raise TruncationNotConverged(
+                f"tail weight {deficit:.3e} > {self.trunc.tail_tol:.3e} at n_tr={self.trunc.n_tr}",
+                n_tr=self.trunc.n_tr,
+                tail_weight=deficit,
+            )
+        return v / nrm
+
+
+def displaced_squeezed_amplitudes(displacement: float, xi: float, trunc: Truncation) -> np.ndarray:
+    """Normalized, read-only Fock amplitudes of exp(b(a^dag-a)) exp(xi(a^dag^2-a^2)) |0>: a family of one (:class:`PacketFamily`)."""
+    return PacketFamily(xi, trunc)(displacement)
 
 
 def gaussian_packet_profile(xs, displacement: float, xi: float, omega: float = 1.0) -> np.ndarray:

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DegenerateAnsatz, NotIsotropic
 from .model import ModelParams, Truncation, parity_sign
-from .states import displaced_squeezed_amplitudes
+from .states import PacketFamily
 
 _NORM_FLOOR = 1e-12
 _NO_COUPLING = ModelParams(delta=0.0)  # for the forms that read only N and Ph
@@ -374,16 +374,12 @@ def state_vectors(p: PacketParams, trunc: Truncation):
 
     Spin-major flat layout matching :mod:`rabivar.fock`; the vectors are not
     normalized (each squared norm approaches :func:`norm2` as the
-    truncation grows).  Each distinct packet position is built once, for
-    both projections and parities.
+    truncation grows).  The packets come from one
+    :class:`~rabivar.states.PacketFamily`: the vacuum is squeezed once, each
+    distinct |a_j| is displaced once, and f(-a_j) is the parity image of
+    f(|a_j|), for both projections and parities.
     """
-    packets = {}
-
-    def packet(b):
-        if b not in packets:
-            packets[b] = displaced_squeezed_amplitudes(b, p.xi, trunc)
-        return packets[b]
-
+    packet = PacketFamily(p.xi, trunc)
     u, v = superpose(p, -1.0, packet), superpose(p, 1.0, packet)  # v before the parity sign
     rt = 1.0 / math.sqrt(2.0)
     diff, tot = rt * (u - v), rt * (u + v)

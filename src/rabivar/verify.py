@@ -36,7 +36,7 @@ from .exactdiag import solve_parity_sector
 from .fock import build_hamiltonian, parity_diag
 from .model import PARITIES, ModelParams, Truncation
 from .optimize import GRAD_TOL, solve_ansatz
-from .states import displaced_squeezed_amplitudes
+from .states import PacketFamily, displaced_squeezed_amplitudes
 from .variational import (
     AnsatzKind,
     PacketParams,
@@ -115,9 +115,8 @@ def oracle_checks(seed: int = DEFAULT_SEED):
         b1, b2 = rng.uniform(-3.0, 3.0, 2)
         xi = rng.uniform(0.0, 0.4)
         eta = math.exp(-2.0 * xi)
-        fk = displaced_squeezed_amplitudes(-b1, xi, tr)
-        fkp_plus = displaced_squeezed_amplitudes(-b2, xi, tr)
-        fkp_minus = displaced_squeezed_amplitudes(+b2, xi, tr)
+        packet = PacketFamily(xi, tr)
+        fk, fkp_plus, fkp_minus = packet(-b1), packet(-b2), packet(+b2)
         dev_overlap = _worst(
             dev_overlap,
             abs(float(fk @ fkp_plus) - _pair_overlap(eta, b1 - b2)),

@@ -1395,19 +1395,26 @@ def test_verify_suite_passes_and_writes_report(tmp_path, capsys):
 
 
 def test_oracle_builds_each_packet_once(monkeypatch):
-    # 60 overlap packets, 11 single packets of the squeezing and photon checks, and per random
-    # set 2 single-packet (beta2 == beta1) and 4 two-packet ones
-    calls = []
-    original = states.displaced_squeezed_amplitudes
+    # One squeezed vacuum per family: 20 overlap draws, the 3 squeezed-vacuum and 8 photon
+    # packets (families of one), and per random set a one- and a two-packet state.  Each
+    # distinct |b| is displaced once: 2 per draw, 1 per family of one (b = 0 included),
+    # and per random set 1 and 2; -b is the parity image of |b|.
+    squeezed, displaced = [], []
+    init, displace = states.PacketFamily.__init__, states.PacketFamily._displaced
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted_init(self, xi, trunc):
+        squeezed.append(xi)
+        init(self, xi, trunc)
 
-    for module in (states, verify, variational):
-        monkeypatch.setattr(module, "displaced_squeezed_amplitudes", counted)
+    def counted_displaced(self, b):
+        displaced.append(b)
+        return displace(self, b)
+
+    monkeypatch.setattr(states.PacketFamily, "__init__", counted_init)
+    monkeypatch.setattr(states.PacketFamily, "_displaced", counted_displaced)
     assert all(r.passed for r in oracle_checks())
-    assert len(calls) == 191
+    assert (len(squeezed), len(displaced)) == (71, 111)
+    assert all(b >= 0.0 for b in displaced)
 
 
 @pytest.mark.parametrize("packets", [2, 1])

@@ -14,7 +14,9 @@ from rabivar import (
     spin_x_projection,
 )
 from rabivar.states import (
+    PacketFamily,
     _chain_modes,
+    _exp_chain,
     count_peaks,
     displaced_squeezed_amplitudes,
     gaussian_packet_profile,
@@ -141,6 +143,56 @@ def test_folded_kernel_at_rounding_level():
 def test_truncation_guard_raises():
     with pytest.raises(TruncationNotConverged):
         displaced_squeezed_amplitudes(-3.0, 0.0, Truncation(10))
+
+
+def per_packet_amplitudes(b, xi, trunc):
+    """f(b) built on its own, squeezed and then displaced by b itself, and its tail deficit."""
+    v = np.zeros(trunc.dim)
+    v[0] = 1.0
+    if xi != 0.0:
+        v[0::2] = _exp_chain(_chain_modes(trunc.n_tr, "squeeze"), xi, v[0::2])
+    if b != 0.0:
+        v = _exp_chain(_chain_modes(trunc.n_tr, "displace"), b, v)
+    nrm = float(np.linalg.norm(v))
+    return v / nrm, max(abs(1.0 - nrm), Truncation.tail_weight(v) / nrm**2)
+
+
+_FAMILY_POSITIONS = (0.0, -0.0, 0.3, -0.3, 3.0, -3.0)
+
+
+@pytest.mark.parametrize("n_tr", [40, 160])
+@pytest.mark.parametrize("xi", [0.0, 0.1, 0.4])
+def test_family_packets_bit_equal_per_packet_construction(xi, n_tr):
+    # -b is the parity image of |b|, bit for bit, in one family or in families
+    # of one; at the default tail_tol a |b| that fails the tail check raises
+    # as the packet built on its own would, for either sign.
+    failing = []
+    for tr in (Truncation(n_tr, 0.5), Truncation(n_tr)):
+        for family in (PacketFamily(xi, tr), None):
+            for b in _FAMILY_POSITIONS:
+                expected, deficit = per_packet_amplitudes(b, xi, tr)
+                build = family or (lambda b: displaced_squeezed_amplitudes(b, xi, tr))
+                if deficit <= tr.tail_tol:
+                    assert build(b).tobytes() == expected.tobytes(), b
+                    continue
+                failing.append(b)
+                with pytest.raises(TruncationNotConverged) as err:
+                    build(b)
+                assert str(err.value) == f"tail weight {deficit:.3e} > {tr.tail_tol:.3e} at n_tr={n_tr}"
+                assert (err.value.n_tr, err.value.tail_weight) == (n_tr, deficit)
+    assert {3.0, -3.0} <= set(failing) if n_tr == 40 else not failing
+
+
+def test_family_hands_out_each_packet_read_only():
+    family = PacketFamily(0.2, Truncation(40))
+    for b in (0.7, -0.7, 0.0, -0.0):
+        v = family(b)
+        assert family(b) is v
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+    assert family(-0.0) is family(0.0)
+    assert not displaced_squeezed_amplitudes(-0.7, 0.2, Truncation(40)).flags.writeable
 
 
 def test_overlap_identical_packets():

@@ -19,6 +19,7 @@ from rabivar import (
     asymptotic_params,
     stationarity_residuals_iso,
 )
+import rabivar.states as states
 import rabivar.variational as variational
 from rabivar.model import parity_sign
 from rabivar.states import displaced_squeezed_amplitudes
@@ -611,25 +612,32 @@ def test_single_packet_vector_bit_equal_four_packet_formula(beta, xi):
 
 
 def test_state_vectors_build_each_distinct_position_once(monkeypatch):
-    built = []
-    original = variational.displaced_squeezed_amplitudes
+    # One squeezed vacuum per state; each distinct |a_j| displaced once, -a_j its parity image.
+    squeezed, displaced = [], []
+    init, displace = states.PacketFamily.__init__, states.PacketFamily._displaced
 
-    def counted(b, *rest):
-        built.append(b)
-        return original(b, *rest)
+    def counted_init(self, xi, trunc):
+        squeezed.append(xi)
+        init(self, xi, trunc)
 
-    monkeypatch.setattr(variational, "displaced_squeezed_amplitudes", counted)
-    for p, count in [
-        (one(0.8, 0.1), 2),
-        (two(0.6, -0.3, 1.1, -0.4, 0.2), 4),
-        (two(-0.8, 0.45, 2.3, 2.3, 0.15), 2),  # beta2 == beta1
-        (two(0.7, 0.2, 1.6, -1.6, 0.1), 2),  # beta2 == -beta1: both packets at 1.6
-        (two(0.5, 0.5, 0.0, -0.0, 0.0), 1),
-        (PacketParams((0.4, 0.3, 0.2), (1.0, -1.0, 0.5), 0.0), 4),
+    def counted_displaced(self, b):
+        displaced.append(b)
+        return displace(self, b)
+
+    monkeypatch.setattr(states.PacketFamily, "__init__", counted_init)
+    monkeypatch.setattr(states.PacketFamily, "_displaced", counted_displaced)
+    for p, magnitudes in [
+        (one(0.8, 0.1), [0.8]),
+        (two(0.6, -0.3, 1.1, -0.4, 0.2), [0.4, 1.1]),
+        (two(-0.8, 0.45, 2.3, 2.3, 0.15), [2.3]),  # beta2 == beta1
+        (two(0.7, 0.2, 1.6, -1.6, 0.1), [1.6]),  # beta2 == -beta1: both packets at 1.6
+        (two(0.5, 0.5, 0.0, -0.0, 0.0), [0.0]),
+        (PacketParams((0.4, 0.3, 0.2), (1.0, -1.0, 0.5), 0.0), [0.5, 1.0]),
     ]:
-        built.clear()
+        squeezed.clear()
+        displaced.clear()
         state_vectors(p, TR)
-        assert len(built) == count, p
+        assert (squeezed, sorted(displaced)) == ([p.xi], magnitudes), p
 
 
 def test_one_packet_beta_and_canonical_form():
