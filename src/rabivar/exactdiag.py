@@ -12,9 +12,9 @@ reproducible.  The module solves one sector at a time
 (:func:`solve_parity_sector`) and never compares the float sector
 energies: which parity is lowest is the sign of the even-minus-odd
 splitting, which in the two-packet regime lies far below double
-precision.  It comes from :func:`sector_splitting`, which reads the same
-cached float chain solves (:func:`_chain_lowest`) as the sector solves
-and certifies the decimal roots it returns by Sturm counts.
+precision.  It comes from :func:`sector_splitting`, which takes the two
+sector solves, starts its decimal Newton roots from their float ones and
+certifies the roots it returns by Sturm counts.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -46,8 +45,6 @@ class SpectrumResult:
     phase-fixed eigenvector of :func:`parity_chain` on levels 0..n_tr_used,
     in chain order: site m is Fock level m, with spin down where
     ``_down_sites(n_tr_used, parity)`` is true and spin up elsewhere.
-    When phase fixing keeps its sign it is the read-only array
-    :func:`_chain_lowest` caches, so no reader may write to it.
     """
 
     energy: float
@@ -90,21 +87,6 @@ def parity_chain(params: ModelParams, n_tr: int, parity: str):
     return diag, link[1:]
 
 
-@lru_cache(maxsize=8)
-def _chain_lowest(params: ModelParams, n_tr: int, parity: str):
-    """Lowest eigenvalue and its read-only eigenvector (in chain order) of :func:`parity_chain`.
-
-    Solved by :func:`rabivar._lapack.lowest_eigenpair`, bit for bit what
-    ``scipy.linalg.eigh_tridiagonal(..., select="i", select_range=(0, 0))``
-    returns.  Cached on the chain's inputs, so a levels point's sector
-    solves and the first attempt of :func:`sector_splitting` at the same
-    cutoff share one solve.
-    """
-    e, v = _lapack.lowest_eigenpair(*parity_chain(params, n_tr, parity))
-    v.setflags(write=False)
-    return e, v
-
-
 def _norm_scale(diag: np.ndarray, link: np.ndarray, e: float) -> float:
     """Bound on the norm of T - e, the scale of an eigensolver's rounding near e."""
     return float(np.max(np.abs(diag)) + abs(e) + 2.0 * np.max(link, initial=0.0))
@@ -124,7 +106,7 @@ def solve_parity_sector(params: ModelParams, trunc: Truncation, parity: str) -> 
     """
     n_tr = trunc.n_tr
     while True:
-        e, v = _chain_lowest(params, n_tr, parity)
+        e, v = _lapack.lowest_eigenpair(*parity_chain(params, n_tr, parity))
         tail = Truncation.tail_weight(v)
         if tail <= trunc.tail_tol:
             return SpectrumResult(e, _phase_fix(v), parity, n_tr, tail)
@@ -275,16 +257,19 @@ class _Root(NamedTuple):
     chain: tuple
 
 
-def _newton_root(params: ModelParams, n_tr: int, parity: str, digits: int, start=None, near=None) -> _Root:
+def _newton_root(params: ModelParams, n_tr: int, parity: str, digits: int, solve, start=None, near=None) -> _Root:
     """Lowest chain eigenvalue in `digits` digits by Newton, with a-priori rounding and truncation bounds.
 
+    solve is the chain's float (eigenvalue, eigenvector) on levels
+    0..n_tr; only the eigenvalue, the vector's peak site and the square of
+    its peak component are read, so either sign of the vector will do.
     Newton starts from near, the other chain's root in the same attempt,
     when it lies within the float resolution (ten units of eps on the
     chain's norm scale) of this chain's float eigenvalue; else from start,
     the root of an earlier attempt; else from the float eigenvalue through
     the digit ladder _LADDER.
     """
-    seed, v_f = _chain_lowest(params, n_tr, parity)
+    seed, v_f = solve
     diag_f, link_f = parity_chain(params, n_tr + 1, parity)
     peak = int(np.argmax(np.abs(v_f)))
     tail = (seed, peak, float(v_f[peak]))
@@ -337,49 +322,59 @@ def _next_cutoff(params: ModelParams, n_tr: int, tails, target: float) -> int:
     return next((n for n, bound in zip(range(n_tr + 1, n_far + 1), total) if bound <= target), n_far)
 
 
-def sector_splitting(params: ModelParams, n_tr: int) -> SectorSplitting:
+def sector_splitting(params: ModelParams, even: SpectrumResult, odd: SpectrumResult) -> SectorSplitting:
     """Certified E_even - E_odd of the lowest parity-sector levels in extended precision.
 
+    even and odd are the two sector solves (:func:`solve_parity_sector`)
+    whose splitting is sought; each serves the chain of its own parity.
     Both parity chains are solved by Newton in SPLITTING_DIGITS decimal
-    digits on Fock levels 0..n_tr (:func:`_newton_root`): the even chain
-    from its float eigenvalue through a digit ladder, the odd chain from the
-    even root when the two agree to float resolution.  The difference
-    counts only when its magnitude exceeds the sum of both chains' a-priori
-    rounding bounds and truncation bounds; Sturm counts then certify both
-    roots (:func:`_certified`), and if they fail the attempt counts as
-    unconverged: its rounding bound is infinite and the next attempt starts
-    both chains from their float eigenvalues again.  Otherwise, when
-    truncation dominates the bound, n_tr grows to the cutoff whose
-    truncation bound, extrapolated from the float eigenvectors
+    digits on Fock levels 0..n_tr, n_tr the larger of the two solves'
+    cutoffs (:func:`_newton_root`): the even chain from its float
+    eigenvalue through a digit ladder, the odd chain from the even root
+    when the two agree to float resolution.  The float solves are the
+    sector solves', a sector solved at a smaller cutoff being solved again
+    at n_tr, and they serve every attempt at that cutoff.  The
+    difference counts only when its magnitude exceeds the sum of both
+    chains' a-priori rounding bounds and truncation bounds; Sturm counts
+    then certify both roots (:func:`_certified`), and if they fail the
+    attempt counts as unconverged: its rounding bound is infinite and the
+    next attempt starts both chains from their float eigenvalues again.
+    Otherwise, when truncation dominates the bound, n_tr grows to the
+    cutoff whose truncation bound, extrapolated from the float eigenvectors
     (:func:`_next_cutoff`), is a hundredth of the rounding bound, at most
-    doubling; when rounding dominates, the digits double.  Each new attempt
-    starts Newton from the previous one's roots.  Past N_TR_CAP or
-    SPLITTING_DIGITS_CAP the splitting stays unresolved.
+    doubling, and both chains are solved again there; when rounding
+    dominates, the digits double.  Each new attempt starts Newton from the
+    previous one's roots.  Past N_TR_CAP or SPLITTING_DIGITS_CAP the
+    splitting stays unresolved.
     """
+    n_tr = max(even.n_tr_used, odd.n_tr_used)
+    solves = {
+        res.parity: (res.energy, res.vector) if res.n_tr_used == n_tr
+        else _lapack.lowest_eigenpair(*parity_chain(params, n_tr, res.parity))
+        for res in (even, odd)
+    }
     digits = SPLITTING_DIGITS
     starts = (None, None)
     while True:
-        even = _newton_root(params, n_tr, "even", digits, starts[0])
-        odd = _newton_root(params, n_tr, "odd", digits, starts[1], even.e)
-        rounding = even.rounding + odd.rounding
-        truncation = even.trunc + odd.trunc
+        root_even = _newton_root(params, n_tr, "even", digits, solves["even"], starts[0])
+        root_odd = _newton_root(params, n_tr, "odd", digits, solves["odd"], starts[1], root_even.e)
+        rounding = root_even.rounding + root_odd.rounding
+        truncation = root_even.trunc + root_odd.trunc
         if math.isfinite(rounding):
             with localcontext(Context(prec=digits)):
-                split = even.e - odd.e
+                split = root_even.e - root_odd.e
             if abs(split) > Decimal(rounding + truncation):
-                if _certified(even, digits) and _certified(odd, digits):
+                if _certified(root_even, digits) and _certified(root_odd, digits):
                     return SectorSplitting(float(split), rounding + truncation, digits, n_tr)
                 rounding = math.inf  # the counts failed: an unconverged attempt
-        error = rounding + truncation
-        starts = (even.e, odd.e) if math.isfinite(rounding) else (None, None)
-        if truncation > rounding:
-            if n_tr >= N_TR_CAP:
-                return SectorSplitting(None, error, digits, n_tr)
-            n_tr = _next_cutoff(params, n_tr, (even.tail, odd.tail), _CUT_MARGIN * rounding)
-        else:
-            if digits >= SPLITTING_DIGITS_CAP:
-                return SectorSplitting(None, error, digits, n_tr)
+        starts = (root_even.e, root_odd.e) if math.isfinite(rounding) else (None, None)
+        if truncation > rounding and n_tr < N_TR_CAP:
+            n_tr = _next_cutoff(params, n_tr, (root_even.tail, root_odd.tail), _CUT_MARGIN * rounding)
+            solves = {parity: _lapack.lowest_eigenpair(*parity_chain(params, n_tr, parity)) for parity in PARITIES}
+        elif truncation <= rounding and digits < SPLITTING_DIGITS_CAP:
             digits = min(2 * digits, SPLITTING_DIGITS_CAP)
+        else:
+            return SectorSplitting(None, rounding + truncation, digits, n_tr)
 
 
 def spin_x_projection(res: SpectrumResult):

@@ -340,13 +340,13 @@ def solve_ansatz(params: ModelParams, kind: AnsatzKind, parity: str = "even", st
     xf, ff, gf, full_stopped = solved(kind)
     stopped = stopped and full_stopped
     if fs - ff <= STRUCT_RTOL * max(1.0, abs(ff)):
-        if not kind.squeezed:  # reducing the top of the ordering chain is always safe
-            return report(single_kind, xs, fs, g1, stopped, reduced=True)
-        # Raising the squeezed two-packet report to its restricted optimum
-        # must not lift it above the unsqueezed two-packet optimum (the
-        # CS2 stage), or the family ordering would be disturbed.
-        _, fc, _, guard_stopped = solved(AnsatzKind.CS2)
-        stopped = stopped and guard_stopped
+        fc = math.inf  # reducing the top of the ordering chain (CS2) is always safe
+        if kind.squeezed:
+            # Raising the squeezed two-packet report to its restricted optimum
+            # must not lift it above the unsqueezed two-packet optimum (the
+            # CS2 stage), or the family ordering would be disturbed.
+            _, fc, _, guard_stopped = solved(AnsatzKind.CS2)
+            stopped = stopped and guard_stopped
         if fs <= fc + 1e-10 * max(1.0, abs(fc)):
             return report(single_kind, xs, fs, g1, stopped, reduced=True)
     return report(kind, xf, ff, gf, stopped)

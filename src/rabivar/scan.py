@@ -22,12 +22,14 @@ Runs are restartable: when the stored meta.json has the same physics
 config (every field but the grid bounds, step and methods), existing rows
 are kept and only missing (grid point, method) combinations are
 recomputed; otherwise every row is recomputed.  A recomputed CS2/CSS2 row
-solves the stages it shares with stored rows again.  Each computed row is
-appended to combined.tsv as soon as it is finished, so an interrupted run
-keeps its finished rows for the next one.  A row of an unconverged
-trial-state solve (OptResult.converged False) is written with converged=0
-and only the fields that solve can vouch for: a scan row its best-so-far
-state, a levels CSS2 row its best-so-far energies.
+solves the stages it shares with stored rows again.  With one CPU each
+computed row is appended to combined.tsv as soon as it is finished; with
+several, a point's rows are appended once it and every point before it are
+finished (see _mapped_rows).  An interrupted run keeps the rows appended so
+far for the next one.  A row of an unconverged trial-state solve
+(OptResult.converged False) is written with converged=0 and only the
+fields that solve can vouch for: a scan row its best-so-far state, a
+levels CSS2 row its best-so-far energies.
 """
 
 from __future__ import annotations
@@ -656,12 +658,12 @@ def _ed_pair(mp: ModelParams, trunc: Truncation):
 
     The float sector energies differ by noise once the splitting drops
     below eps * |E|, so the splitting comes from the certified
-    extended-precision solve (sector_splitting), started at the larger of
-    the two cutoffs the float solves needed; an unresolved splitting is
+    extended-precision solve of the two sector solves (sector_splitting),
+    started at the larger of their cutoffs; an unresolved splitting is
     None.  TruncationNotConverged from a sector solve propagates.
     """
     even, odd = (solve_parity_sector(mp, trunc, parity) for parity in PARITIES)
-    return even, odd, sector_splitting(mp, max(even.n_tr_used, odd.n_tr_used))
+    return even, odd, sector_splitting(mp, even, odd)
 
 
 def _levels_row_ed(cfg: LevelsConfig, ratio: float, gc1: float) -> dict:

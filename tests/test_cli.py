@@ -41,6 +41,7 @@ from rabivar.scan import (
 )
 from rabivar.variational import AnsatzKind, PacketParams
 from rabivar.verify import format_json, oracle_checks, run_all
+from test_exactdiag import sectors_at
 
 SMALL_SCAN = dict(
     delta=20.0,
@@ -1030,7 +1031,8 @@ def test_zero_splitting_between_opposite_signs_is_the_crossing():
 
 def test_levels_unresolved_splitting_leaves_fields_empty(tmp_path, monkeypatch):
     monkeypatch.setattr(
-        scan, "sector_splitting", lambda params, n_tr: SectorSplitting(None, math.inf, 240, n_tr)
+        scan, "sector_splitting",
+        lambda params, even, odd: SectorSplitting(None, math.inf, 240, max(even.n_tr_used, odd.n_tr_used)),
     )
     out = tmp_path / "levels"
     cfg = LevelsConfig(delta=8.0, tau=0.5, g_min=0.98, g_max=1.02, g_step=0.02, n_tr=96,
@@ -1068,7 +1070,7 @@ def test_levels_css2_splitting_at_a_reduced_even_optimum_is_the_energy_differenc
     assert optimize.solve_ansatz(mp, AnsatzKind.CSS2, "even").reduced
     row = scan._levels_row_css2(cfg, ratio, gc1)
     assert row["converged"] and row["splitting"] == row["e_even"] - row["e_odd"]
-    assert row["splitting"] == pytest.approx(sector_splitting(mp, 256).splitting, rel=1e-3)
+    assert row["splitting"] == pytest.approx(sector_splitting(mp, *sectors_at(mp, 256)).splitting, rel=1e-3)
 
 
 def test_levels_decoupled_point_is_resolved(tmp_path):

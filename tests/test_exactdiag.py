@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from decimal import Context, Decimal, getcontext, localcontext
 
 import numpy as np
@@ -26,7 +25,7 @@ from rabivar import (
     solve_parity_sector,
     spin_x_projection,
 )
-from rabivar.model import parity_sign
+from rabivar.model import PARITIES, parity_sign
 from rabivar.variational import AnsatzKind, PacketParams, energy, objective
 from rabivar.scan import LevelsConfig, WavefunctionConfig, read_table, run_wavefunction
 
@@ -49,6 +48,13 @@ def _ground(mp, tr):
     """The sector ground level the certified splitting puts lowest, the even one when it has no sign."""
     even, odd, certified = scan._ed_pair(mp, tr)
     return scan._lowest(certified.splitting, even, odd) or even
+
+
+def sectors_at(mp, n_tr):
+    """The even and odd sector solves, both at cutoff n_tr: a tail tolerance of 0.5 keeps it from growing."""
+    sectors = [solve_parity_sector(mp, Truncation(n_tr, tail_tol=0.5), parity) for parity in PARITIES]
+    assert [res.n_tr_used for res in sectors] == [n_tr, n_tr]
+    return sectors
 
 
 def _spin_major(res):
@@ -302,7 +308,7 @@ def test_chain_readers_match_the_spin_major_layout(delta, tau):
         res = solve_parity_sector(mp, Truncation(n_tr), parity)
         assert len(res.vector) == res.n_tr_used + 1
         n = np.arange(res.n_tr_used + 1)
-        full = _spin_major(replace(res, vector=ed._chain_lowest(mp, res.n_tr_used, parity)[1]))
+        full = _spin_major(res)
         full *= np.sign(full[np.argmax(np.abs(full))])
         up, down = full[: len(n)], full[len(n) :]
         assert np.array_equal(_spin_major(res), full)
@@ -350,7 +356,7 @@ def test_certified_splitting_matches_float_where_resolved():
         mp = ModelParams(delta=8.0, tau=0.5, g=ratio * gc1)
         e_even = solve_parity_sector(mp, Truncation(96), "even").energy
         e_odd = solve_parity_sector(mp, Truncation(96), "odd").energy
-        split = sector_splitting(mp, 96).splitting
+        split = sector_splitting(mp, *sectors_at(mp, 96)).splitting
         if abs(e_even - e_odd) > 1e-9:
             assert split == pytest.approx(e_even - e_odd, rel=0.0, abs=1e-12 * abs(e_even))
             compared += 1
@@ -363,12 +369,12 @@ def test_certified_splitting_deep_two_packet_regime(ratio, expected, monkeypatch
     # move when the cutoff is doubled or the digits are raised.
     gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
     mp = ModelParams(delta=100.0, tau=0.5, g=ratio * gc1)
-    base = sector_splitting(mp, 256)
+    base = sector_splitting(mp, *sectors_at(mp, 256))
     assert base.splitting == pytest.approx(expected, rel=0.01)
     assert abs(base.splitting) > base.error
-    doubled = sector_splitting(mp, 512)
+    doubled = sector_splitting(mp, *sectors_at(mp, 512))
     monkeypatch.setattr(ed, "SPLITTING_DIGITS", 150)
-    precise = sector_splitting(mp, 256)
+    precise = sector_splitting(mp, *sectors_at(mp, 256))
     assert doubled.n_tr == 512 and precise.digits == 150
     for other in (doubled, precise):
         assert other.splitting == pytest.approx(base.splitting, rel=1e-9)
@@ -381,10 +387,10 @@ def test_truncation_limited_splitting_extends_the_cutoff_from_the_tail(ratio):
     # than the doubled 512, and the same certified value as at 512.
     gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
     mp = ModelParams(delta=100.0, tau=0.5, g=ratio * gc1)
-    grown = sector_splitting(mp, 256)
+    grown = sector_splitting(mp, *sectors_at(mp, 256))
     assert 256 < grown.n_tr < 512
     assert grown.error < 1e-84
-    ref = sector_splitting(mp, 512)
+    ref = sector_splitting(mp, *sectors_at(mp, 512))
     assert ref.n_tr == 512
     assert (grown.splitting > 0.0) == (ref.splitting > 0.0)
     assert abs(grown.splitting - ref.splitting) <= grown.error + ref.error
@@ -393,20 +399,22 @@ def test_truncation_limited_splitting_extends_the_cutoff_from_the_tail(ratio):
 def test_unresolved_splitting_has_no_sign(monkeypatch):
     gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
     at_crossing = ModelParams(delta=100.0, tau=0.5, g=gc1)
-    assert sector_splitting(at_crossing, 256).splitting > 0.0
+    assert sector_splitting(at_crossing, *sectors_at(at_crossing, 256)).splitting > 0.0
     with monkeypatch.context() as m:
         # At the crossing the n_tr = 256 chains shift by more than the splitting.
         m.setattr(ed, "N_TR_CAP", 256)
-        capped = sector_splitting(at_crossing, 256)
+        capped = sector_splitting(at_crossing, *sectors_at(at_crossing, 256))
         assert capped.splitting is None and capped.n_tr == 256
     with monkeypatch.context() as m:
         # 40 digits cannot resolve 1.8e-60 on levels near -80.
         m.setattr(ed, "SPLITTING_DIGITS", 40)
         m.setattr(ed, "SPLITTING_DIGITS_CAP", 40)
-        coarse = sector_splitting(ModelParams(delta=100.0, tau=0.5, g=1.01 * gc1), 256)
+        past = ModelParams(delta=100.0, tau=0.5, g=1.01 * gc1)
+        coarse = sector_splitting(past, *sectors_at(past, 256))
         assert coarse.splitting is None and coarse.digits == 40
     # Identical chains: an exact degeneracy stays unresolved at every precision.
-    exact = sector_splitting(ModelParams(delta=0.0, g=0.5, tau=1.0), 32)
+    degenerate = ModelParams(delta=0.0, g=0.5, tau=1.0)
+    exact = sector_splitting(degenerate, *sectors_at(degenerate, 32))
     assert exact.splitting is None and exact.digits == ed.SPLITTING_DIGITS_CAP
 
 
@@ -553,7 +561,6 @@ def test_readme_levels_ed_rows_take_fewer_solves_and_passes(monkeypatch):
     _counting(monkeypatch, ed._lapack, "lowest_eigenpair", counts, lambda: "eigh")
     _counting(monkeypatch, ed, "_sturm_count", counts, lambda: "sturm")
     _counting(monkeypatch, ed, "_newton_step", counts, lambda: getcontext().prec)
-    ed._chain_lowest.cache_clear()
     gc1 = _gc1(README_LEVELS)
     rows = [scan._levels_row_ed(README_LEVELS, ratio, gc1) for ratio in README_LEVELS.grid()]
     assert len(rows) == 41 and all(row["split_digits"] == 90 for row in rows)
@@ -567,7 +574,7 @@ def test_readme_levels_ed_rows_take_fewer_solves_and_passes(monkeypatch):
 def test_failed_sturm_counts_double_the_digits_and_restart_from_float_seeds(monkeypatch):
     gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
     mp = ModelParams(delta=100.0, tau=0.5, g=0.99 * gc1)
-    plain = sector_splitting(mp, 256)
+    plain = sector_splitting(mp, *sectors_at(mp, 256))
     assert plain.digits == 90
     sturm, certify, newton_lowest = ed._sturm_count, ed._certified, ed._newton_lowest
     failed, runs, verdicts = [], [], []
@@ -590,7 +597,7 @@ def test_failed_sturm_counts_double_the_digits_and_restart_from_float_seeds(monk
     monkeypatch.setattr(ed, "_sturm_count", fail_once)
     monkeypatch.setattr(ed, "_newton_lowest", newton)
     monkeypatch.setattr(ed, "_certified", certified)
-    redone = sector_splitting(mp, 256)
+    redone = sector_splitting(mp, *sectors_at(mp, 256))
     assert len(failed) == 1 and redone.digits == 180 and redone.n_tr == 256
     assert [(digits, type(seed), ladder) for digits, seed, ladder, _ in runs] == [
         (90, float, (34, 68)), (90, Decimal, ()), (180, float, (34, 68, 136)), (180, Decimal, ()),
@@ -603,13 +610,30 @@ def test_failed_sturm_counts_double_the_digits_and_restart_from_float_seeds(monk
     assert abs(redone.splitting - plain.splitting) <= plain.error + redone.error
 
 
-def test_cached_chain_solves_are_read_only():
+def test_sector_solves_are_distinct_writable_arrays():
     mp = ModelParams(delta=8.0, tau=0.5, g=0.9)
-    e, v = ed._chain_lowest(mp, 32, "odd")
-    assert ed._chain_lowest(mp, 32, "odd")[1] is v
-    with pytest.raises(ValueError):
-        v[0] = 0.0
-    assert e == solve_parity_sector(mp, Truncation(32, tail_tol=0.5), "odd").energy
+    even, odd = sectors_at(mp, 32)
+    split = sector_splitting(mp, even, odd)
+    again = sectors_at(mp, 32)[1]
+    assert again.vector is not odd.vector and np.array_equal(again.vector, odd.vector)
+    kept = again.vector.copy()
+    odd.vector[:] = 0.0
+    assert np.array_equal(again.vector, kept)
+    assert sector_splitting(mp, *sectors_at(mp, 32)) == split
+
+
+@pytest.mark.parametrize("short", PARITIES)
+def test_a_sector_solved_at_a_smaller_cutoff_is_solved_again_at_the_larger(short, monkeypatch):
+    gc1 = ModelParams(delta=100.0, tau=0.5, g=1.0).g_c1
+    mp = ModelParams(delta=100.0, tau=0.5, g=0.99 * gc1)
+    both = sectors_at(mp, 512)
+    ref = sector_splitting(mp, *both)
+    mixed = [low if res.parity == short else res for low, res in zip(sectors_at(mp, 256), both)]
+    counts = {}
+    _counting(monkeypatch, ed._lapack, "lowest_eigenpair", counts, lambda: "eigh")
+    assert sector_splitting(mp, *mixed) == ref and ref.n_tr == 512
+    assert counts == {"eigh": 1}  # the short sector only
+    assert sector_splitting(mp, *mixed[::-1]) == ref  # each solve serves its own parity's chain
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.0])
@@ -617,21 +641,23 @@ def test_decoupled_point_splitting_is_certified(tau):
     # At g = 0 the float seeds -delta/2 and omega - delta/2 are exact roots,
     # so a pivot vanishes exactly, and the links are all zero.
     mp = ModelParams(delta=100.0, tau=tau, g=0.0)
-    split = sector_splitting(mp, 256)
+    sectors = sectors_at(mp, 256)
+    split = sector_splitting(mp, *sectors)
     assert split.digits == 90 and split.n_tr == 256
     assert abs(split.splitting - -1.0) <= split.error
-    for parity in ("even", "odd"):
-        diag, link = parity_chain(mp, 257, parity)
-        e, v = ed._chain_lowest(mp, 256, parity)
-        peak = int(np.argmax(np.abs(v)))
-        assert ed._truncation_bounds(diag.tolist(), link.tolist(), e, peak, v[peak], 200) == [0.0] * 57
+    for res in sectors:
+        diag, link = parity_chain(mp, 257, res.parity)
+        peak = int(np.argmax(np.abs(res.vector)))
+        bounds = ed._truncation_bounds(diag.tolist(), link.tolist(), res.energy, peak, res.vector[peak], 200)
+        assert bounds == [0.0] * 57
 
 
 def test_rotating_wave_vacuum_splitting_is_certified():
     # tau = 0 cuts the even chain's vacuum site off (its float seed -delta/2
     # is exact) and leaves the odd ground level in one 2 x 2 block.
     delta, g = 100.0, 0.01
-    split = sector_splitting(ModelParams(delta=delta, tau=0.0, g=g), 256)
+    mp = ModelParams(delta=delta, tau=0.0, g=g)
+    split = sector_splitting(mp, *sectors_at(mp, 256))
     odd = 0.5 - math.sqrt(0.25 * (delta - 1.0) ** 2 + g * g)
     assert split.digits == 90
     assert split.splitting == pytest.approx(-0.5 * delta - odd, rel=1e-14)
